@@ -35,7 +35,6 @@ from .qap import (
     objective,
 )
 from .report import (
-    LayoutPlan,
     config_hash,
     diff_layouts,
     diff_report_text,
@@ -145,10 +144,6 @@ def _load_inputs(config: RunConfig):
     else:
         matrices = sampled_transitions(transactions, doc.catalog, seed=config.seed)
     return doc, transactions, exposures, matrices
-
-
-def _plan_level1_assignment(plan: LayoutPlan) -> Assignment:
-    return plan.level1_assignment()
 
 
 def _baseline_assignment(
@@ -263,7 +258,7 @@ def _run_solve(config: RunConfig, sink: _Artifacts) -> None:
         if config.baseline_path is None:
             raise InputError("level2 mode needs --baseline for the fixed category layout")
         anchor_plan = read_plan(config.baseline_path)
-        level1_assignment = _plan_level1_assignment(anchor_plan)
+        level1_assignment = anchor_plan.level1_assignment()
         instance = build_level2_instance(
             exposures, matrices, level1_assignment, doc.catalog, doc.graph
         )
@@ -340,7 +335,7 @@ def _run_export_lp(config: RunConfig, sink: _Artifacts) -> None:
             write_lp(linearize(instance, sparsify=sparsify), path)
         elif tag == "level2":
             if config.baseline_path is not None:
-                level1_assignment = _plan_level1_assignment(read_plan(config.baseline_path))
+                level1_assignment = read_plan(config.baseline_path).level1_assignment()
             else:
                 instance = build_level1_instance(exposures, matrices, doc.eligibility)
                 level1_assignment = solve_level1(instance, config.solver).entries[0].assignment

@@ -22,12 +22,15 @@ import numpy as np
 
 from .demand import CHECK_IN, CHECK_OUT, Catalog, TransitionMatrices
 from .errors import InputError, ParseError, ValidationError
-from .qap import Assignment, QapInstance, check_feasible, objective_of_permutation
+from .qap import (
+    INTEGRATED,
+    LEVEL1,
+    Assignment,
+    QapInstance,
+    check_feasible,
+    objective_of_permutation,
+)
 from .store import ENTRANCE_POS, EXIT_POS, ExposureMatrices, StoreGraph
-
-LEVEL1 = "level1"
-LEVEL2 = "level2"
-INTEGRATED = "integrated"
 
 
 @dataclass(frozen=True)

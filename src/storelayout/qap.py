@@ -267,7 +267,7 @@ def eligibility_from_blocks(
 def objective_of_permutation(instance: QapInstance, perm: np.ndarray) -> float:
     """Canonical objective evaluation. Every solver scores candidates through
     this one routine so equal assignments produce bit-equal objectives."""
-    sub = instance.exposure[np.ix_(perm, perm)]
+    sub = instance.exposure.take(perm, axis=0).take(perm, axis=1)
     return float((instance.flow * sub).sum())
 
 
@@ -390,6 +390,76 @@ def swap_delta_matrix(flow: np.ndarray, exposure: np.ndarray, perm: np.ndarray) 
     delta = row_all - row_corr + col_all - col_corr + cross
     np.fill_diagonal(delta, 0.0)
     return delta
+
+
+def swap_candidate_pairs(
+    eligibility: np.ndarray, move_mask: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Product pairs (a, b), a < b, that some feasible permutation may swap,
+    in row-major order. A swap needs both products eligible at both of the
+    positions involved, so the two eligibility rows must share at least two
+    positions; ``move_mask`` restricts the pairs further."""
+    e = eligibility.astype(np.int64)
+    pairs = np.triu((e @ e.T) >= 2, k=1)
+    if move_mask is not None:
+        pairs &= move_mask
+    return np.nonzero(pairs)
+
+
+class SwapScan:
+    """Deltas of a fixed list of product swaps (a[p], b[p]) under a changing
+    permutation, in O(len(a) * n) per scan (Taillard 1991).
+
+    Holds the permuted exposure matrix h = exposure[np.ix_(perm, perm)]
+    beside its transpose, so one row gather per pair end reads both the row
+    and the column terms of every delta; whatever depends only on the flow
+    matrix is computed once. Entry p of ``deltas()`` equals
+    swap_delta_perm(flow, exposure, perm, a[p], b[p]) up to round-off.
+    """
+
+    def __init__(
+        self,
+        flow: np.ndarray,
+        exposure: np.ndarray,
+        perm: np.ndarray,
+        a: np.ndarray,
+        b: np.ndarray,
+    ):
+        n = len(perm)
+        self.n = n
+        h = exposure[np.ix_(perm, perm)]
+        self._hh = np.hstack([h, h.T])
+        self._a, self._b = a, b
+        self._dflow = np.hstack([flow[a] - flow[b], (flow[:, a] - flow[:, b]).T])
+        # The row and column dot products count the 2x2 block of a and b
+        # twice; its net correction is s * (h[a,a] + h[b,b] - h[a,b] - h[b,a]).
+        self._s = flow[a, a] + flow[b, b] - flow[a, b] - flow[b, a]
+        w = 2 * n
+        self._corners = np.stack([a * w + a, b * w + b, a * w + b, b * w + a])
+        self._signs = np.array([1.0, 1.0, -1.0, -1.0])
+
+    @property
+    def h(self) -> np.ndarray:
+        """The permuted exposure matrix, a view."""
+        return self._hh[:, : self.n]
+
+    def deltas(self) -> np.ndarray:
+        hh = self._hh
+        dots = np.einsum("pk,pk->p", self._dflow, hh[self._b] - hh[self._a])
+        return dots + self._s * (self._signs @ hh.take(self._corners))
+
+    def swap(self, a: int, b: int) -> None:
+        """Follow the exchange of perm[a] and perm[b]: swap rows a, b and
+        columns a, b of h (and of its transpose) in place, O(n) instead of
+        re-gathering all n^2 entries."""
+        hh = self._hh
+        row = hh[a].copy()
+        hh[a] = hh[b]
+        hh[b] = row
+        for x, y in ((a, b), (self.n + a, self.n + b)):
+            col = hh[:, x].copy()
+            hh[:, x] = hh[:, y]
+            hh[:, y] = col
 
 
 # -- instance builders ---------------------------------------------------------
@@ -704,12 +774,18 @@ class SolutionPool:
 
     def offer(self, perm: np.ndarray, objective_value: float) -> bool:
         """Consider one candidate; returns True if it entered the pool."""
-        key = tuple(int(k) for k in perm)
-        if key in self._keys:
-            return False
         if self._entries:
             best = self._entries[0][0]
             if objective_value < self._threshold(max(best, objective_value)):
+                return False
+        key = tuple(np.asarray(perm).tolist())
+        if key in self._keys:
+            return False
+        if len(self._entries) == self.capacity:
+            # a full pool keeps its best, so a candidate ranked after its
+            # last entry would be cut again at once
+            worst_obj, worst_key = self._entries[-1]
+            if (-objective_value, key) > (-worst_obj, worst_key):
                 return False
         self._entries.append((objective_value, key))
         self._keys.add(key)

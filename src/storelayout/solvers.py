@@ -25,11 +25,13 @@ from .qap import (
     Assignment,
     QapInstance,
     SolutionPool,
+    SwapScan,
     build_level1_instance,
     build_level2_instance,
     check_feasible,
     objective_of_permutation,
-    swap_delta_matrix,
+    swap_candidate_pairs,
+    swap_delta_matrix,  # noqa: F401 -- perfbench/spans.py counts calls under this name
 )
 from .store import ENTRANCE_POS, EXIT_POS, ExposureMatrices, StoreGraph
 
@@ -418,11 +420,15 @@ def _tabu_run(
     move_mask: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, int]:
     """One tabu run from a feasible permutation; returns (best objective,
-    best permutation, iterations executed). Move selection scans the whole
-    swap neighborhood each iteration via the vectorized delta matrix; a move
-    is tabu only when BOTH products would return to recently held positions,
-    and aspiration admits any move that beats the best known solution."""
-    flow, expo, elig = instance.flow, instance.exposure, instance.eligibility
+    best permutation, iterations executed). Each iteration scores only the
+    swap pairs eligibility can ever allow, listed once per run in row-major
+    order so ties break on the lowest (a, b); deltas read a permuted
+    exposure matrix kept in step by swapping two rows and two columns per
+    move (Taillard 1991). A move is tabu only when BOTH products would
+    return to recently held positions, and aspiration admits any move that
+    beats the best known solution by more than round-off, so a tabu move
+    back to the incumbent is never let through by float noise."""
+    elig = instance.eligibility
     n = instance.n
     perm = start.copy()
     cur = objective_of_permutation(instance, perm)
@@ -433,32 +439,31 @@ def _tabu_run(
     lo = max(1, round(tenure_range[0] * n))
     hi = max(lo, round(tenure_range[1] * n))
     tabu_until = np.zeros((n, n), dtype=np.int64)
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    if move_mask is not None:
-        upper = upper & move_mask
+    pa, pb = swap_candidate_pairs(elig, move_mask)
+    scan = SwapScan(instance.flow, instance.exposure, perm, pa, pb)
     done = 0
     for it in range(1, iterations + 1):
         if deadline is not None and perf_counter() > deadline:
             break
         done = it
-        e1 = elig[:, perm]
-        allowed = e1 & e1.T & upper
+        ka, kb = perm[pa], perm[pb]
+        allowed = elig[pa, kb] & elig[pb, ka]
         if not allowed.any():
             break
-        delta = swap_delta_matrix(flow, expo, perm)
-        t1 = tabu_until[:, perm] >= it
-        tabu_move = t1 & t1.T
-        candidate = cur + delta
-        admissible = allowed & (~tabu_move | (candidate > best_obj))
+        delta = scan.deltas()
+        tabu_move = (tabu_until[pa, kb] >= it) & (tabu_until[pb, ka] >= it)
+        aspire = best_obj + 1e-9 * max(1.0, abs(best_obj))
+        admissible = allowed & (~tabu_move | (cur + delta > aspire))
         if not admissible.any():
             admissible = allowed
-        scores = np.where(admissible, delta, -np.inf)
-        a, b = divmod(int(np.argmax(scores)), n)
+        p = int(np.argmax(np.where(admissible, delta, -np.inf)))
+        a, b = int(pa[p]), int(pb[p])
         tenure = rng.randint(lo, hi)
         tabu_until[a, perm[a]] = it + tenure
         tabu_until[b, perm[b]] = it + tenure
         perm[a], perm[b] = perm[b], perm[a]
-        cur += float(delta[a, b])
+        scan.swap(a, b)
+        cur += float(delta[p])
         margin = 1e-6 * max(1.0, abs(best_obj))
         if pool is not None:
             margin += pool.gap * abs(best_obj)

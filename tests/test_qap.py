@@ -23,6 +23,7 @@ from storelayout.qap import (
     Block,
     QapInstance,
     SolutionPool,
+    SwapScan,
     build_level1_instance,
     build_level2_instance,
     check_feasible,
@@ -31,11 +32,13 @@ from storelayout.qap import (
     objective_of_permutation,
     read_instance,
     read_qaplib,
+    swap_candidate_pairs,
     swap_delta,
     swap_delta_matrix,
     swap_delta_perm,
     write_instance,
 )
+from storelayout.solvers import random_assignment
 from storelayout.store import ENTRANCE_POS, EXIT_POS, build_exposure_matrices
 
 
@@ -152,6 +155,107 @@ class TestSwapDelta:
         perm = next(iter(feasible_perms(inst)))
         mat = swap_delta_matrix(inst.flow, inst.exposure, perm)
         assert np.allclose(mat, mat.T)
+
+
+def signed_values(instance: QapInstance, rng: Random) -> QapInstance:
+    """Same eligibility and blocks, asymmetric real-valued flow and exposure
+    with negative entries."""
+    n = instance.n
+    return QapInstance(
+        level=instance.level,
+        product_ids=instance.product_ids,
+        position_ids=instance.position_ids,
+        flow=np.array([[rng.uniform(-3, 5) for _ in range(n)] for _ in range(n)]),
+        exposure=np.array([[rng.uniform(-3, 5) for _ in range(n)] for _ in range(n)]),
+        eligibility=instance.eligibility,
+        blocks=instance.blocks,
+    )
+
+
+class TestSwapScan:
+    def instances(self, seed: int):
+        rng = Random(seed)
+        for trial in range(30):
+            if trial % 2 == 0:
+                inst = random_level1_instance(rng, rng.randint(2, 6))
+            else:
+                sizes = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+                inst = random_level2_instance(rng, sizes)
+            yield rng, signed_values(inst, rng)
+
+    def test_matches_scalar_kernel_and_recompute(self):
+        for rng, inst in self.instances(29):
+            perm = random_assignment(inst, rng)
+            a, b = np.nonzero(np.triu(np.ones((inst.n, inst.n), dtype=bool), k=1))
+            got = SwapScan(inst.flow, inst.exposure, perm, a, b).deltas()
+            base = objective_of_permutation(inst, perm)
+            scale = float((np.abs(inst.flow) * np.abs(inst.exposure[np.ix_(perm, perm)])).sum())
+            for p, (x, y) in enumerate(zip(a, b)):
+                swapped = perm.copy()
+                swapped[x], swapped[y] = swapped[y], swapped[x]
+                for want in (
+                    swap_delta_perm(inst.flow, inst.exposure, perm, x, y),
+                    objective_of_permutation(inst, swapped) - base,
+                ):
+                    assert abs(got[p] - want) <= 1e-9 * scale
+
+    def test_agrees_with_matrix_reference(self):
+        for rng, inst in self.instances(31):
+            perm = random_assignment(inst, rng)
+            a, b = swap_candidate_pairs(inst.eligibility)
+            got = SwapScan(inst.flow, inst.exposure, perm, a, b).deltas()
+            want = swap_delta_matrix(inst.flow, inst.exposure, perm)[a, b]
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
+
+    def test_swaps_keep_permuted_exposure_exact(self):
+        rng = Random(37)
+        n = 9
+        flow = np.array([[rng.uniform(-3, 5) for _ in range(n)] for _ in range(n)])
+        expo = np.array([[rng.uniform(-3, 5) for _ in range(n)] for _ in range(n)])
+        perm = np.array(rng.sample(range(n), n))
+        a, b = np.nonzero(np.triu(np.ones((n, n), dtype=bool), k=1))
+        scan = SwapScan(flow, expo, perm, a, b)
+        for _ in range(500):
+            x, y = rng.sample(range(n), 2)
+            perm[x], perm[y] = perm[y], perm[x]
+            scan.swap(x, y)
+        assert np.array_equal(scan.h, expo[np.ix_(perm, perm)])
+        # the transposed copy stayed in step too: deltas equal a fresh scan's
+        fresh = SwapScan(flow, expo, perm, a, b)
+        assert np.array_equal(scan.deltas(), fresh.deltas())
+
+
+class TestSwapCandidatePairs:
+    def test_cover_every_allowed_swap(self):
+        rng = Random(41)
+        for trial in range(20):
+            if trial % 2 == 0:
+                inst = random_level1_instance(rng, rng.randint(2, 5))
+            else:
+                inst = random_level2_instance(rng, (rng.randint(1, 3), rng.randint(1, 3)))
+            a, b = swap_candidate_pairs(inst.eligibility)
+            pairs = set(zip(a.tolist(), b.tolist()))
+            elig = inst.eligibility
+            allowed = {
+                (x, y)
+                for perm in feasible_perms(inst)
+                for x in range(inst.n)
+                for y in range(x + 1, inst.n)
+                if elig[x, perm[y]] and elig[y, perm[x]]
+            }
+            assert allowed <= pairs
+
+    def test_row_major_and_masked(self):
+        inst = random_level2_instance(Random(43), (3, 2))
+        a, b = swap_candidate_pairs(inst.eligibility)
+        assert list(zip(a, b)) == sorted(zip(a, b))
+        assert all(x < y for x, y in zip(a, b))
+        # pinned dummies and cross-block pairs never appear
+        assert set(zip(a.tolist(), b.tolist())) == {(1, 2), (1, 3), (2, 3), (4, 5)}
+        mask = np.zeros((inst.n, inst.n), dtype=bool)
+        mask[4, 5] = True
+        a, b = swap_candidate_pairs(inst.eligibility, mask)
+        assert list(zip(a.tolist(), b.tolist())) == [(4, 5)]
 
 
 class TestFeasibility:
@@ -576,6 +680,30 @@ class TestSolutionPool:
             big.offer(perm, val)
             small.offer(perm, val)
         assert tuple(small.permutations()[0]) == tuple(big.permutations()[0])
+
+    def test_early_rejections_change_nothing(self):
+        # reference: every offer is inserted, sorted and cut; the pool's
+        # early exits must give the same answers and the same contents
+        inst = simple_instance(4)
+        perms = list(itertools.permutations(range(4)))
+        for trial in range(20):
+            rng = Random(trial)
+            capacity, gap = rng.randint(1, 5), rng.choice([0.0, 0.05, 0.3])
+            pool = SolutionPool(inst, capacity=capacity, gap=gap)
+            ref: list[tuple[float, tuple[int, ...]]] = []
+            for _ in range(60):
+                key = perms[rng.randrange(len(perms))]
+                value = float(rng.randint(80, 100))
+                if any(k == key for _, k in ref):
+                    want = False
+                else:
+                    ref = sorted(ref + [(value, key)], key=lambda e: (-e[0], e[1]))
+                    cut = ref[0][0] - gap * abs(ref[0][0])
+                    ref = [e for e in ref if e[0] >= cut][:capacity]
+                    want = any(k == key for _, k in ref)
+                assert pool.offer(np.array(key), value) == want
+                held = zip(pool.entries, pool.permutations())
+                assert [(e.objective, tuple(p)) for e, p in held] == ref
 
     def test_empty_pool_best_raises(self):
         inst = simple_instance(3)

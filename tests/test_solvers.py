@@ -3,6 +3,8 @@ hierarchical driver's pooling behavior."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -15,17 +17,21 @@ from conftest import (
     random_level1_instance,
     random_level2_instance,
 )
-from storelayout.demand import expected_transitions, load_transactions
+from storelayout.demand import expected_transitions, load_transactions, read_transactions_csv
 from storelayout.errors import InputError, ModelError, ValidationError
 from storelayout.qap import (
     Assignment,
+    SolutionPool,
     build_level1_instance,
     build_level2_instance,
     check_feasible,
     objective_of_permutation,
+    swap_delta_matrix,
 )
 from storelayout.solvers import (
     SolverConfig,
+    _better,
+    _tabu_run,
     block_descent,
     branch_and_bound,
     brute_force,
@@ -38,6 +44,9 @@ from storelayout.solvers import (
     tabu_search,
 )
 from storelayout.store import build_exposure_matrices
+from storelayout.storefile import load_store
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def small_fixture(group_sizes=(2, 2), records=None):
@@ -159,6 +168,132 @@ class TestTabuSearch:
         inst = random_level1_instance(rng, 6)
         result = tabu_search(inst, SolverConfig(seed=0, iteration_limit=200, restarts=2))
         assert check_feasible(inst, result.assignment).ok
+
+
+def full_scan_tabu_run(instance, start, iterations, tenure_range, rng, pool, move_mask=None):
+    """The tabu run as it was before the pair scan: every iteration builds
+    the whole n x n delta matrix and masks it. Kept as the oracle the pair
+    scan must reproduce move for move. Its aspiration margin is the one
+    _tabu_run uses: without it, whether a tabu move back to the incumbent
+    "beats" it is decided by the round-off of each delta kernel."""
+    flow, expo, elig = instance.flow, instance.exposure, instance.eligibility
+    n = instance.n
+    perm = start.copy()
+    cur = objective_of_permutation(instance, perm)
+    best_obj = cur
+    best_perm = perm.copy()
+    if pool is not None:
+        pool.offer(perm.copy(), cur)
+    lo = max(1, round(tenure_range[0] * n))
+    hi = max(lo, round(tenure_range[1] * n))
+    tabu_until = np.zeros((n, n), dtype=np.int64)
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    if move_mask is not None:
+        upper = upper & move_mask
+    done = 0
+    for it in range(1, iterations + 1):
+        done = it
+        e1 = elig[:, perm]
+        allowed = e1 & e1.T & upper
+        if not allowed.any():
+            break
+        delta = swap_delta_matrix(flow, expo, perm)
+        t1 = tabu_until[:, perm] >= it
+        tabu_move = t1 & t1.T
+        aspire = best_obj + 1e-9 * max(1.0, abs(best_obj))
+        admissible = allowed & (~tabu_move | (cur + delta > aspire))
+        if not admissible.any():
+            admissible = allowed
+        scores = np.where(admissible, delta, -np.inf)
+        a, b = divmod(int(np.argmax(scores)), n)
+        tenure = rng.randint(lo, hi)
+        tabu_until[a, perm[a]] = it + tenure
+        tabu_until[b, perm[b]] = it + tenure
+        perm[a], perm[b] = perm[b], perm[a]
+        cur += float(delta[a, b])
+        margin = 1e-6 * max(1.0, abs(best_obj))
+        if pool is not None:
+            margin += pool.gap * abs(best_obj)
+        if cur >= best_obj - margin:
+            canon = objective_of_permutation(instance, perm)
+            cur = canon
+            if pool is not None:
+                pool.offer(perm.copy(), canon)
+            if _better(canon, perm, best_obj, best_perm):
+                best_obj = canon
+                best_perm = perm.copy()
+    return best_obj, best_perm, done
+
+
+def equivalence_cases(seed: int, count: int = 20):
+    """Random strategic instances (restricted eligibility) alternating with
+    tactical ones (several blocks), each with a random feasible start."""
+    rng = Random(seed)
+    for trial in range(count):
+        if trial % 2 == 0:
+            inst = random_level1_instance(rng, rng.randint(4, 10))
+        else:
+            sizes = tuple(rng.randint(1, 5) for _ in range(rng.randint(2, 4)))
+            inst = random_level2_instance(rng, sizes)
+        yield trial, inst, random_assignment(inst, Random(trial))
+
+
+class TestPairScanMatchesFullScan:
+    """The pair scan must take the full scan's moves: same result, same
+    iteration count and the same pool offers."""
+
+    def assert_same(self, inst, start, trial, move_mask=None, with_pool=True):
+        pools = [SolutionPool(inst, capacity=5, gap=0.02) if with_pool else None for _ in range(2)]
+        want = full_scan_tabu_run(
+            inst, start, 300, (0.1, 0.5), Random(trial), pools[0], move_mask
+        )
+        got = _tabu_run(inst, start, 300, (0.1, 0.5), Random(trial), pools[1], None, move_mask)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+        if with_pool:
+            assert [(e.objective, e.assignment) for e in pools[1].entries] == [
+                (e.objective, e.assignment) for e in pools[0].entries
+            ]
+
+    def test_with_pool(self):
+        for trial, inst, start in equivalence_cases(401):
+            self.assert_same(inst, start, trial)
+
+    def test_without_pool(self):
+        for trial, inst, start in equivalence_cases(409):
+            self.assert_same(inst, start, trial, with_pool=False)
+
+    def test_block_move_mask(self):
+        # the block_descent fallback: moves restricted to one block's rows
+        rng = Random(419)
+        for trial in range(20):
+            sizes = tuple(rng.randint(2, 5) for _ in range(rng.randint(2, 4)))
+            inst = random_level2_instance(rng, sizes)
+            blk = inst.blocks[rng.randrange(len(inst.blocks))]
+            rows = [inst.product_index(p) for p in blk.product_ids]
+            mask = np.zeros((inst.n, inst.n), dtype=bool)
+            mask[np.ix_(rows, rows)] = True
+            start = random_assignment(inst, Random(trial))
+            self.assert_same(inst, start, trial, move_mask=mask, with_pool=False)
+
+    def test_ties_break_on_lowest_pair(self):
+        # zero flow makes every delta exactly 0: each move is decided by
+        # the tie-break alone, which must stay the full scan's row-major one
+        rng = Random(433)
+        for trial in range(5):
+            base = random_level1_instance(rng, rng.randint(4, 8), full_eligibility=True)
+            inst = replace(base, flow=np.zeros_like(base.flow))
+            start = random_assignment(inst, Random(trial))
+            self.assert_same(inst, start, trial)
+
+    def test_no_movable_pair_stops_after_one_iteration(self):
+        inst = random_level2_instance(Random(421), (1, 1, 1))
+        start = random_assignment(inst, Random(0))
+        obj, perm, done = _tabu_run(inst, start, 50, (0.1, 0.5), Random(0), None, None)
+        assert done == 1
+        assert np.array_equal(perm, start)
+        assert obj == objective_of_permutation(inst, start)
 
 
 class TestBlockDescent:
@@ -301,6 +436,25 @@ class TestHierarchical:
         anchor = Assignment.from_mapping({"C1": "L1", "C2": "L2"})
         inst = build_level2_instance(exposures, matrices, anchor, catalog, graph)
         assert result.objective >= brute_force(inst).objective - 1e-9
+
+
+class TestBundledStoreAnchor:
+    def test_seed_413_objectives_at_3000_iterations(self):
+        # the benchmark's tabu budget; pins both levels to the values the
+        # full-matrix scan reached, so a faster scan cannot drift silently
+        doc = load_store(str(FIXTURES / "synthetic_store.json"))
+        txns = read_transactions_csv(str(FIXTURES / "synthetic_transactions.csv"), doc.catalog)
+        result = solve_hierarchical(
+            build_exposure_matrices(doc.graph),
+            expected_transitions(txns, doc.catalog),
+            None,
+            doc.eligibility,
+            doc.catalog,
+            doc.graph,
+            SolverConfig(seed=413, iteration_limit=3000),
+        )
+        assert result.level1_objective == 21218.598809523806
+        assert result.objective == 17340.644047619047
 
 
 class TestLayoutEvaluation:
