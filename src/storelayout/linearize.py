@@ -17,6 +17,7 @@ symmetry rows are emitted once per unordered pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .qap import (
 from .store import ENTRANCE_POS, EXIT_POS, ExposureMatrices, StoreGraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constraint:
     name: str
     coeffs: tuple[tuple[str, float], ...]
@@ -128,84 +129,93 @@ def _product_families(instance: QapInstance) -> list[tuple[tuple[int, ...], tupl
     return fams
 
 
+def _cell_names(cells: list[tuple[int, int]], bvar: str, wvar: str) -> list[list[str]]:
+    """Name table of a cell list: ``names[a][b]`` is the product variable of
+    cells a and b, or the binary of cell a when ``a == b`` (x^2 = x). Equal to
+    ``variable_name`` on the same indices; each cell's index key is formatted
+    once, not once per pair, and every model part takes its names from this
+    one table."""
+    keys = [f"{i}_{k}" for i, k in cells]
+    names: list[list[str]] = []
+    for a, key_a in enumerate(keys):
+        row = [f"{wvar}_{key_a}_{key_b}" for key_b in keys]
+        row[a] = f"{bvar}_{key_a}"
+        names.append(row)
+    return names
+
+
 def _linking_constraints(
-    cells: list[tuple[int, int]],
-    cell_set: set[tuple[int, int]],
-    n: int,
-    bvar: str,
-    wvar: str,
+    cells: list[tuple[int, int]], names: list[list[str]]
 ) -> list[Constraint]:
     """Per-position sums (one row per k1, i2, k2), per-product sums (one row
-    per i1, i2, k2), and symmetry once per unordered cell pair. Diagonal
-    products are substituted by the binary itself, which can cancel against
-    the right-hand binary of the same row."""
-    rows: list[Constraint] = []
+    per i1, i2, k2), and symmetry once per unordered cell pair.
+
+    Row (group G, cell b) sums the products of b with every cell a of G and
+    subtracts b's binary. The diagonal product a == b is b's binary itself, so
+    when b lies in G the two cancel and neither term is written. Each product
+    variable has one ``(name, 1.0)`` term, shared by its li, lk and sym rows."""
+    keys = [f"{i}_{k}" for i, k in cells]
     by_position: dict[int, list[int]] = {}
     by_product: dict[int, list[int]] = {}
-    for i, k in cells:
-        by_position.setdefault(k, []).append(i)
-        by_product.setdefault(i, []).append(k)
+    for a, (i, k) in enumerate(cells):
+        by_position.setdefault(k, []).append(a)
+        by_product.setdefault(i, []).append(a)
+    plus = [[(name, 1.0) for name in row] for row in names]
+    minus_binary = [((names[b][b], -1.0),) for b in range(len(cells))]
 
-    def row(name: str, terms: dict[str, float]) -> None:
-        coeffs = tuple((v, c) for v, c in terms.items() if c != 0.0)
-        rows.append(Constraint(name=name, coeffs=coeffs, sense="=", rhs=0.0))
-
-    for k1 in sorted(by_position):
-        for i2, k2 in cells:
-            terms: dict[str, float] = {}
-            for i1 in by_position[k1]:
-                if (i1, k1) == (i2, k2):
-                    var = variable_name(bvar, i2, k2)
+    rows: list[Constraint] = []
+    for prefix, groups in (("li", by_position), ("lk", by_product)):
+        for g in sorted(groups):
+            group = groups[g]
+            members = set(group)
+            # columns[b] holds the group's product terms with cell b
+            columns = list(zip(*(plus[a] for a in group)))
+            for b, key_b in enumerate(keys):
+                if b in members:
+                    coeffs = tuple(t for a, t in zip(group, columns[b]) if a != b)
                 else:
-                    var = variable_name(wvar, i1, k1, i2, k2)
-                terms[var] = terms.get(var, 0.0) + 1.0
-            target = variable_name(bvar, i2, k2)
-            terms[target] = terms.get(target, 0.0) - 1.0
-            row(f"li_{k1}_{i2}_{k2}", terms)
-    for i1 in sorted(by_product):
-        for i2, k2 in cells:
-            terms = {}
-            for k1 in by_product[i1]:
-                if (i1, k1) == (i2, k2):
-                    var = variable_name(bvar, i2, k2)
-                else:
-                    var = variable_name(wvar, i1, k1, i2, k2)
-                terms[var] = terms.get(var, 0.0) + 1.0
-            target = variable_name(bvar, i2, k2)
-            terms[target] = terms.get(target, 0.0) - 1.0
-            row(f"lk_{i1}_{i2}_{k2}", terms)
-    for a, c1 in enumerate(cells):
-        for c2 in cells[a + 1 :]:
-            i1, k1 = c1
-            i2, k2 = c2
+                    coeffs = columns[b] + minus_binary[b]
+                rows.append(Constraint(f"{prefix}_{g}_{key_b}", coeffs, "=", 0.0))
+    for a, key_a in enumerate(keys):
+        plus_a = plus[a]
+        for b in range(a + 1, len(keys)):
             rows.append(
                 Constraint(
-                    name=f"sym_{i1}_{k1}_{i2}_{k2}",
-                    coeffs=(
-                        (variable_name(wvar, i1, k1, i2, k2), 1.0),
-                        (variable_name(wvar, i2, k2, i1, k1), -1.0),
-                    ),
-                    sense="=",
-                    rhs=0.0,
+                    f"sym_{key_a}_{keys[b]}",
+                    (plus_a[b], (names[b][a], -1.0)),
+                    "=",
+                    0.0,
                 )
             )
     return rows
 
 
 def _objective_terms(
-    cells: list[tuple[int, int]], flow: np.ndarray, expo: np.ndarray, bvar: str, wvar: str
+    cells: list[tuple[int, int]], names: list[list[str]], flow: np.ndarray, expo: np.ndarray
 ) -> list[tuple[str, float]]:
-    terms: list[tuple[str, float]] = []
-    for i1, k1 in cells:
-        for i2, k2 in cells:
-            coeff = float(flow[i1, i2] * expo[k1, k2])
-            if coeff == 0.0:
-                continue
-            if (i1, k1) == (i2, k2):
-                terms.append((variable_name(bvar, i1, k1), coeff))
-            else:
-                terms.append((variable_name(wvar, i1, k1, i2, k2), coeff))
-    return terms
+    """Nonzero flow[i1, i2] * expo[k1, k2] over cell pairs, in row-major cell
+    order."""
+    products = np.array([i for i, _ in cells], dtype=np.intp)
+    positions = np.array([k for _, k in cells], dtype=np.intp)
+    coeff = flow[np.ix_(products, products)] * expo[np.ix_(positions, positions)]
+    rows, cols = np.nonzero(coeff)
+    return [
+        (names[a][b], value)
+        for a, b, value in zip(rows.tolist(), cols.tolist(), coeff[rows, cols].tolist())
+    ]
+
+
+def _product_layer(
+    cells: list[tuple[int, int]], bvar: str, wvar: str, flow: np.ndarray, expo: np.ndarray
+) -> tuple[tuple[str, ...], list[Constraint], list[tuple[str, float]]]:
+    """Continuous product names, linking and symmetry rows, and objective
+    terms over ``cells``, all named from one ``_cell_names`` table."""
+    names = _cell_names(cells, bvar, wvar)
+    continuous = tuple(
+        chain.from_iterable(row[:a] + row[a + 1 :] for a, row in enumerate(names))
+    )
+    linking = _linking_constraints(cells, names)
+    return continuous, linking, _objective_terms(cells, names, flow, expo)
 
 
 def linearize(instance: QapInstance, sparsify: bool = False) -> LinearModel:
@@ -275,14 +285,10 @@ def linearize(instance: QapInstance, sparsify: bool = False) -> LinearModel:
                         continue
                     constraints.append(Constraint(f"grp_k_{fi}_{fk}_{k1}", coeffs, "=", rhs))
 
-    continuous = tuple(
-        variable_name(wvar, i1, k1, i2, k2)
-        for i1, k1 in cells
-        for i2, k2 in cells
-        if (i1, k1) != (i2, k2)
+    continuous, linking, objective = _product_layer(
+        cells, bvar, wvar, instance.flow, instance.exposure
     )
-    constraints.extend(_linking_constraints(cells, cell_set, n, bvar, wvar))
-    objective = _objective_terms(cells, instance.flow, instance.exposure, bvar, wvar)
+    constraints.extend(linking)
     return LinearModel(
         tag=instance.level,
         binary_names=binaries,
@@ -396,18 +402,12 @@ def linearize_integrated(
                     coeffs = tuple((v, c) for v, c in terms.items() if c != 0.0)
                     constraints.append(Constraint(f"grp_k_{ci}_{ki}_{k1}", coeffs, "=", 0.0))
 
-    constraints.extend(_linking_constraints(cells, cell_set, n, "z", "y"))
+    continuous, linking, objective = _product_layer(
+        cells, "z", "y", transitions.sub_transitions, exposures.sub_exposure
+    )
+    constraints.extend(linking)
     binaries = tuple(variable_name("x", i, k) for i, k in x_cells) + tuple(
         variable_name("z", i, k) for i, k in cells
-    )
-    continuous = tuple(
-        variable_name("y", i1, k1, i2, k2)
-        for i1, k1 in cells
-        for i2, k2 in cells
-        if (i1, k1) != (i2, k2)
-    )
-    objective = _objective_terms(
-        cells, transitions.sub_transitions, exposures.sub_exposure, "z", "y"
     )
     return LinearModel(
         tag=INTEGRATED,
@@ -429,52 +429,48 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _expression(terms: tuple[tuple[str, float], ...], indent: str = " ") -> list[str]:
-    """Render terms as LP text, a few per line, deterministic."""
-    pieces: list[str] = []
-    for idx, (name, coeff) in enumerate(terms):
-        if idx == 0:
-            sign = "-" if coeff < 0 else ""
-        else:
-            sign = "- " if coeff < 0 else "+ "
-        pieces.append(f"{sign}{_fmt(abs(coeff))} {name}")
-    lines: list[str] = []
-    for start in range(0, len(pieces), 6):
-        lines.append(indent + " ".join(pieces[start : start + 6]))
-    return lines
+def _terms_text(terms: tuple[tuple[str, float], ...], indent: str) -> str:
+    """Render terms as LP text, six per line, continuation lines indented;
+    the first term carries a bare minus sign, later ones ``+ ``/``- ``."""
+    pieces = [
+        f"{'- ' if coeff < 0 else '+ '}"
+        f"{'1' if coeff in (1.0, -1.0) else f'{abs(coeff):.12g}'} {name}"
+        for name, coeff in terms
+    ]
+    first = pieces[0]
+    pieces[0] = ("-" if first[0] == "-" else "") + first[2:]
+    if len(pieces) <= 6:
+        return " ".join(pieces)
+    return ("\n" + indent).join(
+        " ".join(pieces[start : start + 6]) for start in range(0, len(pieces), 6)
+    )
 
 
 def write_lp(model: LinearModel, path: str) -> None:
     """Emit the model as an LP-format file: Maximize / Subject To / Bounds /
-    Binaries / End. Byte-identical output for identical models."""
-    lines: list[str] = [f"\\ {model.tag} exposure maximization model"]
-    lines.append("Maximize")
-    if model.objective:
-        expr = _expression(model.objective)
-        lines.append(" obj: " + expr[0].strip())
-        lines.extend(expr[1:])
-    else:
-        anchor = model.binary_names[0] if model.binary_names else model.continuous_names[0]
-        lines.append(f" obj: 0 {anchor}")
-    lines.append("Subject To")
-    for con in model.constraints:
-        if not con.coeffs:
-            continue
-        expr = _expression(con.coeffs, indent="  ")
-        sense = "=" if con.sense == "=" else con.sense
-        lines.append(f" {con.name}: " + expr[0].strip())
-        lines.extend(expr[1:])
-        lines[-1] = lines[-1] + f" {sense} {_fmt(con.rhs)}"
-    lines.append("Bounds")
-    for name in model.fixed_zero:
-        lines.append(f" {name} = 0")
-    lines.append("Binaries")
-    names = list(model.binary_names)
-    for start in range(0, len(names), 8):
-        lines.append(" " + " ".join(names[start : start + 8]))
-    lines.append("End")
+    Binaries / End. Byte-identical output for identical models. Each row is
+    written as soon as it is formatted, so the text is never held whole."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        write = fh.write
+        write(f"\\ {model.tag} exposure maximization model\nMaximize\n")
+        if model.objective:
+            write(f" obj: {_terms_text(model.objective, ' ')}\n")
+        else:
+            anchor = model.binary_names[0] if model.binary_names else model.continuous_names[0]
+            write(f" obj: 0 {anchor}\n")
+        write("Subject To\n")
+        for con in model.constraints:
+            if con.coeffs:
+                text = _terms_text(con.coeffs, "  ")
+                write(f" {con.name}: {text} {con.sense} {con.rhs:.12g}\n")
+        write("Bounds\n")
+        for name in model.fixed_zero:
+            write(f" {name} = 0\n")
+        write("Binaries\n")
+        names = model.binary_names
+        for start in range(0, len(names), 8):
+            write(" " + " ".join(names[start : start + 8]) + "\n")
+        write("End\n")
 
 
 def parse_solution_file(path: str) -> ExternalSolution:

@@ -206,23 +206,13 @@ def solve_report_text(
                 f"  candidate {idx}: strategic objective {l1_obj:.6f}, refined {l2_obj:.6f}"
             )
     if evaluation is not None:
-        lines.append(f"total exposure: {evaluation.objective:.6f}")
-        lines.append(f"expected travel distance: {evaluation.travel_distance:.6f}")
-        lines.append(f"transactions: {evaluation.transaction_count}")
-        if evaluation.baseline_objective is not None:
-            lines.append(f"baseline exposure: {evaluation.baseline_objective:.6f}")
-            if evaluation.exposure_delta_pct is not None:
-                lines.append(f"exposure delta: {format_pct(evaluation.exposure_delta_pct)}")
-            lines.append(f"baseline distance: {evaluation.baseline_distance:.6f}")
-            if evaluation.distance_delta_pct is not None:
-                lines.append(f"distance delta: {format_pct(evaluation.distance_delta_pct)}")
+        lines.extend(_evaluation_lines(evaluation))
     return "\n".join(lines) + "\n"
 
 
-def evaluation_report_text(evaluation: ExposureReport, run_hash: str) -> str:
+def _evaluation_lines(evaluation: ExposureReport) -> list[str]:
+    """Exposure, travel distance and, against a baseline, their deltas."""
     lines = [
-        "layout evaluation",
-        f"config hash: {run_hash}",
         f"total exposure: {evaluation.objective:.6f}",
         f"expected travel distance: {evaluation.travel_distance:.6f}",
         f"transactions: {evaluation.transaction_count}",
@@ -234,6 +224,11 @@ def evaluation_report_text(evaluation: ExposureReport, run_hash: str) -> str:
         lines.append(f"baseline distance: {evaluation.baseline_distance:.6f}")
         if evaluation.distance_delta_pct is not None:
             lines.append(f"distance delta: {format_pct(evaluation.distance_delta_pct)}")
+    return lines
+
+
+def evaluation_report_text(evaluation: ExposureReport, run_hash: str) -> str:
+    lines = ["layout evaluation", f"config hash: {run_hash}", *_evaluation_lines(evaluation)]
     return "\n".join(lines) + "\n"
 
 

@@ -3,7 +3,10 @@ constraint-count closed forms, LP text format, and solution validation."""
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -15,11 +18,14 @@ from conftest import (
     random_level1_instance,
     random_level2_instance,
 )
+from storelayout.cli import main
 from storelayout.demand import expected_transitions, load_transactions
 from storelayout.errors import InputError, ParseError, ValidationError
 from storelayout.linearize import (
+    Constraint,
     ExternalSolution,
     LinearModel,
+    _cell_names,
     decode_variable,
     evaluate_linear_objective,
     linearize,
@@ -343,6 +349,305 @@ class TestLpFormat:
         write_lp(model, str(path))
         for line in path.read_text(encoding="utf-8").splitlines():
             assert len(line.split("+")) <= 7  # six terms per row maximum
+
+
+# -- reference product layer and LP writer -------------------------------------------
+#
+# The construction that the one-name-table product layer and the streaming
+# writer replaced: linking rows summed into a dict per row, the objective as a
+# double loop over cells, and the LP text joined into one string. The library
+# must reproduce its models field for field and its files byte for byte.
+
+
+def ref_linking_constraints(
+    cells: list[tuple[int, int]],
+    cell_set: set[tuple[int, int]],
+    n: int,
+    bvar: str,
+    wvar: str,
+) -> list[Constraint]:
+    rows: list[Constraint] = []
+    by_position: dict[int, list[int]] = {}
+    by_product: dict[int, list[int]] = {}
+    for i, k in cells:
+        by_position.setdefault(k, []).append(i)
+        by_product.setdefault(i, []).append(k)
+
+    def row(name: str, terms: dict[str, float]) -> None:
+        coeffs = tuple((v, c) for v, c in terms.items() if c != 0.0)
+        rows.append(Constraint(name=name, coeffs=coeffs, sense="=", rhs=0.0))
+
+    for k1 in sorted(by_position):
+        for i2, k2 in cells:
+            terms: dict[str, float] = {}
+            for i1 in by_position[k1]:
+                if (i1, k1) == (i2, k2):
+                    var = variable_name(bvar, i2, k2)
+                else:
+                    var = variable_name(wvar, i1, k1, i2, k2)
+                terms[var] = terms.get(var, 0.0) + 1.0
+            target = variable_name(bvar, i2, k2)
+            terms[target] = terms.get(target, 0.0) - 1.0
+            row(f"li_{k1}_{i2}_{k2}", terms)
+    for i1 in sorted(by_product):
+        for i2, k2 in cells:
+            terms = {}
+            for k1 in by_product[i1]:
+                if (i1, k1) == (i2, k2):
+                    var = variable_name(bvar, i2, k2)
+                else:
+                    var = variable_name(wvar, i1, k1, i2, k2)
+                terms[var] = terms.get(var, 0.0) + 1.0
+            target = variable_name(bvar, i2, k2)
+            terms[target] = terms.get(target, 0.0) - 1.0
+            row(f"lk_{i1}_{i2}_{k2}", terms)
+    for a, c1 in enumerate(cells):
+        for c2 in cells[a + 1 :]:
+            i1, k1 = c1
+            i2, k2 = c2
+            rows.append(
+                Constraint(
+                    name=f"sym_{i1}_{k1}_{i2}_{k2}",
+                    coeffs=(
+                        (variable_name(wvar, i1, k1, i2, k2), 1.0),
+                        (variable_name(wvar, i2, k2, i1, k1), -1.0),
+                    ),
+                    sense="=",
+                    rhs=0.0,
+                )
+            )
+    return rows
+
+
+def ref_objective_terms(
+    cells: list[tuple[int, int]], flow: np.ndarray, expo: np.ndarray, bvar: str, wvar: str
+) -> list[tuple[str, float]]:
+    terms: list[tuple[str, float]] = []
+    for i1, k1 in cells:
+        for i2, k2 in cells:
+            coeff = float(flow[i1, i2] * expo[k1, k2])
+            if coeff == 0.0:
+                continue
+            if (i1, k1) == (i2, k2):
+                terms.append((variable_name(bvar, i1, k1), coeff))
+            else:
+                terms.append((variable_name(wvar, i1, k1, i2, k2), coeff))
+    return terms
+
+
+def ref_expression(terms: tuple[tuple[str, float], ...], indent: str = " ") -> list[str]:
+    pieces: list[str] = []
+    for idx, (name, coeff) in enumerate(terms):
+        if idx == 0:
+            sign = "-" if coeff < 0 else ""
+        else:
+            sign = "- " if coeff < 0 else "+ "
+        pieces.append(f"{sign}{format(abs(coeff), '.12g')} {name}")
+    lines: list[str] = []
+    for start in range(0, len(pieces), 6):
+        lines.append(indent + " ".join(pieces[start : start + 6]))
+    return lines
+
+
+def ref_write_lp(model: LinearModel, path: str) -> None:
+    lines: list[str] = [f"\\ {model.tag} exposure maximization model"]
+    lines.append("Maximize")
+    if model.objective:
+        expr = ref_expression(model.objective)
+        lines.append(" obj: " + expr[0].strip())
+        lines.extend(expr[1:])
+    else:
+        anchor = model.binary_names[0] if model.binary_names else model.continuous_names[0]
+        lines.append(f" obj: 0 {anchor}")
+    lines.append("Subject To")
+    for con in model.constraints:
+        if not con.coeffs:
+            continue
+        expr = ref_expression(con.coeffs, indent="  ")
+        sense = "=" if con.sense == "=" else con.sense
+        lines.append(f" {con.name}: " + expr[0].strip())
+        lines.extend(expr[1:])
+        lines[-1] = lines[-1] + f" {sense} {format(con.rhs, '.12g')}"
+    lines.append("Bounds")
+    for name in model.fixed_zero:
+        lines.append(f" {name} = 0")
+    lines.append("Binaries")
+    names = list(model.binary_names)
+    for start in range(0, len(names), 8):
+        lines.append(" " + " ".join(names[start : start + 8]))
+    lines.append("End")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def reference_model(model: LinearModel, flow: np.ndarray, expo: np.ndarray) -> LinearModel:
+    """``model`` with its product layer rebuilt by the reference functions.
+
+    The cells are read back from the model's assignment binaries. The
+    assignment and family rows ahead of the linking rows, the binaries and the
+    fixed bounds come from code the reference does not replace, so they are
+    taken from ``model`` as built."""
+    bvar = model.assignment_prefix
+    wvar = "w" if bvar == "x" else "y"
+    cells = [
+        decode_variable(name)[1] for name in model.binary_names if name.startswith(bvar + "_")
+    ]
+    linking = ref_linking_constraints(cells, set(cells), model.n, bvar, wvar)
+    head = model.constraints[: len(model.constraints) - len(linking)]
+    assert not any(c.name.startswith(("li_", "lk_", "sym_")) for c in head)
+    return dataclasses.replace(
+        model,
+        continuous_names=tuple(
+            variable_name(wvar, i1, k1, i2, k2)
+            for i1, k1 in cells
+            for i2, k2 in cells
+            if (i1, k1) != (i2, k2)
+        ),
+        objective=tuple(ref_objective_terms(cells, flow, expo, bvar, wvar)),
+        constraints=head + tuple(linking),
+    )
+
+
+def assert_matches_reference(model: LinearModel, flow, expo, tmp_path: Path) -> None:
+    ref = reference_model(model, flow, expo)
+    for field in dataclasses.fields(LinearModel):
+        assert getattr(model, field.name) == getattr(ref, field.name), field.name
+    # same float64 bits, as Python floats
+    assert all(type(c) is float for _, c in model.objective)
+    assert [c.hex() for _, c in model.objective] == [c.hex() for _, c in ref.objective]
+    mine, theirs = tmp_path / "model.lp", tmp_path / "reference.lp"
+    write_lp(model, str(mine))
+    ref_write_lp(ref, str(theirs))
+    assert mine.read_bytes() == theirs.read_bytes()
+
+
+def random_integrated_pieces(rng: Random, group_sizes: tuple[int, ...]):
+    graph = line_store(sum(group_sizes), group_sizes)
+    catalog = catalog_for(group_sizes)
+    sub_ids = [s.subcategory_id for s in catalog.subcategories]
+    records = [
+        (f"t{t}", sid)
+        for t in range(6)
+        for sid in rng.sample(sub_ids, rng.randint(1, len(sub_ids)))
+    ]
+    matrices = expected_transitions(load_transactions(records, catalog), catalog)
+    return graph, catalog, matrices, build_exposure_matrices(graph)
+
+
+def signed_level1_instance(rng: Random) -> QapInstance:
+    """Flows of both signs, with exact +-1 and -0.0 entries and values that
+    need twelve significant digits."""
+    inst = random_level1_instance(rng, 3, full_eligibility=True)
+    choices = [-1.0, 1.0, -0.0, 0.0, 0.1 + 0.2, -2.5, 1e-13, -123456789.123456, 7.0]
+    flow = np.array([[rng.choice(choices) for _ in range(inst.n)] for _ in range(inst.n)])
+    return dataclasses.replace(inst, flow=flow)
+
+
+class TestProductLayerMatchesReference:
+    @pytest.mark.parametrize("sparsify", [False, True])
+    def test_random_level1(self, tmp_path, sparsify):
+        rng = Random(211)
+        for trial in range(6):
+            inst = random_level1_instance(rng, rng.randint(2, 4), full_eligibility=trial % 3 == 0)
+            model = linearize(inst, sparsify=sparsify)
+            assert_matches_reference(model, inst.flow, inst.exposure, tmp_path)
+
+    @pytest.mark.parametrize("sparsify", [False, True])
+    def test_random_level2_with_blocks(self, tmp_path, sparsify):
+        rng = Random(223)
+        for sizes in ((2, 1), (2, 2), (3, 1, 2), (1, 1, 1)):
+            inst = random_level2_instance(rng, sizes)
+            model = linearize(inst, sparsify=sparsify)
+            assert_matches_reference(model, inst.flow, inst.exposure, tmp_path)
+
+    @pytest.mark.parametrize("sparsify", [False, True])
+    def test_integrated(self, tmp_path, sparsify):
+        rng = Random(227)
+        for sizes in ((2, 1), (2, 2), (1, 3, 2)):
+            graph, catalog, matrices, exposures = random_integrated_pieces(rng, sizes)
+            model = linearize_integrated(
+                exposures, matrices, None, catalog, graph, sparsify=sparsify
+            )
+            assert_matches_reference(
+                model, matrices.sub_transitions, exposures.sub_exposure, tmp_path
+            )
+
+    def test_zero_flow_has_empty_objective(self, tmp_path):
+        inst = QapInstance(
+            level="level1",
+            product_ids=("a", "b", "c"),
+            position_ids=("k1", "k2", "k3"),
+            flow=np.zeros((3, 3)),
+            exposure=np.ones((3, 3)),
+            eligibility=np.ones((3, 3), dtype=bool),
+        )
+        model = linearize(inst)
+        assert model.objective == ()
+        assert_matches_reference(model, inst.flow, inst.exposure, tmp_path)
+
+    def test_signed_and_fractional_coefficients(self, tmp_path):
+        rng = Random(229)
+        for _ in range(4):
+            inst = signed_level1_instance(rng)
+            model = linearize(inst)
+            assert any(c < 0 for _, c in model.objective)
+            assert_matches_reference(model, inst.flow, inst.exposure, tmp_path)
+
+    def test_rows_longer_than_one_line(self, tmp_path):
+        rng = Random(233)
+        inst = random_level1_instance(rng, 5, full_eligibility=True)
+        model = linearize(inst)
+        assert max(len(c.coeffs) for c in model.constraints) > 6
+        assert len(model.objective) > 6
+        assert_matches_reference(model, inst.flow, inst.exposure, tmp_path)
+
+
+class TestNameAgreement:
+    def test_model_names_equal_variable_name(self):
+        rng = Random(239)
+        graph, catalog, matrices, exposures = random_integrated_pieces(rng, (2, 1))
+        models = [
+            linearize(random_level1_instance(rng, 3)),
+            linearize(random_level2_instance(rng, (2, 2)), sparsify=True),
+            linearize_integrated(exposures, matrices, None, catalog, graph),
+        ]
+        for model in models:
+            for name in model.binary_names + model.continuous_names:
+                prefix, indices = decode_variable(name)
+                assert variable_name(prefix, *indices) == name
+
+    def test_cell_names_table(self):
+        cells = [(0, 0), (0, 12), (3, 1), (11, 2)]
+        names = _cell_names(cells, "z", "y")
+        for a, (i1, k1) in enumerate(cells):
+            for b, (i2, k2) in enumerate(cells):
+                want = variable_name("z", i1, k1) if a == b else variable_name("y", i1, k1, i2, k2)
+                assert names[a][b] == want
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+BUNDLED_LP_SHA256 = {
+    "model_level1.lp": "653c2384c7d45adab021ede02b8b577c24d469b4e06f476a8f065eb2a1b85a53",
+    "model_level2.lp": "9edc15b9d9166b2b228564452ccc63127aba1c53c1f73bd2189c9c486d383f2a",
+    "model_integrated.lp": "77ee7f02caf7716b1f31fc194102d5c347504b2a08ec0007068eda66ba70352f",
+}
+
+
+def test_bundled_store_lp_files_are_pinned(tmp_path):
+    """export-lp --mode all on the bundled store writes the same three files,
+    byte for byte, as the dict-and-join construction did."""
+    out = tmp_path / "lp"
+    argv = [
+        "export-lp",
+        "--store", str(FIXTURES / "synthetic_store.json"),
+        "--transactions", str(FIXTURES / "synthetic_transactions.csv"),
+        "--out", str(out),
+        "--mode", "all",
+        "--baseline", str(FIXTURES / "current_layout.json"),
+    ]
+    assert main(argv) == 0
+    for name, digest in BUNDLED_LP_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestSolutionFileParsing:
