@@ -135,9 +135,13 @@ class _Artifacts:
                 pass
 
 
-def _load_inputs(config: RunConfig):
+def _load_store_and_baskets(config: RunConfig):
     doc = load_store(config.store_path)
-    transactions = read_transactions_csv(config.transactions_path, doc.catalog)
+    return doc, read_transactions_csv(config.transactions_path, doc.catalog)
+
+
+def _load_inputs(config: RunConfig):
+    doc, transactions = _load_store_and_baskets(config)
     exposures = build_exposure_matrices(doc.graph)
     if config.transition_mode == "expected":
         matrices = expected_transitions(transactions, doc.catalog)
@@ -380,7 +384,7 @@ def _run_diff(config: RunConfig, sink: _Artifacts) -> None:
 
 
 def _run_render(config: RunConfig, sink: _Artifacts) -> None:
-    doc, transactions, exposures, matrices = _load_inputs(config)
+    doc, transactions = _load_store_and_baskets(config)
     plan = read_plan(config.plan_paths[0])
     walks = replay_paths(
         transactions, plan.assignment().mapping, doc.graph, doc.catalog, seed=config.seed

@@ -11,6 +11,8 @@ all visit orders or as one seeded sample.
 from __future__ import annotations
 
 import csv
+import math
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -218,7 +220,8 @@ def _basket_blocks(txn: Transaction, catalog: Catalog) -> list[tuple[str, list[s
 
 
 def _category_contributions(txn: Transaction, catalog: Catalog):
-    """Exact expected category-level transition counts for one basket.
+    """Exact expected category-level transition counts for one basket, as
+    ``(leg, d)`` pairs that each add weight ``1/d``.
 
     With m categories visited in uniformly random order, any fixed category
     is first (or last) with probability 1/m, and any ordered pair is adjacent
@@ -226,18 +229,18 @@ def _category_contributions(txn: Transaction, catalog: Catalog):
     """
     cats = [cid for cid, _ in _basket_blocks(txn, catalog)]
     m = len(cats)
-    w = Fraction(1, m)
     for cid in cats:
-        yield (CHECK_IN, cid), w
-        yield (cid, CHECK_OUT), w
+        yield (CHECK_IN, cid), m
+        yield (cid, CHECK_OUT), m
     for c1 in cats:
         for c2 in cats:
             if c1 != c2:
-                yield (c1, c2), w
+                yield (c1, c2), m
 
 
 def _subcategory_contributions(txn: Transaction, catalog: Catalog):
-    """Exact expected subcategory-level transition counts for one basket.
+    """Exact expected subcategory-level transition counts for one basket, as
+    ``(leg, d)`` pairs that each add weight ``1/d``.
 
     Within a category block of g purchased subcategories, ordered pairs are
     adjacent with probability 1/g. A cross-category leg s1→s2 needs the
@@ -248,34 +251,42 @@ def _subcategory_contributions(txn: Transaction, catalog: Catalog):
     m = len(blocks)
     for cid, subs in blocks:
         g = len(subs)
-        w_edge = Fraction(1, m) * Fraction(1, g)
+        d_edge = m * g
         for sid in subs:
-            yield (CHECK_IN, sid), w_edge
-            yield (sid, CHECK_OUT), w_edge
-        w_within = Fraction(1, g)
+            yield (CHECK_IN, sid), d_edge
+            yield (sid, CHECK_OUT), d_edge
         for s1 in subs:
             for s2 in subs:
                 if s1 != s2:
-                    yield (s1, s2), w_within
+                    yield (s1, s2), g
     for c1, subs1 in blocks:
         for c2, subs2 in blocks:
             if c1 == c2:
                 continue
+            d = m * len(subs1) * len(subs2)
             for s1 in subs1:
                 for s2 in subs2:
-                    w = Fraction(1, m) * Fraction(1, len(subs1)) * Fraction(1, len(subs2))
-                    yield (s1, s2), w
+                    yield (s1, s2), d
 
 
 def _accumulate(contribs, axis: tuple[str, ...]) -> tuple[np.ndarray, dict[tuple[int, int], Fraction]]:
+    """Sum unit-fraction contributions exactly, one ``Fraction`` per pair.
+
+    Contributions are counted per (leg, denominator); each pair's weight is
+    then ``sum(count / d)`` over a common denominator. Pairs keep the order
+    in which they were first contributed.
+    """
     index = {pid: i for i, pid in enumerate(axis)}
+    terms: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for ((a, b), d), count in Counter(contribs).items():
+        terms.setdefault((index[a], index[b]), []).append((d, count))
     exact: dict[tuple[int, int], Fraction] = {}
-    for (a, b), w in contribs:
-        key = (index[a], index[b])
-        exact[key] = exact.get(key, Fraction(0)) + w
     dense = np.zeros((len(axis), len(axis)), dtype=np.float64)
-    for (i, j), w in exact.items():
-        dense[i, j] = float(w)
+    for key, counts in terms.items():
+        common = math.lcm(*(d for d, _ in counts))
+        w = Fraction(sum(c * (common // d) for d, c in counts), common)
+        exact[key] = w
+        dense[key] = float(w)
     return dense, exact
 
 

@@ -58,7 +58,8 @@ class Location:
 
 @dataclass
 class StoreGraph:
-    """Immutable walk-graph plus shelf structure. Validated on construction."""
+    """Immutable walk-graph plus shelf structure. Validated on construction;
+    shortest paths from each source are computed once and kept."""
 
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
@@ -70,6 +71,14 @@ class StoreGraph:
 
     _adjacency: dict[str, tuple[tuple[str, float], ...]] = field(init=False, repr=False)
     _facing_sublocations: dict[str, tuple[str, ...]] = field(init=False, repr=False)
+    # Id lookups and the lazily filled shortest-path memo (source -> Dijkstra
+    # labels) take no part in equality: equal graphs stay equal whatever
+    # their memos hold.
+    _sublocation_index: dict[str, Sublocation] = field(init=False, repr=False, compare=False)
+    _location_index: dict[str, Location] = field(init=False, repr=False, compare=False)
+    _path_memo: dict[str, dict[str, tuple[float, tuple[str, ...]]]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         node_ids = [n.node_id for n in self.nodes]
@@ -137,6 +146,8 @@ class StoreGraph:
         loc_ids = [loc.location_id for loc in self.locations]
         if len(set(loc_ids)) != len(loc_ids):
             raise InputError("duplicate location ids")
+        self._sublocation_index = sub_by_id
+        self._location_index = {loc.location_id: loc for loc in self.locations}
 
         # Neighbor lists sorted by node id so traversal order is reproducible.
         self._adjacency = {nid: tuple(sorted(nbrs)) for nid, nbrs in adjacency.items()}
@@ -172,16 +183,16 @@ class StoreGraph:
         return self._facing_sublocations[node_id]
 
     def location_by_id(self, location_id: str) -> Location:
-        for loc in self.locations:
-            if loc.location_id == location_id:
-                return loc
-        raise InputError(f"unknown location id {location_id!r}")
+        try:
+            return self._location_index[location_id]
+        except KeyError:
+            raise InputError(f"unknown location id {location_id!r}") from None
 
     def sublocation_by_id(self, sublocation_id: str) -> Sublocation:
-        for s in self.sublocations:
-            if s.sublocation_id == sublocation_id:
-                return s
-        raise InputError(f"unknown sublocation id {sublocation_id!r}")
+        try:
+            return self._sublocation_index[sublocation_id]
+        except KeyError:
+            raise InputError(f"unknown sublocation id {sublocation_id!r}") from None
 
     @property
     def sublocation_axis(self) -> tuple[str, ...]:
@@ -252,6 +263,14 @@ def _single_source_paths(graph: StoreGraph, source: str) -> dict[str, tuple[floa
     return best
 
 
+def _paths_from(graph: StoreGraph, source: str) -> dict[str, tuple[float, tuple[str, ...]]]:
+    """Dijkstra labels from ``source``, computed once per graph and source."""
+    labels = graph._path_memo.get(source)
+    if labels is None:
+        labels = graph._path_memo[source] = _single_source_paths(graph, source)
+    return labels
+
+
 def shortest_path(graph: StoreGraph, from_node: str, to_node: str) -> list[str]:
     """Minimum-length node sequence between two nodes (single node if equal)."""
     for nid in (from_node, to_node):
@@ -259,7 +278,7 @@ def shortest_path(graph: StoreGraph, from_node: str, to_node: str) -> list[str]:
             raise InputError(f"unknown node id {nid!r}")
     if from_node == to_node:
         return [from_node]
-    labels = _single_source_paths(graph, from_node)
+    labels = _paths_from(graph, from_node)
     if to_node not in labels:
         raise ModelError(f"no path between {from_node!r} and {to_node!r}")
     return list(labels[to_node][1])
@@ -318,7 +337,7 @@ def build_exposure_matrices(graph: StoreGraph) -> ExposureMatrices:
     centers = {nid for nid in (graph.entrance_node, graph.exit_node)}
     centers.update(s.center_node for s in graph.sublocations)
     centers.update(loc.center_node for loc in graph.locations)
-    labels = {c: _single_source_paths(graph, c) for c in sorted(centers)}
+    labels = {c: _paths_from(graph, c) for c in sorted(centers)}
 
     def fill(axis: tuple[str, ...], level: str, mode: str) -> tuple[np.ndarray, np.ndarray]:
         n = len(axis)

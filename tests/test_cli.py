@@ -3,12 +3,15 @@ environment-config defaults, failure exit codes, and artifact cleanup."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from conftest import catalog_for, line_store
+from storelayout import cli
 from storelayout.cli import main
 from storelayout.report import read_plan
 from storelayout.storefile import StoreDocument, load_store, save_store
@@ -360,3 +363,62 @@ class TestStoreRoundTrip:
         assert doc.name == "cli-test-store"
         assert len(doc.graph.sublocations) == 4
         assert len(doc.catalog.subcategories) == 4
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+BUNDLED = [
+    "--store", str(FIXTURES / "synthetic_store.json"),
+    "--transactions", str(FIXTURES / "synthetic_transactions.csv"),
+    "--seed", "413",
+]
+AS_IS_PLAN = str(FIXTURES / "current_layout.json")
+HEATMAP_SHA256 = "f23fb6eca65ca5899a42b8f63e934fd82fece6505f651f167e2a8da9d904f789"
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestBundledGoldenBytes:
+    """The input-layer commands on the bundled store and baskets write the
+    same bytes as the Fraction-summing, Dijkstra-per-leg code did."""
+
+    @pytest.mark.parametrize(
+        "argv, pinned",
+        [
+            (
+                ["evaluate", AS_IS_PLAN],
+                {"evaluate_report.txt": "6d767e796136d48838531ad6ec7656c817544f3ffc138b3aba8d171fd38b4b7c"},
+            ),
+            (["render", AS_IS_PLAN], {"heatmap.svg": HEATMAP_SHA256}),
+            (
+                ["build-matrices"],
+                {
+                    "cat_transitions.tsv": "ab9f99e5314fc8ff9e67620625c10fcaceeb92f058043b750dee18e6e3f3a04f",
+                    "sub_transitions.tsv": "6002c0bd18d408df336154cbe97879312c5fdfd06e982e3a149f716aa0c3cd4b",
+                },
+            ),
+            (
+                ["build-matrices", "--transition-mode", "sampled"],
+                {"sub_transitions.tsv": "c7c3cd4f498899f52952909ba5521202c9bd9b13eaf994b9ece1b66ed0db9f1e"},
+            ),
+        ],
+        ids=["evaluate", "render", "build-matrices", "build-matrices-sampled"],
+    )
+    def test_pinned_sha256(self, argv, pinned, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        out = tmp_path / "out"
+        assert main([*argv, *BUNDLED, "--out", str(out)]) == 0
+        for name, digest in pinned.items():
+            assert sha256_of(out / name) == digest, name
+
+    def test_render_builds_no_matrices(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("render needs no transition or exposure matrices")
+
+        for name in ("expected_transitions", "sampled_transitions", "build_exposure_matrices"):
+            monkeypatch.setattr(cli, name, forbidden)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        out = tmp_path / "render"
+        assert main(["render", AS_IS_PLAN, *BUNDLED, "--out", str(out)]) == 0
+        assert sha256_of(out / "heatmap.svg") == HEATMAP_SHA256

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -23,6 +24,8 @@ from storelayout.demand import (
     Category,
     Subcategory,
     Transaction,
+    _basket_blocks,
+    _realized_sequence,
     expected_transitions,
     load_transactions,
     read_transactions_csv,
@@ -30,6 +33,10 @@ from storelayout.demand import (
     sampled_transitions,
 )
 from storelayout.errors import InputError, ParseError, ValidationError
+from storelayout.store import Edge, StoreGraph, _single_source_paths
+from storelayout.storefile import load_store
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def single_basket(catalog: Catalog, sub_ids: list[str]):
@@ -299,3 +306,191 @@ class TestTransactionCanonicalization:
         txn = Transaction("t", ("u1",))
         with pytest.raises(AttributeError):
             txn.transaction_id = "other"
+
+
+# -- reference implementations ---------------------------------------------------------
+#
+# The exact accumulation as first written: every leg weight a product of
+# Fractions, summed into one Fraction per index pair. The counting code in
+# demand.py must give the same dicts (values and key order) and the same
+# dense bits.
+
+
+def _reference_category_contributions(txn, catalog):
+    cats = [cid for cid, _ in _basket_blocks(txn, catalog)]
+    m = len(cats)
+    w = Fraction(1, m)
+    for cid in cats:
+        yield (CHECK_IN, cid), w
+        yield (cid, CHECK_OUT), w
+    for c1 in cats:
+        for c2 in cats:
+            if c1 != c2:
+                yield (c1, c2), w
+
+
+def _reference_subcategory_contributions(txn, catalog):
+    blocks = _basket_blocks(txn, catalog)
+    m = len(blocks)
+    for cid, subs in blocks:
+        g = len(subs)
+        w_edge = Fraction(1, m) * Fraction(1, g)
+        for sid in subs:
+            yield (CHECK_IN, sid), w_edge
+            yield (sid, CHECK_OUT), w_edge
+        w_within = Fraction(1, g)
+        for s1 in subs:
+            for s2 in subs:
+                if s1 != s2:
+                    yield (s1, s2), w_within
+    for c1, subs1 in blocks:
+        for c2, subs2 in blocks:
+            if c1 == c2:
+                continue
+            for s1 in subs1:
+                for s2 in subs2:
+                    w = Fraction(1, m) * Fraction(1, len(subs1)) * Fraction(1, len(subs2))
+                    yield (s1, s2), w
+
+
+def _reference_accumulate(contribs, axis):
+    index = {pid: i for i, pid in enumerate(axis)}
+    exact = {}
+    for (a, b), w in contribs:
+        key = (index[a], index[b])
+        exact[key] = exact.get(key, Fraction(0)) + w
+    dense = np.zeros((len(axis), len(axis)), dtype=np.float64)
+    for (i, j), w in exact.items():
+        dense[i, j] = float(w)
+    return dense, exact
+
+
+def reference_expected(transactions, catalog):
+    cat = _reference_accumulate(
+        (c for t in transactions for c in _reference_category_contributions(t, catalog)),
+        catalog.category_axis,
+    )
+    sub = _reference_accumulate(
+        (c for t in transactions for c in _reference_subcategory_contributions(t, catalog)),
+        catalog.subcategory_axis,
+    )
+    return cat, sub
+
+
+def random_baskets(rng: Random, catalog: Catalog, count: int, max_categories: int = 10):
+    """Baskets of 1..max_categories distinct categories, each with a random
+    non-empty subset of its subcategories."""
+    cats = [c.category_id for c in catalog.categories]
+    records = []
+    for t in range(count):
+        k = rng.randint(1, min(max_categories, len(cats)))
+        for cid in rng.sample(cats, k):
+            subs = catalog.subcategories_of(cid)
+            for sid in rng.sample(subs, rng.randint(1, len(subs))):
+                records.append((f"t{t}", sid))
+    return load_transactions(records, catalog)
+
+
+def assert_matches_reference(transactions, catalog):
+    got = expected_transitions(transactions, catalog)
+    (cat_dense, cat_exact), (sub_dense, sub_exact) = reference_expected(transactions, catalog)
+    assert got.cat_transitions.tobytes() == cat_dense.tobytes()
+    assert got.sub_transitions.tobytes() == sub_dense.tobytes()
+    assert list(got.cat_exact.items()) == list(cat_exact.items())
+    assert list(got.sub_exact.items()) == list(sub_exact.items())
+
+
+class TestExactTransitionsMatchReference:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_catalogs(self, seed):
+        rng = Random(seed)
+        n_cats = rng.randint(1, 12)
+        sizes = [rng.randint(1, 7) for _ in range(n_cats)]
+        sizes[rng.randrange(n_cats)] = rng.randint(5, 8)
+        catalog = catalog_for(tuple(sizes))
+        assert_matches_reference(random_baskets(rng, catalog, 150), catalog)
+
+    def test_ten_category_baskets_of_large_categories(self):
+        rng = Random(2024)
+        catalog = catalog_for((5, 6, 7, 5, 8, 5, 6, 5, 7, 9, 1, 2))
+        txns = random_baskets(rng, catalog, 60)
+        ten = {f"C{i}" for i in range(1, 11)}
+        whole = [s.subcategory_id for s in catalog.subcategories if s.parent_category_id in ten]
+        txns += load_transactions([("whole", sid) for sid in whole], catalog)
+        assert max(len({catalog.category_of(s) for s in t.subcategory_ids}) for t in txns) == 10
+        assert_matches_reference(txns, catalog)
+
+    def test_single_basket_shapes(self):
+        for shape in SMALL_SHAPES:
+            catalog = catalog_for(shape)
+            txns = single_basket(catalog, [s.subcategory_id for s in catalog.subcategories])
+            assert_matches_reference(txns, catalog)
+
+    def test_bundled_baskets(self):
+        doc = load_store(str(FIXTURES / "synthetic_store.json"))
+        txns = read_transactions_csv(str(FIXTURES / "synthetic_transactions.csv"), doc.catalog)
+        assert_matches_reference(txns, doc.catalog)
+
+
+def reference_replay(transactions, assignment, graph, catalog, seed):
+    """Walk replay with a fresh Dijkstra for every leg."""
+    centers = {s.sublocation_id: s.center_node for s in graph.sublocations}
+    rng = Random(seed)
+    paths = []
+    for txn in transactions:
+        sequence = _realized_sequence(txn, catalog, rng)
+        stops = [graph.entrance_node, *(centers[assignment[sid]] for sid in sequence), graph.exit_node]
+        walk = [stops[0]]
+        for a, b in zip(stops, stops[1:]):
+            walk.extend(_single_source_paths(graph, a)[b][1][1:])
+        paths.append(walk)
+    return paths
+
+
+def random_walk_store(rng: Random, group_sizes: tuple[int, ...]) -> StoreGraph:
+    """The corridor store with random chords and small integer lengths, so
+    many shortest paths tie and the tie-break decides."""
+    base = line_store(sum(group_sizes), group_sizes)
+    ids = [n.node_id for n in base.nodes]
+    edges = [Edge(e.node_a, e.node_b, float(rng.randint(1, 3))) for e in base.edges]
+    pairs = {frozenset((e.node_a, e.node_b)) for e in edges}
+    for _ in range(len(ids)):
+        a, b = rng.sample(ids, 2)
+        if frozenset((a, b)) not in pairs:
+            pairs.add(frozenset((a, b)))
+            edges.append(Edge(a, b, float(rng.randint(1, 4))))
+    return StoreGraph(
+        nodes=base.nodes,
+        edges=tuple(edges),
+        entrance_node=base.entrance_node,
+        exit_node=base.exit_node,
+        locations=base.locations,
+        sublocations=base.sublocations,
+    )
+
+
+class TestReplayMatchesPerLegReference:
+    def test_line_store(self):
+        graph = line_store(5, (2, 3))
+        catalog = catalog_for((2, 3))
+        txns = random_baskets(Random(1), catalog, 40)
+        assignment = {"u1": "s4", "u2": "s1", "u3": "s5", "u4": "s2", "u5": "s3"}
+        for seed in (0, 9):
+            got = replay_paths(txns, assignment, graph, catalog, seed=seed)
+            assert got == reference_replay(txns, assignment, graph, catalog, seed)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_stores(self, seed):
+        rng = Random(seed)
+        sizes = tuple(rng.randint(1, 4) for _ in range(rng.randint(2, 5)))
+        graph = random_walk_store(rng, sizes)
+        catalog = catalog_for(sizes)
+        slots = [s.sublocation_id for s in graph.sublocations]
+        rng.shuffle(slots)
+        assignment = {s.subcategory_id: k for s, k in zip(catalog.subcategories, slots)}
+        txns = random_baskets(rng, catalog, 60)
+        got = replay_paths(txns, assignment, graph, catalog, seed=seed)
+        assert got == reference_replay(txns, assignment, graph, catalog, seed)
+        # a second replay reads the memo filled by the first
+        again = replay_paths(txns, assignment, graph, catalog, seed=seed)
+        assert again == got

@@ -21,6 +21,7 @@ from storelayout.store import (
     Sublocation,
     accumulate_traffic,
     build_exposure_matrices,
+    _single_source_paths,
     path_exposure,
     shortest_path,
     shortest_path_length,
@@ -352,3 +353,95 @@ def test_distances_form_a_metric(seed, n):
         assert ab == pytest.approx(shortest_path_length(g, b, a), abs=1e-9)
         assert ab <= shortest_path_length(g, a, c) + shortest_path_length(g, c, b) + 1e-9
     assert shortest_path_length(g, ids[0], ids[0]) == 0.0
+
+
+def square_graph(ab: float, ac: float) -> StoreGraph:
+    """a-b-d and a-c-d; the shorter side decides the a-d path."""
+    nodes = [Node(x, 0.0, 0.0) for x in "abcd"]
+    edges = [Edge("a", "b", ab), Edge("b", "d", 1.0), Edge("a", "c", ac), Edge("c", "d", 1.0)]
+    return tiny_graph(nodes, edges, "a", "d")
+
+
+class TestPathMemo:
+    def test_memo_is_per_graph(self):
+        left = square_graph(1.0, 2.0)
+        right = square_graph(2.0, 1.0)
+        for _ in range(2):
+            assert shortest_path(left, "a", "d") == ["a", "b", "d"]
+            assert shortest_path(right, "a", "d") == ["a", "c", "d"]
+        build_exposure_matrices(left)
+        assert shortest_path(right, "d", "a") == ["d", "c", "a"]
+        assert shortest_path(left, "d", "a") == ["d", "b", "a"]
+
+    def test_filled_memo_leaves_equality_and_repr(self):
+        g = line_store(4, (2, 2))
+        build_exposure_matrices(g)
+        assert g._path_memo
+        fresh = line_store(4, (2, 2))
+        assert not fresh._path_memo
+        assert g == fresh
+        assert repr(g) == repr(fresh)
+
+    def test_one_label_table_per_source(self):
+        g = line_store(4, (2, 2))
+        build_exposure_matrices(g)
+        centers = {s.center_node for s in g.sublocations}
+        centers |= {loc.center_node for loc in g.locations} | {g.entrance_node, g.exit_node}
+        assert set(g._path_memo) == centers
+        memo = dict(g._path_memo)
+        for a in centers:
+            for b in centers:
+                shortest_path(g, a, b)
+        assert g._path_memo == memo
+        assert all(g._path_memo[c] is memo[c] for c in centers)
+
+    def test_returned_path_is_a_copy(self):
+        g = line_store(3)
+        path = shortest_path(g, "n00", "n03")
+        path.append("garbage")
+        assert shortest_path(g, "n00", "n03") == ["n00", "n01", "n02", "n03"]
+
+    def test_matches_fresh_dijkstra(self):
+        rng = Random(19)
+        for _ in range(10):
+            g = random_connected_graph(rng, rng.randrange(4, 12))
+            ids = [node.node_id for node in g.nodes]
+            for a in ids:
+                fresh = _single_source_paths(g, a)
+                for b in ids:
+                    assert shortest_path(g, a, b) == list(fresh[b][1])
+
+    def test_exposure_independent_of_memo_state(self):
+        rng = Random(23)
+        warm = random_connected_graph(rng, 9)
+        cold = random_connected_graph(Random(23), 9)
+        ids = [node.node_id for node in warm.nodes]
+        for a in ids:
+            shortest_path(warm, a, ids[-1])
+        got, want = build_exposure_matrices(warm), build_exposure_matrices(cold)
+        for name in ("sub_exposure", "loc_exposure", "sub_distance", "loc_distance"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    @pytest.mark.parametrize("pair", [("nope", "n01"), ("n01", "nope"), ("nope", "nope")])
+    def test_unknown_nodes_rejected_with_memo_filled(self, pair):
+        g = line_store(2)
+        build_exposure_matrices(g)
+        with pytest.raises(InputError, match="unknown node id 'nope'"):
+            shortest_path(g, *pair)
+        assert "nope" not in g._path_memo
+
+
+class TestIdLookups:
+    def test_lookups_return_the_declared_objects(self):
+        g = line_store(5, (2, 3))
+        for s in g.sublocations:
+            assert g.sublocation_by_id(s.sublocation_id) is s
+        for loc in g.locations:
+            assert g.location_by_id(loc.location_id) is loc
+
+    def test_unknown_ids_keep_their_messages(self):
+        g = line_store(2)
+        with pytest.raises(InputError, match=r"^unknown sublocation id 'L1'$"):
+            g.sublocation_by_id("L1")
+        with pytest.raises(InputError, match=r"^unknown location id 's1'$"):
+            g.location_by_id("s1")
