@@ -112,7 +112,10 @@ class RunConfig:
                 "pool_size": self.solver.pool_capacity,
                 "pool_gap": self.solver.pool_gap,
                 "time_limit": self.solver.time_limit,
-                "threads": self.solver.workers,
+                # every run is single-threaded; the key stays so that config
+                # hashes, and the plans, reports and heatmaps carrying them,
+                # keep their values
+                "threads": 1,
             }
         )
 
@@ -448,7 +451,6 @@ def _add_common(sub: argparse.ArgumentParser, defaults: dict) -> None:
     sub.add_argument("--pool-size", type=int, default=defaults.get("pool_size", 10))
     sub.add_argument("--pool-gap", type=float, default=defaults.get("pool_gap", 0.001))
     sub.add_argument("--time-limit", type=float, default=defaults.get("time_limit"))
-    sub.add_argument("--threads", type=int, default=defaults.get("threads", 1))
     sub.add_argument(
         "--transition-mode", choices=_TRANSITION_MODES,
         default=defaults.get("transition_mode", "expected"),
@@ -508,7 +510,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         time_limit=args.time_limit,
         pool_capacity=args.pool_size,
         pool_gap=args.pool_gap,
-        workers=args.threads,
     )
     command = args.command
     mode = "hierarchical"

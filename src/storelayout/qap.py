@@ -264,9 +264,15 @@ def eligibility_from_blocks(
 # -- objective and delta evaluation -------------------------------------------
 
 
-def objective_of_permutation(instance: QapInstance, perm: np.ndarray) -> float:
+def objective_of_permutation(instance: QapInstance, perm: np.ndarray) -> float | np.ndarray:
     """Canonical objective evaluation. Every solver scores candidates through
-    this one routine so equal assignments produce bit-equal objectives."""
+    this one routine so equal assignments produce bit-equal objectives.
+
+    A stack of L permutations, shape (L, n), gives an array of L objectives,
+    each bit-equal to the call on its row alone."""
+    if perm.ndim == 2:
+        sub = instance.exposure[perm[:, :, None], perm[:, None, :]]
+        return (instance.flow * sub).sum(axis=(1, 2))
     sub = instance.exposure.take(perm, axis=0).take(perm, axis=1)
     return float((instance.flow * sub).sum())
 
@@ -398,61 +404,92 @@ def swap_candidate_pairs(
     """Product pairs (a, b), a < b, that some feasible permutation may swap,
     in row-major order. A swap needs both products eligible at both of the
     positions involved, so the two eligibility rows must share at least two
-    positions; ``move_mask`` restricts the pairs further."""
+    positions; ``move_mask`` restricts the pairs further. A stack of
+    eligibility matrices, shape (L, n, n), gives the pairs any one of them
+    may swap."""
     e = eligibility.astype(np.int64)
-    pairs = np.triu((e @ e.T) >= 2, k=1)
+    shared = (e @ np.swapaxes(e, -1, -2)) >= 2
+    if shared.ndim == 3:
+        shared = shared.any(axis=0)
+    pairs = np.triu(shared, k=1)
     if move_mask is not None:
         pairs &= move_mask
     return np.nonzero(pairs)
 
 
 class SwapScan:
-    """Deltas of a fixed list of product swaps (a[p], b[p]) under a changing
-    permutation, in O(len(a) * n) per scan (Taillard 1991).
+    """Deltas of a fixed list of product swaps (a[p], b[p]) under L changing
+    permutations ("lanes") that share one flow and one exposure matrix, in
+    O(L * len(a) * n) per scan (Taillard 1991).
 
-    Holds the permuted exposure matrix h = exposure[np.ix_(perm, perm)]
-    beside its transpose, so one row gather per pair end reads both the row
-    and the column terms of every delta; whatever depends only on the flow
-    matrix is computed once. Entry p of ``deltas()`` equals
-    swap_delta_perm(flow, exposure, perm, a[p], b[p]) up to round-off.
+    Each lane holds its permuted exposure matrix h = exposure[np.ix_(perm,
+    perm)] beside its transpose, so one row gather per pair end reads both
+    the row and the column terms of every delta; whatever depends only on
+    the flow matrix is computed once for all lanes. Entry [l, p] of
+    ``deltas()`` equals swap_delta_perm(flow, exposure, perms[l], a[p], b[p])
+    up to round-off, and has the same bits whatever the number of lanes. A
+    1-D ``perms`` is one lane and gives 1-D deltas.
     """
 
     def __init__(
         self,
         flow: np.ndarray,
         exposure: np.ndarray,
-        perm: np.ndarray,
+        perms: np.ndarray,
         a: np.ndarray,
         b: np.ndarray,
     ):
-        n = len(perm)
+        self._one = perms.ndim == 1
+        perms = np.atleast_2d(perms)
+        lanes, n = perms.shape
         self.n = n
-        h = exposure[np.ix_(perm, perm)]
-        self._hh = np.hstack([h, h.T])
+        self._hh = np.empty((lanes, n, 2 * n))
+        for hh, perm in zip(self._hh, perms):
+            h = exposure[np.ix_(perm, perm)]
+            hh[:, :n] = h
+            hh[:, n:] = h.T
         self._a, self._b = a, b
         self._dflow = np.hstack([flow[a] - flow[b], (flow[:, a] - flow[:, b]).T])
         # The row and column dot products count the 2x2 block of a and b
         # twice; its net correction is s * (h[a,a] + h[b,b] - h[a,b] - h[b,a]).
         self._s = flow[a, a] + flow[b, b] - flow[a, b] - flow[b, a]
         w = 2 * n
-        self._corners = np.stack([a * w + a, b * w + b, a * w + b, b * w + a])
+        corners = np.stack([a * w + a, b * w + b, a * w + b, b * w + a])
+        # lane l's corners are one contiguous (4, P) block, so the batched
+        # product below makes, per lane, the very BLAS call one lane makes
+        self._corners = corners + np.arange(lanes)[:, None, None] * (n * w)
         self._signs = np.array([1.0, 1.0, -1.0, -1.0])
+        # gathers go into buffers allocated once, not fresh temporaries;
+        # take(mode="clip") writes into them directly ("raise" buffers out)
+        self._rows_a = np.empty((lanes, len(a), w))
+        self._rows_b = np.empty((lanes, len(a), w))
+        self._corner_vals = np.empty(self._corners.shape)
+        self._dots = np.empty((lanes, len(a)))
+        self._corner_sums = np.empty((lanes, len(a)))
 
     @property
     def h(self) -> np.ndarray:
-        """The permuted exposure matrix, a view."""
-        return self._hh[:, : self.n]
+        """The permuted exposure matrices, a view: (n, n) for one lane given
+        as a 1-D permutation, (L, n, n) otherwise."""
+        h = self._hh[:, :, : self.n]
+        return h[0] if self._one else h
 
     def deltas(self) -> np.ndarray:
-        hh = self._hh
-        dots = np.einsum("pk,pk->p", self._dflow, hh[self._b] - hh[self._a])
-        return dots + self._s * (self._signs @ hh.take(self._corners))
+        hh, rows_a, rows_b = self._hh, self._rows_a, self._rows_b
+        np.take(hh, self._b, axis=1, out=rows_b, mode="clip")
+        np.take(hh, self._a, axis=1, out=rows_a, mode="clip")
+        np.subtract(rows_b, rows_a, out=rows_b)
+        dots = np.einsum("pk,lpk->lp", self._dflow, rows_b, out=self._dots)
+        np.take(hh, self._corners, out=self._corner_vals, mode="clip")
+        sums = np.matmul(self._signs, self._corner_vals, out=self._corner_sums)
+        out = dots + self._s * sums
+        return out[0] if self._one else out
 
-    def swap(self, a: int, b: int) -> None:
-        """Follow the exchange of perm[a] and perm[b]: swap rows a, b and
-        columns a, b of h (and of its transpose) in place, O(n) instead of
-        re-gathering all n^2 entries."""
-        hh = self._hh
+    def swap(self, a: int, b: int, lane: int = 0) -> None:
+        """Follow the exchange of perms[lane][a] and perms[lane][b]: swap
+        rows a, b and columns a, b of that lane's h (and of its transpose)
+        in place, O(n) instead of re-gathering all n^2 entries."""
+        hh = self._hh[lane]
         row = hh[a].copy()
         hh[a] = hh[b]
         hh[b] = row

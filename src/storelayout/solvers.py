@@ -2,14 +2,14 @@
 
 All solvers maximize, respect eligibility, and evaluate candidates through
 the one canonical objective routine in qap, so identical assignments always
-score bit-identically. Everything is deterministic given (seed, config) in
-single-worker mode.
+score bit-identically. Everything is deterministic given (seed, config):
+independent tabu walks run side by side as lanes of one process, never in
+threads.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from random import Random
 from time import perf_counter
@@ -57,7 +57,6 @@ class SolverConfig:
     block_exhaustive_cap: int = 7
     block_tabu_iterations: int = 2_000
     exact_free_limit: int = 11
-    workers: int = 1
 
     def __post_init__(self):
         if self.pool_capacity < 1:
@@ -69,7 +68,6 @@ class SolverConfig:
             ("restarts", self.restarts),
             ("node_limit", self.node_limit),
             ("brute_force_cap", self.brute_force_cap),
-            ("workers", self.workers),
         ):
             if value < 1:
                 raise InputError(f"{label} must be positive")
@@ -409,6 +407,132 @@ def branch_and_bound(
 # -- tabu search -------------------------------------------------------------------
 
 
+def _tabu_lanes(
+    instances: list[QapInstance],
+    starts: list[np.ndarray],
+    rngs: list[Random],
+    iterations: int,
+    tenure_range: tuple[float, float],
+    pool: SolutionPool | None,
+    deadline: float | None,
+    move_mask: np.ndarray | None = None,
+) -> list[tuple[float, np.ndarray, int]]:
+    """Tabu runs from L feasible permutations ("lanes") in lockstep; returns
+    (best objective, best permutation, iterations executed) per lane.
+
+    The lanes must share one flow and one exposure matrix, those of
+    instances[0], and may differ in eligibility. Each keeps its own
+    permutation, tabu table, rng, current and best objective, and takes
+    exactly the moves it would take alone, while each iteration makes one
+    set of NumPy calls for all lanes. A shared pool receives the offers of
+    all lanes, interleaved; its contents depend only on the set of offers.
+
+    Each iteration scores the swap pairs eligibility can ever allow in any
+    lane (one a lane's own eligibility rules out is never allowed there),
+    listed once in row-major order so ties break on the lowest (a, b);
+    deltas read permuted exposure matrices kept in step by swapping two rows
+    and two columns per move (Taillard 1991). A move is tabu only when BOTH
+    products would return to recently held positions, and aspiration admits
+    any move that beats the lane's best by more than round-off, so a tabu
+    move back to the incumbent is never let through by float noise. All
+    lanes stop at the deadline; a lane with no allowed move stops alone."""
+    inst = instances[0]
+    lanes, n = len(starts), inst.n
+    elig = np.stack([other.eligibility for other in instances])
+    perms = np.array(starts, dtype=np.int64)
+    cur = objective_of_permutation(inst, perms).tolist()
+    cur_col = np.array(cur)[:, None]
+    best_obj = list(cur)
+    best_perm = [perm.copy() for perm in perms]
+    if pool is not None:
+        for perm, obj in zip(perms, cur):
+            pool.offer(perm.copy(), obj)
+    lo = max(1, round(tenure_range[0] * n))
+    hi = max(lo, round(tenure_range[1] * n))
+    # a lane's aspiration level and rescoring threshold move with its best
+    aspire = np.empty((lanes, 1))
+    rescore_at = [0.0] * lanes
+
+    def track(lane: int) -> None:
+        best = best_obj[lane]
+        aspire[lane, 0] = best + 1e-9 * max(1.0, abs(best))
+        margin = 1e-6 * max(1.0, abs(best))
+        if pool is not None:
+            margin += pool.gap * abs(best)
+        rescore_at[lane] = best - margin
+
+    for lane in range(lanes):
+        track(lane)
+    tabu_until = np.zeros((lanes, n, n), dtype=np.int64)
+    pa, pb = swap_candidate_pairs(elig, move_mask)
+    scan = SwapScan(inst.flow, inst.exposure, perms, pa, pb)
+    # flat offsets of rows (lane, pa) and (lane, pb) of the (L, n, n) tables
+    lane_rows = np.arange(lanes)[:, None] * n
+    row_a, row_b = (lane_rows + pa) * n, (lane_rows + pb) * n
+    elig_flat, tabu_flat = elig.reshape(-1), tabu_until.reshape(-1)
+    pair_a, pair_b = pa.tolist(), pb.tolist()
+    live = list(range(lanes))
+    done = [0] * lanes
+    last = 0
+    for it in range(1, iterations + 1):
+        if deadline is not None and perf_counter() > deadline:
+            break
+        last = it
+        if not pair_a:  # nothing can ever move: every lane stops now
+            done, live = [it] * lanes, []
+            break
+        at_ab = row_a + perms.take(pb, axis=1)
+        at_ba = row_b + perms.take(pa, axis=1)
+        allowed = elig_flat.take(at_ab) & elig_flat.take(at_ba)
+        delta = scan.deltas()
+        tabu_move = (tabu_flat.take(at_ab) >= it) & (tabu_flat.take(at_ba) >= it)
+        admissible = allowed & (~tabu_move | (cur_col + delta > aspire))
+        picks = np.where(admissible, delta, -np.inf).argmax(axis=1).tolist()
+        stuck = []
+        rescore = []
+        for lane in live:
+            p = picks[lane]
+            if not admissible[lane, p]:
+                # no admissible move: any allowed one will do, and a lane
+                # with none stops here
+                if not allowed[lane].any():
+                    done[lane] = it
+                    stuck.append(lane)
+                    continue
+                p = int(np.argmax(np.where(allowed[lane], delta[lane], -np.inf)))
+            a, b = pair_a[p], pair_b[p]
+            until = it + rngs[lane].randint(lo, hi)
+            perm = perms[lane]
+            ka, kb = perm[a], perm[b]
+            tabu_until[lane, a, ka] = until
+            tabu_until[lane, b, kb] = until
+            perm[a], perm[b] = kb, ka
+            scan.swap(a, b, lane)
+            cur[lane] += float(delta[lane, p])
+            cur_col[lane, 0] = cur[lane]
+            if cur[lane] >= rescore_at[lane]:
+                rescore.append(lane)
+        if stuck:
+            live = [lane for lane in live if lane not in stuck]
+            if not live:
+                break
+        if rescore:
+            canon = objective_of_permutation(inst, perms[rescore]).tolist()
+            for lane, obj in zip(rescore, canon):
+                cur[lane] = obj
+                cur_col[lane, 0] = obj
+                perm = perms[lane]
+                if pool is not None:
+                    pool.offer(perm.copy(), obj)
+                if _better(obj, perm, best_obj[lane], best_perm[lane]):
+                    best_obj[lane] = obj
+                    best_perm[lane] = perm.copy()
+                    track(lane)
+    for lane in live:
+        done[lane] = last
+    return list(zip(best_obj, best_perm, done))
+
+
 def _tabu_run(
     instance: QapInstance,
     start: np.ndarray,
@@ -419,63 +543,11 @@ def _tabu_run(
     deadline: float | None,
     move_mask: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, int]:
-    """One tabu run from a feasible permutation; returns (best objective,
-    best permutation, iterations executed). Each iteration scores only the
-    swap pairs eligibility can ever allow, listed once per run in row-major
-    order so ties break on the lowest (a, b); deltas read a permuted
-    exposure matrix kept in step by swapping two rows and two columns per
-    move (Taillard 1991). A move is tabu only when BOTH products would
-    return to recently held positions, and aspiration admits any move that
-    beats the best known solution by more than round-off, so a tabu move
-    back to the incumbent is never let through by float noise."""
-    elig = instance.eligibility
-    n = instance.n
-    perm = start.copy()
-    cur = objective_of_permutation(instance, perm)
-    best_obj = cur
-    best_perm = perm.copy()
-    if pool is not None:
-        pool.offer(perm.copy(), cur)
-    lo = max(1, round(tenure_range[0] * n))
-    hi = max(lo, round(tenure_range[1] * n))
-    tabu_until = np.zeros((n, n), dtype=np.int64)
-    pa, pb = swap_candidate_pairs(elig, move_mask)
-    scan = SwapScan(instance.flow, instance.exposure, perm, pa, pb)
-    done = 0
-    for it in range(1, iterations + 1):
-        if deadline is not None and perf_counter() > deadline:
-            break
-        done = it
-        ka, kb = perm[pa], perm[pb]
-        allowed = elig[pa, kb] & elig[pb, ka]
-        if not allowed.any():
-            break
-        delta = scan.deltas()
-        tabu_move = (tabu_until[pa, kb] >= it) & (tabu_until[pb, ka] >= it)
-        aspire = best_obj + 1e-9 * max(1.0, abs(best_obj))
-        admissible = allowed & (~tabu_move | (cur + delta > aspire))
-        if not admissible.any():
-            admissible = allowed
-        p = int(np.argmax(np.where(admissible, delta, -np.inf)))
-        a, b = int(pa[p]), int(pb[p])
-        tenure = rng.randint(lo, hi)
-        tabu_until[a, perm[a]] = it + tenure
-        tabu_until[b, perm[b]] = it + tenure
-        perm[a], perm[b] = perm[b], perm[a]
-        scan.swap(a, b)
-        cur += float(delta[p])
-        margin = 1e-6 * max(1.0, abs(best_obj))
-        if pool is not None:
-            margin += pool.gap * abs(best_obj)
-        if cur >= best_obj - margin:
-            canon = objective_of_permutation(instance, perm)
-            cur = canon
-            if pool is not None:
-                pool.offer(perm.copy(), canon)
-            if _better(canon, perm, best_obj, best_perm):
-                best_obj = canon
-                best_perm = perm.copy()
-    return best_obj, best_perm, done
+    """One tabu run from a feasible permutation: the one-lane call of
+    _tabu_lanes."""
+    return _tabu_lanes(
+        [instance], [start], [rng], iterations, tenure_range, pool, deadline, move_mask
+    )[0]
 
 
 def tabu_search(
@@ -484,10 +556,11 @@ def tabu_search(
     initial: Assignment | None = None,
     pool: SolutionPool | None = None,
 ) -> SolveResult:
-    """Multi-restart tabu search. Restart 0 starts from the given assignment
-    (or the deterministic greedy construction); later restarts start from
-    seeded random feasible assignments. Never returns a worse objective than
-    its starting assignment."""
+    """Multi-restart tabu search, the restarts run as lanes of one lockstep
+    call. Restart 0 starts from the given assignment (or the deterministic
+    greedy construction); later restarts start from seeded random feasible
+    assignments. Never returns a worse objective than its starting
+    assignment."""
     cfg = config or SolverConfig()
     t0 = perf_counter()
     deadline = t0 + cfg.time_limit if cfg.time_limit else None
@@ -495,19 +568,12 @@ def tabu_search(
         start0 = instance.permutation_of(initial)
     else:
         start0 = greedy_assignment(instance)
-
-    def one_restart(r: int) -> tuple[float, np.ndarray, int]:
-        rng = Random(_mix_seed(cfg.seed, r))
-        start = start0 if r == 0 else random_assignment(instance, rng)
-        return _tabu_run(
-            instance, start, cfg.iteration_limit, cfg.tenure_range, rng, pool, deadline
-        )
-
-    if cfg.workers > 1 and cfg.restarts > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool_exec:
-            results = list(pool_exec.map(one_restart, range(cfg.restarts)))
-    else:
-        results = [one_restart(r) for r in range(cfg.restarts)]
+    rngs = [Random(_mix_seed(cfg.seed, r)) for r in range(cfg.restarts)]
+    starts = [start0] + [random_assignment(instance, rng) for rng in rngs[1:]]
+    results = _tabu_lanes(
+        [instance] * cfg.restarts, starts, rngs, cfg.iteration_limit, cfg.tenure_range,
+        pool, deadline,
+    )
 
     best_obj = float("-inf")
     best_perm: np.ndarray | None = None
@@ -690,33 +756,48 @@ def solve_hierarchical(
     l1_instance = build_level1_instance(exposures, transitions_l1, effective)
     pool = solve_level1(l1_instance, cfg)
 
-    per_candidate = replace(cfg, restarts=1)
-    best: SolveResult | None = None
-    best_entry = None
+    entries = pool.entries
+    seeds = [_mix_seed(cfg.seed, 100_003 + idx) for idx in range(len(entries))]
+    instances = [
+        build_level2_instance(exposures, transitions_l2, entry.assignment, catalog, graph)
+        for entry in entries
+    ]
+    descents = [
+        block_descent(inst, replace(cfg, seed=seed)) for inst, seed in zip(instances, seeds)
+    ]
+    # the tabu refinements run as the lanes of one call, each seeded as a
+    # one-restart tabu_search of its candidate would be
+    deadline = perf_counter() + cfg.time_limit if cfg.time_limit else None
+    refined = _tabu_lanes(
+        instances,
+        [inst.permutation_of(d.assignment) for inst, d in zip(instances, descents)],
+        [Random(_mix_seed(seed, 0)) for seed in seeds],
+        cfg.iteration_limit,
+        cfg.tenure_range,
+        None,
+        deadline,
+    )
+
+    best_obj = float("-inf")
+    best_assignment = best_entry = None
     candidates: list[tuple[int, float, float]] = []
     notes: list[str] = []
     iterations = 0
-    for idx, entry in enumerate(pool.entries):
-        l2_instance = build_level2_instance(
-            exposures, transitions_l2, entry.assignment, catalog, graph
-        )
-        cand_cfg = replace(per_candidate, seed=_mix_seed(cfg.seed, 100_003 + idx))
-        descended = block_descent(l2_instance, cand_cfg)
-        refined = tabu_search(
-            l2_instance, cand_cfg, initial=descended.assignment
-        )
-        result = refined if refined.objective >= descended.objective else descended
+    for idx, (entry, inst, descended, (obj, perm, done)) in enumerate(
+        zip(entries, instances, descents, refined)
+    ):
+        if obj >= descended.objective:
+            assignment = inst.assignment_from_permutation(perm)
+        else:
+            obj, assignment = descended.objective, descended.assignment
         notes.extend(descended.notes)
-        iterations += descended.iterations + refined.iterations
-        candidates.append((idx, entry.objective, result.objective))
-        if best is None or result.objective > best.objective:
-            best = result
-            best_entry = entry
-    if best is None or best_entry is None:
-        raise ModelError("strategic pool was empty; nothing to refine")
+        iterations += descended.iterations + done
+        candidates.append((idx, entry.objective, obj))
+        if best_entry is None or obj > best_obj:
+            best_obj, best_assignment, best_entry = obj, assignment, entry
     return HierarchicalResult(
-        assignment=best.assignment,
-        objective=best.objective,
+        assignment=best_assignment,
+        objective=best_obj,
         wall_time=perf_counter() - t0,
         iterations=iterations,
         restarts=cfg.restarts,

@@ -3,6 +3,7 @@ environment-config defaults, failure exit codes, and artifact cleanup."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -13,7 +14,11 @@ import pytest
 from conftest import catalog_for, line_store
 from storelayout import cli
 from storelayout.cli import main
+from storelayout.demand import expected_transitions, read_transactions_csv
+from storelayout.qap import build_level2_instance, check_feasible
 from storelayout.report import read_plan
+from storelayout.solvers import SolverConfig
+from storelayout.store import build_exposure_matrices
 from storelayout.storefile import StoreDocument, load_store, save_store
 
 EPOCH = "1718236800"
@@ -422,3 +427,64 @@ class TestBundledGoldenBytes:
         out = tmp_path / "render"
         assert main(["render", AS_IS_PLAN, *BUNDLED, "--out", str(out)]) == 0
         assert sha256_of(out / "heatmap.svg") == HEATMAP_SHA256
+
+
+# sublocation number held by sub-01 .. sub-48 in the seed-413 plan
+SOLVE_POSITIONS = [
+    8, 5, 6, 7, 9, 10, 11, 12, 13, 14, 16, 15, 4, 2, 1, 3, 24, 19, 17, 20, 22, 21, 18, 23,
+    30, 28, 29, 48, 47, 46, 26, 27, 25, 40, 41, 42, 36, 34, 35, 39, 37, 38, 32, 31, 33,
+    44, 45, 43,
+]
+
+
+class TestBundledSolveGolden:
+    """solve at seed 413 with the benchmark's 3,000-iteration tabu budget
+    writes the heatmaps, objectives and layout that the tabu walks wrote
+    when each ran on its own, one after another."""
+
+    @pytest.mark.parametrize(
+        "pool_size, optimal, baseline",
+        [
+            (
+                "10",
+                "389482d6c75a88dce2f4c41080371b8e3661421fb66a3e04b4758752c2318098",
+                "fbefb2143dddfb77752186a3903d644eceda5a172e7a17856ccacd114e144407",
+            ),
+            (
+                "1",
+                "346625e2b39e01eeffb0149cd08e36d55ac18de66d8b8b3777f7769771119322",
+                "1ef228d00b838143bf0605a0a75a8ebac4bc62f08e3a11a608e7ccedc9bb47c1",
+            ),
+        ],
+        ids=["k10", "k1"],
+    )
+    def test_pinned(self, pool_size, optimal, baseline, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        monkeypatch.setattr(cli, "SolverConfig", functools.partial(SolverConfig, iteration_limit=3000))
+        out = tmp_path / "solve"
+        assert main(["solve", *BUNDLED, "--out", str(out), "--pool-size", pool_size]) == 0
+        assert sha256_of(out / "heatmap_optimal.svg") == optimal
+        assert sha256_of(out / "heatmap_baseline.svg") == baseline
+        plan = json.loads((out / "plan.json").read_text(encoding="utf-8"))
+        assert plan["objectives"] == {"level1": 21218.598809523806, "level2": 17340.644047619047}
+        held = plan["subcategory_to_sublocation"]
+        assert [int(held[f"sub-{i:02d}"].split("-")[1]) for i in range(1, 49)] == SOLVE_POSITIONS
+
+
+class TestTimeLimitFlag:
+    def test_solve_under_a_time_limit_writes_a_feasible_plan(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        out = tmp_path / "limited"
+        argv = ["solve", *BUNDLED, "--out", str(out), "--time-limit", "0.05", "--pool-size", "3"]
+        assert main(argv) == 0
+        plan = read_plan(str(out / "plan.json"))
+        doc = load_store(str(FIXTURES / "synthetic_store.json"))
+        baskets = read_transactions_csv(str(FIXTURES / "synthetic_transactions.csv"), doc.catalog)
+        instance = build_level2_instance(
+            build_exposure_matrices(doc.graph),
+            expected_transitions(baskets, doc.catalog),
+            plan.level1_assignment(),
+            doc.catalog,
+            doc.graph,
+        )
+        assert check_feasible(instance, plan.assignment()).ok

@@ -8,6 +8,8 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     catalog_for,
@@ -223,6 +225,62 @@ class TestSwapScan:
         # the transposed copy stayed in step too: deltas equal a fresh scan's
         fresh = SwapScan(flow, expo, perm, a, b)
         assert np.array_equal(scan.deltas(), fresh.deltas())
+
+
+class TestSwapScanLanes:
+    """A scan over L lanes gives each lane the bits of a one-lane scan of
+    its permutation, whatever L, the pair count and the swaps so far."""
+
+    def test_lane_deltas_bit_equal_to_one_lane_scans(self):
+        rng = np.random.default_rng(47)
+        for trial in range(60):
+            n = int(rng.integers(2, 40))
+            lanes = int(rng.integers(1, 7))
+            flow = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
+            expo = rng.standard_normal((n, n))
+            upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+            # pair counts 1-3 go through a different small-size BLAS path
+            count = min(int(upper.sum()), (1, 2, 3, 5, 48)[trial % 5])
+            keep = rng.permutation(int(upper.sum()))[:count]
+            a, b = (axis[np.sort(keep)] for axis in np.nonzero(upper))
+            perms = np.stack([rng.permutation(n) for _ in range(lanes)])
+            scan = SwapScan(flow, expo, perms.copy(), a, b)
+            for _ in range(15):
+                got = scan.deltas()
+                assert got.shape == (lanes, len(a))
+                for lane, perm in enumerate(perms):
+                    want = SwapScan(flow, expo, perm.copy(), a, b).deltas()
+                    assert got[lane].tobytes() == want.tobytes()
+                for lane, perm in enumerate(perms):
+                    x, y = (int(v) for v in rng.choice(n, 2, replace=False))
+                    perm[x], perm[y] = perm[y], perm[x]
+                    scan.swap(x, y, lane)
+            assert np.array_equal(scan.h, expo[perms[:, :, None], perms[:, None, :]])
+
+
+class TestStackedObjective:
+    """objective_of_permutation over an (L, n) stack: entry l has the bits
+    of the call on row l alone, so lanes rescore exactly as one walk does."""
+
+    def test_rows_bit_equal_to_single_calls(self):
+        rng = np.random.default_rng(53)
+        for n in range(2, 131):
+            density = (0.05, 0.3, 1.0)[n % 3]
+            flow = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+            expo = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-2, 3, size=(n, n))
+            inst = QapInstance(
+                level="level1",
+                product_ids=tuple(f"p{i}" for i in range(n)),
+                position_ids=tuple(f"q{k}" for k in range(n)),
+                flow=flow,
+                exposure=expo,
+                eligibility=np.ones((n, n), dtype=bool),
+            )
+            perms = np.stack([rng.permutation(n) for _ in range(int(rng.integers(1, 7)))])
+            got = objective_of_permutation(inst, perms)
+            assert got.shape == (len(perms),)
+            want = [objective_of_permutation(inst, perm) for perm in perms]
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
 
 class TestSwapCandidatePairs:
@@ -717,6 +775,44 @@ class TestSolutionPool:
             SolutionPool(inst, capacity=0)
         with pytest.raises(InputError):
             SolutionPool(inst, gap=1.0)
+
+
+_POOL_KEYS = list(itertools.permutations(range(4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.sampled_from([-3.0, 0.0, 10.0, 10.5, 11.0, 12.0, 100.0]),
+        min_size=len(_POOL_KEYS),
+        max_size=len(_POOL_KEYS),
+    ),
+    picks=st.lists(st.integers(0, len(_POOL_KEYS) - 1), min_size=1, max_size=40),
+    capacity=st.integers(1, 5),
+    gap=st.sampled_from([0.0, 0.05, 0.2, 0.9]),
+    order=st.randoms(use_true_random=False),
+)
+def test_pool_contents_do_not_depend_on_offer_order(values, picks, capacity, gap, order):
+    # lockstep tabu lanes interleave their offers to one shared pool, so
+    # what the pool holds must be a function of the set of offers: repeats
+    # (an assignment always carries one objective), ties, the gap cut and
+    # the capacity cut included
+    inst = simple_instance(4)
+    offers = [(_POOL_KEYS[i], values[i]) for i in picks]
+    shuffled = offers[:]
+    order.shuffle(shuffled)
+
+    def contents(seq):
+        pool = SolutionPool(inst, capacity=capacity, gap=gap)
+        for key, value in seq:
+            pool.offer(np.array(key), value)
+        return [(e.objective, tuple(p)) for e, p in zip(pool.entries, pool.permutations())]
+
+    distinct = sorted({(value, key) for key, value in offers}, key=lambda e: (-e[0], e[1]))
+    best = distinct[0][0]
+    want = [e for e in distinct if e[0] >= best - gap * abs(best)][:capacity]
+    assert contents(offers) == want
+    assert contents(shuffled) == want
 
 
 class TestAssignment:

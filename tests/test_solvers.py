@@ -21,16 +21,22 @@ from storelayout.demand import expected_transitions, load_transactions, read_tra
 from storelayout.errors import InputError, ModelError, ValidationError
 from storelayout.qap import (
     Assignment,
+    Block,
+    QapInstance,
     SolutionPool,
     build_level1_instance,
     build_level2_instance,
     check_feasible,
+    eligibility_from_blocks,
+    objective,
     objective_of_permutation,
+    swap_candidate_pairs,
     swap_delta_matrix,
 )
 from storelayout.solvers import (
     SolverConfig,
     _better,
+    _tabu_lanes,
     _tabu_run,
     block_descent,
     branch_and_bound,
@@ -294,6 +300,233 @@ class TestPairScanMatchesFullScan:
         assert done == 1
         assert np.array_equal(perm, start)
         assert obj == objective_of_permutation(inst, start)
+
+
+class SerialSwapScan:
+    """The one-permutation pair scan that lanes replaced, kept as the
+    reference the lane axis must reproduce bit for bit."""
+
+    def __init__(self, flow, exposure, perm, a, b):
+        n = len(perm)
+        self.n = n
+        h = exposure[np.ix_(perm, perm)]
+        self._hh = np.hstack([h, h.T])
+        self._a, self._b = a, b
+        self._dflow = np.hstack([flow[a] - flow[b], (flow[:, a] - flow[:, b]).T])
+        self._s = flow[a, a] + flow[b, b] - flow[a, b] - flow[b, a]
+        w = 2 * n
+        self._corners = np.stack([a * w + a, b * w + b, a * w + b, b * w + a])
+        self._signs = np.array([1.0, 1.0, -1.0, -1.0])
+
+    def deltas(self):
+        hh = self._hh
+        dots = np.einsum("pk,pk->p", self._dflow, hh[self._b] - hh[self._a])
+        return dots + self._s * (self._signs @ hh.take(self._corners))
+
+    def swap(self, a, b):
+        hh = self._hh
+        row = hh[a].copy()
+        hh[a] = hh[b]
+        hh[b] = row
+        for x, y in ((a, b), (self.n + a, self.n + b)):
+            col = hh[:, x].copy()
+            hh[:, x] = hh[:, y]
+            hh[:, y] = col
+
+
+def serial_tabu_run(instance, start, iterations, tenure_range, rng, pool, move_mask=None):
+    """One tabu walk on its own, as it ran before lanes: the reference each
+    lane of a lockstep call must follow move for move."""
+    elig = instance.eligibility
+    n = instance.n
+    perm = start.copy()
+    cur = objective_of_permutation(instance, perm)
+    best_obj = cur
+    best_perm = perm.copy()
+    if pool is not None:
+        pool.offer(perm.copy(), cur)
+    lo = max(1, round(tenure_range[0] * n))
+    hi = max(lo, round(tenure_range[1] * n))
+    tabu_until = np.zeros((n, n), dtype=np.int64)
+    pa, pb = swap_candidate_pairs(elig, move_mask)
+    scan = SerialSwapScan(instance.flow, instance.exposure, perm, pa, pb)
+    done = 0
+    for it in range(1, iterations + 1):
+        done = it
+        ka, kb = perm[pa], perm[pb]
+        allowed = elig[pa, kb] & elig[pb, ka]
+        if not allowed.any():
+            break
+        delta = scan.deltas()
+        tabu_move = (tabu_until[pa, kb] >= it) & (tabu_until[pb, ka] >= it)
+        aspire = best_obj + 1e-9 * max(1.0, abs(best_obj))
+        admissible = allowed & (~tabu_move | (cur + delta > aspire))
+        if not admissible.any():
+            admissible = allowed
+        p = int(np.argmax(np.where(admissible, delta, -np.inf)))
+        a, b = int(pa[p]), int(pb[p])
+        tenure = rng.randint(lo, hi)
+        tabu_until[a, perm[a]] = it + tenure
+        tabu_until[b, perm[b]] = it + tenure
+        perm[a], perm[b] = perm[b], perm[a]
+        scan.swap(a, b)
+        cur += float(delta[p])
+        margin = 1e-6 * max(1.0, abs(best_obj))
+        if pool is not None:
+            margin += pool.gap * abs(best_obj)
+        if cur >= best_obj - margin:
+            canon = objective_of_permutation(instance, perm)
+            cur = canon
+            if pool is not None:
+                pool.offer(perm.copy(), canon)
+            if _better(canon, perm, best_obj, best_perm):
+                best_obj = canon
+                best_perm = perm.copy()
+    return best_obj, best_perm, done
+
+
+def block_variants(rng: Random, base: QapInstance, count: int) -> list[QapInstance]:
+    """Tactical instances sharing ``base``'s flow and exposure whose blocks
+    take the slot groups of equally sized blocks in shuffled order: each is
+    the instance another strategic layout would induce."""
+    out = []
+    for _ in range(count):
+        slots = {}
+        for blk in base.blocks:
+            slots.setdefault(len(blk.position_ids), []).append(blk.position_ids)
+        for group in slots.values():
+            rng.shuffle(group)
+        blocks = tuple(
+            Block(blk.category_id, blk.location_id, blk.product_ids,
+                  slots[len(blk.position_ids)].pop())
+            for blk in base.blocks
+        )
+        elig = eligibility_from_blocks(base.product_ids, base.position_ids, blocks)
+        out.append(replace(base, blocks=blocks, eligibility=elig))
+    return out
+
+
+def eligibility_variants(rng: Random, base: QapInstance, count: int) -> list[QapInstance]:
+    """Strategic instances sharing ``base``'s flow and exposure with their
+    own random eligibility, so their swap-pair lists differ; some admit a
+    single assignment and have no pair at all."""
+    n = base.n
+    out = []
+    while len(out) < count:
+        elig = np.zeros((n, n), dtype=bool)
+        elig[0, 0] = elig[-1, -1] = True
+        if rng.random() < 0.25:
+            inner = list(range(1, n - 1))
+            rng.shuffle(inner)
+            elig[range(1, n - 1), inner] = True
+        else:
+            for i in range(1, n - 1):
+                elig[i, [k for k in range(1, n - 1) if rng.random() < 0.5]] = True
+        try:
+            out.append(replace(base, eligibility=elig))
+        except (InputError, ModelError):
+            continue
+    return out
+
+
+class TestLanesMatchSerialRuns:
+    """L walks in lockstep must each take the moves of the same walk run on
+    its own: the same best-objective bits, best permutation and iteration
+    count, and a shared pool ending with the entries the walks leave when
+    they offer one after another."""
+
+    def assert_lanes(self, instances, seed, iterations=200, with_pool=True, move_mask=None):
+        seeds = [seed * 31 + lane for lane in range(len(instances))]
+        starts = [random_assignment(inst, Random(s)) for inst, s in zip(instances, seeds)]
+        pools = [
+            SolutionPool(instances[0], capacity=6, gap=0.02) if with_pool else None
+            for _ in range(2)
+        ]
+        want = [
+            serial_tabu_run(inst, start, iterations, (0.1, 0.5), Random(s), pools[0], move_mask)
+            for inst, start, s in zip(instances, starts, seeds)
+        ]
+        got = _tabu_lanes(
+            instances, starts, [Random(s) for s in seeds], iterations, (0.1, 0.5),
+            pools[1], None, move_mask,
+        )
+        assert len(got) == len(want)
+        for (g_obj, g_perm, g_done), (w_obj, w_perm, w_done) in zip(got, want):
+            assert float(g_obj).hex() == float(w_obj).hex()
+            assert np.array_equal(g_perm, w_perm)
+            assert g_done == w_done
+        if with_pool:
+            held = [[(e.objective, e.assignment) for e in pool.entries] for pool in pools]
+            assert held[1] == held[0]
+        return got
+
+    def test_strategic_restarts(self):
+        rng = Random(601)
+        for trial in range(12):
+            inst = random_level1_instance(rng, rng.randint(4, 10))
+            self.assert_lanes([inst] * (trial % 6 + 1), trial)
+
+    def test_tactical_candidates(self):
+        rng = Random(607)
+        for trial in range(12):
+            sizes = tuple(rng.choice((1, 2, 3)) for _ in range(rng.randint(3, 6)))
+            base = random_level2_instance(rng, sizes)
+            lanes = block_variants(rng, base, trial % 6 + 1)
+            self.assert_lanes(lanes, trial, with_pool=trial % 2 == 0)
+
+    def test_lanes_with_different_pair_lists(self):
+        # pairs are the union over lanes; a lane never moves a pair its own
+        # eligibility rules out, and a lane with none stops alone at once
+        rng = Random(613)
+        stopped_early = 0
+        for trial in range(12):
+            base = random_level1_instance(rng, rng.randint(4, 8))
+            lanes = eligibility_variants(rng, base, trial % 5 + 2)
+            got = self.assert_lanes(lanes, trial)
+            stopped_early += sum(done == 1 for _, _, done in got)
+        assert stopped_early > 0
+
+    def test_block_move_mask(self):
+        rng = Random(617)
+        for trial in range(8):
+            base = random_level2_instance(rng, (3, 3, 2, 2))
+            blk = base.blocks[rng.randrange(len(base.blocks))]
+            rows = [base.product_index(p) for p in blk.product_ids]
+            mask = np.zeros((base.n, base.n), dtype=bool)
+            mask[np.ix_(rows, rows)] = True
+            lanes = block_variants(rng, base, trial % 4 + 1)
+            self.assert_lanes(lanes, trial, with_pool=False, move_mask=mask)
+
+    def test_no_pairs_at_several_lanes(self):
+        base = random_level2_instance(Random(619), (1, 1, 1, 1))
+        lanes = block_variants(Random(0), base, 4)
+        got = self.assert_lanes(lanes, 0)
+        assert [done for _, _, done in got] == [1, 1, 1, 1]
+
+    def test_zero_flow_ties(self):
+        # every delta is exactly 0, so each move is decided by the
+        # row-major tie-break and the rng alone
+        rng = Random(631)
+        for trial in range(6):
+            base = random_level1_instance(rng, rng.randint(4, 8), full_eligibility=True)
+            inst = replace(base, flow=np.zeros_like(base.flow))
+            self.assert_lanes([inst] * (trial + 1), trial)
+
+
+class TestTimeLimit:
+    def test_tiny_limit_feasible_and_never_worse(self):
+        # whatever the clock allows, the answer is feasible, no worse than
+        # its start, and every lane ran as many iterations as the others
+        rng = Random(653)
+        for restarts in (1, 3, 4):
+            inst = random_level1_instance(rng, 30)
+            start = inst.assignment_from_permutation(random_assignment(inst, Random(restarts)))
+            for limit in (1e-9, 0.02):
+                cfg = SolverConfig(seed=restarts, restarts=restarts, time_limit=limit)
+                result = tabu_search(inst, cfg, initial=start)
+                assert check_feasible(inst, result.assignment).ok
+                assert result.objective >= objective(inst, start)
+                assert result.iterations % restarts == 0
 
 
 class TestBlockDescent:
