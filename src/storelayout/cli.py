@@ -48,12 +48,14 @@ from .report import (
 )
 from .solvers import (
     SolverConfig,
-    block_descent,
+    block_descent,  # noqa: F401 -- perfbench/spans.py wraps this name
+    capacity_eligibility,
     evaluate_layout,
     random_assignment,
     solve_hierarchical,
     solve_level1,
-    tabu_search,
+    solve_level2,
+    tabu_search,  # noqa: F401 -- perfbench/spans.py wraps this name
 )
 from .store import ENTRANCE_POS, EXIT_POS, accumulate_traffic, build_exposure_matrices
 from .storefile import StoreDocument, load_store
@@ -153,6 +155,13 @@ def _load_inputs(config: RunConfig):
     return doc, transactions, exposures, matrices
 
 
+def _level1_instance(doc: StoreDocument, exposures, matrices: TransitionMatrices):
+    """Strategic instance under the store's eligibility, restricted to the
+    locations whose size fits each category, as solve_hierarchical does."""
+    eligibility = capacity_eligibility(doc.eligibility, doc.catalog, doc.graph)
+    return build_level1_instance(exposures, matrices, eligibility)
+
+
 def _baseline_assignment(
     config: RunConfig,
     doc: StoreDocument,
@@ -228,8 +237,7 @@ def _write_solve_artifacts(
 def _run_solve(config: RunConfig, sink: _Artifacts) -> None:
     doc, transactions, exposures, matrices = _load_inputs(config)
     if config.mode == "level1":
-        instance = build_level1_instance(exposures, matrices, doc.eligibility)
-        pool = solve_level1(instance, config.solver)
+        pool = solve_level1(_level1_instance(doc, exposures, matrices), config.solver)
         entries = [
             {
                 "objective": entry.objective,
@@ -269,11 +277,9 @@ def _run_solve(config: RunConfig, sink: _Artifacts) -> None:
         instance = build_level2_instance(
             exposures, matrices, level1_assignment, doc.catalog, doc.graph
         )
-        descended = block_descent(instance, config.solver)
-        refined = tabu_search(instance, config.solver, initial=descended.assignment)
-        result = refined if refined.objective >= descended.objective else descended
-        l1_instance = build_level1_instance(exposures, matrices, doc.eligibility)
-        l1_objective = objective(l1_instance, level1_assignment)
+        solver = config.solver
+        _, result = solve_level2([instance], [solver.seed], solver, solver.restarts)[0]
+        l1_objective = objective(_level1_instance(doc, exposures, matrices), level1_assignment)
         _write_solve_artifacts(
             config, doc, exposures, matrices, transactions,
             result.assignment, level1_assignment, l1_objective,
@@ -338,13 +344,13 @@ def _run_export_lp(config: RunConfig, sink: _Artifacts) -> None:
     for tag in config.models:
         path = sink.register(os.path.join(config.out_dir, f"model_{tag}.lp"))
         if tag == "level1":
-            instance = build_level1_instance(exposures, matrices, doc.eligibility)
+            instance = _level1_instance(doc, exposures, matrices)
             write_lp(linearize(instance, sparsify=sparsify), path)
         elif tag == "level2":
             if config.baseline_path is not None:
                 level1_assignment = read_plan(config.baseline_path).level1_assignment()
             else:
-                instance = build_level1_instance(exposures, matrices, doc.eligibility)
+                instance = _level1_instance(doc, exposures, matrices)
                 level1_assignment = solve_level1(instance, config.solver).entries[0].assignment
             instance = build_level2_instance(
                 exposures, matrices, level1_assignment, doc.catalog, doc.graph

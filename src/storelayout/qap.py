@@ -20,7 +20,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .demand import CHECK_IN, CHECK_OUT, Catalog, TransitionMatrices
-from .errors import InputError, ModelError, ParseError, ValidationError
+from .errors import InputError, ModelError, ValidationError
 from .store import ENTRANCE_POS, EXIT_POS, ExposureMatrices, StoreGraph
 
 LEVEL1 = "level1"
@@ -617,163 +617,6 @@ def build_level2_instance(
         eligibility=elig,
         blocks=tuple(blocks),
         name=name,
-    )
-
-
-# -- text serialization ----------------------------------------------------------
-
-
-def write_instance(instance: QapInstance, path: str) -> None:
-    """Serialize to the package's line-oriented text format: header, id
-    lists, then flow/exposure/eligibility matrices row by row."""
-    lines = ["storelayout-qap 1"]
-    lines.append(f"name {instance.name}")
-    lines.append(f"level {instance.level}")
-    lines.append(f"n {instance.n}")
-    lines.append("products")
-    lines.extend(instance.product_ids)
-    lines.append("positions")
-    lines.extend(instance.position_ids)
-    lines.append("flow")
-    for row in instance.flow:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    lines.append("exposure")
-    for row in instance.exposure:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    lines.append("eligibility")
-    for row in instance.eligibility:
-        lines.append(" ".join("1" if v else "0" for v in row))
-    if instance.blocks:
-        lines.append(f"blocks {len(instance.blocks)}")
-        for blk in instance.blocks:
-            lines.append(f"block {blk.category_id} {blk.location_id}")
-            lines.append("members " + " ".join(blk.product_ids))
-            lines.append("slots " + " ".join(blk.position_ids))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-class _LineReader:
-    def __init__(self, path: str):
-        self.path = path
-        with open(path, encoding="utf-8") as fh:
-            self.lines = fh.read().splitlines()
-        self.pos = 0
-
-    def next(self) -> str:
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos]
-            self.pos += 1
-            if line.strip():
-                return line.strip()
-        raise ParseError("unexpected end of file", path=self.path, line=len(self.lines))
-
-    def expect(self, keyword: str) -> str:
-        line = self.next()
-        if line != keyword and not line.startswith(keyword + " "):
-            raise ParseError(f"expected {keyword!r}, got {line!r}", path=self.path, line=self.pos)
-        return line
-
-    @property
-    def at_end(self) -> bool:
-        return all(not l.strip() for l in self.lines[self.pos :])
-
-
-def read_instance(path: str) -> QapInstance:
-    """Parse the text format written by write_instance."""
-    rd = _LineReader(path)
-    rd.expect("storelayout-qap 1")
-    name = rd.expect("name").split(" ", 1)[1]
-    level = rd.expect("level").split(" ", 1)[1]
-    try:
-        n = int(rd.expect("n").split(" ", 1)[1])
-    except (IndexError, ValueError):
-        raise ParseError("bad dimension line", path=path, line=rd.pos) from None
-    rd.expect("products")
-    products = tuple(rd.next() for _ in range(n))
-    rd.expect("positions")
-    positions = tuple(rd.next() for _ in range(n))
-
-    def matrix(keyword: str, dtype):
-        rd.expect(keyword)
-        rows = []
-        for _ in range(n):
-            parts = rd.next().split()
-            if len(parts) != n:
-                raise ParseError(
-                    f"{keyword} row has {len(parts)} entries, expected {n}",
-                    path=path,
-                    line=rd.pos,
-                )
-            try:
-                rows.append([dtype(p) for p in parts])
-            except ValueError:
-                raise ParseError(f"bad {keyword} entry", path=path, line=rd.pos) from None
-        return np.array(rows)
-
-    flow = matrix("flow", float)
-    exposure = matrix("exposure", float)
-    elig = matrix("eligibility", int).astype(bool)
-
-    blocks = None
-    if not rd.at_end:
-        count = int(rd.expect("blocks").split(" ", 1)[1])
-        blocks = []
-        for _ in range(count):
-            head = rd.expect("block").split()
-            if len(head) != 3:
-                raise ParseError("bad block header", path=path, line=rd.pos)
-            members = tuple(rd.expect("members").split()[1:])
-            slots = tuple(rd.expect("slots").split()[1:])
-            blocks.append(
-                Block(
-                    category_id=head[1],
-                    location_id=head[2],
-                    product_ids=members,
-                    position_ids=slots,
-                )
-            )
-        blocks = tuple(blocks)
-    return QapInstance(
-        level=level,
-        product_ids=products,
-        position_ids=positions,
-        flow=flow,
-        exposure=exposure,
-        eligibility=elig,
-        blocks=blocks,
-        name=name,
-    )
-
-
-def read_qaplib(path: str, name: str | None = None) -> QapInstance:
-    """Read the de-facto standard benchmark layout: dimension, then two
-    whitespace-separated n-by-n matrices (flow and distance). The distance
-    matrix lands in the exposure slot; benchmark instances minimize, so
-    negate one matrix when comparing against published optima."""
-    with open(path, encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    if not tokens:
-        raise ParseError("empty file", path=path, line=1)
-    try:
-        values = [float(t) for t in tokens]
-    except ValueError:
-        raise ParseError("non-numeric token in benchmark file", path=path) from None
-    n = int(values[0])
-    if len(values) != 1 + 2 * n * n:
-        raise ParseError(
-            f"expected {1 + 2 * n * n} numbers for n={n}, found {len(values)}", path=path
-        )
-    flow = np.array(values[1 : 1 + n * n]).reshape(n, n)
-    dist = np.array(values[1 + n * n :]).reshape(n, n)
-    return QapInstance(
-        level=LEVEL1,
-        product_ids=tuple(f"p{i}" for i in range(n)),
-        position_ids=tuple(f"q{k}" for k in range(n)),
-        flow=flow,
-        exposure=dist,
-        eligibility=np.ones((n, n), dtype=bool),
-        name=name or "qaplib",
     )
 
 

@@ -568,18 +568,34 @@ def tabu_search(
         start0 = instance.permutation_of(initial)
     else:
         start0 = greedy_assignment(instance)
-    rngs = [Random(_mix_seed(cfg.seed, r)) for r in range(cfg.restarts)]
-    starts = [start0] + [random_assignment(instance, rng) for rng in rngs[1:]]
-    results = _tabu_lanes(
+    starts, rngs = _restart_lanes(instance, start0, cfg.seed, cfg.restarts)
+    lanes = _tabu_lanes(
         [instance] * cfg.restarts, starts, rngs, cfg.iteration_limit, cfg.tenure_range,
         pool, deadline,
     )
+    return _best_lane(instance, lanes, t0)
 
+
+def _restart_lanes(
+    instance: QapInstance, start0: np.ndarray, seed: int, restarts: int
+) -> tuple[list[np.ndarray], list[Random]]:
+    """Starts and rngs of one instance's tabu restarts: restart r draws from
+    Random(_mix_seed(seed, r)); restart 0 starts from start0, later ones from
+    a random feasible assignment drawn from their own rng."""
+    rngs = [Random(_mix_seed(seed, r)) for r in range(restarts)]
+    return [start0] + [random_assignment(instance, rng) for rng in rngs[1:]], rngs
+
+
+def _best_lane(
+    instance: QapInstance,
+    lanes: list[tuple[float, np.ndarray, int]],
+    t0: float,
+    notes: tuple[str, ...] = (),
+) -> SolveResult:
+    """The best of one instance's tabu lanes, with their iterations summed."""
     best_obj = float("-inf")
     best_perm: np.ndarray | None = None
-    iterations = 0
-    for obj, perm, done in results:
-        iterations += done
+    for obj, perm, _ in lanes:
         if _better(obj, perm, best_obj, best_perm):
             best_obj = obj
             best_perm = perm
@@ -587,9 +603,10 @@ def tabu_search(
         assignment=instance.assignment_from_permutation(best_perm),
         objective=best_obj,
         wall_time=perf_counter() - t0,
-        iterations=iterations,
-        restarts=cfg.restarts,
+        iterations=sum(done for _, _, done in lanes),
+        restarts=len(lanes),
         solver="tabu",
+        notes=notes,
     )
 
 
@@ -701,10 +718,48 @@ def solve_level1(instance: QapInstance, config: SolverConfig | None = None) -> S
     return pool
 
 
-def _capacity_eligibility(eligibility, catalog: Catalog, graph: StoreGraph):
+def solve_level2(
+    instances: list[QapInstance],
+    seeds: list[int],
+    config: SolverConfig,
+    restarts: int,
+) -> list[tuple[SolveResult, SolveResult]]:
+    """Tactical solve of each instance: block descent seeded by the
+    instance's seed, then `restarts` tabu restarts from it, the restarts of
+    all instances run as the lanes of one lockstep call.
+
+    Each instance's restarts are seeded as tabu_search seeds its own, with
+    restart 0 starting from the descent's layout; a lane never ends below
+    its start, so the refined objective is never below the descent's. The
+    instances must share one flow and one exposure matrix. Returns
+    (descent, refined) per instance; the refined result carries the
+    descent's notes."""
+    t0 = perf_counter()
+    descents = [
+        block_descent(inst, replace(config, seed=seed)) for inst, seed in zip(instances, seeds)
+    ]
+    deadline = perf_counter() + config.time_limit if config.time_limit else None
+    starts: list[np.ndarray] = []
+    rngs: list[Random] = []
+    for inst, seed, descended in zip(instances, seeds, descents):
+        start0 = inst.permutation_of(descended.assignment)
+        inst_starts, inst_rngs = _restart_lanes(inst, start0, seed, restarts)
+        starts += inst_starts
+        rngs += inst_rngs
+    lanes = _tabu_lanes(
+        [inst for inst in instances for _ in range(restarts)], starts, rngs,
+        config.iteration_limit, config.tenure_range, None, deadline,
+    )
+    return [
+        (d, _best_lane(inst, lanes[i * restarts : (i + 1) * restarts], t0, d.notes))
+        for i, (inst, d) in enumerate(zip(instances, descents))
+    ]
+
+
+def capacity_eligibility(eligibility, catalog: Catalog, graph: StoreGraph):
     """Strategic eligibility restricted to locations with exactly as many
-    sublocations as the category has subcategories. Any pool member must
-    induce a buildable tactical instance, so size-mismatched pairs are
+    sublocations as the category has subcategories. Any strategic layout
+    must induce a buildable tactical instance, so size-mismatched pairs are
     excluded up front rather than discovered mid-refinement."""
     by_size: dict[int, list[str]] = {}
     for loc in graph.locations:
@@ -738,9 +793,10 @@ def solve_hierarchical(
 
     Solves the strategic problem for a pool of near-optimal category
     layouts, then solves the induced tactical problem for each pool member
-    (block descent refined by tabu) and keeps the best final layout. Each
-    candidate gets an identical, pool-size-independent budget seeded by its
-    pool index, so growing the pool can only improve the final objective.
+    (solve_level2 with one tabu restart) and keeps the best final layout.
+    Each candidate gets an identical, pool-size-independent budget seeded by
+    its pool index, so growing the pool can only improve the final
+    objective.
 
     The two levels may draw flows from different transition estimates
     (say, expected strategic flows but one sampled tactical realization);
@@ -752,7 +808,7 @@ def solve_hierarchical(
     if transitions_l1.sub_axis != transitions_l2.sub_axis:
         raise InputError("strategic and tactical transition matrices disagree on axes")
     t0 = perf_counter()
-    effective = _capacity_eligibility(eligibility, catalog, graph)
+    effective = capacity_eligibility(eligibility, catalog, graph)
     l1_instance = build_level1_instance(exposures, transitions_l1, effective)
     pool = solve_level1(l1_instance, cfg)
 
@@ -762,39 +818,19 @@ def solve_hierarchical(
         build_level2_instance(exposures, transitions_l2, entry.assignment, catalog, graph)
         for entry in entries
     ]
-    descents = [
-        block_descent(inst, replace(cfg, seed=seed)) for inst, seed in zip(instances, seeds)
-    ]
-    # the tabu refinements run as the lanes of one call, each seeded as a
-    # one-restart tabu_search of its candidate would be
-    deadline = perf_counter() + cfg.time_limit if cfg.time_limit else None
-    refined = _tabu_lanes(
-        instances,
-        [inst.permutation_of(d.assignment) for inst, d in zip(instances, descents)],
-        [Random(_mix_seed(seed, 0)) for seed in seeds],
-        cfg.iteration_limit,
-        cfg.tenure_range,
-        None,
-        deadline,
-    )
+    solved = solve_level2(instances, seeds, cfg, restarts=1)
 
     best_obj = float("-inf")
     best_assignment = best_entry = None
     candidates: list[tuple[int, float, float]] = []
     notes: list[str] = []
     iterations = 0
-    for idx, (entry, inst, descended, (obj, perm, done)) in enumerate(
-        zip(entries, instances, descents, refined)
-    ):
-        if obj >= descended.objective:
-            assignment = inst.assignment_from_permutation(perm)
-        else:
-            obj, assignment = descended.objective, descended.assignment
-        notes.extend(descended.notes)
-        iterations += descended.iterations + done
-        candidates.append((idx, entry.objective, obj))
-        if best_entry is None or obj > best_obj:
-            best_obj, best_assignment, best_entry = obj, assignment, entry
+    for idx, (entry, (descended, refined)) in enumerate(zip(entries, solved)):
+        notes.extend(refined.notes)
+        iterations += descended.iterations + refined.iterations
+        candidates.append((idx, entry.objective, refined.objective))
+        if best_entry is None or refined.objective > best_obj:
+            best_obj, best_assignment, best_entry = refined.objective, refined.assignment, entry
     return HierarchicalResult(
         assignment=best_assignment,
         objective=best_obj,

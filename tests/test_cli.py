@@ -56,6 +56,46 @@ def common_args(ws, out, extra=()):
     ]
 
 
+def mismatch_store(root, baskets):
+    """Saved store whose locations differ in size: L1 holds two
+    sublocations, L2 one, and C1 has two subcategories, C2 one."""
+    doc = StoreDocument(
+        name="mismatch", graph=line_store(3, (2, 1)), catalog=catalog_for((2, 1)),
+        eligibility=None,
+    )
+    save_store(doc, str(root / "store.json"))
+    rows = ["transaction_id,subcategory_id"]
+    rows += [f"{tid},{sid}" for tid, subs in baskets for sid in subs]
+    (root / "tx.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return ["--store", str(root / "store.json"), "--transactions", str(root / "tx.csv")]
+
+
+class TestCapacityRule:
+    """Every entry point builds the strategic instance under the capacity
+    rule, so each category layout it lists or takes has a tactical instance."""
+
+    def test_solve_l1_lists_only_buildable_layouts(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", EPOCH)
+        args = mismatch_store(tmp_path, [(f"t{t}", ["u1", "u2", "u3"]) for t in range(20)])
+        out = tmp_path / "l1"
+        assert main(["solve-l1", *args, "--out", str(out), "--pool-gap", "0.9"]) == 0
+        payload = json.loads((out / "level1_pool.json").read_text(encoding="utf-8"))
+        assert [e["category_to_location"] for e in payload["entries"]] == [
+            {"C1": "L1", "C2": "L2"}
+        ]
+
+    def test_export_lp_level2_takes_a_buildable_pool_head(self, tmp_path, capsys):
+        # without the rule, the strategic optimum here puts C1 on L2
+        args = mismatch_store(tmp_path, [("t0", ["u3"]), ("t1", ["u1"]), ("t2", ["u3"]), ("t3", ["u3"])])
+        out = tmp_path / "lp"
+        assert main(["export-lp", *args, "--out", str(out), "--mode", "level1,level2"]) == 0, (
+            capsys.readouterr().err
+        )
+        lp = (out / "model_level2.lp").read_text(encoding="utf-8")
+        # u1 and u2 share s1 and s2 (L1), u3 sits on s3 (L2)
+        assert lp.endswith("Binaries\n z_0_0 z_1_1 z_1_2 z_2_1 z_2_2 z_3_3 z_4_4\nEnd\n")
+
+
 class TestBuildMatrices:
     def test_writes_all_tsvs(self, workspace, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", EPOCH)
@@ -443,32 +483,81 @@ class TestBundledSolveGolden:
     when each ran on its own, one after another."""
 
     @pytest.mark.parametrize(
-        "pool_size, optimal, baseline",
+        "pool_size, pinned",
         [
             (
                 "10",
-                "389482d6c75a88dce2f4c41080371b8e3661421fb66a3e04b4758752c2318098",
-                "fbefb2143dddfb77752186a3903d644eceda5a172e7a17856ccacd114e144407",
+                {
+                    "heatmap_optimal.svg": "389482d6c75a88dce2f4c41080371b8e3661421fb66a3e04b4758752c2318098",
+                    "heatmap_baseline.svg": "fbefb2143dddfb77752186a3903d644eceda5a172e7a17856ccacd114e144407",
+                    "plan.json": "7ca336b2119c2934c16cf9d5ce74a7b9169577bc388e0b50e3fe5119773822f1",
+                    "solve_report.txt": "4f1213c75f9d9afbd0afc05eb86a6a65ab054f1a8086e7b61599bcb35b5f328f",
+                },
             ),
             (
                 "1",
-                "346625e2b39e01eeffb0149cd08e36d55ac18de66d8b8b3777f7769771119322",
-                "1ef228d00b838143bf0605a0a75a8ebac4bc62f08e3a11a608e7ccedc9bb47c1",
+                {
+                    "heatmap_optimal.svg": "346625e2b39e01eeffb0149cd08e36d55ac18de66d8b8b3777f7769771119322",
+                    "heatmap_baseline.svg": "1ef228d00b838143bf0605a0a75a8ebac4bc62f08e3a11a608e7ccedc9bb47c1",
+                    "plan.json": "b4aa452ee5f3936c94e2f5ff6dfe97ad05b3365f54662ce7680336a9ccb5cd21",
+                    "solve_report.txt": "e86e3c67b4c8b5c2366138a15812d4ba08d0a0c90bba9355ab9fcdb776790979",
+                },
             ),
         ],
         ids=["k10", "k1"],
     )
-    def test_pinned(self, pool_size, optimal, baseline, tmp_path, monkeypatch):
+    def test_pinned(self, pool_size, pinned, tmp_path, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         monkeypatch.setattr(cli, "SolverConfig", functools.partial(SolverConfig, iteration_limit=3000))
         out = tmp_path / "solve"
         assert main(["solve", *BUNDLED, "--out", str(out), "--pool-size", pool_size]) == 0
-        assert sha256_of(out / "heatmap_optimal.svg") == optimal
-        assert sha256_of(out / "heatmap_baseline.svg") == baseline
+        for name, digest in pinned.items():
+            assert sha256_of(out / name) == digest, name
         plan = json.loads((out / "plan.json").read_text(encoding="utf-8"))
         assert plan["objectives"] == {"level1": 21218.598809523806, "level2": 17340.644047619047}
         held = plan["subcategory_to_sublocation"]
         assert [int(held[f"sub-{i:02d}"].split("-")[1]) for i in range(1, 49)] == SOLVE_POSITIONS
+
+
+class TestBundledSolveL2Golden:
+    """solve-l2 under the as-is plan's category layout, at seed 413 with the
+    benchmark's 3,000-iteration tabu budget: block descent, then five tabu
+    restarts, the first from the descent."""
+
+    PINNED = {
+        "plan.json": "eaf48bcc59488b7c799c05cd99af811ccf4caf9b2bbd46d0558268d81f3dfa92",
+        "solve_report.txt": "a29437f40c7fc57874b68ec80c8b259b43d44e42f3fc0a987d05ace2e387ac0f",
+        "heatmap_optimal.svg": "ab32c9174c59cc4fb45721f65cef7a7c01183c3a0310e206b947bcccaee52897",
+        "heatmap_baseline.svg": "06a74b8f16c42fe4814607f2d59d10b002c729d3afc08bb596ec4880995ba555",
+    }
+
+    def test_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        monkeypatch.setattr(cli, "SolverConfig", functools.partial(SolverConfig, iteration_limit=3000))
+        out = tmp_path / "solve-l2"
+        assert main(["solve-l2", *BUNDLED, "--out", str(out), "--baseline", AS_IS_PLAN]) == 0
+        for name, digest in self.PINNED.items():
+            assert sha256_of(out / name) == digest, name
+        report = (out / "solve_report.txt").read_text(encoding="utf-8")
+        assert "solver: tabu\n" in report
+        assert "trace: iterations=15000 restarts=5 nodes=0\n" in report
+
+
+class TestBenchmarkTracer:
+    def test_every_wrapped_name_exists(self, monkeypatch):
+        # the traced benchmark wraps package names from outside; dropping
+        # one it names fails here rather than in a traced benchmark run
+        monkeypatch.syspath_prepend(str(FIXTURES.parent / "perfbench"))
+        from spans import Tracer
+
+        before = {name: getattr(cli, name) for name in ("block_descent", "tabu_search", "main")}
+        tracer = Tracer()
+        tracer.install()
+        try:
+            assert cli.block_descent is not before["block_descent"]
+        finally:
+            tracer.uninstall()
+        assert {name: getattr(cli, name) for name in before} == before
 
 
 class TestTimeLimitFlag:

@@ -19,7 +19,7 @@ from conftest import (
     random_level2_instance,
 )
 from storelayout.demand import CHECK_IN, CHECK_OUT, expected_transitions, load_transactions
-from storelayout.errors import InputError, ModelError, ParseError, ValidationError
+from storelayout.errors import InputError, ModelError, ValidationError
 from storelayout.qap import (
     Assignment,
     Block,
@@ -32,13 +32,10 @@ from storelayout.qap import (
     eligibility_from_blocks,
     objective,
     objective_of_permutation,
-    read_instance,
-    read_qaplib,
     swap_candidate_pairs,
     swap_delta,
     swap_delta_matrix,
     swap_delta_perm,
-    write_instance,
 )
 from storelayout.solvers import random_assignment
 from storelayout.store import ENTRANCE_POS, EXIT_POS, build_exposure_matrices
@@ -609,60 +606,6 @@ class TestBuilders:
                 catalog,
                 graph,
             )
-
-
-class TestSerialization:
-    def test_round_trip_level1(self, tmp_path):
-        rng = Random(13)
-        inst = random_level1_instance(rng, 4)
-        path = str(tmp_path / "inst.txt")
-        write_instance(inst, path)
-        back = read_instance(path)
-        assert back.product_ids == inst.product_ids
-        assert back.position_ids == inst.position_ids
-        assert np.array_equal(back.flow, inst.flow)
-        assert np.array_equal(back.exposure, inst.exposure)
-        assert np.array_equal(back.eligibility, inst.eligibility)
-        assert back.level == inst.level and back.name == inst.name
-
-    def test_round_trip_level2_blocks(self, tmp_path):
-        rng = Random(17)
-        inst = random_level2_instance(rng, (2, 3))
-        path = str(tmp_path / "inst.txt")
-        write_instance(inst, path)
-        back = read_instance(path)
-        assert back.blocks == inst.blocks
-        assert np.array_equal(back.eligibility, inst.eligibility)
-
-    def test_bad_magic_is_parse_error(self, tmp_path):
-        path = tmp_path / "x.txt"
-        path.write_text("not-a-qap 1\n", encoding="utf-8")
-        with pytest.raises(ParseError):
-            read_instance(str(path))
-
-    def test_truncated_file_is_parse_error(self, tmp_path):
-        rng = Random(19)
-        inst = random_level1_instance(rng, 3)
-        path = tmp_path / "inst.txt"
-        write_instance(inst, str(path))
-        text = path.read_text(encoding="utf-8").splitlines()
-        path.write_text("\n".join(text[:-4]) + "\n", encoding="utf-8")
-        with pytest.raises(ParseError):
-            read_instance(str(path))
-
-    def test_qaplib_reader(self, tmp_path):
-        path = tmp_path / "bench.dat"
-        path.write_text("3\n0 1 2\n1 0 3\n2 3 0\n0 4 5\n4 0 6\n5 6 0\n", encoding="utf-8")
-        inst = read_qaplib(str(path), name="toy")
-        assert inst.n == 3 and inst.name == "toy"
-        assert inst.flow[0, 2] == 2.0 and inst.exposure[1, 2] == 6.0
-        assert inst.eligibility.all()
-
-    def test_qaplib_count_mismatch(self, tmp_path):
-        path = tmp_path / "bench.dat"
-        path.write_text("3\n0 1 2\n", encoding="utf-8")
-        with pytest.raises(ParseError):
-            read_qaplib(str(path))
 
 
 class TestSolutionPool:

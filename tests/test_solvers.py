@@ -9,6 +9,8 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     catalog_for,
@@ -36,6 +38,7 @@ from storelayout.qap import (
 from storelayout.solvers import (
     SolverConfig,
     _better,
+    _mix_seed,
     _tabu_lanes,
     _tabu_run,
     block_descent,
@@ -47,6 +50,7 @@ from storelayout.solvers import (
     random_assignment,
     solve_hierarchical,
     solve_level1,
+    solve_level2,
     tabu_search,
 )
 from storelayout.store import build_exposure_matrices
@@ -527,6 +531,116 @@ class TestTimeLimit:
                 assert check_feasible(inst, result.assignment).ok
                 assert result.objective >= objective(inst, start)
                 assert result.iterations % restarts == 0
+
+
+def level2_path_oracle(instance: QapInstance, config: SolverConfig):
+    """The command line's level2 path before solve_level2: block descent,
+    tabu_search from the descent's layout, and the better of the two."""
+    descended = block_descent(instance, config)
+    refined = tabu_search(instance, config, initial=descended.assignment)
+    return refined if refined.objective >= descended.objective else descended
+
+
+def tactical_stage_oracle(instances, seeds, config: SolverConfig):
+    """solve_hierarchical's tactical stage before solve_level2: a descent per
+    candidate, one lockstep lane per candidate from its descent, and the
+    better of the two; (objective, assignment, iterations) per candidate."""
+    descents = [block_descent(inst, replace(config, seed=s)) for inst, s in zip(instances, seeds)]
+    refined = _tabu_lanes(
+        instances,
+        [inst.permutation_of(d.assignment) for inst, d in zip(instances, descents)],
+        [Random(_mix_seed(s, 0)) for s in seeds],
+        config.iteration_limit,
+        config.tenure_range,
+        None,
+        None,
+    )
+    out = []
+    for inst, descended, (obj, perm, done) in zip(instances, descents, refined):
+        if obj >= descended.objective:
+            assignment = inst.assignment_from_permutation(perm)
+        else:
+            obj, assignment = descended.objective, descended.assignment
+        out.append((obj, assignment, descended.iterations + done))
+    return out
+
+
+def tactical_case(rng: Random, trial: int, zero_flow: bool = False):
+    """(instances, seeds, config): 1-4 tactical instances sharing one flow
+    and exposure; at even trials one block is above the exhaustive cap, so
+    the descents fall back to tabu and write notes. Short walks keep the
+    answer dependent on where each walk starts and on its tenure draws."""
+    sizes = tuple(rng.choice((1, 2, 3, 4)) for _ in range(rng.randint(2, 5)))
+    if trial % 2 == 0:
+        sizes += (rng.choice((5, 6)),)
+    base = random_level2_instance(rng, sizes)
+    if zero_flow:
+        base = replace(base, flow=np.zeros_like(base.flow))
+    instances = block_variants(rng, base, trial % 4 + 1)
+    seeds = [rng.randrange(10**6) for _ in instances]
+    config = SolverConfig(
+        seed=seeds[0],
+        iteration_limit=rng.choice((3, 8, 40)),
+        block_exhaustive_cap=4,
+        block_tabu_iterations=rng.choice((2, 30)),
+    )
+    return instances, seeds, config
+
+
+class TestSolveLevel2:
+    """solve_level2 takes the lanes of both compositions it replaced and
+    gives their answers bit for bit; the better-of-two step they ended in
+    never picked the descent."""
+
+    def assert_level2_path(self, rng, zero_flow=False):
+        noted = 0
+        for trial in range(10):
+            instances, seeds, config = tactical_case(rng, trial, zero_flow)
+            restarts = trial % 5 + 1
+            got = solve_level2(instances, seeds, config, restarts)
+            for inst, seed, (descended, refined) in zip(instances, seeds, got):
+                want = level2_path_oracle(inst, replace(config, seed=seed, restarts=restarts))
+                assert want.solver == refined.solver == "tabu"
+                assert refined.objective.hex() == want.objective.hex()
+                assert refined.assignment == want.assignment
+                assert refined.iterations == want.iterations
+                assert refined.restarts == restarts
+                assert refined.notes == descended.notes
+                noted += bool(refined.notes)
+        assert noted > 0
+
+    def test_matches_level2_path(self):
+        self.assert_level2_path(Random(701))
+
+    def test_matches_level2_path_zero_flow_ties(self):
+        self.assert_level2_path(Random(709), zero_flow=True)
+
+    @pytest.mark.parametrize("zero_flow", [False, True], ids=["flow", "zero-flow"])
+    def test_matches_tactical_stage(self, zero_flow):
+        rng = Random(719)
+        for trial in range(10):
+            instances, seeds, config = tactical_case(rng, trial, zero_flow)
+            got = solve_level2(instances, seeds, config, restarts=1)
+            want = tactical_stage_oracle(instances, seeds, config)
+            for (descended, refined), (w_obj, w_assignment, w_iterations) in zip(got, want):
+                assert refined.objective.hex() == w_obj.hex()
+                assert refined.assignment == w_assignment
+                assert descended.iterations + refined.iterations == w_iterations
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.integers(0, 10**6),
+        restarts=st.integers(1, 5),
+        time_limit=st.sampled_from([None, 1e-9]),
+    )
+    def test_refined_never_below_descent(self, case, restarts, time_limit):
+        instances, seeds, config = tactical_case(Random(case), case)
+        config = replace(config, time_limit=time_limit)
+        for inst, (descended, refined) in zip(
+            instances, solve_level2(instances, seeds, config, restarts)
+        ):
+            assert refined.objective >= descended.objective
+            assert check_feasible(inst, refined.assignment).ok
 
 
 class TestBlockDescent:
