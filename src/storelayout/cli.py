@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from random import Random
 
 from .demand import (
     CHECK_IN,
@@ -176,8 +177,6 @@ def _baseline_assignment(
     instance = build_level2_instance(
         exposures, matrices, anchor_level1, doc.catalog, doc.graph
     )
-    from random import Random
-
     perm = random_assignment(instance, Random(config.seed))
     return instance.assignment_from_permutation(perm), "seeded random layout"
 
@@ -238,6 +237,7 @@ def _run_solve(config: RunConfig, sink: _Artifacts) -> None:
     doc, transactions, exposures, matrices = _load_inputs(config)
     if config.mode == "level1":
         pool = solve_level1(_level1_instance(doc, exposures, matrices), config.solver)
+        run_hash = config.run_hash()
         entries = [
             {
                 "objective": entry.objective,
@@ -252,7 +252,7 @@ def _run_solve(config: RunConfig, sink: _Artifacts) -> None:
         payload = {
             "store": doc.name,
             "entries": entries,
-            "metadata": {"config_hash": config.run_hash(), "seed": str(config.seed)},
+            "metadata": {"config_hash": run_hash, "seed": str(config.seed)},
         }
         path = sink.register(os.path.join(config.out_dir, "level1_pool.json"))
         with open(path, "w", encoding="utf-8") as fh:
@@ -260,7 +260,7 @@ def _run_solve(config: RunConfig, sink: _Artifacts) -> None:
             fh.write("\n")
         lines = [
             "strategic pool",
-            f"config hash: {config.run_hash()}",
+            f"config hash: {run_hash}",
             f"candidates: {len(pool.entries)}",
         ]
         lines += [f"  {i}: objective {e.objective:.6f}" for i, e in enumerate(pool.entries)]
@@ -300,30 +300,15 @@ def _run_solve(config: RunConfig, sink: _Artifacts) -> None:
 def _run_build_matrices(config: RunConfig, sink: _Artifacts) -> None:
     doc, transactions, exposures, matrices = _load_inputs(config)
     out = config.out_dir
-    write_matrix_tsv(
-        sink.register(os.path.join(out, "sub_exposure.tsv")),
-        exposures.sub_axis, exposures.sub_axis, exposures.sub_exposure,
-    )
-    write_matrix_tsv(
-        sink.register(os.path.join(out, "loc_exposure.tsv")),
-        exposures.loc_axis, exposures.loc_axis, exposures.loc_exposure,
-    )
-    write_matrix_tsv(
-        sink.register(os.path.join(out, "sub_distance.tsv")),
-        exposures.sub_axis, exposures.sub_axis, exposures.sub_distance,
-    )
-    write_matrix_tsv(
-        sink.register(os.path.join(out, "loc_distance.tsv")),
-        exposures.loc_axis, exposures.loc_axis, exposures.loc_distance,
-    )
-    write_matrix_tsv(
-        sink.register(os.path.join(out, "cat_transitions.tsv")),
-        matrices.cat_axis, matrices.cat_axis, matrices.cat_transitions,
-    )
-    write_matrix_tsv(
-        sink.register(os.path.join(out, "sub_transitions.tsv")),
-        matrices.sub_axis, matrices.sub_axis, matrices.sub_transitions,
-    )
+    for filename, axis, matrix in (
+        ("sub_exposure.tsv", exposures.sub_axis, exposures.sub_exposure),
+        ("loc_exposure.tsv", exposures.loc_axis, exposures.loc_exposure),
+        ("sub_distance.tsv", exposures.sub_axis, exposures.sub_distance),
+        ("loc_distance.tsv", exposures.loc_axis, exposures.loc_distance),
+        ("cat_transitions.tsv", matrices.cat_axis, matrices.cat_transitions),
+        ("sub_transitions.tsv", matrices.sub_axis, matrices.sub_transitions),
+    ):
+        write_matrix_tsv(sink.register(os.path.join(out, filename)), axis, axis, matrix)
     summary = [
         "matrix build",
         f"config hash: {config.run_hash()}",
@@ -357,9 +342,9 @@ def _run_export_lp(config: RunConfig, sink: _Artifacts) -> None:
             )
             write_lp(linearize(instance, sparsify=sparsify), path)
         else:
+            eligibility = capacity_eligibility(doc.eligibility, doc.catalog, doc.graph)
             model = linearize_integrated(
-                exposures, matrices, doc.eligibility, doc.catalog, doc.graph,
-                sparsify=sparsify,
+                exposures, matrices, eligibility, doc.catalog, doc.graph, sparsify=sparsify
             )
             write_lp(model, path)
 

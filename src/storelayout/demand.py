@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -219,37 +219,19 @@ def _basket_blocks(txn: Transaction, catalog: Catalog) -> list[tuple[str, list[s
     return [(cid, by_cat[cid]) for cid in cat_order]
 
 
-def _category_contributions(txn: Transaction, catalog: Catalog):
-    """Exact expected category-level transition counts for one basket, as
-    ``(leg, d)`` pairs that each add weight ``1/d``.
+def _block_contributions(blocks: list[tuple[str, Sequence[str]]]):
+    """Exact expected transition counts for one basket, as ``(leg, d)`` pairs
+    that each add weight ``1/d``.
 
-    With m categories visited in uniformly random order, any fixed category
-    is first (or last) with probability 1/m, and any ordered pair is adjacent
-    with probability 1/m as well, so every leg type carries weight 1/m.
+    ``blocks`` are the basket's m categories, each with the g products
+    visited inside it. Within a block, ordered pairs are adjacent with
+    probability 1/g. A cross-block leg s1→s2 needs the second category to
+    directly follow the first (1/m), s1 to be picked last in its block
+    (1/g1) and s2 first in its (1/g2). With every block a single product
+    named by its category (g = 1), these are the category-level counts.
     """
-    cats = [cid for cid, _ in _basket_blocks(txn, catalog)]
-    m = len(cats)
-    for cid in cats:
-        yield (CHECK_IN, cid), m
-        yield (cid, CHECK_OUT), m
-    for c1 in cats:
-        for c2 in cats:
-            if c1 != c2:
-                yield (c1, c2), m
-
-
-def _subcategory_contributions(txn: Transaction, catalog: Catalog):
-    """Exact expected subcategory-level transition counts for one basket, as
-    ``(leg, d)`` pairs that each add weight ``1/d``.
-
-    Within a category block of g purchased subcategories, ordered pairs are
-    adjacent with probability 1/g. A cross-category leg s1→s2 needs the
-    second category to directly follow the first (1/m), s1 to be picked last
-    in its block (1/g1) and s2 first in its (1/g2).
-    """
-    blocks = _basket_blocks(txn, catalog)
     m = len(blocks)
-    for cid, subs in blocks:
+    for _, subs in blocks:
         g = len(subs)
         d_edge = m * g
         for sid in subs:
@@ -269,16 +251,18 @@ def _subcategory_contributions(txn: Transaction, catalog: Catalog):
                     yield (s1, s2), d
 
 
-def _accumulate(contribs, axis: tuple[str, ...]) -> tuple[np.ndarray, dict[tuple[int, int], Fraction]]:
+def _accumulate(
+    counts: Counter, axis: tuple[str, ...]
+) -> tuple[np.ndarray, dict[tuple[int, int], Fraction]]:
     """Sum unit-fraction contributions exactly, one ``Fraction`` per pair.
 
-    Contributions are counted per (leg, denominator); each pair's weight is
-    then ``sum(count / d)`` over a common denominator. Pairs keep the order
-    in which they were first contributed.
+    ``counts`` holds the number of contributions per (leg, denominator);
+    each pair's weight is then ``sum(count / d)`` over a common denominator.
+    Pairs keep the order in which they were first contributed.
     """
     index = {pid: i for i, pid in enumerate(axis)}
     terms: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for ((a, b), d), count in Counter(contribs).items():
+    for ((a, b), d), count in counts.items():
         terms.setdefault((index[a], index[b]), []).append((d, count))
     exact: dict[tuple[int, int], Fraction] = {}
     dense = np.zeros((len(axis), len(axis)), dtype=np.float64)
@@ -290,34 +274,17 @@ def _accumulate(contribs, axis: tuple[str, ...]) -> tuple[np.ndarray, dict[tuple
     return dense, exact
 
 
-def expected_category_transitions(
-    transactions: list[Transaction], catalog: Catalog
-) -> tuple[np.ndarray, dict[tuple[int, int], Fraction]]:
-    """Category-level expected transition matrix plus exact accumulators."""
-
-    def gen():
-        for txn in transactions:
-            yield from _category_contributions(txn, catalog)
-
-    return _accumulate(gen(), catalog.category_axis)
-
-
-def expected_subcategory_transitions(
-    transactions: list[Transaction], catalog: Catalog
-) -> tuple[np.ndarray, dict[tuple[int, int], Fraction]]:
-    """Subcategory-level expected transition matrix plus exact accumulators."""
-
-    def gen():
-        for txn in transactions:
-            yield from _subcategory_contributions(txn, catalog)
-
-    return _accumulate(gen(), catalog.subcategory_axis)
-
-
 def expected_transitions(transactions: list[Transaction], catalog: Catalog) -> TransitionMatrices:
-    """Both transition matrices in exact-expectation mode (seed-free)."""
-    cat_dense, cat_exact = expected_category_transitions(transactions, catalog)
-    sub_dense, sub_exact = expected_subcategory_transitions(transactions, catalog)
+    """Both transition matrices in exact-expectation mode (seed-free). Each
+    basket is grouped once and counted at both granularities."""
+    cat_counts: Counter = Counter()
+    sub_counts: Counter = Counter()
+    for txn in transactions:
+        blocks = _basket_blocks(txn, catalog)
+        cat_counts.update(_block_contributions([(cid, (cid,)) for cid, _ in blocks]))
+        sub_counts.update(_block_contributions(blocks))
+    cat_dense, cat_exact = _accumulate(cat_counts, catalog.category_axis)
+    sub_dense, sub_exact = _accumulate(sub_counts, catalog.subcategory_axis)
     return TransitionMatrices(
         cat_axis=catalog.category_axis,
         sub_axis=catalog.subcategory_axis,

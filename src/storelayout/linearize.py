@@ -12,10 +12,16 @@ x_i_k binaries and w_i1_k1_i2_k2 products, tactical and integrated models
 use z/y; the integrated model adds the strategic x binaries coupled to z.
 Products of a variable with itself collapse onto the binary (x^2 = x), and
 symmetry rows are emitted once per unordered pair.
+
+All three models come from the same builders: one-to-one assignment rows
+(``_assignment_layer``), family rows tying a category's members to a
+location's slots (``_family_rows``), and the product layer, assembled into a
+``LinearModel`` by ``_model``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -28,13 +34,14 @@ from .qap import (
     LEVEL1,
     Assignment,
     QapInstance,
+    _eligibility_matrix,
     check_feasible,
     objective_of_permutation,
 )
 from .store import ENTRANCE_POS, EXIT_POS, ExposureMatrices, StoreGraph
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Constraint:
     name: str
     coeffs: tuple[tuple[str, float], ...]
@@ -218,6 +225,90 @@ def _product_layer(
     return continuous, linking, _objective_terms(cells, names, flow, expo)
 
 
+def _cells(elig: np.ndarray, sparsify: bool) -> list[tuple[int, int]]:
+    """Row-major eligible cells of ``elig``, or all n^2 cells in full mode."""
+    n = len(elig)
+    return [(i, k) for i in range(n) for k in range(n) if not sparsify or elig[i, k]]
+
+
+def _assignment_layer(
+    elig: np.ndarray, bvar: str, sparsify: bool
+) -> tuple[list[tuple[int, int]], tuple[str, ...], list[Constraint]]:
+    """Cells, fixed-to-zero binaries and one-to-one assignment rows of one
+    binary layer. Eligibility enters as the cell set when sparsified and as
+    zero bounds on the excluded binaries in full mode."""
+    n = len(elig)
+    cells = _cells(elig, sparsify)
+    fixed = () if sparsify else tuple(
+        variable_name(bvar, i, k) for i, k in cells if not elig[i, k]
+    )
+    by_product: list[list[tuple[str, float]]] = [[] for _ in range(n)]
+    by_position: list[list[tuple[str, float]]] = [[] for _ in range(n)]
+    for i, k in cells:
+        term = (variable_name(bvar, i, k), 1.0)
+        by_product[i].append(term)
+        by_position[k].append(term)
+    rows = [Constraint(f"asg_p_{i}", tuple(t), "=", 1.0) for i, t in enumerate(by_product)]
+    rows += [Constraint(f"asg_k_{k}", tuple(t), "=", 1.0) for k, t in enumerate(by_position)]
+    return cells, fixed, rows
+
+
+def _family_rows(
+    members: Sequence[tuple[int, ...]],
+    slots: Sequence[tuple[int, ...]],
+    cells: list[tuple[int, int]],
+    bvar: str,
+    coupling: Callable[[int, int], tuple[tuple[tuple[str, float], ...], float]],
+) -> list[Constraint]:
+    """Family rows: for every (member family fi, slot family fk) pair, each
+    member of fi sums its binaries over fk's slots, and each slot of fk sums
+    its binaries over fi's members. ``coupling(fi, fk)`` gives the pair's
+    extra terms, appended to each of its rows, and their right-hand side. A
+    row with no terms and a zero right-hand side is dropped."""
+    names = {cell: variable_name(bvar, *cell) for cell in cells}
+    rows: list[Constraint] = []
+    for fi, mem in enumerate(members):
+        for fk, slt in enumerate(slots):
+            extra, rhs = coupling(fi, fk)
+            for i1 in mem:
+                coeffs = tuple((names[i1, k1], 1.0) for k1 in slt if (i1, k1) in names) + extra
+                if coeffs or rhs != 0.0:
+                    rows.append(Constraint(f"grp_p_{fi}_{fk}_{i1}", coeffs, "=", rhs))
+            for k1 in slt:
+                coeffs = tuple((names[i1, k1], 1.0) for i1 in mem if (i1, k1) in names) + extra
+                if coeffs or rhs != 0.0:
+                    rows.append(Constraint(f"grp_k_{fi}_{fk}_{k1}", coeffs, "=", rhs))
+    return rows
+
+
+def _model(
+    tag: str,
+    lead_binaries: tuple[str, ...],
+    fixed: tuple[str, ...],
+    head: list[Constraint],
+    cells: list[tuple[int, int]],
+    flow: np.ndarray,
+    expo: np.ndarray,
+    sparsify: bool,
+    n: int,
+) -> LinearModel:
+    """The model of ``head`` rows over the binaries of ``cells`` (after
+    ``lead_binaries``), completed by the product layer over ``cells``."""
+    bvar, wvar = _prefixes(tag)
+    continuous, linking, objective = _product_layer(cells, bvar, wvar, flow, expo)
+    return LinearModel(
+        tag=tag,
+        binary_names=lead_binaries + tuple(variable_name(bvar, i, k) for i, k in cells),
+        fixed_zero=fixed,
+        continuous_names=continuous,
+        objective=tuple(objective),
+        constraints=tuple(head + linking),
+        sparsified=sparsify,
+        assignment_prefix=bvar,
+        n=n,
+    )
+
+
 def linearize(instance: QapInstance, sparsify: bool = False) -> LinearModel:
     """Linearized MILP of a strategic or tactical instance.
 
@@ -230,75 +321,22 @@ def linearize(instance: QapInstance, sparsify: bool = False) -> LinearModel:
         raise InputError(
             "integrated models carry two coupled variable layers; use linearize_integrated"
         )
-    n = instance.n
-    bvar, wvar = _prefixes(instance.level)
-    full = [(i, k) for i in range(n) for k in range(n)]
-    cells = [(i, k) for i, k in full if instance.eligibility[i, k]] if sparsify else full
-    cell_set = set(cells)
-
-    binaries = tuple(variable_name(bvar, i, k) for i, k in cells)
-    fixed: tuple[str, ...] = ()
-    constraints: list[Constraint] = []
-
+    bvar, _ = _prefixes(instance.level)
     if instance.level == LEVEL1:
-        # One-to-one assignment rows; eligibility enters as fixed-to-zero
-        # bounds on the excluded binaries in full mode.
-        if not sparsify:
-            fixed = tuple(
-                variable_name(bvar, i, k)
-                for i, k in full
-                if not instance.eligibility[i, k]
-            )
-        for i in range(n):
-            coeffs = tuple(
-                (variable_name(bvar, i, k), 1.0) for k in range(n) if (i, k) in cell_set
-            )
-            constraints.append(Constraint(f"asg_p_{i}", coeffs, "=", 1.0))
-        for k in range(n):
-            coeffs = tuple(
-                (variable_name(bvar, i, k), 1.0) for i in range(n) if (i, k) in cell_set
-            )
-            constraints.append(Constraint(f"asg_k_{k}", coeffs, "=", 1.0))
+        cells, fixed, head = _assignment_layer(instance.eligibility, bvar, sparsify)
     else:
         # Tactical family rows: for every (category family, location family)
         # pair, each member must occupy that family's slots exactly when the
         # families are matched, and each slot must be filled from the
         # category exactly when matched. Unmatched pairs force zeros.
-        fams = _product_families(instance)
-        for fi, (members, _) in enumerate(fams):
-            for fk, (_, slots) in enumerate(fams):
-                rhs = 1.0 if fi == fk else 0.0
-                for i1 in members:
-                    coeffs = tuple(
-                        (variable_name(bvar, i1, k1), 1.0) for k1 in slots if (i1, k1) in cell_set
-                    )
-                    if not coeffs and rhs == 0.0:
-                        continue
-                    constraints.append(Constraint(f"grp_p_{fi}_{fk}_{i1}", coeffs, "=", rhs))
-                for k1 in slots:
-                    coeffs = tuple(
-                        (variable_name(bvar, i1, k1), 1.0)
-                        for i1 in members
-                        if (i1, k1) in cell_set
-                    )
-                    if not coeffs and rhs == 0.0:
-                        continue
-                    constraints.append(Constraint(f"grp_k_{fi}_{fk}_{k1}", coeffs, "=", rhs))
-
-    continuous, linking, objective = _product_layer(
-        cells, bvar, wvar, instance.flow, instance.exposure
-    )
-    constraints.extend(linking)
-    return LinearModel(
-        tag=instance.level,
-        binary_names=binaries,
-        fixed_zero=fixed,
-        continuous_names=continuous,
-        objective=tuple(objective),
-        constraints=tuple(constraints),
-        sparsified=sparsify,
-        assignment_prefix=bvar,
-        n=n,
+        cells, fixed = _cells(instance.eligibility, sparsify), ()
+        members, slots = zip(*_product_families(instance))
+        head = _family_rows(
+            members, slots, cells, bvar, lambda fi, fk: ((), 1.0 if fi == fk else 0.0)
+        )
+    return _model(
+        instance.level, (), fixed, head, cells,
+        instance.flow, instance.exposure, sparsify, instance.n,
     )
 
 
@@ -313,8 +351,6 @@ def linearize_integrated(
     """Joint strategic-plus-tactical MILP: strategic binaries x with
     one-to-one and eligibility rows, tactical binaries z coupled to x
     through per-family sum rows, and the z-product linearization."""
-    from .qap import _eligibility_matrix  # shared dummy-pinning construction
-
     cat_axis = transitions.cat_axis
     loc_axis = exposures.loc_axis
     sub_axis = transitions.sub_axis
@@ -323,102 +359,37 @@ def linearize_integrated(
         raise InputError("category and location axes differ in length")
     if len(sub_axis) != len(slot_axis):
         raise InputError("subcategory and sublocation axes differ in length")
-    m = len(cat_axis)
     n = len(sub_axis)
     cat_elig = _eligibility_matrix(cat_axis, loc_axis, eligibility)
 
     sub_index = {pid: i for i, pid in enumerate(sub_axis)}
     slot_index = {pid: k for k, pid in enumerate(slot_axis)}
-    members: dict[int, tuple[int, ...]] = {}
-    slots: dict[int, tuple[int, ...]] = {}
-    for ci, cid in enumerate(cat_axis):
-        members[ci] = tuple(sub_index[s] for s in catalog.subcategories_of(cid))
-    for ki, kid in enumerate(loc_axis):
-        if kid == ENTRANCE_POS:
-            slots[ki] = (slot_index[ENTRANCE_POS],)
-        elif kid == EXIT_POS:
-            slots[ki] = (slot_index[EXIT_POS],)
-        else:
-            slots[ki] = tuple(
-                slot_index[s] for s in graph.location_by_id(kid).sublocation_ids
-            )
+    members = [tuple(sub_index[s] for s in catalog.subcategories_of(cid)) for cid in cat_axis]
+    slots = [
+        (slot_index[kid],)
+        if kid in (ENTRANCE_POS, EXIT_POS)
+        else tuple(slot_index[s] for s in graph.location_by_id(kid).sublocation_ids)
+        for kid in loc_axis
+    ]
 
     # Tactical cell (i1, k1) is reachable only when some eligible (i, k)
     # links its category to its location.
-    full_sub = [(i, k) for i in range(n) for k in range(n)]
-    if sparsify:
-        sub_ok = np.zeros((n, n), dtype=bool)
-        for ci in range(m):
-            for ki in range(m):
-                if cat_elig[ci, ki]:
-                    sub_ok[np.ix_(members[ci], slots[ki])] = True
-        cells = [(i, k) for i, k in full_sub if sub_ok[i, k]]
-        x_cells = [(i, k) for i in range(m) for k in range(m) if cat_elig[i, k]]
-        fixed: tuple[str, ...] = ()
-    else:
-        cells = full_sub
-        x_cells = [(i, k) for i in range(m) for k in range(m)]
-        fixed = tuple(
-            variable_name("x", i, k)
-            for i in range(m)
-            for k in range(m)
-            if not cat_elig[i, k]
-        )
-    cell_set = set(cells)
-    x_cell_set = set(x_cells)
-
-    constraints: list[Constraint] = []
-    for i in range(m):
-        coeffs = tuple((variable_name("x", i, k), 1.0) for k in range(m) if (i, k) in x_cell_set)
-        constraints.append(Constraint(f"asg_p_{i}", coeffs, "=", 1.0))
-    for k in range(m):
-        coeffs = tuple((variable_name("x", i, k), 1.0) for i in range(m) if (i, k) in x_cell_set)
-        constraints.append(Constraint(f"asg_k_{k}", coeffs, "=", 1.0))
-    for ci in range(m):
-        for ki in range(m):
-            has_x = (ci, ki) in x_cell_set
-            for i1 in members[ci]:
-                terms: dict[str, float] = {}
-                for k1 in slots[ki]:
-                    if (i1, k1) in cell_set:
-                        v = variable_name("z", i1, k1)
-                        terms[v] = terms.get(v, 0.0) + 1.0
-                if has_x:
-                    xv = variable_name("x", ci, ki)
-                    terms[xv] = terms.get(xv, 0.0) - 1.0
-                if terms:
-                    coeffs = tuple((v, c) for v, c in terms.items() if c != 0.0)
-                    constraints.append(Constraint(f"grp_p_{ci}_{ki}_{i1}", coeffs, "=", 0.0))
-            for k1 in slots[ki]:
-                terms = {}
-                for i1 in members[ci]:
-                    if (i1, k1) in cell_set:
-                        v = variable_name("z", i1, k1)
-                        terms[v] = terms.get(v, 0.0) + 1.0
-                if has_x:
-                    xv = variable_name("x", ci, ki)
-                    terms[xv] = terms.get(xv, 0.0) - 1.0
-                if terms:
-                    coeffs = tuple((v, c) for v, c in terms.items() if c != 0.0)
-                    constraints.append(Constraint(f"grp_k_{ci}_{ki}_{k1}", coeffs, "=", 0.0))
-
-    continuous, linking, objective = _product_layer(
-        cells, "z", "y", transitions.sub_transitions, exposures.sub_exposure
+    sub_ok = np.zeros((n, n), dtype=bool)
+    for ci, ki in zip(*np.nonzero(cat_elig)):
+        sub_ok[np.ix_(members[ci], slots[ki])] = True
+    x_cells, fixed, head = _assignment_layer(cat_elig, "x", sparsify)
+    x_names = {cell: variable_name("x", *cell) for cell in x_cells}
+    cells = _cells(sub_ok, sparsify)
+    head += _family_rows(
+        members,
+        slots,
+        cells,
+        "z",
+        lambda ci, ki: (((x_names[ci, ki], -1.0),) if (ci, ki) in x_names else (), 0.0),
     )
-    constraints.extend(linking)
-    binaries = tuple(variable_name("x", i, k) for i, k in x_cells) + tuple(
-        variable_name("z", i, k) for i, k in cells
-    )
-    return LinearModel(
-        tag=INTEGRATED,
-        binary_names=binaries,
-        fixed_zero=fixed,
-        continuous_names=continuous,
-        objective=tuple(objective),
-        constraints=tuple(constraints),
-        sparsified=sparsify,
-        assignment_prefix="z",
-        n=n,
+    return _model(
+        INTEGRATED, tuple(x_names.values()), fixed, head, cells,
+        transitions.sub_transitions, exposures.sub_exposure, sparsify, n,
     )
 
 

@@ -95,6 +95,24 @@ class TestCapacityRule:
         # u1 and u2 share s1 and s2 (L1), u3 sits on s3 (L2)
         assert lp.endswith("Binaries\n z_0_0 z_1_1 z_1_2 z_2_1 z_2_2 z_3_3 z_4_4\nEnd\n")
 
+    def test_export_lp_integrated_takes_the_level1_cells(self, tmp_path, capsys):
+        # without the rule, the integrated model also has x_1_2 and x_2_1,
+        # which put C1's two subcategories on L2's one sublocation
+        args = mismatch_store(tmp_path, [("t0", ["u1", "u3"]), ("t1", ["u2"])])
+        out = tmp_path / "lp"
+        assert main(["export-lp", *args, "--out", str(out), "--mode", "level1,integrated"]) == 0, (
+            capsys.readouterr().err
+        )
+
+        def binaries(name):
+            text = (out / name).read_text(encoding="utf-8")
+            return text.split("Binaries\n")[1].split()[:-1]
+
+        assert binaries("model_level1.lp") == ["x_0_0", "x_1_1", "x_2_2", "x_3_3"]
+        assert [b for b in binaries("model_integrated.lp") if b.startswith("x_")] == [
+            "x_0_0", "x_1_1", "x_2_2", "x_3_3"
+        ]
+
 
 class TestBuildMatrices:
     def test_writes_all_tsvs(self, workspace, tmp_path, monkeypatch, capsys):

@@ -26,6 +26,7 @@ from storelayout.linearize import (
     ExternalSolution,
     LinearModel,
     _cell_names,
+    _family_rows,
     decode_variable,
     evaluate_linear_objective,
     linearize,
@@ -35,7 +36,7 @@ from storelayout.linearize import (
     variable_name,
     write_lp,
 )
-from storelayout.qap import QapInstance, objective_of_permutation
+from storelayout.qap import QapInstance, _eligibility_matrix, objective_of_permutation
 from storelayout.store import build_exposure_matrices
 
 
@@ -351,12 +352,104 @@ class TestLpFormat:
             assert len(line.split("+")) <= 7  # six terms per row maximum
 
 
-# -- reference product layer and LP writer -------------------------------------------
+# -- reference models and LP writer -------------------------------------------------
 #
-# The construction that the one-name-table product layer and the streaming
-# writer replaced: linking rows summed into a dict per row, the objective as a
-# double loop over cells, and the LP text joined into one string. The library
-# must reproduce its models field for field and its files byte for byte.
+# The construction that the shared row builders, the one-name-table product
+# layer and the streaming writer replaced: assignment rows as loops over a cell
+# set, family rows written separately per model (the integrated ones summed
+# into a dict per row), linking rows summed into a dict per row, the objective
+# as a double loop over cells, and the LP text joined into one string. The
+# library must reproduce its models field for field and its files byte for
+# byte.
+
+
+def ref_assignment_rows(n: int, cell_set: set[tuple[int, int]], bvar: str) -> list[Constraint]:
+    rows: list[Constraint] = []
+    for i in range(n):
+        coeffs = tuple((variable_name(bvar, i, k), 1.0) for k in range(n) if (i, k) in cell_set)
+        rows.append(Constraint(f"asg_p_{i}", coeffs, "=", 1.0))
+    for k in range(n):
+        coeffs = tuple((variable_name(bvar, i, k), 1.0) for i in range(n) if (i, k) in cell_set)
+        rows.append(Constraint(f"asg_k_{k}", coeffs, "=", 1.0))
+    return rows
+
+
+def ref_product_families(instance: QapInstance) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    fams = [((0,), (0,))] if "check-in" in instance.product_ids else []
+    for blk in instance.blocks:
+        fams.append(
+            (
+                tuple(instance.product_index(p) for p in blk.product_ids),
+                tuple(instance.position_index(k) for k in blk.position_ids),
+            )
+        )
+    if "check-out" in instance.product_ids:
+        fams.append(((instance.n - 1,), (instance.n - 1,)))
+    return fams
+
+
+def ref_family_rows(
+    fams: list[tuple[tuple[int, ...], tuple[int, ...]]],
+    cell_set: set[tuple[int, int]],
+    bvar: str,
+) -> list[Constraint]:
+    rows: list[Constraint] = []
+    for fi, (members, _) in enumerate(fams):
+        for fk, (_, slots) in enumerate(fams):
+            rhs = 1.0 if fi == fk else 0.0
+            for i1 in members:
+                coeffs = tuple(
+                    (variable_name(bvar, i1, k1), 1.0) for k1 in slots if (i1, k1) in cell_set
+                )
+                if not coeffs and rhs == 0.0:
+                    continue
+                rows.append(Constraint(f"grp_p_{fi}_{fk}_{i1}", coeffs, "=", rhs))
+            for k1 in slots:
+                coeffs = tuple(
+                    (variable_name(bvar, i1, k1), 1.0) for i1 in members if (i1, k1) in cell_set
+                )
+                if not coeffs and rhs == 0.0:
+                    continue
+                rows.append(Constraint(f"grp_k_{fi}_{fk}_{k1}", coeffs, "=", rhs))
+    return rows
+
+
+def ref_coupled_family_rows(
+    members: dict[int, tuple[int, ...]],
+    slots: dict[int, tuple[int, ...]],
+    cell_set: set[tuple[int, int]],
+    x_cell_set: set[tuple[int, int]],
+) -> list[Constraint]:
+    rows: list[Constraint] = []
+    m = len(members)
+    for ci in range(m):
+        for ki in range(m):
+            has_x = (ci, ki) in x_cell_set
+            for i1 in members[ci]:
+                terms: dict[str, float] = {}
+                for k1 in slots[ki]:
+                    if (i1, k1) in cell_set:
+                        v = variable_name("z", i1, k1)
+                        terms[v] = terms.get(v, 0.0) + 1.0
+                if has_x:
+                    xv = variable_name("x", ci, ki)
+                    terms[xv] = terms.get(xv, 0.0) - 1.0
+                if terms:
+                    coeffs = tuple((v, c) for v, c in terms.items() if c != 0.0)
+                    rows.append(Constraint(f"grp_p_{ci}_{ki}_{i1}", coeffs, "=", 0.0))
+            for k1 in slots[ki]:
+                terms = {}
+                for i1 in members[ci]:
+                    if (i1, k1) in cell_set:
+                        v = variable_name("z", i1, k1)
+                        terms[v] = terms.get(v, 0.0) + 1.0
+                if has_x:
+                    xv = variable_name("x", ci, ki)
+                    terms[xv] = terms.get(xv, 0.0) - 1.0
+                if terms:
+                    coeffs = tuple((v, c) for v, c in terms.items() if c != 0.0)
+                    rows.append(Constraint(f"grp_k_{ci}_{ki}_{k1}", coeffs, "=", 0.0))
+    return rows
 
 
 def ref_linking_constraints(
@@ -480,23 +573,22 @@ def ref_write_lp(model: LinearModel, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def reference_model(model: LinearModel, flow: np.ndarray, expo: np.ndarray) -> LinearModel:
-    """``model`` with its product layer rebuilt by the reference functions.
-
-    The cells are read back from the model's assignment binaries. The
-    assignment and family rows ahead of the linking rows, the binaries and the
-    fixed bounds come from code the reference does not replace, so they are
-    taken from ``model`` as built."""
-    bvar = model.assignment_prefix
-    wvar = "w" if bvar == "x" else "y"
-    cells = [
-        decode_variable(name)[1] for name in model.binary_names if name.startswith(bvar + "_")
-    ]
-    linking = ref_linking_constraints(cells, set(cells), model.n, bvar, wvar)
-    head = model.constraints[: len(model.constraints) - len(linking)]
-    assert not any(c.name.startswith(("li_", "lk_", "sym_")) for c in head)
-    return dataclasses.replace(
-        model,
+def ref_model(
+    tag: str,
+    binaries: tuple[str, ...],
+    fixed: tuple[str, ...],
+    head: list[Constraint],
+    cells: list[tuple[int, int]],
+    flow: np.ndarray,
+    expo: np.ndarray,
+    sparsify: bool,
+    n: int,
+) -> LinearModel:
+    bvar, wvar = ("x", "w") if tag == "level1" else ("z", "y")
+    return LinearModel(
+        tag=tag,
+        binary_names=binaries,
+        fixed_zero=fixed,
         continuous_names=tuple(
             variable_name(wvar, i1, k1, i2, k2)
             for i1, k1 in cells
@@ -504,12 +596,81 @@ def reference_model(model: LinearModel, flow: np.ndarray, expo: np.ndarray) -> L
             if (i1, k1) != (i2, k2)
         ),
         objective=tuple(ref_objective_terms(cells, flow, expo, bvar, wvar)),
-        constraints=head + tuple(linking),
+        constraints=tuple(head + ref_linking_constraints(cells, set(cells), n, bvar, wvar)),
+        sparsified=sparsify,
+        assignment_prefix=bvar,
+        n=n,
     )
 
 
-def assert_matches_reference(model: LinearModel, flow, expo, tmp_path: Path) -> None:
-    ref = reference_model(model, flow, expo)
+def reference_model(instance: QapInstance, sparsify: bool) -> LinearModel:
+    """The strategic or tactical model of ``instance``, built wholly by the
+    reference functions."""
+    n = instance.n
+    bvar = "x" if instance.level == "level1" else "z"
+    full = [(i, k) for i in range(n) for k in range(n)]
+    cells = [(i, k) for i, k in full if instance.eligibility[i, k]] if sparsify else full
+    fixed: tuple[str, ...] = ()
+    if instance.level == "level1":
+        if not sparsify:
+            fixed = tuple(
+                variable_name(bvar, i, k) for i, k in full if not instance.eligibility[i, k]
+            )
+        head = ref_assignment_rows(n, set(cells), bvar)
+    else:
+        head = ref_family_rows(ref_product_families(instance), set(cells), bvar)
+    binaries = tuple(variable_name(bvar, i, k) for i, k in cells)
+    return ref_model(
+        instance.level, binaries, fixed, head, cells,
+        instance.flow, instance.exposure, sparsify, n,
+    )
+
+
+def reference_integrated_model(
+    exposures, matrices, eligibility, catalog, graph, sparsify: bool
+) -> LinearModel:
+    """The integrated model, built wholly by the reference functions."""
+    cat_axis, loc_axis = matrices.cat_axis, exposures.loc_axis
+    m, n = len(cat_axis), len(matrices.sub_axis)
+    cat_elig = _eligibility_matrix(cat_axis, loc_axis, eligibility)
+    sub_index = {pid: i for i, pid in enumerate(matrices.sub_axis)}
+    slot_index = {pid: k for k, pid in enumerate(exposures.sub_axis)}
+    members = {
+        ci: tuple(sub_index[s] for s in catalog.subcategories_of(cid))
+        for ci, cid in enumerate(cat_axis)
+    }
+    slots = {
+        ki: (slot_index[kid],)
+        if kid in ("entrance", "exit")
+        else tuple(slot_index[s] for s in graph.location_by_id(kid).sublocation_ids)
+        for ki, kid in enumerate(loc_axis)
+    }
+    full_sub = [(i, k) for i in range(n) for k in range(n)]
+    full_x = [(i, k) for i in range(m) for k in range(m)]
+    if sparsify:
+        sub_ok = np.zeros((n, n), dtype=bool)
+        for ci in range(m):
+            for ki in range(m):
+                if cat_elig[ci, ki]:
+                    sub_ok[np.ix_(members[ci], slots[ki])] = True
+        cells = [(i, k) for i, k in full_sub if sub_ok[i, k]]
+        x_cells = [(i, k) for i, k in full_x if cat_elig[i, k]]
+        fixed: tuple[str, ...] = ()
+    else:
+        cells, x_cells = full_sub, full_x
+        fixed = tuple(variable_name("x", i, k) for i, k in full_x if not cat_elig[i, k])
+    head = ref_assignment_rows(m, set(x_cells), "x")
+    head += ref_coupled_family_rows(members, slots, set(cells), set(x_cells))
+    binaries = tuple(variable_name("x", i, k) for i, k in x_cells) + tuple(
+        variable_name("z", i, k) for i, k in cells
+    )
+    return ref_model(
+        "integrated", binaries, fixed, head, cells,
+        matrices.sub_transitions, exposures.sub_exposure, sparsify, n,
+    )
+
+
+def assert_matches_reference(model: LinearModel, ref: LinearModel, tmp_path: Path) -> None:
     for field in dataclasses.fields(LinearModel):
         assert getattr(model, field.name) == getattr(ref, field.name), field.name
     # same float64 bits, as Python floats
@@ -521,8 +682,26 @@ def assert_matches_reference(model: LinearModel, flow, expo, tmp_path: Path) -> 
     assert mine.read_bytes() == theirs.read_bytes()
 
 
-def random_integrated_pieces(rng: Random, group_sizes: tuple[int, ...]):
-    graph = line_store(sum(group_sizes), group_sizes)
+def assert_level_model_matches(instance: QapInstance, sparsify: bool, tmp_path: Path) -> None:
+    model = linearize(instance, sparsify=sparsify)
+    assert_matches_reference(model, reference_model(instance, sparsify), tmp_path)
+
+
+def assert_integrated_model_matches(pieces, eligibility, sparsify: bool, tmp_path: Path) -> None:
+    graph, catalog, matrices, exposures = pieces
+    args = (exposures, matrices, eligibility, catalog, graph)
+    model = linearize_integrated(*args, sparsify=sparsify)
+    assert_matches_reference(model, reference_integrated_model(*args, sparsify), tmp_path)
+
+
+def random_integrated_pieces(
+    rng: Random, group_sizes: tuple[int, ...], location_sizes: tuple[int, ...] | None = None
+):
+    """Random baskets over ``catalog_for(group_sizes)`` on a corridor store
+    whose locations have ``location_sizes`` sublocations (default: the
+    category sizes)."""
+    sizes = location_sizes or group_sizes
+    graph = line_store(sum(sizes), sizes)
     catalog = catalog_for(group_sizes)
     sub_ids = [s.subcategory_id for s in catalog.subcategories]
     records = [
@@ -549,28 +728,58 @@ class TestProductLayerMatchesReference:
         rng = Random(211)
         for trial in range(6):
             inst = random_level1_instance(rng, rng.randint(2, 4), full_eligibility=trial % 3 == 0)
-            model = linearize(inst, sparsify=sparsify)
-            assert_matches_reference(model, inst.flow, inst.exposure, tmp_path)
+            assert_level_model_matches(inst, sparsify, tmp_path)
 
     @pytest.mark.parametrize("sparsify", [False, True])
     def test_random_level2_with_blocks(self, tmp_path, sparsify):
         rng = Random(223)
-        for sizes in ((2, 1), (2, 2), (3, 1, 2), (1, 1, 1)):
-            inst = random_level2_instance(rng, sizes)
-            model = linearize(inst, sparsify=sparsify)
-            assert_matches_reference(model, inst.flow, inst.exposure, tmp_path)
+        for sizes in ((2, 1), (2, 2), (3, 1, 2), (1, 1, 1), (1,), (1, 1), (1, 1, 1, 1)):
+            assert_level_model_matches(random_level2_instance(rng, sizes), sparsify, tmp_path)
+
+    def test_family_rows_on_any_cell_subset(self):
+        # a valid tactical instance always has its matched cells; an empty
+        # cell set per family pair shows that an empty row with right-hand
+        # side 1 is kept and one with right-hand side 0 is dropped
+        rng = Random(251)
+        for sizes in ((1, 1, 1), (2, 1), (3, 2, 2)):
+            n = sum(sizes)
+            fams, start = [], 0
+            for size in sizes:
+                span = tuple(range(start, start + size))
+                fams.append((span, tuple(rng.sample(span, size))))
+                start += size
+            full = [(i, k) for i in range(n) for k in range(n)]
+            for keep in (0.0, 0.3, 0.7, 1.0):
+                cells = [c for c in full if rng.random() < keep]
+                rows = _family_rows(
+                    [mem for mem, _ in fams],
+                    [slt for _, slt in fams],
+                    cells,
+                    "z",
+                    lambda fi, fk: ((), 1.0 if fi == fk else 0.0),
+                )
+                assert rows == ref_family_rows(fams, set(cells), "z")
+                if not cells:
+                    assert len(rows) == 2 * n and all(r.rhs == 1.0 for r in rows)
 
     @pytest.mark.parametrize("sparsify", [False, True])
     def test_integrated(self, tmp_path, sparsify):
         rng = Random(227)
         for sizes in ((2, 1), (2, 2), (1, 3, 2)):
-            graph, catalog, matrices, exposures = random_integrated_pieces(rng, sizes)
-            model = linearize_integrated(
-                exposures, matrices, None, catalog, graph, sparsify=sparsify
-            )
-            assert_matches_reference(
-                model, matrices.sub_transitions, exposures.sub_exposure, tmp_path
-            )
+            pieces = random_integrated_pieces(rng, sizes)
+            assert_integrated_model_matches(pieces, None, sparsify, tmp_path)
+        # restricted eligibility, and locations whose sizes differ from the
+        # category sizes, so some families are coupled across a mismatch
+        for cat_sizes, loc_sizes, eligibility in (
+            ((2, 1), (2, 1), {"C2": ["L1"]}),
+            ((1, 1, 1), (1, 1, 1), {"C1": ["L2", "L3"], "C3": ["L1"]}),
+            ((2, 2, 1), (2, 2, 1), {"C2": ["L1", "L2"], "C3": ["L3"]}),
+            ((2, 1), (1, 2), None),
+            ((3, 1), (2, 2), None),
+            ((1, 1, 2), (2, 1, 1), {"C1": ["L1"], "C2": ["L2"]}),
+        ):
+            pieces = random_integrated_pieces(rng, cat_sizes, loc_sizes)
+            assert_integrated_model_matches(pieces, eligibility, sparsify, tmp_path)
 
     def test_zero_flow_has_empty_objective(self, tmp_path):
         inst = QapInstance(
@@ -581,17 +790,15 @@ class TestProductLayerMatchesReference:
             exposure=np.ones((3, 3)),
             eligibility=np.ones((3, 3), dtype=bool),
         )
-        model = linearize(inst)
-        assert model.objective == ()
-        assert_matches_reference(model, inst.flow, inst.exposure, tmp_path)
+        assert linearize(inst).objective == ()
+        assert_level_model_matches(inst, False, tmp_path)
 
     def test_signed_and_fractional_coefficients(self, tmp_path):
         rng = Random(229)
         for _ in range(4):
             inst = signed_level1_instance(rng)
-            model = linearize(inst)
-            assert any(c < 0 for _, c in model.objective)
-            assert_matches_reference(model, inst.flow, inst.exposure, tmp_path)
+            assert any(c < 0 for _, c in linearize(inst).objective)
+            assert_level_model_matches(inst, False, tmp_path)
 
     def test_rows_longer_than_one_line(self, tmp_path):
         rng = Random(233)
@@ -599,7 +806,7 @@ class TestProductLayerMatchesReference:
         model = linearize(inst)
         assert max(len(c.coeffs) for c in model.constraints) > 6
         assert len(model.objective) > 6
-        assert_matches_reference(model, inst.flow, inst.exposure, tmp_path)
+        assert_level_model_matches(inst, False, tmp_path)
 
 
 class TestNameAgreement:
