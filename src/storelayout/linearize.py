@@ -16,14 +16,18 @@ symmetry rows are emitted once per unordered pair.
 All three models come from the same builders: one-to-one assignment rows
 (``_assignment_layer``), family rows tying a category's members to a
 location's slots (``_family_rows``), and the product layer, assembled into a
-``LinearModel`` by ``_model``.
+``LinearModel`` by ``_model``. Every binary and product name of a layer comes
+from one table (``_cell_names``; the binaries are its diagonal). The product
+layer's rows are described, not stored: ``_product_rows`` generates them from
+the cells and the name table, for ``ModelRows`` iteration and for
+``write_lp`` alike.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -49,6 +53,54 @@ class Constraint:
     rhs: float
 
 
+class ModelRows(Sequence[Constraint]):
+    """The constraint rows of a model: the ``head`` rows, then the product
+    layer's linking and symmetry rows over ``cells``, named from their
+    ``_cell_names`` table ``names``. Product rows are not stored: iteration
+    builds them in model order from ``_product_rows``, and ``write_lp``
+    renders the same generator's rows as text without building them. Empty
+    rows (a singleton group's own column) are counted and iterated but never
+    written. Compares equal to any sequence of the same rows."""
+
+    __slots__ = ("head", "cells", "names")
+
+    def __init__(
+        self,
+        head: tuple[Constraint, ...],
+        cells: list[tuple[int, int]],
+        names: list[list[str]],
+    ) -> None:
+        self.head = head
+        self.cells = cells
+        self.names = names
+
+    def __len__(self) -> int:
+        # one li row per (position, cell), one lk row per (product, cell),
+        # one sym row per unordered cell pair
+        n = len(self.cells)
+        groups = len({k for _, k in self.cells}) + len({i for i, _ in self.cells})
+        return len(self.head) + groups * n + n * (n - 1) // 2
+
+    def __iter__(self) -> Iterator[Constraint]:
+        yield from self.head
+        plus = [[(name, 1.0) for name in row] for row in self.names]
+        for block in _product_rows(self.cells, self.names, plus):
+            for name, terms, minus in block:
+                if minus is not None:
+                    terms += ((minus, -1.0),)
+                yield Constraint(name, terms, "=", 0.0)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        return next(islice(self, range(len(self))[index], None))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass
 class LinearModel:
     """Variable registry, constraint rows and objective of one linearized
@@ -59,7 +111,7 @@ class LinearModel:
     fixed_zero: tuple[str, ...]
     continuous_names: tuple[str, ...]
     objective: tuple[tuple[str, float], ...]
-    constraints: tuple[Constraint, ...]
+    constraints: Sequence[Constraint]
     sparsified: bool
     assignment_prefix: str
     n: int
@@ -151,50 +203,46 @@ def _cell_names(cells: list[tuple[int, int]], bvar: str, wvar: str) -> list[list
     return names
 
 
-def _linking_constraints(
-    cells: list[tuple[int, int]], names: list[list[str]]
-) -> list[Constraint]:
-    """Per-position sums (one row per k1, i2, k2), per-product sums (one row
-    per i1, i2, k2), and symmetry once per unordered cell pair.
+def _product_rows(
+    cells: list[tuple[int, int]], names: list[list[str]], plus: list[list]
+) -> Iterator[list[tuple[str, tuple, str | None]]]:
+    """The product layer's rows in model order, one block at a time: a block
+    per li group (the cells at one position, ascending), a block per lk group
+    (the cells of one product, ascending), then a symmetry block per cell a.
+    A row is ``(name, plus_terms, minus)``: ``plus_terms`` are entries of
+    ``plus``, any per-cell-pair table of +1 terms on ``names`` (term pairs
+    or rendered text), and ``minus`` names the one -1 term, or is None.
 
     Row (group G, cell b) sums the products of b with every cell a of G and
     subtracts b's binary. The diagonal product a == b is b's binary itself, so
-    when b lies in G the two cancel and neither term is written. Each product
-    variable has one ``(name, 1.0)`` term, shared by its li, lk and sym rows."""
+    when b lies in G the two cancel and neither term is written; a singleton
+    group's own row is empty. Symmetry row (a, b), a < b, equates the product
+    of a with b and the product of b with a."""
     keys = [f"{i}_{k}" for i, k in cells]
     by_position: dict[int, list[int]] = {}
     by_product: dict[int, list[int]] = {}
     for a, (i, k) in enumerate(cells):
         by_position.setdefault(k, []).append(a)
         by_product.setdefault(i, []).append(a)
-    plus = [[(name, 1.0) for name in row] for row in names]
-    minus_binary = [((names[b][b], -1.0),) for b in range(len(cells))]
-
-    rows: list[Constraint] = []
     for prefix, groups in (("li", by_position), ("lk", by_product)):
         for g in sorted(groups):
             group = groups[g]
-            members = set(group)
-            # columns[b] holds the group's product terms with cell b
-            columns = list(zip(*(plus[a] for a in group)))
-            for b, key_b in enumerate(keys):
-                if b in members:
-                    coeffs = tuple(t for a, t in zip(group, columns[b]) if a != b)
+            at = {a: j for j, a in enumerate(group)}
+            block = []
+            # column b holds the group's +1 terms with cell b
+            for b, (key_b, column) in enumerate(zip(keys, zip(*(plus[a] for a in group)))):
+                j = at.get(b)
+                if j is None:
+                    block.append((f"{prefix}_{g}_{key_b}", column, names[b][b]))
                 else:
-                    coeffs = columns[b] + minus_binary[b]
-                rows.append(Constraint(f"{prefix}_{g}_{key_b}", coeffs, "=", 0.0))
+                    block.append((f"{prefix}_{g}_{key_b}", column[:j] + column[j + 1 :], None))
+            yield block
     for a, key_a in enumerate(keys):
         plus_a = plus[a]
-        for b in range(a + 1, len(keys)):
-            rows.append(
-                Constraint(
-                    f"sym_{key_a}_{keys[b]}",
-                    (plus_a[b], (names[b][a], -1.0)),
-                    "=",
-                    0.0,
-                )
-            )
-    return rows
+        yield [
+            (f"sym_{key_a}_{keys[b]}", (plus_a[b],), names[b][a])
+            for b in range(a + 1, len(keys))
+        ]
 
 
 def _objective_terms(
@@ -212,19 +260,6 @@ def _objective_terms(
     ]
 
 
-def _product_layer(
-    cells: list[tuple[int, int]], bvar: str, wvar: str, flow: np.ndarray, expo: np.ndarray
-) -> tuple[tuple[str, ...], list[Constraint], list[tuple[str, float]]]:
-    """Continuous product names, linking and symmetry rows, and objective
-    terms over ``cells``, all named from one ``_cell_names`` table."""
-    names = _cell_names(cells, bvar, wvar)
-    continuous = tuple(
-        chain.from_iterable(row[:a] + row[a + 1 :] for a, row in enumerate(names))
-    )
-    linking = _linking_constraints(cells, names)
-    return continuous, linking, _objective_terms(cells, names, flow, expo)
-
-
 def _cells(elig: np.ndarray, sparsify: bool) -> list[tuple[int, int]]:
     """Row-major eligible cells of ``elig``, or all n^2 cells in full mode."""
     n = len(elig)
@@ -232,53 +267,55 @@ def _cells(elig: np.ndarray, sparsify: bool) -> list[tuple[int, int]]:
 
 
 def _assignment_layer(
-    elig: np.ndarray, bvar: str, sparsify: bool
-) -> tuple[list[tuple[int, int]], tuple[str, ...], list[Constraint]]:
-    """Cells, fixed-to-zero binaries and one-to-one assignment rows of one
-    binary layer. Eligibility enters as the cell set when sparsified and as
-    zero bounds on the excluded binaries in full mode."""
+    elig: np.ndarray, binary: dict[tuple[int, int], str]
+) -> tuple[tuple[str, ...], list[Constraint]]:
+    """Fixed-to-zero binaries and one-to-one assignment rows of the binary
+    layer ``binary`` (its row-major cells and their names). Eligibility
+    enters as the cell set when sparsified and as zero bounds on the
+    excluded binaries in full mode; a sparsified layer excludes none."""
     n = len(elig)
-    cells = _cells(elig, sparsify)
-    fixed = () if sparsify else tuple(
-        variable_name(bvar, i, k) for i, k in cells if not elig[i, k]
-    )
+    fixed = tuple(name for (i, k), name in binary.items() if not elig[i, k])
     by_product: list[list[tuple[str, float]]] = [[] for _ in range(n)]
     by_position: list[list[tuple[str, float]]] = [[] for _ in range(n)]
-    for i, k in cells:
-        term = (variable_name(bvar, i, k), 1.0)
+    for (i, k), name in binary.items():
+        term = (name, 1.0)
         by_product[i].append(term)
         by_position[k].append(term)
     rows = [Constraint(f"asg_p_{i}", tuple(t), "=", 1.0) for i, t in enumerate(by_product)]
     rows += [Constraint(f"asg_k_{k}", tuple(t), "=", 1.0) for k, t in enumerate(by_position)]
-    return cells, fixed, rows
+    return fixed, rows
 
 
 def _family_rows(
     members: Sequence[tuple[int, ...]],
     slots: Sequence[tuple[int, ...]],
-    cells: list[tuple[int, int]],
-    bvar: str,
+    binary: dict[tuple[int, int], str],
     coupling: Callable[[int, int], tuple[tuple[tuple[str, float], ...], float]],
 ) -> list[Constraint]:
-    """Family rows: for every (member family fi, slot family fk) pair, each
-    member of fi sums its binaries over fk's slots, and each slot of fk sums
-    its binaries over fi's members. ``coupling(fi, fk)`` gives the pair's
-    extra terms, appended to each of its rows, and their right-hand side. A
-    row with no terms and a zero right-hand side is dropped."""
-    names = {cell: variable_name(bvar, *cell) for cell in cells}
+    """Family rows over the binary layer ``binary`` (cells and their names):
+    for every (member family fi, slot family fk) pair, each member of fi sums
+    its binaries over fk's slots, and each slot of fk sums its binaries over
+    fi's members. ``coupling(fi, fk)`` gives the pair's extra terms, appended
+    to each of its rows, and their right-hand side. A row with no terms and a
+    zero right-hand side is dropped."""
     rows: list[Constraint] = []
     for fi, mem in enumerate(members):
         for fk, slt in enumerate(slots):
             extra, rhs = coupling(fi, fk)
             for i1 in mem:
-                coeffs = tuple((names[i1, k1], 1.0) for k1 in slt if (i1, k1) in names) + extra
+                coeffs = tuple((binary[i1, k1], 1.0) for k1 in slt if (i1, k1) in binary) + extra
                 if coeffs or rhs != 0.0:
                     rows.append(Constraint(f"grp_p_{fi}_{fk}_{i1}", coeffs, "=", rhs))
             for k1 in slt:
-                coeffs = tuple((names[i1, k1], 1.0) for i1 in mem if (i1, k1) in names) + extra
+                coeffs = tuple((binary[i1, k1], 1.0) for i1 in mem if (i1, k1) in binary) + extra
                 if coeffs or rhs != 0.0:
                     rows.append(Constraint(f"grp_k_{fi}_{fk}_{k1}", coeffs, "=", rhs))
     return rows
+
+
+def _diagonal(cells: list[tuple[int, int]], names: list[list[str]]) -> dict[tuple[int, int], str]:
+    """Each cell's binary, read off the diagonal of its ``_cell_names`` table."""
+    return {cell: names[a][a] for a, cell in enumerate(cells)}
 
 
 def _model(
@@ -287,24 +324,26 @@ def _model(
     fixed: tuple[str, ...],
     head: list[Constraint],
     cells: list[tuple[int, int]],
+    names: list[list[str]],
     flow: np.ndarray,
     expo: np.ndarray,
     sparsify: bool,
     n: int,
 ) -> LinearModel:
-    """The model of ``head`` rows over the binaries of ``cells`` (after
-    ``lead_binaries``), completed by the product layer over ``cells``."""
-    bvar, wvar = _prefixes(tag)
-    continuous, linking, objective = _product_layer(cells, bvar, wvar, flow, expo)
+    """The model of ``head`` rows over ``lead_binaries`` and the binaries of
+    ``cells``, completed by the product layer over ``cells``; every name
+    past the lead binaries comes from the ``_cell_names`` table ``names``."""
     return LinearModel(
         tag=tag,
-        binary_names=lead_binaries + tuple(variable_name(bvar, i, k) for i, k in cells),
+        binary_names=lead_binaries + tuple(row[a] for a, row in enumerate(names)),
         fixed_zero=fixed,
-        continuous_names=continuous,
-        objective=tuple(objective),
-        constraints=tuple(head + linking),
+        continuous_names=tuple(
+            chain.from_iterable(row[:a] + row[a + 1 :] for a, row in enumerate(names))
+        ),
+        objective=tuple(_objective_terms(cells, names, flow, expo)),
+        constraints=ModelRows(tuple(head), cells, names),
         sparsified=sparsify,
-        assignment_prefix=bvar,
+        assignment_prefix=_prefixes(tag)[0],
         n=n,
     )
 
@@ -321,21 +360,24 @@ def linearize(instance: QapInstance, sparsify: bool = False) -> LinearModel:
         raise InputError(
             "integrated models carry two coupled variable layers; use linearize_integrated"
         )
-    bvar, _ = _prefixes(instance.level)
+    bvar, wvar = _prefixes(instance.level)
+    cells = _cells(instance.eligibility, sparsify)
+    names = _cell_names(cells, bvar, wvar)
+    binary = _diagonal(cells, names)
     if instance.level == LEVEL1:
-        cells, fixed, head = _assignment_layer(instance.eligibility, bvar, sparsify)
+        fixed, head = _assignment_layer(instance.eligibility, binary)
     else:
         # Tactical family rows: for every (category family, location family)
         # pair, each member must occupy that family's slots exactly when the
         # families are matched, and each slot must be filled from the
         # category exactly when matched. Unmatched pairs force zeros.
-        cells, fixed = _cells(instance.eligibility, sparsify), ()
+        fixed = ()
         members, slots = zip(*_product_families(instance))
         head = _family_rows(
-            members, slots, cells, bvar, lambda fi, fk: ((), 1.0 if fi == fk else 0.0)
+            members, slots, binary, lambda fi, fk: ((), 1.0 if fi == fk else 0.0)
         )
     return _model(
-        instance.level, (), fixed, head, cells,
+        instance.level, (), fixed, head, cells, names,
         instance.flow, instance.exposure, sparsify, instance.n,
     )
 
@@ -377,18 +419,18 @@ def linearize_integrated(
     sub_ok = np.zeros((n, n), dtype=bool)
     for ci, ki in zip(*np.nonzero(cat_elig)):
         sub_ok[np.ix_(members[ci], slots[ki])] = True
-    x_cells, fixed, head = _assignment_layer(cat_elig, "x", sparsify)
-    x_names = {cell: variable_name("x", *cell) for cell in x_cells}
+    x_binary = {cell: variable_name("x", *cell) for cell in _cells(cat_elig, sparsify)}
+    fixed, head = _assignment_layer(cat_elig, x_binary)
     cells = _cells(sub_ok, sparsify)
+    names = _cell_names(cells, "z", "y")
     head += _family_rows(
         members,
         slots,
-        cells,
-        "z",
-        lambda ci, ki: (((x_names[ci, ki], -1.0),) if (ci, ki) in x_names else (), 0.0),
+        _diagonal(cells, names),
+        lambda ci, ki: (((x_binary[ci, ki], -1.0),) if (ci, ki) in x_binary else (), 0.0),
     )
     return _model(
-        INTEGRATED, tuple(x_names.values()), fixed, head, cells,
+        INTEGRATED, tuple(x_binary.values()), fixed, head, cells, names,
         transitions.sub_transitions, exposures.sub_exposure, sparsify, n,
     )
 
@@ -400,40 +442,63 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _terms_text(terms: tuple[tuple[str, float], ...], indent: str) -> str:
-    """Render terms as LP text, six per line, continuation lines indented;
-    the first term carries a bare minus sign, later ones ``+ ``/``- ``."""
-    pieces = [
+def _pieces(terms: Sequence[tuple[str, float]]) -> list[str]:
+    """Each term as ``+ c name`` or ``- c name``; a unit coefficient is 1."""
+    return [
         f"{'- ' if coeff < 0 else '+ '}"
         f"{'1' if coeff in (1.0, -1.0) else f'{abs(coeff):.12g}'} {name}"
         for name, coeff in terms
     ]
-    first = pieces[0]
-    pieces[0] = ("-" if first[0] == "-" else "") + first[2:]
+
+
+def _layout(pieces: Sequence[str], indent: str) -> str:
+    """LP text of term pieces (``+ c name``/``- c name``): six per line,
+    continuation lines indented, the first piece's sign folded into ``c name``
+    or ``-c name``."""
     if len(pieces) <= 6:
-        return " ".join(pieces)
-    return ("\n" + indent).join(
-        " ".join(pieces[start : start + 6]) for start in range(0, len(pieces), 6)
-    )
+        text = " ".join(pieces)
+    else:
+        text = ("\n" + indent).join(
+            map(" ".join, (pieces[start : start + 6] for start in range(0, len(pieces), 6)))
+        )
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def write_lp(model: LinearModel, path: str) -> None:
     """Emit the model as an LP-format file: Maximize / Subject To / Bounds /
-    Binaries / End. Byte-identical output for identical models. Each row is
-    written as soon as it is formatted, so the text is never held whole."""
+    Binaries / End. Byte-identical output for identical models. Rows are
+    written as soon as they are formatted, so the text is never held whole,
+    and the product layer of a ``ModelRows`` is rendered straight from its
+    name table, one string per row block, without building its rows."""
+    rows = model.constraints
+    streamed = isinstance(rows, ModelRows)
     with open(path, "w", encoding="utf-8") as fh:
         write = fh.write
         write(f"\\ {model.tag} exposure maximization model\nMaximize\n")
         if model.objective:
-            write(f" obj: {_terms_text(model.objective, ' ')}\n")
+            write(f" obj: {_layout(_pieces(model.objective), ' ')}\n")
         else:
             anchor = model.binary_names[0] if model.binary_names else model.continuous_names[0]
             write(f" obj: 0 {anchor}\n")
         write("Subject To\n")
-        for con in model.constraints:
+        for con in rows.head if streamed else rows:
             if con.coeffs:
-                text = _terms_text(con.coeffs, "  ")
+                text = _layout(_pieces(con.coeffs), "  ")
                 write(f" {con.name}: {text} {con.sense} {con.rhs:.12g}\n")
+        if streamed:
+            # _pieces of (name, 1.0); every product row is an equation with
+            # right-hand side 0
+            plus = [["+ 1 " + name for name in row] for row in rows.names]
+            for block in _product_rows(rows.cells, rows.names, plus):
+                write(
+                    "".join(
+                        f" {name}: "
+                        f"{_layout(terms if minus is None else (*terms, '- 1 ' + minus), '  ')}"
+                        " = 0\n"
+                        for name, terms, minus in block
+                        if terms or minus is not None
+                    )
+                )
         write("Bounds\n")
         for name in model.fixed_zero:
             write(f" {name} = 0\n")

@@ -18,6 +18,7 @@ from conftest import (
     random_level1_instance,
     random_level2_instance,
 )
+from storelayout import linearize as linearize_module
 from storelayout.cli import main
 from storelayout.demand import expected_transitions, load_transactions
 from storelayout.errors import InputError, ParseError, ValidationError
@@ -754,8 +755,7 @@ class TestProductLayerMatchesReference:
                 rows = _family_rows(
                     [mem for mem, _ in fams],
                     [slt for _, slt in fams],
-                    cells,
-                    "z",
+                    {c: variable_name("z", *c) for c in cells},
                     lambda fi, fk: ((), 1.0 if fi == fk else 0.0),
                 )
                 assert rows == ref_family_rows(fams, set(cells), "z")
@@ -830,6 +830,83 @@ class TestNameAgreement:
             for b, (i2, k2) in enumerate(cells):
                 want = variable_name("z", i1, k1) if a == b else variable_name("y", i1, k1, i2, k2)
                 assert names[a][b] == want
+
+
+ROW_PREFIXES = ("asg_p_", "asg_k_", "grp_p_", "grp_k_", "li_", "lk_", "sym_")
+
+
+def view_cases():
+    """(model, reference) pairs over all three models, full and sparsified,
+    with singleton families: dummies, and blocks or categories of size 1."""
+    rng = Random(257)
+    for sparsify in (False, True):
+        inst = random_level1_instance(rng, 3)
+        yield linearize(inst, sparsify=sparsify), reference_model(inst, sparsify)
+        for sizes in ((2, 1), (1, 1, 1)):
+            inst = random_level2_instance(rng, sizes)
+            yield linearize(inst, sparsify=sparsify), reference_model(inst, sparsify)
+        for sizes in ((2, 1), (1, 1)):
+            graph, catalog, matrices, exposures = random_integrated_pieces(rng, sizes)
+            args = (exposures, matrices, None, catalog, graph)
+            yield (
+                linearize_integrated(*args, sparsify=sparsify),
+                reference_integrated_model(*args, sparsify),
+            )
+
+
+class TestConstraintView:
+    def test_length_iteration_and_counts(self):
+        for model, ref in view_cases():
+            rows = model.constraints
+            first, second = tuple(rows), tuple(rows)
+            assert len(rows) == len(first) == len(ref.constraints)
+            assert first == second
+            assert all(type(c) is Constraint for c in first)
+            for prefix in ROW_PREFIXES:
+                assert model.constraint_count(prefix) == ref.constraint_count(prefix), prefix
+
+    def test_compares_and_indexes_like_a_tuple(self):
+        for model, ref in view_cases():
+            rows, rows_tuple = model.constraints, tuple(ref.constraints)
+            assert rows == rows_tuple and rows_tuple == rows
+            assert rows != rows_tuple[:-1] and rows_tuple[1:] != rows
+            for index in (0, len(rows_tuple) // 2, -1, -len(rows_tuple)):
+                assert rows[index] == rows_tuple[index]
+            assert rows[3:9] == rows_tuple[3:9]
+            with pytest.raises(IndexError):
+                rows[len(rows_tuple)]
+
+    def test_empty_rows_are_counted_but_not_written(self, tmp_path):
+        empties_seen = 0
+        for model, _ in view_cases():
+            path = tmp_path / "model.lp"
+            write_lp(model, str(path))
+            text = path.read_text(encoding="utf-8")
+            written = {line.split(":")[0].strip() for line in text.splitlines() if ":" in line}
+            empty = {c.name for c in model.constraints if not c.coeffs}
+            full = {c.name for c in model.constraints if c.coeffs}
+            assert full <= written and not empty & written
+            empties_seen += len(empty)
+        # a sparsified dummy is the only cell at its position and of its
+        # product, so its own li and lk rows have no terms
+        assert empties_seen > 0
+
+    def test_export_builds_no_product_constraint(self, tmp_path, monkeypatch):
+        built: list[str] = []
+
+        class CountingConstraint(Constraint):
+            def __init__(self, name, *rest):
+                built.append(name)
+                super().__init__(name, *rest)
+
+        monkeypatch.setattr(linearize_module, "Constraint", CountingConstraint)
+        graph, catalog, matrices, exposures = TestIntegratedModel.pieces((2, 2, 1))
+        model = linearize_integrated(exposures, matrices, None, catalog, graph, sparsify=True)
+        write_lp(model, str(tmp_path / "model.lp"))
+        made = list(built)
+        head = sum(model.constraint_count(prefix) for prefix in ("asg_", "grp_"))
+        assert len(made) == head < len(model.constraints)
+        assert all(name.startswith(("asg_", "grp_")) for name in made)
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
