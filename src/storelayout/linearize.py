@@ -467,11 +467,12 @@ def _layout(pieces: Sequence[str], indent: str) -> str:
 def write_lp(model: LinearModel, path: str) -> None:
     """Emit the model as an LP-format file: Maximize / Subject To / Bounds /
     Binaries / End. Byte-identical output for identical models. Rows are
-    written as soon as they are formatted, so the text is never held whole,
-    and the product layer of a ``ModelRows`` is rendered straight from its
-    name table, one string per row block, without building its rows."""
+    written as soon as they are formatted, so the text is never held whole.
+    The model's rows must be a ``ModelRows``, as ``linearize`` and
+    ``linearize_integrated`` build them: the head rows are written from their
+    terms, the product layer straight from its name table, one string per
+    row block, without building its rows."""
     rows = model.constraints
-    streamed = isinstance(rows, ModelRows)
     with open(path, "w", encoding="utf-8") as fh:
         write = fh.write
         write(f"\\ {model.tag} exposure maximization model\nMaximize\n")
@@ -481,24 +482,23 @@ def write_lp(model: LinearModel, path: str) -> None:
             anchor = model.binary_names[0] if model.binary_names else model.continuous_names[0]
             write(f" obj: 0 {anchor}\n")
         write("Subject To\n")
-        for con in rows.head if streamed else rows:
+        for con in rows.head:
             if con.coeffs:
                 text = _layout(_pieces(con.coeffs), "  ")
                 write(f" {con.name}: {text} {con.sense} {con.rhs:.12g}\n")
-        if streamed:
-            # _pieces of (name, 1.0); every product row is an equation with
-            # right-hand side 0
-            plus = [["+ 1 " + name for name in row] for row in rows.names]
-            for block in _product_rows(rows.cells, rows.names, plus):
-                write(
-                    "".join(
-                        f" {name}: "
-                        f"{_layout(terms if minus is None else (*terms, '- 1 ' + minus), '  ')}"
-                        " = 0\n"
-                        for name, terms, minus in block
-                        if terms or minus is not None
-                    )
+        # _pieces of (name, 1.0); every product row is an equation with
+        # right-hand side 0
+        plus = [["+ 1 " + name for name in row] for row in rows.names]
+        for block in _product_rows(rows.cells, rows.names, plus):
+            write(
+                "".join(
+                    f" {name}: "
+                    f"{_layout(terms if minus is None else (*terms, '- 1 ' + minus), '  ')}"
+                    " = 0\n"
+                    for name, terms, minus in block
+                    if terms or minus is not None
                 )
+            )
         write("Bounds\n")
         for name in model.fixed_zero:
             write(f" {name} = 0\n")
