@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from random import Random
 
 from .demand import (
-    CHECK_IN,
-    CHECK_OUT,
     TransitionMatrices,
     expected_transitions,
     read_transactions_csv,
@@ -58,7 +56,7 @@ from .solvers import (
     solve_level2,
     tabu_search,  # noqa: F401 -- perfbench/spans.py wraps this name
 )
-from .store import ENTRANCE_POS, EXIT_POS, accumulate_traffic, build_exposure_matrices
+from .store import accumulate_traffic, build_exposure_matrices
 from .storefile import StoreDocument, load_store
 
 CONFIG_ENV = "STORELAYOUT_CONFIG"
@@ -241,11 +239,7 @@ def _run_solve(config: RunConfig, sink: _Artifacts) -> None:
         entries = [
             {
                 "objective": entry.objective,
-                "category_to_location": {
-                    pid: pos
-                    for pid, pos in entry.assignment.pairs
-                    if pid not in (CHECK_IN, CHECK_OUT)
-                },
+                "category_to_location": entry.assignment.shelf_mapping,
             }
             for entry in pool.entries
         ]

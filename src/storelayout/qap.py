@@ -9,6 +9,12 @@ occupy which position. The objective, maximized by every solver, is
 for a bijective, eligibility-respecting assignment pos(). Tactical instances
 additionally carry block structure: each category's subcategories may only
 permute within the sublocations of the location the category was given.
+
+Eligibility is the only placement rule. The door products are part of it:
+check-in may only take the entrance and check-out only the exit, at both
+levels. DOOR_PINS states that once; ``Assignment.pinned`` adds the door
+placements a shelf layout leaves out, and ``Assignment.shelf_mapping``
+drops them again.
 """
 
 from __future__ import annotations
@@ -27,6 +33,9 @@ LEVEL1 = "level1"
 LEVEL2 = "level2"
 INTEGRATED = "integrated"
 _LEVELS = (LEVEL1, LEVEL2, INTEGRATED)
+
+# door product -> the one position it may take, at either level
+DOOR_PINS = {CHECK_IN: ENTRANCE_POS, CHECK_OUT: EXIT_POS}
 
 
 @dataclass(frozen=True)
@@ -51,9 +60,20 @@ class Assignment:
     def from_mapping(cls, mapping) -> "Assignment":
         return cls(pairs=tuple(sorted(mapping.items())))
 
+    @classmethod
+    def pinned(cls, mapping) -> "Assignment":
+        """``mapping`` with each door product it leaves out placed at its
+        door; a door placement the mapping names is kept as it is."""
+        return cls.from_mapping({**DOOR_PINS, **mapping})
+
     @property
     def mapping(self) -> dict[str, str]:
         return dict(self.pairs)
+
+    @property
+    def shelf_mapping(self) -> dict[str, str]:
+        """The mapping without the door products, in pair order."""
+        return {pid: pos for pid, pos in self.pairs if pid not in DOOR_PINS}
 
     def position_of(self, product_id: str) -> str | None:
         for pid, pos in self.pairs:
@@ -122,26 +142,22 @@ class QapInstance:
         self._product_index = {pid: i for i, pid in enumerate(self.product_ids)}
         self._position_index = {pid: i for i, pid in enumerate(self.position_ids)}
 
-        # Dummy products/positions, when present, sit at the axis ends and
+        # Door products/positions, when present, sit at the axis ends and
         # are pinned to each other; solvers never special-case them.
-        for pid, want in ((CHECK_IN, 0), (CHECK_OUT, n - 1)):
+        doors = tuple(zip(DOOR_PINS.items(), (0, n - 1)))
+        for (pid, _), want in doors:
             if pid in self._product_index and self._product_index[pid] != want:
                 raise InputError(f"product {pid!r} must be at axis index {want}")
-        for pos, want in ((ENTRANCE_POS, 0), (EXIT_POS, n - 1)):
+        for (_, pos), want in doors:
             if pos in self._position_index and self._position_index[pos] != want:
                 raise InputError(f"position {pos!r} must be at axis index {want}")
-        if CHECK_IN in self._product_index:
-            if ENTRANCE_POS not in self._position_index:
-                raise InputError("check-in product requires an entrance position")
-            row = self.eligibility[0]
-            if not (row[0] and row.sum() == 1):
-                raise InputError("check-in must be eligible exactly for the entrance position")
-        if CHECK_OUT in self._product_index:
-            if EXIT_POS not in self._position_index:
-                raise InputError("check-out product requires an exit position")
-            row = self.eligibility[n - 1]
-            if not (row[n - 1] and row.sum() == 1):
-                raise InputError("check-out must be eligible exactly for the exit position")
+        for (pid, pos), i in doors:
+            if pid in self._product_index:
+                if pos not in self._position_index:
+                    raise InputError(f"{pid} product requires an {pos} position")
+                row = self.eligibility[i]
+                if not (row[i] and row.sum() == 1):
+                    raise InputError(f"{pid} must be eligible exactly for the {pos} position")
 
         empty_rows = [self.product_ids[i] for i in np.flatnonzero(~self.eligibility.any(axis=1))]
         empty_cols = [self.position_ids[k] for k in np.flatnonzero(~self.eligibility.any(axis=0))]
@@ -170,8 +186,8 @@ class QapInstance:
             raise ModelError("infeasible instance: eligibility admits no complete assignment")
 
     def _validate_blocks(self) -> None:
-        dummies_p = {CHECK_IN, CHECK_OUT} & set(self.product_ids)
-        dummies_k = {ENTRANCE_POS, EXIT_POS} & set(self.position_ids)
+        dummies_p = DOOR_PINS.keys() & set(self.product_ids)
+        dummies_k = set(DOOR_PINS.values()) & set(self.position_ids)
         seen_p: set[str] = set()
         seen_k: set[str] = set()
         for blk in self.blocks:
@@ -254,10 +270,9 @@ def eligibility_from_blocks(
         rows = [pidx[p] for p in blk.product_ids]
         cols = [kidx[k] for k in blk.position_ids]
         elig[np.ix_(rows, cols)] = True
-    if CHECK_IN in pidx and ENTRANCE_POS in kidx:
-        elig[pidx[CHECK_IN], kidx[ENTRANCE_POS]] = True
-    if CHECK_OUT in pidx and EXIT_POS in kidx:
-        elig[pidx[CHECK_OUT], kidx[EXIT_POS]] = True
+    for pid, pos in DOOR_PINS.items():
+        if pid in pidx and pos in kidx:
+            elig[pidx[pid], kidx[pos]] = True
     return elig
 
 
@@ -398,23 +413,18 @@ def swap_delta_matrix(flow: np.ndarray, exposure: np.ndarray, perm: np.ndarray) 
     return delta
 
 
-def swap_candidate_pairs(
-    eligibility: np.ndarray, move_mask: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def swap_candidate_pairs(eligibility: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Product pairs (a, b), a < b, that some feasible permutation may swap,
     in row-major order. A swap needs both products eligible at both of the
     positions involved, so the two eligibility rows must share at least two
-    positions; ``move_mask`` restricts the pairs further. A stack of
+    positions; a product pinned to one position is in no pair. A stack of
     eligibility matrices, shape (L, n, n), gives the pairs any one of them
     may swap."""
     e = eligibility.astype(np.int64)
     shared = (e @ np.swapaxes(e, -1, -2)) >= 2
     if shared.ndim == 3:
         shared = shared.any(axis=0)
-    pairs = np.triu(shared, k=1)
-    if move_mask is not None:
-        pairs &= move_mask
-    return np.nonzero(pairs)
+    return np.nonzero(np.triu(shared, k=1))
 
 
 class SwapScan:
@@ -535,21 +545,19 @@ def build_level1_instance(
 def _eligibility_matrix(products, positions, allowed) -> np.ndarray:
     n = len(products)
     kidx = {pos: k for k, pos in enumerate(positions)}
-    real_positions = [p for p in positions if p not in (ENTRANCE_POS, EXIT_POS)]
+    doors = set(DOOR_PINS.values())
+    real_positions = [p for p in positions if p not in doors]
     elig = np.zeros((n, len(positions)), dtype=bool)
     for i, pid in enumerate(products):
-        if pid == CHECK_IN:
-            elig[i, kidx[ENTRANCE_POS]] = True
-            continue
-        if pid == CHECK_OUT:
-            elig[i, kidx[EXIT_POS]] = True
+        if pid in DOOR_PINS:
+            elig[i, kidx[DOOR_PINS[pid]]] = True
             continue
         if allowed is None or pid not in allowed:
             cols = real_positions
         else:
             cols = list(allowed[pid])
         for pos in cols:
-            if pos in (ENTRANCE_POS, EXIT_POS):
+            if pos in doors:
                 raise InputError(f"product {pid!r} may not be eligible for {pos!r}")
             if pos not in kidx:
                 raise InputError(f"eligibility for {pid!r} names unknown position {pos!r}")
@@ -568,9 +576,7 @@ def build_level2_instance(
     """Tactical instance induced by a fixed category-to-location assignment:
     each category's subcategories may only permute within that location's
     sublocations."""
-    mapping = dict(level1_assignment.pairs)
-    mapping.pop(CHECK_IN, None)
-    mapping.pop(CHECK_OUT, None)
+    mapping = level1_assignment.shelf_mapping
     real_cats = [c.category_id for c in catalog.categories]
     missing = [c for c in real_cats if c not in mapping]
     if missing:

@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .demand import CHECK_IN, CHECK_OUT, Catalog, TransitionMatrices
+from .demand import Catalog, TransitionMatrices
 from .errors import InputError, ParseError, ValidationError
 from .qap import Assignment, build_level2_instance, objective_of_permutation
 from .solvers import (
@@ -27,7 +27,7 @@ from .solvers import (
     SolveResult,
     induced_level1_assignment,
 )
-from .store import ENTRANCE_POS, EXIT_POS, ExposureMatrices, StoreGraph
+from .store import ExposureMatrices, StoreGraph
 
 
 def reproducible_epoch() -> int | None:
@@ -75,16 +75,10 @@ class LayoutPlan:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def assignment(self) -> Assignment:
-        mapping = dict(self.subcategory_to_sublocation)
-        mapping[CHECK_IN] = ENTRANCE_POS
-        mapping[CHECK_OUT] = EXIT_POS
-        return Assignment.from_mapping(mapping)
+        return Assignment.pinned(self.subcategory_to_sublocation)
 
     def level1_assignment(self) -> Assignment:
-        mapping = dict(self.category_to_location)
-        mapping[CHECK_IN] = ENTRANCE_POS
-        mapping[CHECK_OUT] = EXIT_POS
-        return Assignment.from_mapping(mapping)
+        return Assignment.pinned(self.category_to_location)
 
 
 _REQUIRED_METADATA = ("config_hash", "seed", "created", "tool_version")
@@ -100,14 +94,10 @@ def plan_from_solution(
     seed: int,
     generator: str,
 ) -> LayoutPlan:
-    cat_map = {
-        pid: pos for pid, pos in level1_assignment.pairs if pid not in (CHECK_IN, CHECK_OUT)
-    }
-    sub_map = {pid: pos for pid, pos in assignment.pairs if pid not in (CHECK_IN, CHECK_OUT)}
     return LayoutPlan(
         store_name=store_name,
-        category_to_location=cat_map,
-        subcategory_to_sublocation=sub_map,
+        category_to_location=level1_assignment.shelf_mapping,
+        subcategory_to_sublocation=assignment.shelf_mapping,
         level1_objective=level1_objective,
         level2_objective=level2_objective,
         metadata={

@@ -19,7 +19,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from .demand import CHECK_IN, CHECK_OUT, Catalog, TransitionMatrices
+from .demand import Catalog, TransitionMatrices
 from .errors import InputError, ModelError, ValidationError
 from .qap import (
     Assignment,
@@ -33,7 +33,7 @@ from .qap import (
     swap_candidate_pairs,
     swap_delta_matrix,  # noqa: F401 -- perfbench/spans.py counts calls under this name
 )
-from .store import ENTRANCE_POS, EXIT_POS, ExposureMatrices, StoreGraph
+from .store import ExposureMatrices, StoreGraph
 
 # Cost sentinel marking ineligible cells in bound matrices; any assignment
 # forced onto one signals an infeasible completion.
@@ -408,21 +408,22 @@ def branch_and_bound(
 
 
 def _tabu_lanes(
-    instances: list[QapInstance],
+    instance: QapInstance,
+    eligibility: np.ndarray,
     starts: list[np.ndarray],
     rngs: list[Random],
     iterations: int,
     tenure_range: tuple[float, float],
     pool: SolutionPool | None,
     deadline: float | None,
-    move_mask: np.ndarray | None = None,
 ) -> list[tuple[float, np.ndarray, int]]:
     """Tabu runs from L feasible permutations ("lanes") in lockstep; returns
     (best objective, best permutation, iterations executed) per lane.
 
-    The lanes must share one flow and one exposure matrix, those of
-    instances[0], and may differ in eligibility. Each keeps its own
-    permutation, tabu table, rng, current and best objective, and takes
+    Every lane scores with the flow and exposure matrices of ``instance``;
+    lane l moves under ``eligibility[l]`` of a C-contiguous bool (L, n, n)
+    stack, which takes the place of the instance's own. Each lane keeps its
+    own permutation, tabu table, rng, current and best objective, and takes
     exactly the moves it would take alone, while each iteration makes one
     set of NumPy calls for all lanes. A shared pool receives the offers of
     all lanes, interleaved; its contents depend only on the set of offers.
@@ -436,11 +437,9 @@ def _tabu_lanes(
     any move that beats the lane's best by more than round-off, so a tabu
     move back to the incumbent is never let through by float noise. All
     lanes stop at the deadline; a lane with no allowed move stops alone."""
-    inst = instances[0]
-    lanes, n = len(starts), inst.n
-    elig = np.stack([other.eligibility for other in instances])
+    lanes, n = len(starts), instance.n
     perms = np.array(starts, dtype=np.int64)
-    cur = objective_of_permutation(inst, perms).tolist()
+    cur = objective_of_permutation(instance, perms).tolist()
     cur_col = np.array(cur)[:, None]
     best_obj = list(cur)
     best_perm = [perm.copy() for perm in perms]
@@ -464,12 +463,12 @@ def _tabu_lanes(
     for lane in range(lanes):
         track(lane)
     tabu_until = np.zeros((lanes, n, n), dtype=np.int64)
-    pa, pb = swap_candidate_pairs(elig, move_mask)
-    scan = SwapScan(inst.flow, inst.exposure, perms, pa, pb)
+    pa, pb = swap_candidate_pairs(eligibility)
+    scan = SwapScan(instance.flow, instance.exposure, perms, pa, pb)
     # flat offsets of rows (lane, pa) and (lane, pb) of the (L, n, n) tables
     lane_rows = np.arange(lanes)[:, None] * n
     row_a, row_b = (lane_rows + pa) * n, (lane_rows + pb) * n
-    elig_flat, tabu_flat = elig.reshape(-1), tabu_until.reshape(-1)
+    elig_flat, tabu_flat = eligibility.reshape(-1), tabu_until.reshape(-1)
     pair_a, pair_b = pa.tolist(), pb.tolist()
     live = list(range(lanes))
     done = [0] * lanes
@@ -517,7 +516,7 @@ def _tabu_lanes(
             if not live:
                 break
         if rescore:
-            canon = objective_of_permutation(inst, perms[rescore]).tolist()
+            canon = objective_of_permutation(instance, perms[rescore]).tolist()
             for lane, obj in zip(rescore, canon):
                 cur[lane] = obj
                 cur_col[lane, 0] = obj
@@ -531,23 +530,6 @@ def _tabu_lanes(
     for lane in live:
         done[lane] = last
     return list(zip(best_obj, best_perm, done))
-
-
-def _tabu_run(
-    instance: QapInstance,
-    start: np.ndarray,
-    iterations: int,
-    tenure_range: tuple[float, float],
-    rng: Random,
-    pool: SolutionPool | None,
-    deadline: float | None,
-    move_mask: np.ndarray | None = None,
-) -> tuple[float, np.ndarray, int]:
-    """One tabu run from a feasible permutation: the one-lane call of
-    _tabu_lanes."""
-    return _tabu_lanes(
-        [instance], [start], [rng], iterations, tenure_range, pool, deadline, move_mask
-    )[0]
 
 
 def tabu_search(
@@ -570,8 +552,8 @@ def tabu_search(
         start0 = greedy_assignment(instance)
     starts, rngs = _restart_lanes(instance, start0, cfg.seed, cfg.restarts)
     lanes = _tabu_lanes(
-        [instance] * cfg.restarts, starts, rngs, cfg.iteration_limit, cfg.tenure_range,
-        pool, deadline,
+        instance, np.stack([instance.eligibility] * cfg.restarts), starts, rngs,
+        cfg.iteration_limit, cfg.tenure_range, pool, deadline,
     )
     return _best_lane(instance, lanes, t0)
 
@@ -622,8 +604,9 @@ def block_descent(
 
     Visits category blocks in fixed order; small blocks are optimized
     exhaustively over within-block permutations, oversized ones fall back to
-    a within-block tabu run. Stops when a full cycle brings no strict
-    improvement, so the objective trace is non-decreasing and finite.
+    a tabu run under eligibility that pins every other product where it is.
+    Stops when a full cycle brings no strict improvement, so the objective
+    trace is non-decreasing and finite.
     """
     if instance.level != "level2" or not instance.blocks:
         raise InputError("block_descent requires a level2 instance with blocks")
@@ -673,19 +656,16 @@ def block_descent(
                     notes.append(
                         f"block {blk.category_id!r} above exhaustive cap; tabu fallback"
                     )
-                mask = np.zeros((instance.n, instance.n), dtype=bool)
-                mask[np.ix_(rows, rows)] = True
+                # a pinned product has one eligible position, so it pairs
+                # with no other: only the block's products can swap
+                elig = np.zeros((1, instance.n, instance.n), dtype=bool)
+                elig[0, np.arange(instance.n), perm] = True
+                elig[0, rows] = instance.eligibility[rows]
                 rng = Random(_mix_seed(cfg.seed, 7_919 * (bi + 1) + cycles))
-                obj, new_perm, _ = _tabu_run(
-                    instance,
-                    perm,
-                    cfg.block_tabu_iterations,
-                    cfg.tenure_range,
-                    rng,
-                    None,
-                    deadline,
-                    move_mask=mask,
-                )
+                obj, new_perm, _ = _tabu_lanes(
+                    instance, elig, [perm], [rng], cfg.block_tabu_iterations,
+                    cfg.tenure_range, None, deadline,
+                )[0]
                 if obj > cur:
                     perm = new_perm
                     cur = obj
@@ -746,8 +726,9 @@ def solve_level2(
         inst_starts, inst_rngs = _restart_lanes(inst, start0, seed, restarts)
         starts += inst_starts
         rngs += inst_rngs
+    eligibility = np.stack([inst.eligibility for inst in instances for _ in range(restarts)])
     lanes = _tabu_lanes(
-        [inst for inst in instances for _ in range(restarts)], starts, rngs,
+        instances[0], eligibility, starts, rngs,
         config.iteration_limit, config.tenure_range, None, deadline,
     )
     return [
@@ -855,9 +836,7 @@ def induced_level1_assignment(
     rejects layouts that scatter one category over several locations."""
     parent_loc = {s.sublocation_id: s.parent_location_id for s in graph.sublocations}
     induced: dict[str, str] = {}
-    for sid, kid in assignment.pairs:
-        if sid in (CHECK_IN, CHECK_OUT):
-            continue
+    for sid, kid in assignment.shelf_mapping.items():
         cid = catalog.category_of(sid)
         if kid not in parent_loc:
             raise ValidationError(f"unknown sublocation {kid!r} in layout")
@@ -866,9 +845,7 @@ def induced_level1_assignment(
             raise ValidationError(
                 f"category {cid!r} is split across locations {induced[cid]!r} and {lid!r}"
             )
-    induced[CHECK_IN] = ENTRANCE_POS
-    induced[CHECK_OUT] = EXIT_POS
-    return Assignment.from_mapping(induced)
+    return Assignment.pinned(induced)
 
 
 def _layout_metrics(
@@ -880,12 +857,8 @@ def _layout_metrics(
 ) -> tuple[float, float]:
     l1 = induced_level1_assignment(assignment, catalog, graph)
     instance = build_level2_instance(exposures, transitions, l1, catalog, graph)
-    mapping = assignment.mapping
-    if CHECK_IN not in mapping:
-        # dummy placements are forced, so accept layouts that omit them
-        mapping[CHECK_IN] = ENTRANCE_POS
-        mapping[CHECK_OUT] = EXIT_POS
-        assignment = Assignment.from_mapping(mapping)
+    # door placements are forced, so accept layouts that omit them
+    assignment = Assignment.pinned(assignment.mapping)
     report = check_feasible(instance, assignment)
     if not report.ok:
         raise ValidationError("infeasible layout: " + "; ".join(report.violations))

@@ -21,8 +21,6 @@ import os
 from random import Random
 
 from .demand import (
-    CHECK_IN,
-    CHECK_OUT,
     Catalog,
     Category,
     Subcategory,
@@ -33,8 +31,6 @@ from .qap import Assignment, build_level1_instance, objective
 from .report import LayoutPlan, config_hash, write_plan
 from .solvers import evaluate_layout, induced_level1_assignment
 from .store import (
-    ENTRANCE_POS,
-    EXIT_POS,
     Edge,
     Location,
     Node,
@@ -258,27 +254,18 @@ def current_layout_plan(doc: StoreDocument, transactions_path_records) -> Layout
     matrices = expected_transitions(transactions, doc.catalog)
     exposures = build_exposure_matrices(doc.graph)
     layout = build_current_layout(doc)
-    # Add the dummy pins so the maps can be fed through the evaluators.
-    full = layout.mapping
-    full[CHECK_IN] = ENTRANCE_POS
-    full[CHECK_OUT] = EXIT_POS
-    assignment = Assignment.from_mapping(full)
-    level1 = induced_level1_assignment(assignment, doc.catalog, doc.graph)
+    level1 = induced_level1_assignment(layout, doc.catalog, doc.graph)
     l1_instance = build_level1_instance(
         exposures, matrices, build_synthetic_eligibility(doc.graph, doc.catalog)
     )
-    evaluation = evaluate_layout(assignment, exposures, matrices, doc.catalog, doc.graph)
+    evaluation = evaluate_layout(layout, exposures, matrices, doc.catalog, doc.graph)
     run_hash = config_hash(
         {"generator": "synthetic", "seed": DEFAULT_SEED, "transactions": DEFAULT_TRANSACTIONS}
     )
-    cat_map = {
-        pid: pos for pid, pos in level1.pairs if pid not in (CHECK_IN, CHECK_OUT)
-    }
-    sub_map = {pid: pos for pid, pos in assignment.pairs if pid not in (CHECK_IN, CHECK_OUT)}
     return LayoutPlan(
         store_name=doc.name,
-        category_to_location=cat_map,
-        subcategory_to_sublocation=sub_map,
+        category_to_location=level1.shelf_mapping,
+        subcategory_to_sublocation=layout.mapping,
         level1_objective=objective(l1_instance, level1),
         level2_objective=evaluation.objective,
         metadata={

@@ -561,6 +561,34 @@ class TestBundledSolveL2Golden:
         assert "trace: iterations=15000 restarts=5 nodes=0\n" in report
 
 
+class TestBundledPoolAndDiffGolden:
+    """The solve-l1 pool and the diff of the as-is plan against the K=10
+    solve, at seed 413 with the benchmark's 3,000-iteration tabu budget:
+    both strip the door placements from what they write."""
+
+    def test_solve_l1_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        monkeypatch.setattr(cli, "SolverConfig", functools.partial(SolverConfig, iteration_limit=3000))
+        out = tmp_path / "solve-l1"
+        assert main(["solve-l1", *BUNDLED, "--out", str(out)]) == 0
+        pinned = {
+            "level1_pool.json": "746587b2287549a30befe02aa6f6c8ac6be80eee5133e95233d56b89c39cd9b4",
+            "solve_report.txt": "ec0f0119b7119580818a95efe91ef84ec8a0f6f820050bd23d6ad8b8228ca048",
+        }
+        for name, digest in pinned.items():
+            assert sha256_of(out / name) == digest, name
+
+    def test_diff_pinned(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        monkeypatch.setattr(cli, "SolverConfig", functools.partial(SolverConfig, iteration_limit=3000))
+        solved = tmp_path / "solve"
+        assert main(["solve", *BUNDLED, "--out", str(solved), "--pool-size", "10"]) == 0
+        out = tmp_path / "diff"
+        assert main(["diff", AS_IS_PLAN, str(solved / "plan.json"), *BUNDLED, "--out", str(out)]) == 0
+        digest = "b935538dfba064bc071192f27f35be9bcb8d194b3adfd9e1b755b0c84db4b025"
+        assert sha256_of(out / "diff_report.txt") == digest
+
+
 class TestBenchmarkTracer:
     def test_every_wrapped_name_exists(self, monkeypatch):
         # the traced benchmark wraps package names from outside; dropping

@@ -307,10 +307,26 @@ class TestSwapCandidatePairs:
         assert all(x < y for x, y in zip(a, b))
         # pinned dummies and cross-block pairs never appear
         assert set(zip(a.tolist(), b.tolist())) == {(1, 2), (1, 3), (2, 3), (4, 5)}
-        mask = np.zeros((inst.n, inst.n), dtype=bool)
-        mask[4, 5] = True
-        a, b = swap_candidate_pairs(inst.eligibility, mask)
+        # products pinned to one position each, as block_descent's fallback
+        # pins those outside its block, pair with no product
+        elig = inst.eligibility.copy()
+        elig[[1, 2, 3]] = np.eye(inst.n, dtype=bool)[[1, 2, 3]]
+        a, b = swap_candidate_pairs(elig)
         assert list(zip(a.tolist(), b.tolist())) == [(4, 5)]
+
+
+class TestDoorPins:
+    def test_pinned_fills_only_absent_doors(self):
+        assert Assignment.pinned({"a": "k1"}).mapping == {
+            "a": "k1", CHECK_IN: ENTRANCE_POS, CHECK_OUT: EXIT_POS,
+        }
+        kept = Assignment.pinned({"a": "k1", CHECK_IN: "k2"})
+        assert kept.mapping == {"a": "k1", CHECK_IN: "k2", CHECK_OUT: EXIT_POS}
+
+    def test_shelf_mapping_drops_doors_in_pair_order(self):
+        asg = Assignment.pinned({"b": "k1", "a": "k2"})
+        assert list(asg.shelf_mapping.items()) == [("a", "k2"), ("b", "k1")]
+        assert Assignment.pinned(asg.shelf_mapping) == asg
 
 
 class TestFeasibility:

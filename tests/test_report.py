@@ -27,7 +27,7 @@ from storelayout.report import (
     write_matrix_tsv,
     write_plan,
 )
-from storelayout.solvers import SolveResult
+from storelayout.solvers import SolveResult, evaluate_layout
 from storelayout.store import TrafficDensity, accumulate_traffic, build_exposure_matrices
 from storelayout.storefile import StoreDocument, load_store, save_store, store_to_dict
 
@@ -104,6 +104,15 @@ class TestPlanIO:
         assert asg.position_of("check-in") == "entrance"
         assert asg.position_of("check-out") == "exit"
         assert plan.level1_assignment().position_of("check-in") == "entrance"
+
+    def test_assignment_keeps_a_misplaced_door(self):
+        # a plan naming check-in off the entrance is evaluated as written
+        graph, catalog, matrices, exposures = pieces()
+        plan = make_plan({"u1": "s1", "u2": "s2", "u3": "s3", "check-in": "s3"},
+                         {"C1": "L1", "C2": "L2"})
+        assert plan.assignment().position_of("check-in") == "s3"
+        with pytest.raises(ValidationError, match="infeasible layout"):
+            evaluate_layout(plan.assignment(), exposures, matrices, catalog, graph)
 
     def test_write_requires_metadata(self, tmp_path):
         plan = make_plan({"u1": "s1"}, {"C1": "L1"})

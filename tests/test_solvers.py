@@ -3,6 +3,7 @@ hierarchical driver's pooling behavior."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 from pathlib import Path
 from random import Random
@@ -40,7 +41,6 @@ from storelayout.solvers import (
     _better,
     _mix_seed,
     _tabu_lanes,
-    _tabu_run,
     block_descent,
     branch_and_bound,
     brute_force,
@@ -184,7 +184,7 @@ def full_scan_tabu_run(instance, start, iterations, tenure_range, rng, pool, mov
     """The tabu run as it was before the pair scan: every iteration builds
     the whole n x n delta matrix and masks it. Kept as the oracle the pair
     scan must reproduce move for move. Its aspiration margin is the one
-    _tabu_run uses: without it, whether a tabu move back to the incumbent
+    _tabu_lanes uses: without it, whether a tabu move back to the incumbent
     "beats" it is decided by the round-off of each delta kernel."""
     flow, expo, elig = instance.flow, instance.exposure, instance.eligibility
     n = instance.n
@@ -248,16 +248,46 @@ def equivalence_cases(seed: int, count: int = 20):
         yield trial, inst, random_assignment(inst, Random(trial))
 
 
+def block_mask(n: int, rows) -> np.ndarray:
+    """The move mask the block_descent fallback once passed the tabu run:
+    only pairs of two products in ``rows`` may swap."""
+    mask = np.zeros((n, n), dtype=bool)
+    mask[np.ix_(rows, rows)] = True
+    return mask
+
+
+def pin_outside(eligibility: np.ndarray, rows, perm) -> np.ndarray:
+    """``eligibility`` with every product outside ``rows`` pinned to its
+    position in ``perm``: the fallback's eligibility in place of the mask."""
+    pinned = np.zeros_like(eligibility)
+    pinned[np.arange(len(perm)), perm] = True
+    pinned[rows] = eligibility[rows]
+    return pinned
+
+
+def one_lane(inst, start, iterations, rng, pool, eligibility=None):
+    """A single tabu walk through _tabu_lanes, under the instance's own
+    eligibility unless another is given."""
+    elig = inst.eligibility if eligibility is None else eligibility
+    return _tabu_lanes(
+        inst, elig[None], [start], [rng], iterations, (0.1, 0.5), pool, None
+    )[0]
+
+
 class TestPairScanMatchesFullScan:
     """The pair scan must take the full scan's moves: same result, same
     iteration count and the same pool offers."""
 
-    def assert_same(self, inst, start, trial, move_mask=None, with_pool=True):
+    def assert_same(self, inst, start, trial, block_rows=None, with_pool=True):
+        # with block_rows, the oracle masks the moves and the scan under
+        # test pins every other product instead
         pools = [SolutionPool(inst, capacity=5, gap=0.02) if with_pool else None for _ in range(2)]
-        want = full_scan_tabu_run(
-            inst, start, 300, (0.1, 0.5), Random(trial), pools[0], move_mask
-        )
-        got = _tabu_run(inst, start, 300, (0.1, 0.5), Random(trial), pools[1], None, move_mask)
+        mask = elig = None
+        if block_rows is not None:
+            mask = block_mask(inst.n, block_rows)
+            elig = pin_outside(inst.eligibility, block_rows, start)
+        want = full_scan_tabu_run(inst, start, 300, (0.1, 0.5), Random(trial), pools[0], mask)
+        got = one_lane(inst, start, 300, Random(trial), pools[1], elig)
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
         assert got[2] == want[2]
@@ -282,10 +312,8 @@ class TestPairScanMatchesFullScan:
             inst = random_level2_instance(rng, sizes)
             blk = inst.blocks[rng.randrange(len(inst.blocks))]
             rows = [inst.product_index(p) for p in blk.product_ids]
-            mask = np.zeros((inst.n, inst.n), dtype=bool)
-            mask[np.ix_(rows, rows)] = True
             start = random_assignment(inst, Random(trial))
-            self.assert_same(inst, start, trial, move_mask=mask, with_pool=False)
+            self.assert_same(inst, start, trial, block_rows=rows, with_pool=False)
 
     def test_ties_break_on_lowest_pair(self):
         # zero flow makes every delta exactly 0: each move is decided by
@@ -300,7 +328,7 @@ class TestPairScanMatchesFullScan:
     def test_no_movable_pair_stops_after_one_iteration(self):
         inst = random_level2_instance(Random(421), (1, 1, 1))
         start = random_assignment(inst, Random(0))
-        obj, perm, done = _tabu_run(inst, start, 50, (0.1, 0.5), Random(0), None, None)
+        obj, perm, done = one_lane(inst, start, 50, Random(0), None)
         assert done == 1
         assert np.array_equal(perm, start)
         assert obj == objective_of_permutation(inst, start)
@@ -352,7 +380,10 @@ def serial_tabu_run(instance, start, iterations, tenure_range, rng, pool, move_m
     lo = max(1, round(tenure_range[0] * n))
     hi = max(lo, round(tenure_range[1] * n))
     tabu_until = np.zeros((n, n), dtype=np.int64)
-    pa, pb = swap_candidate_pairs(elig, move_mask)
+    pa, pb = swap_candidate_pairs(elig)
+    if move_mask is not None:
+        keep = move_mask[pa, pb]
+        pa, pb = pa[keep], pb[keep]
     scan = SerialSwapScan(instance.flow, instance.exposure, perm, pa, pb)
     done = 0
     for it in range(1, iterations + 1):
@@ -439,20 +470,28 @@ class TestLanesMatchSerialRuns:
     count, and a shared pool ending with the entries the walks leave when
     they offer one after another."""
 
-    def assert_lanes(self, instances, seed, iterations=200, with_pool=True, move_mask=None):
+    def assert_lanes(self, instances, seed, iterations=200, with_pool=True, block_rows=None):
+        # with block_rows, the serial runs mask the moves and each lane
+        # pins every other product at its start instead
         seeds = [seed * 31 + lane for lane in range(len(instances))]
         starts = [random_assignment(inst, Random(s)) for inst, s in zip(instances, seeds)]
         pools = [
             SolutionPool(instances[0], capacity=6, gap=0.02) if with_pool else None
             for _ in range(2)
         ]
+        mask = None if block_rows is None else block_mask(instances[0].n, block_rows)
         want = [
-            serial_tabu_run(inst, start, iterations, (0.1, 0.5), Random(s), pools[0], move_mask)
+            serial_tabu_run(inst, start, iterations, (0.1, 0.5), Random(s), pools[0], mask)
             for inst, start, s in zip(instances, starts, seeds)
         ]
+        elig = np.stack([
+            inst.eligibility if block_rows is None
+            else pin_outside(inst.eligibility, block_rows, start)
+            for inst, start in zip(instances, starts)
+        ])
         got = _tabu_lanes(
-            instances, starts, [Random(s) for s in seeds], iterations, (0.1, 0.5),
-            pools[1], None, move_mask,
+            instances[0], elig, starts, [Random(s) for s in seeds], iterations, (0.1, 0.5),
+            pools[1], None,
         )
         assert len(got) == len(want)
         for (g_obj, g_perm, g_done), (w_obj, w_perm, w_done) in zip(got, want):
@@ -496,10 +535,8 @@ class TestLanesMatchSerialRuns:
             base = random_level2_instance(rng, (3, 3, 2, 2))
             blk = base.blocks[rng.randrange(len(base.blocks))]
             rows = [base.product_index(p) for p in blk.product_ids]
-            mask = np.zeros((base.n, base.n), dtype=bool)
-            mask[np.ix_(rows, rows)] = True
             lanes = block_variants(rng, base, trial % 4 + 1)
-            self.assert_lanes(lanes, trial, with_pool=False, move_mask=mask)
+            self.assert_lanes(lanes, trial, with_pool=False, block_rows=rows)
 
     def test_no_pairs_at_several_lanes(self):
         base = random_level2_instance(Random(619), (1, 1, 1, 1))
@@ -547,7 +584,8 @@ def tactical_stage_oracle(instances, seeds, config: SolverConfig):
     better of the two; (objective, assignment, iterations) per candidate."""
     descents = [block_descent(inst, replace(config, seed=s)) for inst, s in zip(instances, seeds)]
     refined = _tabu_lanes(
-        instances,
+        instances[0],
+        np.stack([inst.eligibility for inst in instances]),
         [inst.permutation_of(d.assignment) for inst, d in zip(instances, descents)],
         [Random(_mix_seed(s, 0)) for s in seeds],
         config.iteration_limit,
@@ -681,6 +719,92 @@ class TestBlockDescent:
         assert any("tabu fallback" in note for note in result.notes)
         exact = brute_force(inst)
         assert result.objective <= exact.objective + 1e-9
+
+
+def masked_block_descent(instance: QapInstance, config: SolverConfig, initial=None):
+    """block_descent as it was while its oversized-block fallback limited
+    the tabu run to the block's pairs with a move mask, kept as the oracle
+    for the fallback that pins every other product through eligibility. The
+    masked run is serial_tabu_run, the walk a one-lane _tabu_lanes call
+    takes move for move; there is no time limit. Returns (objective,
+    permutation, cycles, notes)."""
+    perm = instance.permutation_of(initial) if initial is not None else greedy_assignment(instance)
+    cur = objective_of_permutation(instance, perm)
+    notes: list[str] = []
+    fallback_blocks = set()
+    block_rows = [
+        np.array([instance.product_index(p) for p in blk.product_ids], dtype=np.int64)
+        for blk in instance.blocks
+    ]
+    cycles = 0
+    improved = True
+    while improved:
+        improved = False
+        cycles += 1
+        for bi, blk in enumerate(instance.blocks):
+            rows = block_rows[bi]
+            if len(rows) == 1:
+                continue
+            if len(rows) <= config.block_exhaustive_cap:
+                slots = perm[rows]
+                best_local = cur
+                best_order = None
+                for cand in itertools.permutations(slots.tolist()):
+                    perm[rows] = cand
+                    obj = objective_of_permutation(instance, perm)
+                    if obj > best_local:
+                        best_local = obj
+                        best_order = cand
+                if best_order is not None:
+                    perm[rows] = best_order
+                    cur = best_local
+                    improved = True
+                else:
+                    perm[rows] = slots
+            else:
+                if blk.category_id not in fallback_blocks:
+                    fallback_blocks.add(blk.category_id)
+                    notes.append(
+                        f"block {blk.category_id!r} above exhaustive cap; tabu fallback"
+                    )
+                rng = Random(_mix_seed(config.seed, 7_919 * (bi + 1) + cycles))
+                obj, new_perm, _ = serial_tabu_run(
+                    instance, perm, config.block_tabu_iterations, config.tenure_range, rng,
+                    None, block_mask(instance.n, rows),
+                )
+                if obj > cur:
+                    perm = new_perm
+                    cur = obj
+                    improved = True
+    return cur, perm, cycles, tuple(notes)
+
+
+class TestBlockFallbackMatchesMask:
+    def test_pinned_fallback_matches_masked_one(self):
+        # every instance has a block above the cap, so each descent falls
+        # back to tabu at least once
+        rng = Random(887)
+        for trial in range(24):
+            cap = 2 + trial % 2
+            sizes = tuple(rng.randint(1, 6) for _ in range(rng.randint(2, 4)))
+            if max(sizes) <= cap:
+                sizes += (cap + 1 + rng.randrange(3),)
+            inst = random_level2_instance(rng, sizes)
+            cfg = SolverConfig(
+                seed=rng.randrange(10**6),
+                block_exhaustive_cap=cap,
+                block_tabu_iterations=rng.choice((5, 40, 200)),
+            )
+            initial = None
+            if trial % 3:
+                initial = inst.assignment_from_permutation(random_assignment(inst, Random(trial)))
+            want_obj, want_perm, want_cycles, want_notes = masked_block_descent(inst, cfg, initial)
+            got = block_descent(inst, cfg, initial)
+            assert got.objective.hex() == want_obj.hex()
+            assert got.assignment == inst.assignment_from_permutation(want_perm)
+            assert got.iterations == want_cycles
+            assert got.notes == want_notes
+            assert "tabu fallback" in want_notes[0]
 
 
 class TestStartingAssignments:
@@ -826,6 +950,28 @@ class TestLayoutEvaluation:
         assert report.objective == pytest.approx(want, rel=1e-12)
         assert report.transaction_count == matrices.transaction_count
         assert report.travel_distance > 0
+
+    def test_door_pins_may_be_left_out(self):
+        # a layout that omits one door placement or both gets them added
+        graph, catalog, matrices, exposures = small_fixture((2, 1))
+        shelves = {"u1": "s2", "u2": "s1", "u3": "s3"}
+
+        def metrics(mapping):
+            report = evaluate_layout(
+                Assignment.from_mapping(mapping), exposures, matrices, catalog, graph
+            )
+            return report.objective.hex(), report.travel_distance.hex()
+
+        full = metrics({**shelves, "check-in": "entrance", "check-out": "exit"})
+        assert metrics(shelves) == full
+        assert metrics({**shelves, "check-in": "entrance"}) == full
+        assert metrics({**shelves, "check-out": "exit"}) == full
+
+    def test_check_in_off_the_entrance_is_infeasible(self):
+        graph, catalog, matrices, exposures = small_fixture((2, 1))
+        layout = Assignment.from_mapping({"u1": "s2", "u2": "s1", "u3": "s3", "check-in": "s3"})
+        with pytest.raises(ValidationError, match="infeasible layout"):
+            evaluate_layout(layout, exposures, matrices, catalog, graph)
 
     def test_split_category_rejected(self):
         graph, catalog, matrices, exposures = small_fixture((2, 2))
