@@ -46,6 +46,7 @@ from .report import (
     write_plan,
 )
 from .solvers import (
+    RESTARTS,
     SolverConfig,
     block_descent,  # noqa: F401 -- perfbench/spans.py wraps this name
     capacity_eligibility,
@@ -272,7 +273,7 @@ def _run_solve(config: RunConfig, sink: _Artifacts) -> None:
             exposures, matrices, level1_assignment, doc.catalog, doc.graph
         )
         solver = config.solver
-        _, result = solve_level2([instance], [solver.seed], solver, solver.restarts)[0]
+        _, result = solve_level2([instance], [solver.seed], solver, RESTARTS)[0]
         l1_objective = objective(_level1_instance(doc, exposures, matrices), level1_assignment)
         _write_solve_artifacts(
             config, doc, exposures, matrices, transactions,

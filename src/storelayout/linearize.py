@@ -31,9 +31,10 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .demand import CHECK_IN, CHECK_OUT, Catalog, TransitionMatrices
+from .demand import Catalog, TransitionMatrices
 from .errors import InputError, ParseError, ValidationError
 from .qap import (
+    DOOR_PINS,
     INTEGRATED,
     LEVEL1,
     Assignment,
@@ -42,7 +43,7 @@ from .qap import (
     check_feasible,
     objective_of_permutation,
 )
-from .store import ENTRANCE_POS, EXIT_POS, ExposureMatrices, StoreGraph
+from .store import ExposureMatrices, StoreGraph
 
 
 @dataclass(slots=True)
@@ -116,9 +117,6 @@ class LinearModel:
     assignment_prefix: str
     n: int
 
-    def constraint_count(self, prefix: str) -> int:
-        return sum(1 for c in self.constraints if c.name.startswith(prefix))
-
 
 @dataclass(frozen=True)
 class ExternalSolution:
@@ -168,24 +166,20 @@ def decode_variable(name: str) -> tuple[str, tuple[int, ...]]:
 
 def _product_families(instance: QapInstance) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Category-style grouping of a tactical instance: aligned (member
-    product indices, slot position indices) pairs, dummies as singletons."""
-    fams: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    if CHECK_IN in instance.product_ids:
-        fams.append(
-            ((instance.product_index(CHECK_IN),), (instance.position_index(ENTRANCE_POS),))
+    product indices, slot position indices) pairs, dummies as singletons:
+    check-in, the blocks, check-out."""
+    check_in, check_out = (
+        [((instance.product_index(pid),), (instance.position_index(pos),))]
+        if pid in instance.product_ids else []
+        for pid, pos in DOOR_PINS.items()
+    )
+    return check_in + [
+        (
+            tuple(instance.product_index(p) for p in blk.product_ids),
+            tuple(instance.position_index(k) for k in blk.position_ids),
         )
-    for blk in instance.blocks:
-        fams.append(
-            (
-                tuple(instance.product_index(p) for p in blk.product_ids),
-                tuple(instance.position_index(k) for k in blk.position_ids),
-            )
-        )
-    if CHECK_OUT in instance.product_ids:
-        fams.append(
-            ((instance.product_index(CHECK_OUT),), (instance.position_index(EXIT_POS),))
-        )
-    return fams
+        for blk in instance.blocks
+    ] + check_out
 
 
 def _cell_names(cells: list[tuple[int, int]], bvar: str, wvar: str) -> list[list[str]]:
@@ -409,7 +403,7 @@ def linearize_integrated(
     members = [tuple(sub_index[s] for s in catalog.subcategories_of(cid)) for cid in cat_axis]
     slots = [
         (slot_index[kid],)
-        if kid in (ENTRANCE_POS, EXIT_POS)
+        if kid in DOOR_PINS.values()
         else tuple(slot_index[s] for s in graph.location_by_id(kid).sublocation_ids)
         for kid in loc_axis
     ]

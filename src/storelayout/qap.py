@@ -437,8 +437,7 @@ class SwapScan:
     the row and the column terms of every delta; whatever depends only on
     the flow matrix is computed once for all lanes. Entry [l, p] of
     ``deltas()`` equals swap_delta_perm(flow, exposure, perms[l], a[p], b[p])
-    up to round-off, and has the same bits whatever the number of lanes. A
-    1-D ``perms`` is one lane and gives 1-D deltas.
+    up to round-off, and has the same bits whatever the number of lanes.
     """
 
     def __init__(
@@ -449,8 +448,6 @@ class SwapScan:
         a: np.ndarray,
         b: np.ndarray,
     ):
-        self._one = perms.ndim == 1
-        perms = np.atleast_2d(perms)
         lanes, n = perms.shape
         self.n = n
         self._hh = np.empty((lanes, n, 2 * n))
@@ -479,10 +476,8 @@ class SwapScan:
 
     @property
     def h(self) -> np.ndarray:
-        """The permuted exposure matrices, a view: (n, n) for one lane given
-        as a 1-D permutation, (L, n, n) otherwise."""
-        h = self._hh[:, :, : self.n]
-        return h[0] if self._one else h
+        """The (L, n, n) permuted exposure matrices, a view."""
+        return self._hh[:, :, : self.n]
 
     def deltas(self) -> np.ndarray:
         hh, rows_a, rows_b = self._hh, self._rows_a, self._rows_b
@@ -492,8 +487,7 @@ class SwapScan:
         dots = np.einsum("pk,lpk->lp", self._dflow, rows_b, out=self._dots)
         np.take(hh, self._corners, out=self._corner_vals, mode="clip")
         sums = np.matmul(self._signs, self._corner_vals, out=self._corner_sums)
-        out = dots + self._s * sums
-        return out[0] if self._one else out
+        return dots + self._s * sums
 
     def swap(self, a: int, b: int, lane: int = 0) -> None:
         """Follow the exchange of perms[lane][a] and perms[lane][b]: swap

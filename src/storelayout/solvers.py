@@ -39,43 +39,42 @@ from .store import ExposureMatrices, StoreGraph
 # forced onto one signals an infeasible completion.
 _FORBIDDEN = -1e15
 
+# Search policy, sized for supermarket-scale stores (tens of positions).
+# Tabu restarts of a strategic solve and of a single tactical solve.
+RESTARTS = 5
+# A move stays tabu for a uniform draw from this fraction range of n iterations.
+TENURE_RANGE = (0.1, 0.5)
+# Branch-and-bound nodes before the search stops and gives up its certificate.
+NODE_LIMIT = 10_000_000
+# Most free products brute_force enumerates (9! = 362,880 leaves).
+BRUTE_FORCE_CAP = 9
+# Largest block block_descent orders exhaustively (7! = 5,040 orders).
+BLOCK_EXHAUSTIVE_CAP = 7
+# Tabu iterations of block_descent's fallback on a larger block.
+BLOCK_TABU_ITERATIONS = 2_000
+# Most free products solve_level1 hands to branch and bound instead of tabu.
+EXACT_FREE_LIMIT = 11
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Shared solver knobs. Defaults target supermarket-scale stores (tens
-    of positions) finishing in minutes on commodity hardware."""
+    """The solver settings a run chooses: seed, budgets and pool shape."""
 
     seed: int = 0
     time_limit: float | None = None
     iteration_limit: int = 50_000
-    tenure_range: tuple[float, float] = (0.1, 0.5)
-    restarts: int = 5
-    node_limit: int = 10_000_000
     pool_capacity: int = 10
     pool_gap: float = 0.001
-    brute_force_cap: int = 9
-    block_exhaustive_cap: int = 7
-    block_tabu_iterations: int = 2_000
-    exact_free_limit: int = 11
 
     def __post_init__(self):
         if self.pool_capacity < 1:
             raise InputError("pool capacity must be >= 1")
         if not (0 <= self.pool_gap < 1):
             raise InputError("pool gap must be in [0, 1)")
-        for label, value in (
-            ("iteration_limit", self.iteration_limit),
-            ("restarts", self.restarts),
-            ("node_limit", self.node_limit),
-            ("brute_force_cap", self.brute_force_cap),
-        ):
-            if value < 1:
-                raise InputError(f"{label} must be positive")
+        if self.iteration_limit < 1:
+            raise InputError("iteration_limit must be positive")
         if self.time_limit is not None and self.time_limit <= 0:
             raise InputError("time_limit must be positive")
-        lo, hi = self.tenure_range
-        if not (0 < lo <= hi):
-            raise InputError("tenure_range must satisfy 0 < lo <= hi")
 
 
 @dataclass
@@ -156,73 +155,71 @@ def _matchable(elig: np.ndarray, rows: list[int], cols: list[int]) -> bool:
     return bool((matching >= 0).all())
 
 
+def _construct(instance: QapInstance, order: list[int], rank, kind: str) -> np.ndarray:
+    """Places the products in ``order``, each on the first position of
+    ``rank(i, free, perm, placed)``, its eligible free positions ranked,
+    that still leaves the rest completable."""
+    n = instance.n
+    elig = instance.eligibility
+    perm = np.full(n, -1, dtype=np.int64)
+    used = np.zeros(n, dtype=bool)
+    for step, i in enumerate(order):
+        rest = order[step + 1 :]
+        for k in rank(i, np.flatnonzero(elig[i] & ~used), perm, order[:step]):
+            used[k] = True
+            if _matchable(elig, rest, list(np.flatnonzero(~used))):
+                perm[i] = k
+                break
+            used[k] = False
+        else:
+            raise ModelError(f"{kind} construction could not complete an assignment")
+    return perm
+
+
 def greedy_assignment(instance: QapInstance) -> np.ndarray:
     """Deterministic construction: place heavy-flow products first, each on
     the eligible free position with the best immediate objective gain that
     still leaves the rest completable."""
-    n = instance.n
     flow, expo, elig = instance.flow, instance.exposure, instance.eligibility
     weight = flow.sum(axis=0) + flow.sum(axis=1)
-    order = sorted(range(n), key=lambda i: (int(elig[i].sum()), -weight[i], i))
-    perm = np.full(n, -1, dtype=np.int64)
-    placed: list[int] = []
-    used = np.zeros(n, dtype=bool)
-    for step, i in enumerate(order):
-        rest = order[step + 1 :]
+    order = sorted(range(instance.n), key=lambda i: (int(elig[i].sum()), -weight[i], i))
+
+    def by_gain(i, free, perm, placed):
         gains = []
-        for k in np.flatnonzero(elig[i] & ~used):
+        for k in free:
             gain = flow[i, i] * expo[k, k]
             for j in placed:
                 gain += flow[i, j] * expo[k, perm[j]] + flow[j, i] * expo[perm[j], k]
             gains.append((-gain, int(k)))
-        gains.sort()
-        for _, k in gains:
-            used[k] = True
-            if _matchable(elig, rest, list(np.flatnonzero(~used))):
-                perm[i] = k
-                placed.append(i)
-                break
-            used[k] = False
-        else:
-            raise ModelError("greedy construction could not complete an assignment")
-    return perm
+        return [k for _, k in sorted(gains)]
+
+    return _construct(instance, order, by_gain, "greedy")
 
 
 def random_assignment(instance: QapInstance, rng: Random) -> np.ndarray:
     """Random feasible permutation: random product order, random eligible
     position that keeps the remainder completable. Deterministic given rng."""
-    n = instance.n
-    elig = instance.eligibility
-    order = list(range(n))
+    order = list(range(instance.n))
     rng.shuffle(order)
-    perm = np.full(n, -1, dtype=np.int64)
-    used = np.zeros(n, dtype=bool)
-    for step, i in enumerate(order):
-        rest = order[step + 1 :]
-        candidates = [int(k) for k in np.flatnonzero(elig[i] & ~used)]
+
+    def shuffled(i, free, perm, placed):
+        candidates = free.tolist()
         rng.shuffle(candidates)
-        for k in candidates:
-            used[k] = True
-            if _matchable(elig, rest, list(np.flatnonzero(~used))):
-                perm[i] = k
-                break
-            used[k] = False
-        else:
-            raise ModelError("random construction could not complete an assignment")
-    return perm
+        return candidates
+
+    return _construct(instance, order, shuffled, "random")
 
 
 # -- brute force ----------------------------------------------------------------
 
 
-def brute_force(instance: QapInstance, config: SolverConfig | None = None) -> SolveResult:
+def brute_force(instance: QapInstance) -> SolveResult:
     """Exhaustive enumeration of eligible bijections; the verification
     oracle. Refuses instances with more free products than the cap."""
-    cfg = config or SolverConfig()
     free = instance.free_product_count()
-    if free > cfg.brute_force_cap:
+    if free > BRUTE_FORCE_CAP:
         raise ModelError(
-            f"instance has {free} free products, above the brute-force cap {cfg.brute_force_cap}"
+            f"instance has {free} free products, above the brute-force cap {BRUTE_FORCE_CAP}"
         )
     t0 = perf_counter()
     n = instance.n
@@ -353,9 +350,9 @@ def branch_and_bound(
         if limit_hit:
             return
         nodes += 1
-        if nodes > cfg.node_limit:
+        if nodes > NODE_LIMIT:
             limit_hit = True
-            notes.append(f"node limit {cfg.node_limit} reached")
+            notes.append(f"node limit {NODE_LIMIT} reached")
             return
         if deadline is not None and perf_counter() > deadline:
             limit_hit = True
@@ -413,7 +410,6 @@ def _tabu_lanes(
     starts: list[np.ndarray],
     rngs: list[Random],
     iterations: int,
-    tenure_range: tuple[float, float],
     pool: SolutionPool | None,
     deadline: float | None,
 ) -> list[tuple[float, np.ndarray, int]]:
@@ -446,8 +442,8 @@ def _tabu_lanes(
     if pool is not None:
         for perm, obj in zip(perms, cur):
             pool.offer(perm.copy(), obj)
-    lo = max(1, round(tenure_range[0] * n))
-    hi = max(lo, round(tenure_range[1] * n))
+    lo = max(1, round(TENURE_RANGE[0] * n))
+    hi = max(lo, round(TENURE_RANGE[1] * n))
     # a lane's aspiration level and rescoring threshold move with its best
     aspire = np.empty((lanes, 1))
     rescore_at = [0.0] * lanes
@@ -546,14 +542,11 @@ def tabu_search(
     cfg = config or SolverConfig()
     t0 = perf_counter()
     deadline = t0 + cfg.time_limit if cfg.time_limit else None
-    if initial is not None:
-        start0 = instance.permutation_of(initial)
-    else:
-        start0 = greedy_assignment(instance)
-    starts, rngs = _restart_lanes(instance, start0, cfg.seed, cfg.restarts)
+    start0 = instance.permutation_of(initial) if initial is not None else greedy_assignment(instance)
+    starts, rngs = _restart_lanes(instance, start0, cfg.seed, RESTARTS)
     lanes = _tabu_lanes(
-        instance, np.stack([instance.eligibility] * cfg.restarts), starts, rngs,
-        cfg.iteration_limit, cfg.tenure_range, pool, deadline,
+        instance, np.stack([instance.eligibility] * RESTARTS), starts, rngs,
+        cfg.iteration_limit, pool, deadline,
     )
     return _best_lane(instance, lanes, t0)
 
@@ -634,7 +627,7 @@ def block_descent(
                 notes.append(f"time limit {cfg.time_limit}s reached")
                 improved = False
                 break
-            if len(rows) <= cfg.block_exhaustive_cap:
+            if len(rows) <= BLOCK_EXHAUSTIVE_CAP:
                 slots = perm[rows]
                 best_local = cur
                 best_order: tuple[int, ...] | None = None
@@ -663,8 +656,7 @@ def block_descent(
                 elig[0, rows] = instance.eligibility[rows]
                 rng = Random(_mix_seed(cfg.seed, 7_919 * (bi + 1) + cycles))
                 obj, new_perm, _ = _tabu_lanes(
-                    instance, elig, [perm], [rng], cfg.block_tabu_iterations,
-                    cfg.tenure_range, None, deadline,
+                    instance, elig, [perm], [rng], BLOCK_TABU_ITERATIONS, None, deadline
                 )[0]
                 if obj > cur:
                     perm = new_perm
@@ -689,7 +681,7 @@ def solve_level1(instance: QapInstance, config: SolverConfig | None = None) -> S
     otherwise."""
     cfg = config or SolverConfig()
     pool = SolutionPool(instance, capacity=cfg.pool_capacity, gap=cfg.pool_gap)
-    if instance.free_product_count() <= cfg.exact_free_limit:
+    if instance.free_product_count() <= EXACT_FREE_LIMIT:
         branch_and_bound(instance, cfg, pool=pool)
     else:
         tabu_search(instance, cfg, pool=pool)
@@ -728,8 +720,7 @@ def solve_level2(
         rngs += inst_rngs
     eligibility = np.stack([inst.eligibility for inst in instances for _ in range(restarts)])
     lanes = _tabu_lanes(
-        instances[0], eligibility, starts, rngs,
-        config.iteration_limit, config.tenure_range, None, deadline,
+        instances[0], eligibility, starts, rngs, config.iteration_limit, None, deadline
     )
     return [
         (d, _best_lane(inst, lanes[i * restarts : (i + 1) * restarts], t0, d.notes))
@@ -817,7 +808,7 @@ def solve_hierarchical(
         objective=best_obj,
         wall_time=perf_counter() - t0,
         iterations=iterations,
-        restarts=cfg.restarts,
+        restarts=RESTARTS,
         solver="hierarchical",
         notes=tuple(notes),
         level1_assignment=best_entry.assignment,

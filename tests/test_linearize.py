@@ -71,6 +71,11 @@ def residuals(model: LinearModel, values: dict[str, float]) -> float:
     return worst
 
 
+def row_count(model: LinearModel, prefix: str) -> int:
+    """Rows of ``model`` whose name starts with ``prefix``."""
+    return sum(1 for c in model.constraints if c.name.startswith(prefix))
+
+
 GOLDEN_2X2 = """\\ level1 exposure maximization model
 Maximize
  obj: 1 w_0_0_1_0 + 3 w_0_0_1_1 + 3 w_0_1_1_0 + 1 w_0_1_1_1
@@ -192,11 +197,11 @@ class TestConstraintCounts:
         model = linearize(inst)
         assert len(model.binary_names) == n * n
         assert len(model.continuous_names) == n * n * (n * n - 1)
-        assert model.constraint_count("li_") == n ** 3
-        assert model.constraint_count("lk_") == n ** 3
-        assert model.constraint_count("sym_") == (n * n) * (n * n - 1) // 2
-        assert model.constraint_count("asg_p_") == n
-        assert model.constraint_count("asg_k_") == n
+        assert row_count(model, "li_") == n ** 3
+        assert row_count(model, "lk_") == n ** 3
+        assert row_count(model, "sym_") == (n * n) * (n * n - 1) // 2
+        assert row_count(model, "asg_p_") == n
+        assert row_count(model, "asg_k_") == n
 
     def test_sparsify_shrinks_restricted_models(self):
         rng = Random(109)
@@ -863,7 +868,7 @@ class TestConstraintView:
             assert first == second
             assert all(type(c) is Constraint for c in first)
             for prefix in ROW_PREFIXES:
-                assert model.constraint_count(prefix) == ref.constraint_count(prefix), prefix
+                assert row_count(model, prefix) == row_count(ref, prefix), prefix
 
     def test_compares_and_indexes_like_a_tuple(self):
         for model, ref in view_cases():
@@ -904,7 +909,7 @@ class TestConstraintView:
         model = linearize_integrated(exposures, matrices, None, catalog, graph, sparsify=True)
         write_lp(model, str(tmp_path / "model.lp"))
         made = list(built)
-        head = sum(model.constraint_count(prefix) for prefix in ("asg_", "grp_"))
+        head = sum(row_count(model, prefix) for prefix in ("asg_", "grp_"))
         assert len(made) == head < len(model.constraints)
         assert all(name.startswith(("asg_", "grp_")) for name in made)
 

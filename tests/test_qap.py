@@ -186,7 +186,7 @@ class TestSwapScan:
         for rng, inst in self.instances(29):
             perm = random_assignment(inst, rng)
             a, b = np.nonzero(np.triu(np.ones((inst.n, inst.n), dtype=bool), k=1))
-            got = SwapScan(inst.flow, inst.exposure, perm, a, b).deltas()
+            got = SwapScan(inst.flow, inst.exposure, perm[None], a, b).deltas()[0]
             base = objective_of_permutation(inst, perm)
             scale = float((np.abs(inst.flow) * np.abs(inst.exposure[np.ix_(perm, perm)])).sum())
             for p, (x, y) in enumerate(zip(a, b)):
@@ -202,7 +202,7 @@ class TestSwapScan:
         for rng, inst in self.instances(31):
             perm = random_assignment(inst, rng)
             a, b = swap_candidate_pairs(inst.eligibility)
-            got = SwapScan(inst.flow, inst.exposure, perm, a, b).deltas()
+            got = SwapScan(inst.flow, inst.exposure, perm[None], a, b).deltas()[0]
             want = swap_delta_matrix(inst.flow, inst.exposure, perm)[a, b]
             assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
 
@@ -213,14 +213,14 @@ class TestSwapScan:
         expo = np.array([[rng.uniform(-3, 5) for _ in range(n)] for _ in range(n)])
         perm = np.array(rng.sample(range(n), n))
         a, b = np.nonzero(np.triu(np.ones((n, n), dtype=bool), k=1))
-        scan = SwapScan(flow, expo, perm, a, b)
+        scan = SwapScan(flow, expo, perm[None], a, b)
         for _ in range(500):
             x, y = rng.sample(range(n), 2)
             perm[x], perm[y] = perm[y], perm[x]
             scan.swap(x, y)
-        assert np.array_equal(scan.h, expo[np.ix_(perm, perm)])
+        assert np.array_equal(scan.h[0], expo[np.ix_(perm, perm)])
         # the transposed copy stayed in step too: deltas equal a fresh scan's
-        fresh = SwapScan(flow, expo, perm, a, b)
+        fresh = SwapScan(flow, expo, perm[None], a, b)
         assert np.array_equal(scan.deltas(), fresh.deltas())
 
 
@@ -246,7 +246,7 @@ class TestSwapScanLanes:
                 got = scan.deltas()
                 assert got.shape == (lanes, len(a))
                 for lane, perm in enumerate(perms):
-                    want = SwapScan(flow, expo, perm.copy(), a, b).deltas()
+                    want = SwapScan(flow, expo, perm[None].copy(), a, b).deltas()[0]
                     assert got[lane].tobytes() == want.tobytes()
                 for lane, perm in enumerate(perms):
                     x, y = (int(v) for v in rng.choice(n, 2, replace=False))

@@ -20,6 +20,7 @@ from conftest import (
     random_level1_instance,
     random_level2_instance,
 )
+from storelayout import solvers
 from storelayout.demand import expected_transitions, load_transactions, read_transactions_csv
 from storelayout.errors import InputError, ModelError, ValidationError
 from storelayout.qap import (
@@ -37,6 +38,7 @@ from storelayout.qap import (
     swap_delta_matrix,
 )
 from storelayout.solvers import (
+    BRUTE_FORCE_CAP,
     SolverConfig,
     _better,
     _mix_seed,
@@ -87,9 +89,10 @@ class TestBruteForce:
 
     def test_cap_refuses_large_instances(self):
         rng = Random(223)
-        inst = random_level1_instance(rng, 5, full_eligibility=True)
-        with pytest.raises(ModelError):
-            brute_force(inst, SolverConfig(brute_force_cap=4))
+        inst = random_level1_instance(rng, 10, full_eligibility=True)
+        assert inst.free_product_count() > BRUTE_FORCE_CAP
+        with pytest.raises(ModelError, match="brute-force cap"):
+            brute_force(inst)
 
     def test_single_node_instance(self):
         inst = random_level2_instance(Random(2), (1,))
@@ -119,10 +122,11 @@ class TestBranchAndBound:
         assert bnb.objective == exact.objective
         assert bnb.nodes > 0
 
-    def test_node_limit_downgrades_certification(self):
+    def test_node_limit_downgrades_certification(self, monkeypatch):
         rng = Random(233)
         inst = random_level1_instance(rng, 5, full_eligibility=True)
-        result = branch_and_bound(inst, SolverConfig(node_limit=40))
+        monkeypatch.setattr(solvers, "NODE_LIMIT", 40)
+        result = branch_and_bound(inst)
         if not result.certified:
             assert result.bound is not None and result.bound >= result.objective
             assert result.gap is not None and result.gap >= 0.0
@@ -141,42 +145,46 @@ class TestBranchAndBound:
 
 
 class TestTabuSearch:
-    def test_deterministic_per_seed(self):
+    def test_deterministic_per_seed(self, monkeypatch):
         rng = Random(241)
         inst = random_level1_instance(rng, 6, full_eligibility=True)
-        cfg = SolverConfig(seed=3, iteration_limit=300, restarts=2)
+        monkeypatch.setattr(solvers, "RESTARTS", 2)
+        cfg = SolverConfig(seed=3, iteration_limit=300)
         a = tabu_search(inst, cfg)
         b = tabu_search(inst, cfg)
         assert a.objective == b.objective
         assert a.assignment == b.assignment
 
-    def test_never_worse_than_initial(self):
+    def test_never_worse_than_initial(self, monkeypatch):
         rng = Random(251)
+        monkeypatch.setattr(solvers, "RESTARTS", 1)
         for trial in range(10):
             inst = random_level1_instance(rng, 5, full_eligibility=True)
             start = inst.assignment_from_permutation(random_assignment(inst, Random(trial)))
             start_obj = objective_of_permutation(inst, inst.permutation_of(start))
             result = tabu_search(
-                inst, SolverConfig(seed=trial, iteration_limit=100, restarts=1), initial=start
+                inst, SolverConfig(seed=trial, iteration_limit=100), initial=start
             )
             assert result.objective >= start_obj - 1e-12
 
-    def test_usually_finds_small_optimum(self):
+    def test_usually_finds_small_optimum(self, monkeypatch):
         rng = Random(257)
+        monkeypatch.setattr(solvers, "RESTARTS", 3)
         hits = 0
         trials = 20
         for trial in range(trials):
             inst = random_level1_instance(rng, 5, full_eligibility=True)
             exact = brute_force(inst)
-            got = tabu_search(inst, SolverConfig(seed=trial, iteration_limit=400, restarts=3))
+            got = tabu_search(inst, SolverConfig(seed=trial, iteration_limit=400))
             if got.objective >= exact.objective - 1e-9:
                 hits += 1
         assert hits >= int(0.95 * trials)
 
-    def test_respects_eligibility(self):
+    def test_respects_eligibility(self, monkeypatch):
         rng = Random(263)
         inst = random_level1_instance(rng, 6)
-        result = tabu_search(inst, SolverConfig(seed=0, iteration_limit=200, restarts=2))
+        monkeypatch.setattr(solvers, "RESTARTS", 2)
+        result = tabu_search(inst, SolverConfig(seed=0, iteration_limit=200))
         assert check_feasible(inst, result.assignment).ok
 
 
@@ -269,9 +277,7 @@ def one_lane(inst, start, iterations, rng, pool, eligibility=None):
     """A single tabu walk through _tabu_lanes, under the instance's own
     eligibility unless another is given."""
     elig = inst.eligibility if eligibility is None else eligibility
-    return _tabu_lanes(
-        inst, elig[None], [start], [rng], iterations, (0.1, 0.5), pool, None
-    )[0]
+    return _tabu_lanes(inst, elig[None], [start], [rng], iterations, pool, None)[0]
 
 
 class TestPairScanMatchesFullScan:
@@ -490,8 +496,7 @@ class TestLanesMatchSerialRuns:
             for inst, start in zip(instances, starts)
         ])
         got = _tabu_lanes(
-            instances[0], elig, starts, [Random(s) for s in seeds], iterations, (0.1, 0.5),
-            pools[1], None,
+            instances[0], elig, starts, [Random(s) for s in seeds], iterations, pools[1], None
         )
         assert len(got) == len(want)
         for (g_obj, g_perm, g_done), (w_obj, w_perm, w_done) in zip(got, want):
@@ -555,15 +560,16 @@ class TestLanesMatchSerialRuns:
 
 
 class TestTimeLimit:
-    def test_tiny_limit_feasible_and_never_worse(self):
+    def test_tiny_limit_feasible_and_never_worse(self, monkeypatch):
         # whatever the clock allows, the answer is feasible, no worse than
         # its start, and every lane ran as many iterations as the others
         rng = Random(653)
         for restarts in (1, 3, 4):
+            monkeypatch.setattr(solvers, "RESTARTS", restarts)
             inst = random_level1_instance(rng, 30)
             start = inst.assignment_from_permutation(random_assignment(inst, Random(restarts)))
             for limit in (1e-9, 0.02):
-                cfg = SolverConfig(seed=restarts, restarts=restarts, time_limit=limit)
+                cfg = SolverConfig(seed=restarts, time_limit=limit)
                 result = tabu_search(inst, cfg, initial=start)
                 assert check_feasible(inst, result.assignment).ok
                 assert result.objective >= objective(inst, start)
@@ -589,7 +595,6 @@ def tactical_stage_oracle(instances, seeds, config: SolverConfig):
         [inst.permutation_of(d.assignment) for inst, d in zip(instances, descents)],
         [Random(_mix_seed(s, 0)) for s in seeds],
         config.iteration_limit,
-        config.tenure_range,
         None,
         None,
     )
@@ -603,11 +608,13 @@ def tactical_stage_oracle(instances, seeds, config: SolverConfig):
     return out
 
 
-def tactical_case(rng: Random, trial: int, zero_flow: bool = False):
+def tactical_case(rng: Random, trial: int, patch, zero_flow: bool = False):
     """(instances, seeds, config): 1-4 tactical instances sharing one flow
-    and exposure; at even trials one block is above the exhaustive cap, so
-    the descents fall back to tabu and write notes. Short walks keep the
-    answer dependent on where each walk starts and on its tenure draws."""
+    and exposure; at even trials one block is above the exhaustive cap,
+    which ``patch`` (a pytest MonkeyPatch) sets to 4 along with the fallback
+    budget, so the descents fall back to tabu and write notes. Short walks
+    keep the answer dependent on where each walk starts and on its tenure
+    draws."""
     sizes = tuple(rng.choice((1, 2, 3, 4)) for _ in range(rng.randint(2, 5)))
     if trial % 2 == 0:
         sizes += (rng.choice((5, 6)),)
@@ -616,12 +623,9 @@ def tactical_case(rng: Random, trial: int, zero_flow: bool = False):
         base = replace(base, flow=np.zeros_like(base.flow))
     instances = block_variants(rng, base, trial % 4 + 1)
     seeds = [rng.randrange(10**6) for _ in instances]
-    config = SolverConfig(
-        seed=seeds[0],
-        iteration_limit=rng.choice((3, 8, 40)),
-        block_exhaustive_cap=4,
-        block_tabu_iterations=rng.choice((2, 30)),
-    )
+    config = SolverConfig(seed=seeds[0], iteration_limit=rng.choice((3, 8, 40)))
+    patch.setattr(solvers, "BLOCK_EXHAUSTIVE_CAP", 4)
+    patch.setattr(solvers, "BLOCK_TABU_ITERATIONS", rng.choice((2, 30)))
     return instances, seeds, config
 
 
@@ -630,14 +634,16 @@ class TestSolveLevel2:
     gives their answers bit for bit; the better-of-two step they ended in
     never picked the descent."""
 
-    def assert_level2_path(self, rng, zero_flow=False):
+    def assert_level2_path(self, rng, monkeypatch, zero_flow=False):
         noted = 0
         for trial in range(10):
-            instances, seeds, config = tactical_case(rng, trial, zero_flow)
+            instances, seeds, config = tactical_case(rng, trial, monkeypatch, zero_flow)
             restarts = trial % 5 + 1
             got = solve_level2(instances, seeds, config, restarts)
+            # the oracle's tabu_search runs RESTARTS restarts
+            monkeypatch.setattr(solvers, "RESTARTS", restarts)
             for inst, seed, (descended, refined) in zip(instances, seeds, got):
-                want = level2_path_oracle(inst, replace(config, seed=seed, restarts=restarts))
+                want = level2_path_oracle(inst, replace(config, seed=seed))
                 assert want.solver == refined.solver == "tabu"
                 assert refined.objective.hex() == want.objective.hex()
                 assert refined.assignment == want.assignment
@@ -647,17 +653,17 @@ class TestSolveLevel2:
                 noted += bool(refined.notes)
         assert noted > 0
 
-    def test_matches_level2_path(self):
-        self.assert_level2_path(Random(701))
+    def test_matches_level2_path(self, monkeypatch):
+        self.assert_level2_path(Random(701), monkeypatch)
 
-    def test_matches_level2_path_zero_flow_ties(self):
-        self.assert_level2_path(Random(709), zero_flow=True)
+    def test_matches_level2_path_zero_flow_ties(self, monkeypatch):
+        self.assert_level2_path(Random(709), monkeypatch, zero_flow=True)
 
     @pytest.mark.parametrize("zero_flow", [False, True], ids=["flow", "zero-flow"])
-    def test_matches_tactical_stage(self, zero_flow):
+    def test_matches_tactical_stage(self, zero_flow, monkeypatch):
         rng = Random(719)
         for trial in range(10):
-            instances, seeds, config = tactical_case(rng, trial, zero_flow)
+            instances, seeds, config = tactical_case(rng, trial, monkeypatch, zero_flow)
             got = solve_level2(instances, seeds, config, restarts=1)
             want = tactical_stage_oracle(instances, seeds, config)
             for (descended, refined), (w_obj, w_assignment, w_iterations) in zip(got, want):
@@ -672,13 +678,14 @@ class TestSolveLevel2:
         time_limit=st.sampled_from([None, 1e-9]),
     )
     def test_refined_never_below_descent(self, case, restarts, time_limit):
-        instances, seeds, config = tactical_case(Random(case), case)
-        config = replace(config, time_limit=time_limit)
-        for inst, (descended, refined) in zip(
-            instances, solve_level2(instances, seeds, config, restarts)
-        ):
-            assert refined.objective >= descended.objective
-            assert check_feasible(inst, refined.assignment).ok
+        with pytest.MonkeyPatch.context() as patch:
+            instances, seeds, config = tactical_case(Random(case), case, patch)
+            config = replace(config, time_limit=time_limit)
+            for inst, (descended, refined) in zip(
+                instances, solve_level2(instances, seeds, config, restarts)
+            ):
+                assert refined.objective >= descended.objective
+                assert check_feasible(inst, refined.assignment).ok
 
 
 class TestBlockDescent:
@@ -711,23 +718,27 @@ class TestBlockDescent:
         result = block_descent(inst)
         assert result.iterations == 1  # one cycle, nothing movable
 
-    def test_oversized_block_falls_back_to_tabu(self):
+    def test_oversized_block_falls_back_to_tabu(self, monkeypatch):
         rng = Random(283)
         inst = random_level2_instance(rng, (4,))
-        cfg = SolverConfig(block_exhaustive_cap=2, block_tabu_iterations=300)
-        result = block_descent(inst, cfg)
+        monkeypatch.setattr(solvers, "BLOCK_EXHAUSTIVE_CAP", 2)
+        monkeypatch.setattr(solvers, "BLOCK_TABU_ITERATIONS", 300)
+        result = block_descent(inst)
         assert any("tabu fallback" in note for note in result.notes)
         exact = brute_force(inst)
         assert result.objective <= exact.objective + 1e-9
 
 
-def masked_block_descent(instance: QapInstance, config: SolverConfig, initial=None):
+def masked_block_descent(
+    instance: QapInstance, config: SolverConfig, cap: int, fallback_iterations: int, initial=None
+):
     """block_descent as it was while its oversized-block fallback limited
     the tabu run to the block's pairs with a move mask, kept as the oracle
-    for the fallback that pins every other product through eligibility. The
-    masked run is serial_tabu_run, the walk a one-lane _tabu_lanes call
-    takes move for move; there is no time limit. Returns (objective,
-    permutation, cycles, notes)."""
+    for the fallback that pins every other product through eligibility.
+    Blocks above ``cap`` products fall back to a masked tabu run of
+    ``fallback_iterations``. The masked run is serial_tabu_run, the walk a
+    one-lane _tabu_lanes call takes move for move; there is no time limit.
+    Returns (objective, permutation, cycles, notes)."""
     perm = instance.permutation_of(initial) if initial is not None else greedy_assignment(instance)
     cur = objective_of_permutation(instance, perm)
     notes: list[str] = []
@@ -745,7 +756,7 @@ def masked_block_descent(instance: QapInstance, config: SolverConfig, initial=No
             rows = block_rows[bi]
             if len(rows) == 1:
                 continue
-            if len(rows) <= config.block_exhaustive_cap:
+            if len(rows) <= cap:
                 slots = perm[rows]
                 best_local = cur
                 best_order = None
@@ -769,7 +780,7 @@ def masked_block_descent(instance: QapInstance, config: SolverConfig, initial=No
                     )
                 rng = Random(_mix_seed(config.seed, 7_919 * (bi + 1) + cycles))
                 obj, new_perm, _ = serial_tabu_run(
-                    instance, perm, config.block_tabu_iterations, config.tenure_range, rng,
+                    instance, perm, fallback_iterations, (0.1, 0.5), rng,
                     None, block_mask(instance.n, rows),
                 )
                 if obj > cur:
@@ -780,7 +791,7 @@ def masked_block_descent(instance: QapInstance, config: SolverConfig, initial=No
 
 
 class TestBlockFallbackMatchesMask:
-    def test_pinned_fallback_matches_masked_one(self):
+    def test_pinned_fallback_matches_masked_one(self, monkeypatch):
         # every instance has a block above the cap, so each descent falls
         # back to tabu at least once
         rng = Random(887)
@@ -790,15 +801,16 @@ class TestBlockFallbackMatchesMask:
             if max(sizes) <= cap:
                 sizes += (cap + 1 + rng.randrange(3),)
             inst = random_level2_instance(rng, sizes)
-            cfg = SolverConfig(
-                seed=rng.randrange(10**6),
-                block_exhaustive_cap=cap,
-                block_tabu_iterations=rng.choice((5, 40, 200)),
-            )
+            cfg = SolverConfig(seed=rng.randrange(10**6))
+            iterations = rng.choice((5, 40, 200))
+            monkeypatch.setattr(solvers, "BLOCK_EXHAUSTIVE_CAP", cap)
+            monkeypatch.setattr(solvers, "BLOCK_TABU_ITERATIONS", iterations)
             initial = None
             if trial % 3:
                 initial = inst.assignment_from_permutation(random_assignment(inst, Random(trial)))
-            want_obj, want_perm, want_cycles, want_notes = masked_block_descent(inst, cfg, initial)
+            want_obj, want_perm, want_cycles, want_notes = masked_block_descent(
+                inst, cfg, cap, iterations, initial
+            )
             got = block_descent(inst, cfg, initial)
             assert got.objective.hex() == want_obj.hex()
             assert got.assignment == inst.assignment_from_permutation(want_perm)
@@ -837,11 +849,12 @@ class TestSolveLevel1:
         objs = [e.objective for e in pool.entries]
         assert objs == sorted(objs, reverse=True)
 
-    def test_large_free_count_uses_tabu(self):
+    def test_large_free_count_uses_tabu(self, monkeypatch):
         rng = Random(313)
         inst = random_level1_instance(rng, 6, full_eligibility=True)
-        cfg = SolverConfig(exact_free_limit=2, iteration_limit=200, restarts=2)
-        pool = solve_level1(inst, cfg)
+        monkeypatch.setattr(solvers, "EXACT_FREE_LIMIT", 2)
+        monkeypatch.setattr(solvers, "RESTARTS", 2)
+        pool = solve_level1(inst, SolverConfig(iteration_limit=200))
         assert len(pool) >= 1
 
 
