@@ -75,7 +75,6 @@ class RunConfig:
     out_dir: str
     mode: str = "hierarchical"
     transition_mode: str = "expected"
-    seed: int = 0
     solver: SolverConfig = field(default_factory=SolverConfig)
     baseline_path: str | None = None
     plan_paths: tuple[str, ...] = ()
@@ -110,7 +109,7 @@ class RunConfig:
                 "transactions": file_digest(self.transactions_path),
                 "mode": self.mode,
                 "transition_mode": self.transition_mode,
-                "seed": self.seed,
+                "seed": self.solver.seed,
                 "pool_size": self.solver.pool_capacity,
                 "pool_gap": self.solver.pool_gap,
                 "time_limit": self.solver.time_limit,
@@ -140,6 +139,12 @@ class _Artifacts:
                 pass
 
 
+def _write_text(sink: _Artifacts, path: str, text: str) -> None:
+    """Write a text file as one artifact of the run."""
+    with open(sink.register(path), "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _load_store_and_baskets(config: RunConfig):
     doc = load_store(config.store_path)
     return doc, read_transactions_csv(config.transactions_path, doc.catalog)
@@ -151,7 +156,7 @@ def _load_inputs(config: RunConfig):
     if config.transition_mode == "expected":
         matrices = expected_transitions(transactions, doc.catalog)
     else:
-        matrices = sampled_transitions(transactions, doc.catalog, seed=config.seed)
+        matrices = sampled_transitions(transactions, doc.catalog, seed=config.solver.seed)
     return doc, transactions, exposures, matrices
 
 
@@ -176,7 +181,7 @@ def _baseline_assignment(
     instance = build_level2_instance(
         exposures, matrices, anchor_level1, doc.catalog, doc.graph
     )
-    perm = random_assignment(instance, Random(config.seed))
+    perm = random_assignment(instance, Random(config.solver.seed))
     return instance.assignment_from_permutation(perm), "seeded random layout"
 
 
@@ -201,7 +206,7 @@ def _write_solve_artifacts(
         level1_objective=level1_objective,
         level2_objective=result.objective,
         run_hash=run_hash,
-        seed=config.seed,
+        seed=config.solver.seed,
         generator=f"solve --mode {config.mode}",
     )
     write_plan(plan, sink.register(os.path.join(config.out_dir, "plan.json")))
@@ -214,13 +219,11 @@ def _write_solve_artifacts(
     )
     report = solve_report_text(result, run_hash, evaluation=evaluation, pool_summary=pool_summary)
     report += f"baseline kind: {baseline_kind}\n"
-    path = sink.register(os.path.join(config.out_dir, "solve_report.txt"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report)
+    _write_text(sink, os.path.join(config.out_dir, "solve_report.txt"), report)
 
     for tag, layout in (("baseline", baseline), ("optimal", assignment)):
         walks = replay_paths(
-            transactions, layout.mapping, doc.graph, doc.catalog, seed=config.seed
+            transactions, layout.mapping, doc.graph, doc.catalog, seed=config.solver.seed
         )
         density = accumulate_traffic(doc.graph, walks)
         render_heatmap(
@@ -247,21 +250,18 @@ def _run_solve(config: RunConfig, sink: _Artifacts) -> None:
         payload = {
             "store": doc.name,
             "entries": entries,
-            "metadata": {"config_hash": run_hash, "seed": str(config.seed)},
+            "metadata": {"config_hash": run_hash, "seed": str(config.solver.seed)},
         }
-        path = sink.register(os.path.join(config.out_dir, "level1_pool.json"))
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        path = os.path.join(config.out_dir, "level1_pool.json")
+        _write_text(sink, path, json.dumps(payload, indent=2) + "\n")
         lines = [
             "strategic pool",
             f"config hash: {run_hash}",
             f"candidates: {len(pool.entries)}",
         ]
         lines += [f"  {i}: objective {e.objective:.6f}" for i, e in enumerate(pool.entries)]
-        path = sink.register(os.path.join(config.out_dir, "solve_report.txt"))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        path = os.path.join(config.out_dir, "solve_report.txt")
+        _write_text(sink, path, "\n".join(lines) + "\n")
         return
 
     if config.mode == "level2":
@@ -283,7 +283,7 @@ def _run_solve(config: RunConfig, sink: _Artifacts) -> None:
         return
 
     result = solve_hierarchical(
-        exposures, matrices, None, doc.eligibility, doc.catalog, doc.graph, config.solver
+        exposures, matrices, doc.eligibility, doc.catalog, doc.graph, config.solver
     )
     _write_solve_artifacts(
         config, doc, exposures, matrices, transactions,
@@ -313,9 +313,7 @@ def _run_build_matrices(config: RunConfig, sink: _Artifacts) -> None:
         f"sublocation axis: {len(exposures.sub_axis)} entries",
         f"location axis: {len(exposures.loc_axis)} entries",
     ]
-    path = sink.register(os.path.join(out, "matrices_summary.txt"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(summary) + "\n")
+    _write_text(sink, os.path.join(out, "matrices_summary.txt"), "\n".join(summary) + "\n")
 
 
 def _run_export_lp(config: RunConfig, sink: _Artifacts) -> None:
@@ -354,9 +352,7 @@ def _run_evaluate(config: RunConfig, sink: _Artifacts) -> None:
         plan.assignment(), exposures, matrices, doc.catalog, doc.graph, baseline=baseline
     )
     text = evaluation_report_text(evaluation, config.run_hash())
-    path = sink.register(os.path.join(config.out_dir, "evaluate_report.txt"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_text(sink, os.path.join(config.out_dir, "evaluate_report.txt"), text)
     sys.stdout.write(text)
 
 
@@ -366,9 +362,7 @@ def _run_diff(config: RunConfig, sink: _Artifacts) -> None:
     plan_b = read_plan(config.plan_paths[1])
     report = diff_layouts(plan_a, plan_b, exposures, matrices, doc.catalog, doc.graph)
     text = diff_report_text(report, config.run_hash())
-    path = sink.register(os.path.join(config.out_dir, "diff_report.txt"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_text(sink, os.path.join(config.out_dir, "diff_report.txt"), text)
     sys.stdout.write(text)
 
 
@@ -376,7 +370,7 @@ def _run_render(config: RunConfig, sink: _Artifacts) -> None:
     doc, transactions = _load_store_and_baskets(config)
     plan = read_plan(config.plan_paths[0])
     walks = replay_paths(
-        transactions, plan.assignment().mapping, doc.graph, doc.catalog, seed=config.seed
+        transactions, plan.assignment().mapping, doc.graph, doc.catalog, seed=config.solver.seed
     )
     density = accumulate_traffic(doc.graph, walks)
     render_heatmap(
@@ -526,7 +520,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         out_dir=args.out,
         mode=mode,
         transition_mode=args.transition_mode,
-        seed=args.seed,
         solver=solver,
         baseline_path=baseline,
         plan_paths=plan_paths,

@@ -17,17 +17,19 @@ All three models come from the same builders: one-to-one assignment rows
 (``_assignment_layer``), family rows tying a category's members to a
 location's slots (``_family_rows``), and the product layer, assembled into a
 ``LinearModel`` by ``_model``. Every binary and product name of a layer comes
-from one table (``_cell_names``; the binaries are its diagonal). The product
-layer's rows are described, not stored: ``_product_rows`` generates them from
-the cells and the name table, for ``ModelRows`` iteration and for
-``write_lp`` alike.
+from one table (``_cell_names``; the binaries are its diagonal). Every row
+is an equation of +1 terms, at most one -1 term and a right-hand side of 0 or
+1 (``Row``). The product layer's rows are described, not stored:
+``_product_rows`` generates them from the cells and the name table, and
+``_row_blocks`` streams every row of a model, for ``write_lp`` and
+``validate_solution`` alike.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -46,28 +48,27 @@ from .qap import (
 from .store import ExposureMatrices, StoreGraph
 
 
-@dataclass(slots=True)
-class Constraint:
-    name: str
-    coeffs: tuple[tuple[str, float], ...]
-    sense: str
-    rhs: float
+# A row (name, plus, minus, rhs) is the equation sum(plus) - minus = rhs:
+# ``plus`` holds the +1 terms, ``minus`` the one -1 term or None, and ``rhs``
+# is 0 or 1. Every row of the three models has this shape. Head rows hold
+# variable names; ``_row_blocks`` reads each +1 term through a caller's
+# function of its name.
+Row = tuple[str, Sequence, "str | None", int]
 
 
-class ModelRows(Sequence[Constraint]):
+class ModelRows:
     """The constraint rows of a model: the ``head`` rows, then the product
     layer's linking and symmetry rows over ``cells``, named from their
-    ``_cell_names`` table ``names``. Product rows are not stored: iteration
-    builds them in model order from ``_product_rows``, and ``write_lp``
-    renders the same generator's rows as text without building them. Empty
-    rows (a singleton group's own column) are counted and iterated but never
-    written. Compares equal to any sequence of the same rows."""
+    ``_cell_names`` table ``names``. Product rows are not stored:
+    ``_row_blocks`` generates every row in model order, for ``write_lp`` and
+    ``validate_solution`` alike. Empty rows (a singleton group's own column)
+    are counted but never written."""
 
     __slots__ = ("head", "cells", "names")
 
     def __init__(
         self,
-        head: tuple[Constraint, ...],
+        head: tuple[Row, ...],
         cells: list[tuple[int, int]],
         names: list[list[str]],
     ) -> None:
@@ -82,25 +83,6 @@ class ModelRows(Sequence[Constraint]):
         groups = len({k for _, k in self.cells}) + len({i for i, _ in self.cells})
         return len(self.head) + groups * n + n * (n - 1) // 2
 
-    def __iter__(self) -> Iterator[Constraint]:
-        yield from self.head
-        plus = [[(name, 1.0) for name in row] for row in self.names]
-        for block in _product_rows(self.cells, self.names, plus):
-            for name, terms, minus in block:
-                if minus is not None:
-                    terms += ((minus, -1.0),)
-                yield Constraint(name, terms, "=", 0.0)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        return next(islice(self, range(len(self))[index], None))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
 
 @dataclass
 class LinearModel:
@@ -112,10 +94,7 @@ class LinearModel:
     fixed_zero: tuple[str, ...]
     continuous_names: tuple[str, ...]
     objective: tuple[tuple[str, float], ...]
-    constraints: Sequence[Constraint]
-    sparsified: bool
-    assignment_prefix: str
-    n: int
+    constraints: ModelRows
 
 
 @dataclass(frozen=True)
@@ -199,13 +178,13 @@ def _cell_names(cells: list[tuple[int, int]], bvar: str, wvar: str) -> list[list
 
 def _product_rows(
     cells: list[tuple[int, int]], names: list[list[str]], plus: list[list]
-) -> Iterator[list[tuple[str, tuple, str | None]]]:
+) -> Iterator[list[Row]]:
     """The product layer's rows in model order, one block at a time: a block
     per li group (the cells at one position, ascending), a block per lk group
     (the cells of one product, ascending), then a symmetry block per cell a.
-    A row is ``(name, plus_terms, minus)``: ``plus_terms`` are entries of
-    ``plus``, any per-cell-pair table of +1 terms on ``names`` (term pairs
-    or rendered text), and ``minus`` names the one -1 term, or is None.
+    The +1 terms of a row are entries of ``plus``, any per-cell-pair table on
+    ``names`` (rendered text or values); its -1 term is a name, and its
+    right-hand side is 0.
 
     Row (group G, cell b) sums the products of b with every cell a of G and
     subtracts b's binary. The diagonal product a == b is b's binary itself, so
@@ -227,16 +206,27 @@ def _product_rows(
             for b, (key_b, column) in enumerate(zip(keys, zip(*(plus[a] for a in group)))):
                 j = at.get(b)
                 if j is None:
-                    block.append((f"{prefix}_{g}_{key_b}", column, names[b][b]))
+                    block.append((f"{prefix}_{g}_{key_b}", column, names[b][b], 0))
                 else:
-                    block.append((f"{prefix}_{g}_{key_b}", column[:j] + column[j + 1 :], None))
+                    block.append((f"{prefix}_{g}_{key_b}", column[:j] + column[j + 1 :], None, 0))
             yield block
     for a, key_a in enumerate(keys):
         plus_a = plus[a]
         yield [
-            (f"sym_{key_a}_{keys[b]}", (plus_a[b],), names[b][a])
+            (f"sym_{key_a}_{keys[b]}", (plus_a[b],), names[b][a], 0)
             for b in range(a + 1, len(keys))
         ]
+
+
+def _row_blocks(
+    rows: ModelRows, terms: Callable[[Sequence[str]], list]
+) -> Iterator[list[Row]]:
+    """Every row of ``rows`` in model order, one block at a time: the head
+    rows, then the product layer's blocks. ``terms`` maps variable names to
+    their +1 terms (rendered text for the writer, values for the validator);
+    each -1 term stays a name."""
+    yield [(name, terms(plus), minus, rhs) for name, plus, minus, rhs in rows.head]
+    yield from _product_rows(rows.cells, rows.names, [terms(row) for row in rows.names])
 
 
 def _objective_terms(
@@ -262,21 +252,20 @@ def _cells(elig: np.ndarray, sparsify: bool) -> list[tuple[int, int]]:
 
 def _assignment_layer(
     elig: np.ndarray, binary: dict[tuple[int, int], str]
-) -> tuple[tuple[str, ...], list[Constraint]]:
+) -> tuple[tuple[str, ...], list[Row]]:
     """Fixed-to-zero binaries and one-to-one assignment rows of the binary
     layer ``binary`` (its row-major cells and their names). Eligibility
     enters as the cell set when sparsified and as zero bounds on the
     excluded binaries in full mode; a sparsified layer excludes none."""
     n = len(elig)
     fixed = tuple(name for (i, k), name in binary.items() if not elig[i, k])
-    by_product: list[list[tuple[str, float]]] = [[] for _ in range(n)]
-    by_position: list[list[tuple[str, float]]] = [[] for _ in range(n)]
+    by_product: list[list[str]] = [[] for _ in range(n)]
+    by_position: list[list[str]] = [[] for _ in range(n)]
     for (i, k), name in binary.items():
-        term = (name, 1.0)
-        by_product[i].append(term)
-        by_position[k].append(term)
-    rows = [Constraint(f"asg_p_{i}", tuple(t), "=", 1.0) for i, t in enumerate(by_product)]
-    rows += [Constraint(f"asg_k_{k}", tuple(t), "=", 1.0) for k, t in enumerate(by_position)]
+        by_product[i].append(name)
+        by_position[k].append(name)
+    rows = [(f"asg_p_{i}", tuple(plus), None, 1) for i, plus in enumerate(by_product)]
+    rows += [(f"asg_k_{k}", tuple(plus), None, 1) for k, plus in enumerate(by_position)]
     return fixed, rows
 
 
@@ -284,26 +273,26 @@ def _family_rows(
     members: Sequence[tuple[int, ...]],
     slots: Sequence[tuple[int, ...]],
     binary: dict[tuple[int, int], str],
-    coupling: Callable[[int, int], tuple[tuple[tuple[str, float], ...], float]],
-) -> list[Constraint]:
+    coupling: Callable[[int, int], tuple[str | None, int]],
+) -> list[Row]:
     """Family rows over the binary layer ``binary`` (cells and their names):
     for every (member family fi, slot family fk) pair, each member of fi sums
     its binaries over fk's slots, and each slot of fk sums its binaries over
-    fi's members. ``coupling(fi, fk)`` gives the pair's extra terms, appended
-    to each of its rows, and their right-hand side. A row with no terms and a
-    zero right-hand side is dropped."""
-    rows: list[Constraint] = []
+    fi's members. ``coupling(fi, fk)`` gives the pair's -1 term (a name or
+    None), shared by each of its rows, and their right-hand side. A row with
+    no terms and a zero right-hand side is dropped."""
+    rows: list[Row] = []
     for fi, mem in enumerate(members):
         for fk, slt in enumerate(slots):
-            extra, rhs = coupling(fi, fk)
+            minus, rhs = coupling(fi, fk)
             for i1 in mem:
-                coeffs = tuple((binary[i1, k1], 1.0) for k1 in slt if (i1, k1) in binary) + extra
-                if coeffs or rhs != 0.0:
-                    rows.append(Constraint(f"grp_p_{fi}_{fk}_{i1}", coeffs, "=", rhs))
+                plus = tuple(binary[i1, k1] for k1 in slt if (i1, k1) in binary)
+                if plus or minus is not None or rhs:
+                    rows.append((f"grp_p_{fi}_{fk}_{i1}", plus, minus, rhs))
             for k1 in slt:
-                coeffs = tuple((binary[i1, k1], 1.0) for i1 in mem if (i1, k1) in binary) + extra
-                if coeffs or rhs != 0.0:
-                    rows.append(Constraint(f"grp_k_{fi}_{fk}_{k1}", coeffs, "=", rhs))
+                plus = tuple(binary[i1, k1] for i1 in mem if (i1, k1) in binary)
+                if plus or minus is not None or rhs:
+                    rows.append((f"grp_k_{fi}_{fk}_{k1}", plus, minus, rhs))
     return rows
 
 
@@ -316,13 +305,11 @@ def _model(
     tag: str,
     lead_binaries: tuple[str, ...],
     fixed: tuple[str, ...],
-    head: list[Constraint],
+    head: list[Row],
     cells: list[tuple[int, int]],
     names: list[list[str]],
     flow: np.ndarray,
     expo: np.ndarray,
-    sparsify: bool,
-    n: int,
 ) -> LinearModel:
     """The model of ``head`` rows over ``lead_binaries`` and the binaries of
     ``cells``, completed by the product layer over ``cells``; every name
@@ -336,9 +323,6 @@ def _model(
         ),
         objective=tuple(_objective_terms(cells, names, flow, expo)),
         constraints=ModelRows(tuple(head), cells, names),
-        sparsified=sparsify,
-        assignment_prefix=_prefixes(tag)[0],
-        n=n,
     )
 
 
@@ -368,11 +352,10 @@ def linearize(instance: QapInstance, sparsify: bool = False) -> LinearModel:
         fixed = ()
         members, slots = zip(*_product_families(instance))
         head = _family_rows(
-            members, slots, binary, lambda fi, fk: ((), 1.0 if fi == fk else 0.0)
+            members, slots, binary, lambda fi, fk: (None, 1 if fi == fk else 0)
         )
     return _model(
-        instance.level, (), fixed, head, cells, names,
-        instance.flow, instance.exposure, sparsify, instance.n,
+        instance.level, (), fixed, head, cells, names, instance.flow, instance.exposure
     )
 
 
@@ -421,11 +404,11 @@ def linearize_integrated(
         members,
         slots,
         _diagonal(cells, names),
-        lambda ci, ki: (((x_binary[ci, ki], -1.0),) if (ci, ki) in x_binary else (), 0.0),
+        lambda ci, ki: (x_binary.get((ci, ki)), 0),
     )
     return _model(
         INTEGRATED, tuple(x_binary.values()), fixed, head, cells, names,
-        transitions.sub_transitions, exposures.sub_exposure, sparsify, n,
+        transitions.sub_transitions, exposures.sub_exposure,
     )
 
 
@@ -461,12 +444,8 @@ def _layout(pieces: Sequence[str], indent: str) -> str:
 def write_lp(model: LinearModel, path: str) -> None:
     """Emit the model as an LP-format file: Maximize / Subject To / Bounds /
     Binaries / End. Byte-identical output for identical models. Rows are
-    written as soon as they are formatted, so the text is never held whole.
-    The model's rows must be a ``ModelRows``, as ``linearize`` and
-    ``linearize_integrated`` build them: the head rows are written from their
-    terms, the product layer straight from its name table, one string per
-    row block, without building its rows."""
-    rows = model.constraints
+    written as soon as they are formatted, one string per row block, so the
+    text is never held whole."""
     with open(path, "w", encoding="utf-8") as fh:
         write = fh.write
         write(f"\\ {model.tag} exposure maximization model\nMaximize\n")
@@ -476,21 +455,17 @@ def write_lp(model: LinearModel, path: str) -> None:
             anchor = model.binary_names[0] if model.binary_names else model.continuous_names[0]
             write(f" obj: 0 {anchor}\n")
         write("Subject To\n")
-        for con in rows.head:
-            if con.coeffs:
-                text = _layout(_pieces(con.coeffs), "  ")
-                write(f" {con.name}: {text} {con.sense} {con.rhs:.12g}\n")
-        # _pieces of (name, 1.0); every product row is an equation with
-        # right-hand side 0
-        plus = [["+ 1 " + name for name in row] for row in rows.names]
-        for block in _product_rows(rows.cells, rows.names, plus):
+        # each +1 term as its _pieces text; the right-hand side, 0 or 1, as
+        # text by lookup, not by formatting each row's number
+        equals = (" = 0\n", " = 1\n")
+        for block in _row_blocks(model.constraints, lambda row: ["+ 1 " + name for name in row]):
             write(
                 "".join(
                     f" {name}: "
-                    f"{_layout(terms if minus is None else (*terms, '- 1 ' + minus), '  ')}"
-                    " = 0\n"
-                    for name, terms, minus in block
-                    if terms or minus is not None
+                    f"{_layout(plus if minus is None else (*plus, '- 1 ' + minus), '  ')}"
+                    f"{equals[rhs]}"
+                    for name, plus, minus, rhs in block
+                    if plus or minus is not None
                 )
             )
         write("Bounds\n")
@@ -571,15 +546,22 @@ def validate_solution(
     for name in model.continuous_names:
         v = values.get(name, 0.0)
         note(max(0.0, -v), f"continuous {name} = {_fmt(v)} is negative")
-    for con in model.constraints:
-        total = sum(coeff * values.get(name, 0.0) for name, coeff in con.coeffs)
-        note(abs(total - con.rhs), f"constraint {con.name} residual {_fmt(total - con.rhs)}")
+    for block in _row_blocks(model.constraints, lambda row: [values.get(v, 0.0) for v in row]):
+        for name, plus, minus, rhs in block:
+            if minus is not None:
+                # -v is -1.0 * v: the sum runs over the terms, in order, that a
+                # sum of (coefficient * value) products would
+                plus = (*plus, -values.get(minus, 0.0))
+            # the float start keeps an empty row's residual a float
+            residual = sum(plus, 0.0) - rhs
+            note(abs(residual), f"constraint {name} residual {_fmt(residual)}")
 
+    bvar = _prefixes(model.tag)[0]
     mapping: dict[str, str] = {}
     duplicates = False
     for name in model.binary_names:
         prefix, idx = decode_variable(name)
-        if prefix != model.assignment_prefix:
+        if prefix != bvar:
             continue
         if values[name] > 0.5:
             i, k = idx

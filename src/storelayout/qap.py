@@ -489,7 +489,7 @@ class SwapScan:
         sums = np.matmul(self._signs, self._corner_vals, out=self._corner_sums)
         return dots + self._s * sums
 
-    def swap(self, a: int, b: int, lane: int = 0) -> None:
+    def swap(self, a: int, b: int, lane: int) -> None:
         """Follow the exchange of perms[lane][a] and perms[lane][b]: swap
         rows a, b and columns a, b of that lane's h (and of its transpose)
         in place, O(n) instead of re-gathering all n^2 entries."""

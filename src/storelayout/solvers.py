@@ -754,8 +754,7 @@ def capacity_eligibility(eligibility, catalog: Catalog, graph: StoreGraph):
 
 def solve_hierarchical(
     exposures: ExposureMatrices,
-    transitions_l1: TransitionMatrices,
-    transitions_l2: TransitionMatrices | None,
+    transitions: TransitionMatrices,
     eligibility,
     catalog: Catalog,
     graph: StoreGraph,
@@ -769,25 +768,17 @@ def solve_hierarchical(
     Each candidate gets an identical, pool-size-independent budget seeded by
     its pool index, so growing the pool can only improve the final
     objective.
-
-    The two levels may draw flows from different transition estimates
-    (say, expected strategic flows but one sampled tactical realization);
-    passing None for the tactical matrices reuses the strategic ones.
     """
     cfg = config or SolverConfig()
-    if transitions_l2 is None:
-        transitions_l2 = transitions_l1
-    if transitions_l1.sub_axis != transitions_l2.sub_axis:
-        raise InputError("strategic and tactical transition matrices disagree on axes")
     t0 = perf_counter()
     effective = capacity_eligibility(eligibility, catalog, graph)
-    l1_instance = build_level1_instance(exposures, transitions_l1, effective)
+    l1_instance = build_level1_instance(exposures, transitions, effective)
     pool = solve_level1(l1_instance, cfg)
 
     entries = pool.entries
     seeds = [_mix_seed(cfg.seed, 100_003 + idx) for idx in range(len(entries))]
     instances = [
-        build_level2_instance(exposures, transitions_l2, entry.assignment, catalog, graph)
+        build_level2_instance(exposures, transitions, entry.assignment, catalog, graph)
         for entry in entries
     ]
     solved = solve_level2(instances, seeds, cfg, restarts=1)

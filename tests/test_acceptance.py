@@ -234,10 +234,10 @@ def test_criterion_4_pooled_search_and_baseline_gain():
     pooled_cfg = SolverConfig(seed=413, pool_capacity=10, pool_gap=0.001)
     single_cfg = replace(pooled_cfg, pool_capacity=1)
     pooled = solve_hierarchical(
-        exposures, matrices, None, doc.eligibility, catalog, graph, pooled_cfg
+        exposures, matrices, doc.eligibility, catalog, graph, pooled_cfg
     )
     single = solve_hierarchical(
-        exposures, matrices, None, doc.eligibility, catalog, graph, single_cfg
+        exposures, matrices, doc.eligibility, catalog, graph, single_cfg
     )
     assert pooled.objective >= single.objective
 

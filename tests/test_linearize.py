@@ -6,6 +6,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import sys
+import tempfile
+from collections import Counter
 from pathlib import Path
 from random import Random
 
@@ -23,11 +26,13 @@ from storelayout.cli import main
 from storelayout.demand import expected_transitions, load_transactions
 from storelayout.errors import InputError, ParseError, ValidationError
 from storelayout.linearize import (
-    Constraint,
     ExternalSolution,
     LinearModel,
+    ModelRows,
+    SolutionReport,
     _cell_names,
     _family_rows,
+    _row_blocks,
     decode_variable,
     evaluate_linear_objective,
     linearize,
@@ -37,7 +42,13 @@ from storelayout.linearize import (
     variable_name,
     write_lp,
 )
-from storelayout.qap import QapInstance, _eligibility_matrix, objective_of_permutation
+from storelayout.qap import (
+    Assignment,
+    QapInstance,
+    _eligibility_matrix,
+    check_feasible,
+    objective_of_permutation,
+)
 from storelayout.store import build_exposure_matrices
 
 
@@ -50,7 +61,7 @@ def feasible_perms(instance: QapInstance):
 def product_solution(model: LinearModel, perm) -> dict[str, float]:
     """Exact witness: binaries from the permutation, products for the
     continuous layer."""
-    bvar = model.assignment_prefix
+    bvar = "x" if model.tag == "level1" else "z"
     active = {variable_name(bvar, i, int(k)) for i, k in enumerate(perm)}
     values: dict[str, float] = {}
     for name in model.binary_names:
@@ -63,17 +74,50 @@ def product_solution(model: LinearModel, perm) -> dict[str, float]:
     return values
 
 
+def lp_rows(model: LinearModel) -> list[tuple[str, list[tuple[str, float]], float]]:
+    """The rows of ``model``'s LP text, read back as (name, (variable,
+    coefficient) terms, right-hand side): an account of the rows that does not
+    go through the validator. Empty rows are never written, so they are not
+    here."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.lp"
+        write_lp(model, str(path))
+        text = path.read_text(encoding="utf-8")
+    body = text.split("\nSubject To\n")[1].split("\nBounds\n")[0]
+    lines: list[str] = []
+    for line in body.splitlines():
+        if line.startswith("  "):  # a continuation line
+            lines[-1] += line
+        else:
+            lines.append(line)
+    rows = []
+    for line in lines:
+        name, _, expr = line.partition(":")
+        *tokens, equals, rhs = expr.split()
+        assert equals == "="
+        terms, sign, at = [], 1.0, 0
+        while at < len(tokens):
+            if tokens[at] in ("+", "-"):
+                sign = 1.0 if tokens[at] == "+" else -1.0
+                at += 1
+                continue
+            terms.append((tokens[at + 1], sign * float(tokens[at])))
+            sign, at = 1.0, at + 2
+        rows.append((name.strip(), terms, float(rhs)))
+    return rows
+
+
 def residuals(model: LinearModel, values: dict[str, float]) -> float:
     worst = 0.0
-    for con in model.constraints:
-        total = sum(c * values.get(name, 0.0) for name, c in con.coeffs)
-        worst = max(worst, abs(total - con.rhs))
+    for _, terms, rhs in lp_rows(model):
+        total = sum(c * values.get(name, 0.0) for name, c in terms)
+        worst = max(worst, abs(total - rhs))
     return worst
 
 
 def row_count(model: LinearModel, prefix: str) -> int:
-    """Rows of ``model`` whose name starts with ``prefix``."""
-    return sum(1 for c in model.constraints if c.name.startswith(prefix))
+    """Written rows of ``model`` whose name starts with ``prefix``."""
+    return sum(1 for name, _, _ in lp_rows(model) if name.startswith(prefix))
 
 
 GOLDEN_2X2 = """\\ level1 exposure maximization model
@@ -211,7 +255,6 @@ class TestConstraintCounts:
         assert len(sparse.binary_names) < len(full.binary_names)
         assert len(sparse.continuous_names) < len(full.continuous_names)
         assert len(sparse.constraints) < len(full.constraints)
-        assert sparse.sparsified and not full.sparsified
         assert sparse.fixed_zero == ()
 
     def test_integrated_rejected_by_single_level_entry(self):
@@ -363,10 +406,37 @@ class TestLpFormat:
 # The construction that the shared row builders, the one-name-table product
 # layer and the streaming writer replaced: assignment rows as loops over a cell
 # set, family rows written separately per model (the integrated ones summed
-# into a dict per row), linking rows summed into a dict per row, the objective
-# as a double loop over cells, and the LP text joined into one string. The
-# library must reproduce its models field for field and its files byte for
-# byte.
+# into a dict per row), linking rows summed into a dict per row, each row a
+# Constraint of (name, coefficient) terms, the objective as a double loop over
+# cells, and the LP text joined into one string. The library must reproduce
+# its models field for field, row for row, and its files byte for byte.
+
+
+@dataclasses.dataclass(slots=True)
+class Constraint:
+    name: str
+    coeffs: tuple[tuple[str, float], ...]
+    sense: str
+    rhs: float
+
+
+def as_constraint(row) -> Constraint:
+    """A library row (name, +1 terms, -1 term or None, right-hand side) whose
+    +1 terms are (name, 1.0) pairs, as the reference states it."""
+    name, plus, minus, rhs = row
+    coeffs = tuple(plus) + (((minus, -1.0),) if minus is not None else ())
+    return Constraint(name, coeffs, "=", float(rhs))
+
+
+def unit_terms(names) -> list[tuple[str, float]]:
+    return [(name, 1.0) for name in names]
+
+
+def expanded_rows(model: LinearModel) -> list[Constraint]:
+    """Every row of ``model``, in order, from the stream that write_lp and
+    validate_solution read."""
+    blocks = _row_blocks(model.constraints, unit_terms)
+    return [as_constraint(row) for block in blocks for row in block]
 
 
 def ref_assignment_rows(n: int, cell_set: set[tuple[int, int]], bvar: str) -> list[Constraint]:
@@ -587,7 +657,6 @@ def ref_model(
     cells: list[tuple[int, int]],
     flow: np.ndarray,
     expo: np.ndarray,
-    sparsify: bool,
     n: int,
 ) -> LinearModel:
     bvar, wvar = ("x", "w") if tag == "level1" else ("z", "y")
@@ -603,9 +672,6 @@ def ref_model(
         ),
         objective=tuple(ref_objective_terms(cells, flow, expo, bvar, wvar)),
         constraints=tuple(head + ref_linking_constraints(cells, set(cells), n, bvar, wvar)),
-        sparsified=sparsify,
-        assignment_prefix=bvar,
-        n=n,
     )
 
 
@@ -628,7 +694,7 @@ def reference_model(instance: QapInstance, sparsify: bool) -> LinearModel:
     binaries = tuple(variable_name(bvar, i, k) for i, k in cells)
     return ref_model(
         instance.level, binaries, fixed, head, cells,
-        instance.flow, instance.exposure, sparsify, n,
+        instance.flow, instance.exposure, n,
     )
 
 
@@ -672,13 +738,16 @@ def reference_integrated_model(
     )
     return ref_model(
         "integrated", binaries, fixed, head, cells,
-        matrices.sub_transitions, exposures.sub_exposure, sparsify, n,
+        matrices.sub_transitions, exposures.sub_exposure, n,
     )
 
 
 def assert_matches_reference(model: LinearModel, ref: LinearModel, tmp_path: Path) -> None:
     for field in dataclasses.fields(LinearModel):
-        assert getattr(model, field.name) == getattr(ref, field.name), field.name
+        if field.name != "constraints":
+            assert getattr(model, field.name) == getattr(ref, field.name), field.name
+    assert len(model.constraints) == len(ref.constraints)
+    assert expanded_rows(model) == list(ref.constraints)
     # same float64 bits, as Python floats
     assert all(type(c) is float for _, c in model.objective)
     assert [c.hex() for _, c in model.objective] == [c.hex() for _, c in ref.objective]
@@ -761,11 +830,14 @@ class TestProductLayerMatchesReference:
                     [mem for mem, _ in fams],
                     [slt for _, slt in fams],
                     {c: variable_name("z", *c) for c in cells},
-                    lambda fi, fk: ((), 1.0 if fi == fk else 0.0),
+                    lambda fi, fk: (None, 1 if fi == fk else 0),
                 )
-                assert rows == ref_family_rows(fams, set(cells), "z")
+                assert [
+                    as_constraint((name, unit_terms(plus), minus, rhs))
+                    for name, plus, minus, rhs in rows
+                ] == ref_family_rows(fams, set(cells), "z")
                 if not cells:
-                    assert len(rows) == 2 * n and all(r.rhs == 1.0 for r in rows)
+                    assert len(rows) == 2 * n and all(rhs == 1 for *_, rhs in rows)
 
     @pytest.mark.parametrize("sparsify", [False, True])
     def test_integrated(self, tmp_path, sparsify):
@@ -809,7 +881,7 @@ class TestProductLayerMatchesReference:
         rng = Random(233)
         inst = random_level1_instance(rng, 5, full_eligibility=True)
         model = linearize(inst)
-        assert max(len(c.coeffs) for c in model.constraints) > 6
+        assert max(len(terms) for _, terms, _ in lp_rows(model)) > 6
         assert len(model.objective) > 6
         assert_level_model_matches(inst, False, tmp_path)
 
@@ -859,27 +931,31 @@ def view_cases():
             )
 
 
-class TestConstraintView:
-    def test_length_iteration_and_counts(self):
-        for model, ref in view_cases():
-            rows = model.constraints
-            first, second = tuple(rows), tuple(rows)
-            assert len(rows) == len(first) == len(ref.constraints)
-            assert first == second
-            assert all(type(c) is Constraint for c in first)
-            for prefix in ROW_PREFIXES:
-                assert row_count(model, prefix) == row_count(ref, prefix), prefix
+def constructor_calls(run) -> Counter:
+    """Python-level constructor calls (``__init__``, ``__new__``,
+    ``__post_init__``) made while ``run()`` runs, by code location."""
+    calls: Counter = Counter()
 
-    def test_compares_and_indexes_like_a_tuple(self):
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name in ("__init__", "__new__", "__post_init__"):
+            calls[f"{code.co_filename}:{code.co_firstlineno}:{code.co_name}"] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestConstraintView:
+    def test_length_and_counts(self):
         for model, ref in view_cases():
-            rows, rows_tuple = model.constraints, tuple(ref.constraints)
-            assert rows == rows_tuple and rows_tuple == rows
-            assert rows != rows_tuple[:-1] and rows_tuple[1:] != rows
-            for index in (0, len(rows_tuple) // 2, -1, -len(rows_tuple)):
-                assert rows[index] == rows_tuple[index]
-            assert rows[3:9] == rows_tuple[3:9]
-            with pytest.raises(IndexError):
-                rows[len(rows_tuple)]
+            assert len(model.constraints) == len(ref.constraints)
+            for prefix in ROW_PREFIXES:
+                written = sum(1 for c in ref.constraints if c.name.startswith(prefix) and c.coeffs)
+                assert row_count(model, prefix) == written, prefix
 
     def test_empty_rows_are_counted_but_not_written(self, tmp_path):
         empties_seen = 0
@@ -888,30 +964,207 @@ class TestConstraintView:
             write_lp(model, str(path))
             text = path.read_text(encoding="utf-8")
             written = {line.split(":")[0].strip() for line in text.splitlines() if ":" in line}
-            empty = {c.name for c in model.constraints if not c.coeffs}
-            full = {c.name for c in model.constraints if c.coeffs}
+            rows = expanded_rows(model)
+            assert len(rows) == len(model.constraints)
+            empty = {c.name for c in rows if not c.coeffs}
+            full = {c.name for c in rows if c.coeffs}
             assert full <= written and not empty & written
             empties_seen += len(empty)
         # a sparsified dummy is the only cell at its position and of its
         # product, so its own li and lk rows have no terms
         assert empties_seen > 0
 
-    def test_export_builds_no_product_constraint(self, tmp_path, monkeypatch):
-        built: list[str] = []
-
-        class CountingConstraint(Constraint):
-            def __init__(self, name, *rest):
-                built.append(name)
-                super().__init__(name, *rest)
-
-        monkeypatch.setattr(linearize_module, "Constraint", CountingConstraint)
+    def test_export_builds_no_product_constraint(self, tmp_path):
+        # neither writing nor validating an integrated model runs a
+        # constructor per row: the rows are plain tuples of a stream
         graph, catalog, matrices, exposures = TestIntegratedModel.pieces((2, 2, 1))
         model = linearize_integrated(exposures, matrices, None, catalog, graph, sparsify=True)
-        write_lp(model, str(tmp_path / "model.lp"))
-        made = list(built)
-        head = sum(row_count(model, prefix) for prefix in ("asg_", "grp_"))
-        assert len(made) == head < len(model.constraints)
-        assert all(name.startswith(("asg_", "grp_")) for name in made)
+        head = len(model.constraints.head)
+        assert head < len(model.constraints) - head
+        written = constructor_calls(lambda: write_lp(model, str(tmp_path / "model.lp")))
+        assert sum(written.values()) < head
+        # no binary is active, so validation never reads the instance
+        instance = toy_2x2()
+        zeros = ExternalSolution(dict.fromkeys(model.binary_names, 0.0), None)
+        reports = []
+        validated = constructor_calls(
+            lambda: reports.append(validate_solution(instance, model, zeros))
+        )
+        assert sum(validated.values()) < head
+        assert reports[0].assignment is None and not reports[0].feasible
+        # the probe sees a row object built per row
+        built = constructor_calls(lambda: expanded_rows(model))
+        assert max(built.values()) == len(model.constraints)
+
+
+# -- validate_solution against the Constraint-loop validator ---------------------------
+
+
+def reference_validate_solution(
+    instance: QapInstance,
+    model: LinearModel,
+    solution: ExternalSolution,
+    tolerance: float = 1e-6,
+) -> SolutionReport:
+    """validate_solution as it was when every row was a Constraint: ``model``
+    is a reference model, its rows a tuple of Constraints."""
+    values = solution.values
+    missing = [name for name in model.binary_names if name not in values]
+    if missing:
+        raise ValidationError(
+            f"solution is missing {len(missing)} binary variables, first: {missing[0]}"
+        )
+    violations: list[str] = []
+    worst = 0.0
+
+    def note(amount: float, message: str) -> None:
+        nonlocal worst
+        worst = max(worst, amount)
+        if amount > tolerance:
+            violations.append(message)
+
+    def fmt(value: float) -> str:
+        return format(value, ".12g")
+
+    for name in model.binary_names:
+        v = values[name]
+        note(abs(v - round(v)), f"binary {name} = {fmt(v)} is not integral")
+    for name in model.fixed_zero:
+        v = values.get(name, 0.0)
+        note(abs(v), f"fixed variable {name} = {fmt(v)} violates its zero bound")
+    for name in model.continuous_names:
+        v = values.get(name, 0.0)
+        note(max(0.0, -v), f"continuous {name} = {fmt(v)} is negative")
+    for con in model.constraints:
+        total = sum(coeff * values.get(name, 0.0) for name, coeff in con.coeffs)
+        note(abs(total - con.rhs), f"constraint {con.name} residual {fmt(total - con.rhs)}")
+
+    assignment_prefix = "x" if model.tag == "level1" else "z"
+    mapping: dict[str, str] = {}
+    duplicates = False
+    for name in model.binary_names:
+        prefix, idx = decode_variable(name)
+        if prefix != assignment_prefix:
+            continue
+        if values[name] > 0.5:
+            i, k = idx
+            pid = instance.product_ids[i]
+            if pid in mapping:
+                duplicates = True
+            mapping[pid] = instance.position_ids[k]
+    assignment = Assignment.from_mapping(mapping) if mapping else None
+    quadratic = None
+    if assignment is not None and not duplicates:
+        report = check_feasible(instance, assignment)
+        if report.ok:
+            quadratic = objective_of_permutation(instance, instance.permutation_of(assignment))
+        else:
+            violations.extend(report.violations)
+    elif duplicates:
+        violations.append("a product carries two active assignment binaries")
+
+    linear = evaluate_linear_objective(model, values)
+    gap = abs(linear - quadratic) if quadratic is not None else None
+    return SolutionReport(
+        feasible=not violations,
+        violations=tuple(violations),
+        assignment=assignment,
+        linear_objective=linear,
+        quadratic_objective=quadratic,
+        objective_gap=gap,
+        reported_objective=solution.reported_objective,
+        max_constraint_violation=worst,
+    )
+
+
+ROW_BREAKS = ("asg_", "grp_", "li_", "lk_", "sym_")
+PERTURBATIONS = ROW_BREAKS + ("fractional binary", "negative product", "fixed-zero binary set")
+
+
+def perturbed(rng: Random, kind: str, model: LinearModel, ref: LinearModel, base: dict):
+    """``base`` perturbed one way, and the row the perturbation must break
+    (None when it targets a bound); None when ``model`` has nothing to
+    perturb that way."""
+    values = dict(base)
+    broken = None
+    if kind in ROW_BREAKS:
+        rows = [c for c in ref.constraints if c.name.startswith(kind) and c.coeffs]
+        if not rows:
+            return None
+        broken = rng.choice(rows)
+        name, _ = rng.choice(broken.coeffs)
+        values[name] = values.get(name, 0.0) + rng.choice((0.5, -0.25, 0.1 + 0.2, 3.0, 1e-3))
+    elif kind == "fractional binary":
+        values[rng.choice(model.binary_names)] = rng.choice((0.4, 0.5, 1e-7, 0.999))
+    elif kind == "negative product":
+        if not model.continuous_names:
+            return None
+        values[rng.choice(model.continuous_names)] = -rng.choice((0.3, 1.0, 1e-9))
+    else:
+        if not model.fixed_zero:
+            return None
+        values[rng.choice(model.fixed_zero)] = 1.0
+    if rng.random() < 0.5:
+        # noise below the tolerance, so residuals are inexact sums
+        values = {name: v + rng.uniform(-1e-9, 1e-9) for name, v in values.items()}
+    return values, broken
+
+
+class TestValidateSolutionMatchesReference:
+    """The row-stream validator returns the Constraint-loop validator's
+    report: the same violations in the same order, the same bits."""
+
+    def assert_same_reports(self, instance: QapInstance, rng: Random, seen: Counter) -> None:
+        for sparsify in (False, True):
+            model = linearize(instance, sparsify=sparsify)
+            ref = reference_model(instance, sparsify)
+            perm = rng.choice(list(feasible_perms(instance)))
+            base = product_solution(model, perm)
+            for kind in PERTURBATIONS:
+                case = perturbed(rng, kind, model, ref, base)
+                if case is None:
+                    continue
+                values, broken = case
+                solution = ExternalSolution(values, rng.choice((None, 1.5)))
+                want = reference_validate_solution(instance, ref, solution)
+                got = validate_solution(instance, model, solution)
+                assert got == want, kind
+                for field in ("max_constraint_violation", "linear_objective"):
+                    assert type(getattr(got, field)) is float
+                    assert getattr(got, field).hex() == getattr(want, field).hex(), field
+                if broken is not None:
+                    assert any(v.startswith(f"constraint {broken.name} ") for v in want.violations)
+                seen[kind] += 1
+
+    def test_random_level1(self):
+        rng, seen = Random(263), Counter()
+        for trial in range(12):
+            inst = random_level1_instance(rng, rng.randint(2, 4), full_eligibility=trial % 4 == 0)
+            self.assert_same_reports(inst, rng, seen)
+        assert set(seen) == set(PERTURBATIONS) - {"grp_"}
+
+    def test_random_level2(self):
+        rng, seen = Random(269), Counter()
+        for sizes in ((2, 1), (2, 2), (3, 1), (1, 1, 1), (1, 2, 1)):
+            self.assert_same_reports(random_level2_instance(rng, sizes), rng, seen)
+        assert set(seen) == set(PERTURBATIONS) - {"asg_", "fixed-zero binary set"}
+
+    def test_empty_rows_with_right_hand_side_one(self):
+        # family rows over no cells: each matched pair's rows are empty with
+        # right-hand side 1, so each residual is -1 and the worst one is 1.0
+        fams = [((0, 1), (1, 0)), ((2,), (2,))]
+        members, slots = [mem for mem, _ in fams], [slt for _, slt in fams]
+        head = _family_rows(members, slots, {}, lambda fi, fk: (None, 1 if fi == fk else 0))
+        empty = dict(binary_names=(), fixed_zero=(), continuous_names=(), objective=())
+        model = LinearModel(tag="level2", constraints=ModelRows(tuple(head), [], []), **empty)
+        ref_rows = tuple(ref_family_rows(fams, set(), "z"))
+        ref = LinearModel(tag="level2", constraints=ref_rows, **empty)
+        solution = ExternalSolution({}, None)
+        got = validate_solution(toy_2x2(), model, solution)
+        want = reference_validate_solution(toy_2x2(), ref, solution)
+        assert got == want and len(got.violations) == 6
+        worst = got.max_constraint_violation
+        assert worst.hex() == want.max_constraint_violation.hex() == (1.0).hex()
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

@@ -217,7 +217,7 @@ class TestSwapScan:
         for _ in range(500):
             x, y = rng.sample(range(n), 2)
             perm[x], perm[y] = perm[y], perm[x]
-            scan.swap(x, y)
+            scan.swap(x, y, 0)
         assert np.array_equal(scan.h[0], expo[np.ix_(perm, perm)])
         # the transposed copy stayed in step too: deltas equal a fresh scan's
         fresh = SwapScan(flow, expo, perm[None], a, b)

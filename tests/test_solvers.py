@@ -863,11 +863,11 @@ class TestHierarchical:
         graph, catalog, matrices, exposures = small_fixture((2, 2))
         base = SolverConfig(seed=5, iteration_limit=300, pool_gap=0.25)
         small = solve_hierarchical(
-            exposures, matrices, None, None, catalog, graph,
+            exposures, matrices, None, catalog, graph,
             config=SolverConfig(**{**base.__dict__, "pool_capacity": 1}),
         )
         large = solve_hierarchical(
-            exposures, matrices, None, None, catalog, graph,
+            exposures, matrices, None, catalog, graph,
             config=SolverConfig(**{**base.__dict__, "pool_capacity": 10}),
         )
         assert large.objective >= small.objective - 1e-12
@@ -876,7 +876,7 @@ class TestHierarchical:
     def test_result_shape(self):
         graph, catalog, matrices, exposures = small_fixture((2, 1))
         result = solve_hierarchical(
-            exposures, matrices, None, None, catalog, graph,
+            exposures, matrices, None, catalog, graph,
             config=SolverConfig(seed=1, pool_capacity=3),
         )
         assert result.solver == "hierarchical"
@@ -889,32 +889,11 @@ class TestHierarchical:
         induced = induced_level1_assignment(result.assignment, catalog, graph)
         assert induced == result.level1_assignment
 
-    def test_separate_tactical_transitions(self):
-        graph, catalog, matrices, exposures = small_fixture((2, 2))
-        explicit = solve_hierarchical(
-            exposures, matrices, matrices, None, catalog, graph,
-            config=SolverConfig(seed=2, pool_capacity=2),
-        )
-        reused = solve_hierarchical(
-            exposures, matrices, None, None, catalog, graph,
-            config=SolverConfig(seed=2, pool_capacity=2),
-        )
-        assert explicit.objective == reused.objective
-        assert explicit.assignment == reused.assignment
-
-    def test_axis_mismatch_rejected(self):
-        graph, catalog, matrices, exposures = small_fixture((2, 2))
-        _, other_catalog, other_matrices, _ = small_fixture((2, 1))
-        with pytest.raises(InputError):
-            solve_hierarchical(
-                exposures, matrices, other_matrices, None, catalog, graph
-            )
-
     def test_beats_or_matches_tactical_exhaustion_of_identity_anchor(self):
         # the driver may pick a different strategic layout, never a worse one
         graph, catalog, matrices, exposures = small_fixture((2, 2))
         result = solve_hierarchical(
-            exposures, matrices, None, None, catalog, graph,
+            exposures, matrices, None, catalog, graph,
             config=SolverConfig(seed=0, pool_capacity=10, pool_gap=0.5),
         )
         anchor = Assignment.from_mapping({"C1": "L1", "C2": "L2"})
@@ -931,7 +910,6 @@ class TestBundledStoreAnchor:
         result = solve_hierarchical(
             build_exposure_matrices(doc.graph),
             expected_transitions(txns, doc.catalog),
-            None,
             doc.eligibility,
             doc.catalog,
             doc.graph,
