@@ -16,6 +16,7 @@ from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from random import Random
 
 import numpy as np
@@ -298,17 +299,18 @@ def expected_transitions(transactions: list[Transaction], catalog: Catalog) -> T
     )
 
 
-def _realized_sequence(txn: Transaction, catalog: Catalog, rng: Random) -> list[str]:
-    """One sampled visit order: category blocks shuffled, then each block
-    shuffled internally (Fisher-Yates both times via Random.shuffle)."""
+def _realized_blocks(
+    txn: Transaction, catalog: Catalog, rng: Random
+) -> list[tuple[str, list[str]]]:
+    """One sampled visit order as its (category, subcategories) blocks: the
+    blocks shuffled, then each block's subcategories shuffled in place
+    (Fisher-Yates both times via Random.shuffle). The walk visits the blocks
+    in order, so each category is one contiguous stretch of it."""
     blocks = _basket_blocks(txn, catalog)
     rng.shuffle(blocks)
-    sequence: list[str] = []
     for _, subs in blocks:
-        picks = list(subs)
-        rng.shuffle(picks)
-        sequence.extend(picks)
-    return sequence
+        rng.shuffle(subs)
+    return blocks
 
 
 def sampled_transitions(
@@ -324,16 +326,11 @@ def sampled_transitions(
     cat_counts = np.zeros((len(cat_axis), len(cat_axis)), dtype=np.int64)
     sub_counts = np.zeros((len(sub_axis), len(sub_axis)), dtype=np.int64)
     for txn in transactions:
-        sequence = _realized_sequence(txn, catalog, rng)
-        walk = [CHECK_IN, *sequence, CHECK_OUT]
+        blocks = _realized_blocks(txn, catalog, rng)
+        walk = [CHECK_IN, *chain.from_iterable(subs for _, subs in blocks), CHECK_OUT]
         for a, b in zip(walk, walk[1:]):
             sub_counts[sub_idx[a], sub_idx[b]] += 1
-        cat_walk = [CHECK_IN]
-        for sid in sequence:
-            cid = catalog.category_of(sid)
-            if cid != cat_walk[-1]:
-                cat_walk.append(cid)
-        cat_walk.append(CHECK_OUT)
+        cat_walk = [CHECK_IN, *(cid for cid, _ in blocks), CHECK_OUT]
         for a, b in zip(cat_walk, cat_walk[1:]):
             cat_counts[cat_idx[a], cat_idx[b]] += 1
     return TransitionMatrices(
@@ -368,10 +365,10 @@ def replay_paths(
             raise ValidationError(
                 f"transaction {txn.transaction_id}: no assigned position for {missing}"
             )
-        sequence = _realized_sequence(txn, catalog, rng)
         stops = [graph.entrance_node]
-        for sid in sequence:
-            stops.append(graph.position_center(assignment[sid], MODE_SUBLOCATION))
+        for _, subs in _realized_blocks(txn, catalog, rng):
+            for sid in subs:
+                stops.append(graph.position_center(assignment[sid], MODE_SUBLOCATION))
         stops.append(graph.exit_node)
         walk: list[str] = [stops[0]]
         for a, b in zip(stops, stops[1:]):

@@ -11,13 +11,15 @@ Variable naming is a pure function of axis indices: strategic models use
 x_i_k binaries and w_i1_k1_i2_k2 products, tactical and integrated models
 use z/y; the integrated model adds the strategic x binaries coupled to z.
 Products of a variable with itself collapse onto the binary (x^2 = x), and
-symmetry rows are emitted once per unordered pair.
+symmetry rows are emitted once per unordered pair. Names are only written:
+every reader finds a variable by its cell, never by parsing its name.
 
 All three models come from the same builders: one-to-one assignment rows
 (``_assignment_layer``), family rows tying a category's members to a
 location's slots (``_family_rows``), and the product layer, assembled into a
 ``LinearModel`` by ``_model``. Every binary and product name of a layer comes
-from one table (``_cell_names``; the binaries are its diagonal). Every row
+from one table (``_cell_names``; the binaries are its diagonal), and the
+objective is the coefficient table of the same shape beside it. Every row
 is an equation of +1 terms, at most one -1 term and a right-hand side of 0 or
 1 (``Row``). The product layer's rows are described, not stored:
 ``_product_rows`` generates them from the cells and the name table, and
@@ -27,7 +29,7 @@ is an equation of +1 terms, at most one -1 term and a right-hand side of 0 or
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -37,7 +39,6 @@ from .demand import Catalog, TransitionMatrices
 from .errors import InputError, ParseError, ValidationError
 from .qap import (
     DOOR_PINS,
-    INTEGRATED,
     LEVEL1,
     Assignment,
     QapInstance,
@@ -46,6 +47,13 @@ from .qap import (
     objective_of_permutation,
 )
 from .store import ExposureMatrices, StoreGraph
+
+# Tag of the joint two-level model; a QapInstance is of one level only.
+INTEGRATED = "integrated"
+
+# Largest violation validate_solution forgives: solver round-off in a binary,
+# a bound or a row residual.
+TOLERANCE = 1e-6
 
 
 # A row (name, plus, minus, rhs) is the equation sum(plus) - minus = rhs:
@@ -87,13 +95,18 @@ class ModelRows:
 @dataclass
 class LinearModel:
     """Variable registry, constraint rows and objective of one linearized
-    instance. All orderings are deterministic functions of the instance."""
+    instance. All orderings are deterministic functions of the instance.
+
+    ``objective`` is the ``(N, N)`` coefficient table over the product
+    layer's N cells: ``objective[a, b]`` multiplies the variable
+    ``constraints.names[a][b]``, the binary of cell a when ``a == b``.
+    ``_objective_terms`` reads its nonzero terms."""
 
     tag: str
     binary_names: tuple[str, ...]
     fixed_zero: tuple[str, ...]
     continuous_names: tuple[str, ...]
-    objective: tuple[tuple[str, float], ...]
+    objective: np.ndarray
     constraints: ModelRows
 
 
@@ -120,27 +133,8 @@ class SolutionReport:
     max_constraint_violation: float
 
 
-def _prefixes(tag: str) -> tuple[str, str]:
-    return ("x", "w") if tag == LEVEL1 else ("z", "y")
-
-
 def variable_name(prefix: str, *indices: int) -> str:
     return prefix + "_" + "_".join(str(i) for i in indices)
-
-
-def decode_variable(name: str) -> tuple[str, tuple[int, ...]]:
-    """Inverse of variable_name; raises on malformed names."""
-    parts = name.split("_")
-    if len(parts) < 3 or parts[0] not in ("x", "z", "w", "y"):
-        raise InputError(f"not a model variable name: {name!r}")
-    try:
-        indices = tuple(int(p) for p in parts[1:])
-    except ValueError:
-        raise InputError(f"non-numeric indices in variable name {name!r}") from None
-    want = 2 if parts[0] in ("x", "z") else 4
-    if len(indices) != want:
-        raise InputError(f"variable {name!r} should carry {want} indices")
-    return parts[0], indices
 
 
 def _product_families(instance: QapInstance) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -229,19 +223,14 @@ def _row_blocks(
     yield from _product_rows(rows.cells, rows.names, [terms(row) for row in rows.names])
 
 
-def _objective_terms(
-    cells: list[tuple[int, int]], names: list[list[str]], flow: np.ndarray, expo: np.ndarray
-) -> list[tuple[str, float]]:
-    """Nonzero flow[i1, i2] * expo[k1, k2] over cell pairs, in row-major cell
-    order."""
-    products = np.array([i for i, _ in cells], dtype=np.intp)
-    positions = np.array([k for _, k in cells], dtype=np.intp)
-    coeff = flow[np.ix_(products, products)] * expo[np.ix_(positions, positions)]
-    rows, cols = np.nonzero(coeff)
-    return [
-        (names[a][b], value)
-        for a, b, value in zip(rows.tolist(), cols.tolist(), coeff[rows, cols].tolist())
-    ]
+def _objective_terms(model: LinearModel) -> Iterator[tuple[str, float]]:
+    """The objective's nonzero terms ``(name, coeff)`` in row-major cell
+    order, each name read off the name table beside the coefficient table.
+    One table row is read at a time, so the terms are never held whole."""
+    for coeffs, names in zip(model.objective, model.constraints.names):
+        cols = np.flatnonzero(coeffs)
+        for b, coeff in zip(cols.tolist(), coeffs[cols].tolist()):
+            yield names[b], coeff
 
 
 def _cells(elig: np.ndarray, sparsify: bool) -> list[tuple[int, int]]:
@@ -313,7 +302,9 @@ def _model(
 ) -> LinearModel:
     """The model of ``head`` rows over ``lead_binaries`` and the binaries of
     ``cells``, completed by the product layer over ``cells``; every name
-    past the lead binaries comes from the ``_cell_names`` table ``names``."""
+    past the lead binaries comes from the ``_cell_names`` table ``names``.
+    The objective coefficient of cells a and b is flow[i1, i2] * expo[k1, k2]."""
+    products, positions = np.array(cells, dtype=np.intp).reshape(-1, 2).T
     return LinearModel(
         tag=tag,
         binary_names=lead_binaries + tuple(row[a] for a, row in enumerate(names)),
@@ -321,7 +312,7 @@ def _model(
         continuous_names=tuple(
             chain.from_iterable(row[:a] + row[a + 1 :] for a, row in enumerate(names))
         ),
-        objective=tuple(_objective_terms(cells, names, flow, expo)),
+        objective=flow[np.ix_(products, products)] * expo[np.ix_(positions, positions)],
         constraints=ModelRows(tuple(head), cells, names),
     )
 
@@ -334,11 +325,7 @@ def linearize(instance: QapInstance, sparsify: bool = False) -> LinearModel:
     (and drops rows that become vacuous), shrinking tactical models from
     quartic in n to quartic in the largest block size.
     """
-    if instance.level == INTEGRATED:
-        raise InputError(
-            "integrated models carry two coupled variable layers; use linearize_integrated"
-        )
-    bvar, wvar = _prefixes(instance.level)
+    bvar, wvar = ("x", "w") if instance.level == LEVEL1 else ("z", "y")
     cells = _cells(instance.eligibility, sparsify)
     names = _cell_names(cells, bvar, wvar)
     binary = _diagonal(cells, names)
@@ -419,7 +406,7 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _pieces(terms: Sequence[tuple[str, float]]) -> list[str]:
+def _pieces(terms: Iterable[tuple[str, float]]) -> list[str]:
     """Each term as ``+ c name`` or ``- c name``; a unit coefficient is 1."""
     return [
         f"{'- ' if coeff < 0 else '+ '}"
@@ -449,8 +436,9 @@ def write_lp(model: LinearModel, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         write = fh.write
         write(f"\\ {model.tag} exposure maximization model\nMaximize\n")
-        if model.objective:
-            write(f" obj: {_layout(_pieces(model.objective), ' ')}\n")
+        # the objective's pieces live only while its line is written
+        if model.objective.any():
+            write(f" obj: {_layout(_pieces(_objective_terms(model)), ' ')}\n")
         else:
             anchor = model.binary_names[0] if model.binary_names else model.continuous_names[0]
             write(f" obj: 0 {anchor}\n")
@@ -510,18 +498,16 @@ def parse_solution_file(path: str) -> ExternalSolution:
 
 
 def evaluate_linear_objective(model: LinearModel, values: dict[str, float]) -> float:
-    return float(sum(coeff * values.get(name, 0.0) for name, coeff in model.objective))
+    return float(sum(coeff * values.get(name, 0.0) for name, coeff in _objective_terms(model)))
 
 
 def validate_solution(
-    instance: QapInstance,
-    model: LinearModel,
-    solution: ExternalSolution,
-    tolerance: float = 1e-6,
+    instance: QapInstance, model: LinearModel, solution: ExternalSolution
 ) -> SolutionReport:
     """Check an external solution: binary integrality, constraint residuals
-    and variable bounds within tolerance, then reconstruct the assignment,
-    verify feasibility, and compare linear against quadratic objective."""
+    and variable bounds within ``TOLERANCE``, then reconstruct the assignment
+    from the active binaries of the product layer's cells, verify
+    feasibility, and compare linear against quadratic objective."""
     values = solution.values
     missing = [name for name in model.binary_names if name not in values]
     if missing:
@@ -531,21 +517,22 @@ def validate_solution(
     violations: list[str] = []
     worst = 0.0
 
-    def note(amount: float, message: str) -> None:
+    def note(amount: float, template: str, name: str, value: float) -> None:
+        # every amount counts toward the worst; only a violation is formatted
         nonlocal worst
         worst = max(worst, amount)
-        if amount > tolerance:
-            violations.append(message)
+        if amount > TOLERANCE:
+            violations.append(template.format(name, _fmt(value)))
 
     for name in model.binary_names:
         v = values[name]
-        note(abs(v - round(v)), f"binary {name} = {_fmt(v)} is not integral")
+        note(abs(v - round(v)), "binary {} = {} is not integral", name, v)
     for name in model.fixed_zero:
         v = values.get(name, 0.0)
-        note(abs(v), f"fixed variable {name} = {_fmt(v)} violates its zero bound")
+        note(abs(v), "fixed variable {} = {} violates its zero bound", name, v)
     for name in model.continuous_names:
         v = values.get(name, 0.0)
-        note(max(0.0, -v), f"continuous {name} = {_fmt(v)} is negative")
+        note(max(0.0, -v), "continuous {} = {} is negative", name, v)
     for block in _row_blocks(model.constraints, lambda row: [values.get(v, 0.0) for v in row]):
         for name, plus, minus, rhs in block:
             if minus is not None:
@@ -554,17 +541,14 @@ def validate_solution(
                 plus = (*plus, -values.get(minus, 0.0))
             # the float start keeps an empty row's residual a float
             residual = sum(plus, 0.0) - rhs
-            note(abs(residual), f"constraint {name} residual {_fmt(residual)}")
+            note(abs(residual), "constraint {} residual {}", name, residual)
 
-    bvar = _prefixes(model.tag)[0]
+    # the assignment binaries are the product layer's: cell a's is names[a][a]
+    names = model.constraints.names
     mapping: dict[str, str] = {}
     duplicates = False
-    for name in model.binary_names:
-        prefix, idx = decode_variable(name)
-        if prefix != bvar:
-            continue
-        if values[name] > 0.5:
-            i, k = idx
+    for a, (i, k) in enumerate(model.constraints.cells):
+        if values[names[a][a]] > 0.5:
             pid = instance.product_ids[i]
             if pid in mapping:
                 duplicates = True

@@ -31,8 +31,7 @@ from .store import ENTRANCE_POS, EXIT_POS, ExposureMatrices, StoreGraph
 
 LEVEL1 = "level1"
 LEVEL2 = "level2"
-INTEGRATED = "integrated"
-_LEVELS = (LEVEL1, LEVEL2, INTEGRATED)
+_LEVELS = (LEVEL1, LEVEL2)
 
 # door product -> the one position it may take, at either level
 DOOR_PINS = {CHECK_IN: ENTRANCE_POS, CHECK_OUT: EXIT_POS}
@@ -74,12 +73,6 @@ class Assignment:
     def shelf_mapping(self) -> dict[str, str]:
         """The mapping without the door products, in pair order."""
         return {pid: pos for pid, pos in self.pairs if pid not in DOOR_PINS}
-
-    def position_of(self, product_id: str) -> str | None:
-        for pid, pos in self.pairs:
-            if pid == product_id:
-                return pos
-        return None
 
 
 @dataclass(frozen=True)
@@ -510,7 +503,6 @@ def build_level1_instance(
     exposures: ExposureMatrices,
     transitions: TransitionMatrices,
     eligibility=None,
-    name: str = "level1",
 ) -> QapInstance:
     """Strategic instance: categories to locations, flow from category-level
     transitions, exposure from whole-location counting.
@@ -532,7 +524,7 @@ def build_level1_instance(
         flow=transitions.cat_transitions,
         exposure=exposures.loc_exposure,
         eligibility=elig,
-        name=name,
+        name="level1",
     )
 
 
@@ -565,7 +557,6 @@ def build_level2_instance(
     level1_assignment: Assignment,
     catalog: Catalog,
     graph: StoreGraph,
-    name: str = "level2",
 ) -> QapInstance:
     """Tactical instance induced by a fixed category-to-location assignment:
     each category's subcategories may only permute within that location's
@@ -616,7 +607,7 @@ def build_level2_instance(
         exposure=exposures.sub_exposure,
         eligibility=elig,
         blocks=tuple(blocks),
-        name=name,
+        name="level2",
     )
 
 

@@ -25,7 +25,6 @@ from storelayout.demand import (
     Subcategory,
     Transaction,
     _basket_blocks,
-    _realized_sequence,
     expected_transitions,
     load_transactions,
     read_transactions_csv,
@@ -432,13 +431,61 @@ class TestExactTransitionsMatchReference:
         assert_matches_reference(txns, doc.catalog)
 
 
+def reference_sequence(txn, catalog, rng):
+    """One sampled visit order as a flat list of subcategories: the category
+    blocks shuffled, then a shuffled copy of each block appended."""
+    blocks = _basket_blocks(txn, catalog)
+    rng.shuffle(blocks)
+    sequence = []
+    for _, subs in blocks:
+        picks = list(subs)
+        rng.shuffle(picks)
+        sequence.extend(picks)
+    return sequence
+
+
+def reference_sampled(transactions, catalog, seed):
+    """Sampled counts of both levels, the category walk regrouped item by
+    item from each flat visit order."""
+    rng = Random(seed)
+    cat_idx = {pid: i for i, pid in enumerate(catalog.category_axis)}
+    sub_idx = {pid: i for i, pid in enumerate(catalog.subcategory_axis)}
+    cat = np.zeros((len(cat_idx), len(cat_idx)))
+    sub = np.zeros((len(sub_idx), len(sub_idx)))
+    for txn in transactions:
+        walk = [CHECK_IN, *reference_sequence(txn, catalog, rng), CHECK_OUT]
+        cat_walk = []
+        for sid in walk:
+            cid = catalog.category_of(sid)
+            if not cat_walk or cid != cat_walk[-1]:
+                cat_walk.append(cid)
+        for a, b in zip(walk, walk[1:]):
+            sub[sub_idx[a], sub_idx[b]] += 1
+        for a, b in zip(cat_walk, cat_walk[1:]):
+            cat[cat_idx[a], cat_idx[b]] += 1
+    return cat, sub
+
+
+class TestSampledMatchesPerItemReference:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_catalogs(self, seed):
+        rng = Random(seed)
+        sizes = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 8)))
+        catalog = catalog_for(sizes)
+        txns = random_baskets(rng, catalog, 200)
+        got = sampled_transitions(txns, catalog, seed=seed)
+        cat, sub = reference_sampled(txns, catalog, seed)
+        assert got.cat_transitions.tobytes() == cat.tobytes()
+        assert got.sub_transitions.tobytes() == sub.tobytes()
+
+
 def reference_replay(transactions, assignment, graph, catalog, seed):
     """Walk replay with a fresh Dijkstra for every leg."""
     centers = {s.sublocation_id: s.center_node for s in graph.sublocations}
     rng = Random(seed)
     paths = []
     for txn in transactions:
-        sequence = _realized_sequence(txn, catalog, rng)
+        sequence = reference_sequence(txn, catalog, rng)
         stops = [graph.entrance_node, *(centers[assignment[sid]] for sid in sequence), graph.exit_node]
         walk = [stops[0]]
         for a, b in zip(stops, stops[1:]):

@@ -32,8 +32,8 @@ from storelayout.linearize import (
     SolutionReport,
     _cell_names,
     _family_rows,
+    _objective_terms,
     _row_blocks,
-    decode_variable,
     evaluate_linear_objective,
     linearize,
     linearize_integrated,
@@ -46,10 +46,28 @@ from storelayout.qap import (
     Assignment,
     QapInstance,
     _eligibility_matrix,
+    build_level2_instance,
     check_feasible,
     objective_of_permutation,
 )
 from storelayout.store import build_exposure_matrices
+
+
+def decode_variable(name: str) -> tuple[str, tuple[int, ...]]:
+    """Inverse of variable_name, for the witnesses and reference validator
+    below that read a variable's indices off its name; raises InputError on a
+    malformed name. The package itself never parses a name."""
+    parts = name.split("_")
+    if len(parts) < 3 or parts[0] not in ("x", "z", "w", "y"):
+        raise InputError(f"not a model variable name: {name!r}")
+    try:
+        indices = tuple(int(p) for p in parts[1:])
+    except ValueError:
+        raise InputError(f"non-numeric indices in variable name {name!r}") from None
+    want = 2 if parts[0] in ("x", "z") else 4
+    if len(indices) != want:
+        raise InputError(f"variable {name!r} should carry {want} indices")
+    return parts[0], indices
 
 
 def feasible_perms(instance: QapInstance):
@@ -223,7 +241,7 @@ class TestExactness:
             eligibility=inst.eligibility,
         )
         model = linearize(inst)
-        byname = dict(model.objective)
+        byname = dict(_objective_terms(model))
         assert byname.get("x_0_0") == 2.0  # flow[0,0] * exposure[0,0]
         assert byname.get("x_1_1") == 5.0
         perm = np.array([0, 1])
@@ -258,11 +276,11 @@ class TestConstraintCounts:
         assert sparse.fixed_zero == ()
 
     def test_integrated_rejected_by_single_level_entry(self):
+        # an instance is of one level; the integrated model has its own entry
         rng = Random(113)
         inst = random_level1_instance(rng, 3)
-        object.__setattr__(inst, "level", "integrated")
-        with pytest.raises(InputError):
-            linearize(inst)
+        with pytest.raises(InputError, match="unknown level"):
+            dataclasses.replace(inst, level="integrated")
 
 
 class TestIntegratedModel:
@@ -384,7 +402,7 @@ class TestLpFormat:
             eligibility=np.ones((2, 2), dtype=bool),
         )
         model = linearize(inst)
-        assert model.objective == ()
+        assert list(_objective_terms(model)) == []
         path = tmp_path / "zero.lp"
         write_lp(model, str(path))
         text = path.read_text(encoding="utf-8")
@@ -744,13 +762,16 @@ def reference_integrated_model(
 
 def assert_matches_reference(model: LinearModel, ref: LinearModel, tmp_path: Path) -> None:
     for field in dataclasses.fields(LinearModel):
-        if field.name != "constraints":
+        if field.name not in ("constraints", "objective"):
             assert getattr(model, field.name) == getattr(ref, field.name), field.name
     assert len(model.constraints) == len(ref.constraints)
     assert expanded_rows(model) == list(ref.constraints)
-    # same float64 bits, as Python floats
-    assert all(type(c) is float for _, c in model.objective)
-    assert [c.hex() for _, c in model.objective] == [c.hex() for _, c in ref.objective]
+    # the reference's (name, coeff) list, with the same float64 bits, as
+    # Python floats
+    terms = list(_objective_terms(model))
+    assert terms == list(ref.objective)
+    assert all(type(c) is float for _, c in terms)
+    assert [c.hex() for _, c in terms] == [c.hex() for _, c in ref.objective]
     mine, theirs = tmp_path / "model.lp", tmp_path / "reference.lp"
     write_lp(model, str(mine))
     ref_write_lp(ref, str(theirs))
@@ -867,14 +888,14 @@ class TestProductLayerMatchesReference:
             exposure=np.ones((3, 3)),
             eligibility=np.ones((3, 3), dtype=bool),
         )
-        assert linearize(inst).objective == ()
+        assert list(_objective_terms(linearize(inst))) == []
         assert_level_model_matches(inst, False, tmp_path)
 
     def test_signed_and_fractional_coefficients(self, tmp_path):
         rng = Random(229)
         for _ in range(4):
             inst = signed_level1_instance(rng)
-            assert any(c < 0 for _, c in linearize(inst).objective)
+            assert any(c < 0 for _, c in _objective_terms(linearize(inst)))
             assert_level_model_matches(inst, False, tmp_path)
 
     def test_rows_longer_than_one_line(self, tmp_path):
@@ -882,7 +903,7 @@ class TestProductLayerMatchesReference:
         inst = random_level1_instance(rng, 5, full_eligibility=True)
         model = linearize(inst)
         assert max(len(terms) for _, terms, _ in lp_rows(model)) > 6
-        assert len(model.objective) > 6
+        assert len(list(_objective_terms(model))) > 6
         assert_level_model_matches(inst, False, tmp_path)
 
 
@@ -947,6 +968,22 @@ def constructor_calls(run) -> Counter:
     finally:
         sys.setprofile(None)
     return calls
+
+
+class TestObjectiveTable:
+    def test_table_is_aligned_with_the_name_table(self):
+        # objective[a, b] is the coefficient of names[a][b]: its nonzeros in
+        # row-major order are the reference's (name, coeff) list
+        tags = set()
+        for model, ref in view_cases():
+            cells, names = model.constraints.cells, model.constraints.names
+            table = model.objective
+            assert isinstance(table, np.ndarray) and table.dtype == np.float64
+            assert table.shape == (len(cells), len(cells)) == (len(names), len(names))
+            rows, cols = np.nonzero(table)
+            assert [(names[a][b], table[a, b]) for a, b in zip(rows, cols)] == list(ref.objective)
+            tags.add(model.tag)
+        assert tags == {"level1", "level2", "integrated"}
 
 
 class TestConstraintView:
@@ -1063,7 +1100,7 @@ def reference_validate_solution(
     elif duplicates:
         violations.append("a product carries two active assignment binaries")
 
-    linear = evaluate_linear_objective(model, values)
+    linear = float(sum(coeff * values.get(name, 0.0) for name, coeff in model.objective))
     gap = abs(linear - quadratic) if quadratic is not None else None
     return SolutionReport(
         feasible=not violations,
@@ -1149,16 +1186,51 @@ class TestValidateSolutionMatchesReference:
             self.assert_same_reports(random_level2_instance(rng, sizes), rng, seen)
         assert set(seen) == set(PERTURBATIONS) - {"asg_", "fixed-zero binary set"}
 
+    @pytest.mark.parametrize("sparsify", [False, True])
+    def test_feasible_integrated_witness_formats_nothing(self, monkeypatch, sparsify):
+        # no amount passes the tolerance, so no message is formatted; the
+        # report is still the reference validator's, bit for bit
+        graph, catalog, matrices, exposures = TestIntegratedModel.pieces((2, 2))
+        args = (exposures, matrices, None, catalog, graph)
+        model = linearize_integrated(*args, sparsify=sparsify)
+        ref = reference_integrated_model(*args, sparsify)
+        cat_perm = (0, 2, 1, 3)
+        values, _ = TestIntegratedModel.integrated_witness(
+            model, catalog, graph, matrices, exposures, cat_perm, {"C1": (1, 0)}
+        )
+        layout = dict(zip(matrices.cat_axis, (exposures.loc_axis[k] for k in cat_perm)))
+        instance = build_level2_instance(
+            exposures, matrices, Assignment.from_mapping(layout), catalog, graph
+        )
+        fmt, calls = linearize_module._fmt, []
+        monkeypatch.setattr(linearize_module, "_fmt", lambda v: calls.append(v) or fmt(v))
+        solution = ExternalSolution(values, 2.5)
+        got = validate_solution(instance, model, solution)
+        assert calls == []
+        assert got.feasible and got.quadratic_objective is not None
+        assert got.objective_gap <= 1e-9
+        want = reference_validate_solution(instance, ref, solution)
+        assert got == want
+        for field in ("max_constraint_violation", "linear_objective"):
+            assert getattr(got, field).hex() == getattr(want, field).hex(), field
+        # a violation is still described, through the same formatter
+        values[model.binary_names[0]] = 0.5
+        assert not validate_solution(instance, model, solution).feasible
+        assert calls
+
     def test_empty_rows_with_right_hand_side_one(self):
         # family rows over no cells: each matched pair's rows are empty with
         # right-hand side 1, so each residual is -1 and the worst one is 1.0
         fams = [((0, 1), (1, 0)), ((2,), (2,))]
         members, slots = [mem for mem, _ in fams], [slt for _, slt in fams]
         head = _family_rows(members, slots, {}, lambda fi, fk: (None, 1 if fi == fk else 0))
-        empty = dict(binary_names=(), fixed_zero=(), continuous_names=(), objective=())
-        model = LinearModel(tag="level2", constraints=ModelRows(tuple(head), [], []), **empty)
+        empty = dict(binary_names=(), fixed_zero=(), continuous_names=())
+        model = LinearModel(
+            tag="level2", objective=np.zeros((0, 0)),
+            constraints=ModelRows(tuple(head), [], []), **empty,
+        )
         ref_rows = tuple(ref_family_rows(fams, set(), "z"))
-        ref = LinearModel(tag="level2", constraints=ref_rows, **empty)
+        ref = LinearModel(tag="level2", objective=(), constraints=ref_rows, **empty)
         solution = ExternalSolution({}, None)
         got = validate_solution(toy_2x2(), model, solution)
         want = reference_validate_solution(toy_2x2(), ref, solution)
@@ -1304,5 +1376,5 @@ class TestValidateSolution:
     def test_tolerance_forgives_noise(self):
         inst, model, perm = self.setup_model()
         values = {k: v + 1e-9 for k, v in product_solution(model, perm).items()}
-        report = validate_solution(inst, model, ExternalSolution(values, None), tolerance=1e-6)
+        report = validate_solution(inst, model, ExternalSolution(values, None))
         assert report.feasible

@@ -778,8 +778,8 @@ class TestAssignment:
     def test_mapping_round_trip(self):
         asg = Assignment.from_mapping({"b": "k2", "a": "k1"})
         assert asg.mapping == {"a": "k1", "b": "k2"}
-        assert asg.position_of("a") == "k1"
-        assert asg.position_of("zz") is None
+        assert asg.mapping.get("a") == "k1"
+        assert asg.mapping.get("zz") is None
 
     def test_pairs_are_sorted(self):
         asg = Assignment.from_mapping({"b": "k2", "a": "k1"})

@@ -101,16 +101,16 @@ class TestPlanIO:
     def test_assignment_adds_dummy_pins(self):
         plan = make_plan({"u1": "s1"}, {"C1": "L1"})
         asg = plan.assignment()
-        assert asg.position_of("check-in") == "entrance"
-        assert asg.position_of("check-out") == "exit"
-        assert plan.level1_assignment().position_of("check-in") == "entrance"
+        assert asg.mapping["check-in"] == "entrance"
+        assert asg.mapping["check-out"] == "exit"
+        assert plan.level1_assignment().mapping["check-in"] == "entrance"
 
     def test_assignment_keeps_a_misplaced_door(self):
         # a plan naming check-in off the entrance is evaluated as written
         graph, catalog, matrices, exposures = pieces()
         plan = make_plan({"u1": "s1", "u2": "s2", "u3": "s3", "check-in": "s3"},
                          {"C1": "L1", "C2": "L2"})
-        assert plan.assignment().position_of("check-in") == "s3"
+        assert plan.assignment().mapping["check-in"] == "s3"
         with pytest.raises(ValidationError, match="infeasible layout"):
             evaluate_layout(plan.assignment(), exposures, matrices, catalog, graph)
 
