@@ -2,10 +2,12 @@
 matrices, run the solvers, and write plans, reports, LP models and
 traffic heatmaps.
 
-Every subcommand resolves its inputs into a RunConfig, and run() executes
-one pipeline; artifacts written before a failure are removed so an output
-directory never holds a half-written run. Flag defaults may be supplied
-by a JSON file named in the STORELAYOUT_CONFIG environment variable.
+The parsed arguments are the run's configuration: each subcommand names its
+handler, and the handler reads the arguments directly. main() checks the
+input files and the output directory before any handler runs, and removes
+the artifacts written before a failure, so an output directory never holds
+a half-written run. Flag defaults may be supplied by a JSON file named in
+the STORELAYOUT_CONFIG environment variable.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from random import Random
 
 from .demand import (
@@ -67,58 +68,52 @@ _TRANSITION_MODES = ("expected", "sampled")
 _MODEL_TAGS = ("level1", "level2", "integrated")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    store_path: str
-    transactions_path: str
-    out_dir: str
-    mode: str = "hierarchical"
-    transition_mode: str = "expected"
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    baseline_path: str | None = None
-    plan_paths: tuple[str, ...] = ()
-    models: tuple[str, ...] = ("level1", "level2")
-    full_models: bool = False
+def _model_tags(raw: str) -> tuple[str, ...]:
+    """Export-lp's --mode: comma-separated model tags, or "all"."""
+    if raw == "all":
+        return _MODEL_TAGS
+    tags = tuple(t.strip() for t in raw.split(",") if t.strip())
+    for tag in tags:
+        if tag not in _MODEL_TAGS:
+            raise InputError(f"unknown model tag {tag!r}")
+    return tags or ("level1", "level2")
 
-    def __post_init__(self) -> None:
-        for label, path in (("store", self.store_path), ("transactions", self.transactions_path)):
-            if not os.path.isfile(path):
-                raise InputError(f"{label} file not found: {path}")
-        if self.baseline_path is not None and not os.path.isfile(self.baseline_path):
-            raise InputError(f"baseline plan not found: {self.baseline_path}")
-        for plan in self.plan_paths:
-            if not os.path.isfile(plan):
-                raise InputError(f"layout plan not found: {plan}")
-        if self.mode not in _MODES:
-            raise InputError(f"unknown mode {self.mode!r}")
-        if self.transition_mode not in _TRANSITION_MODES:
-            raise InputError(f"unknown transition mode {self.transition_mode!r}")
-        for tag in self.models:
-            if tag not in _MODEL_TAGS:
-                raise InputError(f"unknown model tag {tag!r}")
-        os.makedirs(self.out_dir, exist_ok=True)
-        if not os.access(self.out_dir, os.W_OK):
-            raise InputError(f"output directory not writable: {self.out_dir}")
 
-    def run_hash(self) -> str:
-        return config_hash(
-            {
-                "command": self.command,
-                "store": file_digest(self.store_path),
-                "transactions": file_digest(self.transactions_path),
-                "mode": self.mode,
-                "transition_mode": self.transition_mode,
-                "seed": self.solver.seed,
-                "pool_size": self.solver.pool_capacity,
-                "pool_gap": self.solver.pool_gap,
-                "time_limit": self.solver.time_limit,
-                # every run is single-threaded; the key stays so that config
-                # hashes, and the plans, reports and heatmaps carrying them,
-                # keep their values
-                "threads": 1,
-            }
-        )
+def _check(args: argparse.Namespace) -> None:
+    """Fail on a missing input file or an unwritable output directory
+    before any handler runs."""
+    for label, path in (("store", args.store), ("transactions", args.transactions)):
+        if not os.path.isfile(path):
+            raise InputError(f"{label} file not found: {path}")
+    if args.baseline is not None and not os.path.isfile(args.baseline):
+        raise InputError(f"baseline plan not found: {args.baseline}")
+    for plan in args.plans:
+        if not os.path.isfile(plan):
+            raise InputError(f"layout plan not found: {plan}")
+    os.makedirs(args.out, exist_ok=True)
+    if not os.access(args.out, os.W_OK):
+        raise InputError(f"output directory not writable: {args.out}")
+
+
+def _run_hash(args: argparse.Namespace) -> str:
+    return config_hash(
+        {
+            # solve-l1 and solve-l2 hash as solve --mode level1 and level2
+            "command": "solve" if args.command.startswith("solve") else args.command,
+            "store": file_digest(args.store),
+            "transactions": file_digest(args.transactions),
+            "mode": args.mode,
+            "transition_mode": args.transition_mode,
+            "seed": args.seed,
+            "pool_size": args.pool_size,
+            "pool_gap": args.pool_gap,
+            "time_limit": args.time_limit,
+            # every run is single-threaded; the key stays so that config
+            # hashes, and the plans, reports and heatmaps carrying them,
+            # keep their values
+            "threads": 1,
+        }
+    )
 
 
 class _Artifacts:
@@ -145,18 +140,18 @@ def _write_text(sink: _Artifacts, path: str, text: str) -> None:
         fh.write(text)
 
 
-def _load_store_and_baskets(config: RunConfig):
-    doc = load_store(config.store_path)
-    return doc, read_transactions_csv(config.transactions_path, doc.catalog)
+def _load_store_and_baskets(args: argparse.Namespace):
+    doc = load_store(args.store)
+    return doc, read_transactions_csv(args.transactions, doc.catalog)
 
 
-def _load_inputs(config: RunConfig):
-    doc, transactions = _load_store_and_baskets(config)
+def _load_inputs(args: argparse.Namespace):
+    doc, transactions = _load_store_and_baskets(args)
     exposures = build_exposure_matrices(doc.graph)
-    if config.transition_mode == "expected":
+    if args.transition_mode == "expected":
         matrices = expected_transitions(transactions, doc.catalog)
     else:
-        matrices = sampled_transitions(transactions, doc.catalog, seed=config.solver.seed)
+        matrices = sampled_transitions(transactions, doc.catalog, seed=args.seed)
     return doc, transactions, exposures, matrices
 
 
@@ -168,7 +163,7 @@ def _level1_instance(doc: StoreDocument, exposures, matrices: TransitionMatrices
 
 
 def _baseline_assignment(
-    config: RunConfig,
+    args: argparse.Namespace,
     doc: StoreDocument,
     exposures,
     matrices: TransitionMatrices,
@@ -176,70 +171,69 @@ def _baseline_assignment(
 ):
     """Comparison layout: the --baseline plan when given, otherwise a
     seeded-random layout on the anchor's block structure."""
-    if config.baseline_path is not None:
-        return read_plan(config.baseline_path).assignment(), "baseline plan"
+    if args.baseline is not None:
+        return read_plan(args.baseline).assignment(), "baseline plan"
     instance = build_level2_instance(
         exposures, matrices, anchor_level1, doc.catalog, doc.graph
     )
-    perm = random_assignment(instance, Random(config.solver.seed))
+    perm = random_assignment(instance, Random(args.seed))
     return instance.assignment_from_permutation(perm), "seeded random layout"
 
 
 def _write_solve_artifacts(
-    config: RunConfig,
+    args: argparse.Namespace,
     doc: StoreDocument,
     exposures,
     matrices: TransitionMatrices,
     transactions,
-    assignment: Assignment,
     level1_assignment: Assignment,
     level1_objective: float,
     result,
     pool_summary,
     sink: _Artifacts,
 ) -> None:
-    run_hash = config.run_hash()
+    run_hash = _run_hash(args)
     plan = plan_from_solution(
         store_name=doc.name,
-        assignment=assignment,
+        assignment=result.assignment,
         level1_assignment=level1_assignment,
         level1_objective=level1_objective,
         level2_objective=result.objective,
         run_hash=run_hash,
-        seed=config.solver.seed,
-        generator=f"solve --mode {config.mode}",
+        seed=args.seed,
+        generator=f"solve --mode {args.mode}",
     )
-    write_plan(plan, sink.register(os.path.join(config.out_dir, "plan.json")))
+    write_plan(plan, sink.register(os.path.join(args.out, "plan.json")))
 
     baseline, baseline_kind = _baseline_assignment(
-        config, doc, exposures, matrices, level1_assignment
+        args, doc, exposures, matrices, level1_assignment
     )
     evaluation = evaluate_layout(
-        assignment, exposures, matrices, doc.catalog, doc.graph, baseline=baseline
+        result.assignment, exposures, matrices, doc.catalog, doc.graph, baseline=baseline
     )
     report = solve_report_text(result, run_hash, evaluation=evaluation, pool_summary=pool_summary)
     report += f"baseline kind: {baseline_kind}\n"
-    _write_text(sink, os.path.join(config.out_dir, "solve_report.txt"), report)
+    _write_text(sink, os.path.join(args.out, "solve_report.txt"), report)
 
-    for tag, layout in (("baseline", baseline), ("optimal", assignment)):
+    for tag, layout in (("baseline", baseline), ("optimal", result.assignment)):
         walks = replay_paths(
-            transactions, layout.mapping, doc.graph, doc.catalog, seed=config.solver.seed
+            transactions, layout.mapping, doc.graph, doc.catalog, seed=args.seed
         )
         density = accumulate_traffic(doc.graph, walks)
         render_heatmap(
             doc.graph,
             density,
-            sink.register(os.path.join(config.out_dir, f"heatmap_{tag}.svg")),
+            sink.register(os.path.join(args.out, f"heatmap_{tag}.svg")),
             title=f"{doc.name}: {tag} layout traffic",
             annotation=f"config {run_hash}",
         )
 
 
-def _run_solve(config: RunConfig, sink: _Artifacts) -> None:
-    doc, transactions, exposures, matrices = _load_inputs(config)
-    if config.mode == "level1":
-        pool = solve_level1(_level1_instance(doc, exposures, matrices), config.solver)
-        run_hash = config.run_hash()
+def _run_solve(args: argparse.Namespace, sink: _Artifacts) -> None:
+    doc, transactions, exposures, matrices = _load_inputs(args)
+    if args.mode == "level1":
+        pool = solve_level1(_level1_instance(doc, exposures, matrices), args.solver)
+        run_hash = _run_hash(args)
         entries = [
             {
                 "objective": entry.objective,
@@ -250,9 +244,9 @@ def _run_solve(config: RunConfig, sink: _Artifacts) -> None:
         payload = {
             "store": doc.name,
             "entries": entries,
-            "metadata": {"config_hash": run_hash, "seed": str(config.solver.seed)},
+            "metadata": {"config_hash": run_hash, "seed": str(args.seed)},
         }
-        path = os.path.join(config.out_dir, "level1_pool.json")
+        path = os.path.join(args.out, "level1_pool.json")
         _write_text(sink, path, json.dumps(payload, indent=2) + "\n")
         lines = [
             "strategic pool",
@@ -260,41 +254,38 @@ def _run_solve(config: RunConfig, sink: _Artifacts) -> None:
             f"candidates: {len(pool.entries)}",
         ]
         lines += [f"  {i}: objective {e.objective:.6f}" for i, e in enumerate(pool.entries)]
-        path = os.path.join(config.out_dir, "solve_report.txt")
+        path = os.path.join(args.out, "solve_report.txt")
         _write_text(sink, path, "\n".join(lines) + "\n")
         return
 
-    if config.mode == "level2":
-        if config.baseline_path is None:
+    if args.mode == "level2":
+        if args.baseline is None:
             raise InputError("level2 mode needs --baseline for the fixed category layout")
-        anchor_plan = read_plan(config.baseline_path)
-        level1_assignment = anchor_plan.level1_assignment()
+        level1_assignment = read_plan(args.baseline).level1_assignment()
         instance = build_level2_instance(
             exposures, matrices, level1_assignment, doc.catalog, doc.graph
         )
-        solver = config.solver
-        _, result = solve_level2([instance], [solver.seed], solver, RESTARTS)[0]
+        _, result = solve_level2([instance], [args.seed], args.solver, RESTARTS)[0]
         l1_objective = objective(_level1_instance(doc, exposures, matrices), level1_assignment)
         _write_solve_artifacts(
-            config, doc, exposures, matrices, transactions,
-            result.assignment, level1_assignment, l1_objective,
-            result, None, sink,
+            args, doc, exposures, matrices, transactions,
+            level1_assignment, l1_objective, result, None, sink,
         )
         return
 
     result = solve_hierarchical(
-        exposures, matrices, doc.eligibility, doc.catalog, doc.graph, config.solver
+        exposures, matrices, doc.eligibility, doc.catalog, doc.graph, args.solver
     )
     _write_solve_artifacts(
-        config, doc, exposures, matrices, transactions,
-        result.assignment, result.level1_assignment, result.level1_objective,
+        args, doc, exposures, matrices, transactions,
+        result.level1_assignment, result.level1_objective,
         result, list(result.candidates), sink,
     )
 
 
-def _run_build_matrices(config: RunConfig, sink: _Artifacts) -> None:
-    doc, transactions, exposures, matrices = _load_inputs(config)
-    out = config.out_dir
+def _run_build_matrices(args: argparse.Namespace, sink: _Artifacts) -> None:
+    doc, transactions, exposures, matrices = _load_inputs(args)
+    out = args.out
     for filename, axis, matrix in (
         ("sub_exposure.tsv", exposures.sub_axis, exposures.sub_exposure),
         ("loc_exposure.tsv", exposures.loc_axis, exposures.loc_exposure),
@@ -306,7 +297,7 @@ def _run_build_matrices(config: RunConfig, sink: _Artifacts) -> None:
         write_matrix_tsv(sink.register(os.path.join(out, filename)), axis, axis, matrix)
     summary = [
         "matrix build",
-        f"config hash: {config.run_hash()}",
+        f"config hash: {_run_hash(args)}",
         f"store: {doc.name}",
         f"transactions: {len(transactions)}",
         f"transition mode: {matrices.mode}",
@@ -316,20 +307,20 @@ def _run_build_matrices(config: RunConfig, sink: _Artifacts) -> None:
     _write_text(sink, os.path.join(out, "matrices_summary.txt"), "\n".join(summary) + "\n")
 
 
-def _run_export_lp(config: RunConfig, sink: _Artifacts) -> None:
-    doc, transactions, exposures, matrices = _load_inputs(config)
-    sparsify = not config.full_models
-    for tag in config.models:
-        path = sink.register(os.path.join(config.out_dir, f"model_{tag}.lp"))
+def _run_export_lp(args: argparse.Namespace, sink: _Artifacts) -> None:
+    doc, transactions, exposures, matrices = _load_inputs(args)
+    sparsify = not args.full
+    for tag in args.models:
+        path = sink.register(os.path.join(args.out, f"model_{tag}.lp"))
         if tag == "level1":
             instance = _level1_instance(doc, exposures, matrices)
             write_lp(linearize(instance, sparsify=sparsify), path)
         elif tag == "level2":
-            if config.baseline_path is not None:
-                level1_assignment = read_plan(config.baseline_path).level1_assignment()
+            if args.baseline is not None:
+                level1_assignment = read_plan(args.baseline).level1_assignment()
             else:
                 instance = _level1_instance(doc, exposures, matrices)
-                level1_assignment = solve_level1(instance, config.solver).entries[0].assignment
+                level1_assignment = solve_level1(instance, args.solver).entries[0].assignment
             instance = build_level2_instance(
                 exposures, matrices, level1_assignment, doc.catalog, doc.graph
             )
@@ -342,67 +333,43 @@ def _run_export_lp(config: RunConfig, sink: _Artifacts) -> None:
             write_lp(model, path)
 
 
-def _run_evaluate(config: RunConfig, sink: _Artifacts) -> None:
-    doc, transactions, exposures, matrices = _load_inputs(config)
-    plan = read_plan(config.plan_paths[0])
+def _run_evaluate(args: argparse.Namespace, sink: _Artifacts) -> None:
+    doc, transactions, exposures, matrices = _load_inputs(args)
+    plan = read_plan(args.plans[0])
     baseline = None
-    if config.baseline_path is not None:
-        baseline = read_plan(config.baseline_path).assignment()
+    if args.baseline is not None:
+        baseline = read_plan(args.baseline).assignment()
     evaluation = evaluate_layout(
         plan.assignment(), exposures, matrices, doc.catalog, doc.graph, baseline=baseline
     )
-    text = evaluation_report_text(evaluation, config.run_hash())
-    _write_text(sink, os.path.join(config.out_dir, "evaluate_report.txt"), text)
+    text = evaluation_report_text(evaluation, _run_hash(args))
+    _write_text(sink, os.path.join(args.out, "evaluate_report.txt"), text)
     sys.stdout.write(text)
 
 
-def _run_diff(config: RunConfig, sink: _Artifacts) -> None:
-    doc, transactions, exposures, matrices = _load_inputs(config)
-    plan_a = read_plan(config.plan_paths[0])
-    plan_b = read_plan(config.plan_paths[1])
+def _run_diff(args: argparse.Namespace, sink: _Artifacts) -> None:
+    doc, transactions, exposures, matrices = _load_inputs(args)
+    plan_a, plan_b = (read_plan(path) for path in args.plans)
     report = diff_layouts(plan_a, plan_b, exposures, matrices, doc.catalog, doc.graph)
-    text = diff_report_text(report, config.run_hash())
-    _write_text(sink, os.path.join(config.out_dir, "diff_report.txt"), text)
+    text = diff_report_text(report, _run_hash(args))
+    _write_text(sink, os.path.join(args.out, "diff_report.txt"), text)
     sys.stdout.write(text)
 
 
-def _run_render(config: RunConfig, sink: _Artifacts) -> None:
-    doc, transactions = _load_store_and_baskets(config)
-    plan = read_plan(config.plan_paths[0])
+def _run_render(args: argparse.Namespace, sink: _Artifacts) -> None:
+    doc, transactions = _load_store_and_baskets(args)
+    plan = read_plan(args.plans[0])
     walks = replay_paths(
-        transactions, plan.assignment().mapping, doc.graph, doc.catalog, seed=config.solver.seed
+        transactions, plan.assignment().mapping, doc.graph, doc.catalog, seed=args.seed
     )
     density = accumulate_traffic(doc.graph, walks)
     render_heatmap(
         doc.graph,
         density,
-        sink.register(os.path.join(config.out_dir, "heatmap.svg")),
+        sink.register(os.path.join(args.out, "heatmap.svg")),
         title=f"{doc.name}: traffic",
-        annotation=f"config {config.run_hash()}",
+        annotation=f"config {_run_hash(args)}",
     )
-
-
-_PIPELINES = {
-    "build-matrices": _run_build_matrices,
-    "solve": _run_solve,
-    "export-lp": _run_export_lp,
-    "evaluate": _run_evaluate,
-    "diff": _run_diff,
-    "render": _run_render,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute one pipeline; on failure remove partial artifacts and report
-    the error on stderr."""
-    sink = _Artifacts()
-    try:
-        _PIPELINES[config.command](config, sink)
-    except LayoutError as exc:
-        sink.cleanup()
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    return 0
 
 
 def _env_defaults() -> dict:
@@ -442,101 +409,71 @@ def _parser(defaults: dict) -> argparse.ArgumentParser:
         prog="storelayout",
         description="store layout optimization over shopper walk exposure",
     )
+    # what a subcommand without these options runs with
+    parser.set_defaults(mode="hierarchical", baseline=None, plans=())
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build-matrices", help="exposure and transition matrices as TSV")
-    _add_common(p, defaults)
+    def command(name: str, run, help: str, **fixed) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        _add_common(p, defaults)
+        p.set_defaults(run=run, **fixed)
+        return p
 
-    p = sub.add_parser("solve", help="optimize a layout")
-    _add_common(p, defaults)
+    command("build-matrices", _run_build_matrices, "exposure and transition matrices as TSV")
+
+    p = command("solve", _run_solve, "optimize a layout")
     p.add_argument("--mode", choices=_MODES, default=defaults.get("mode", "hierarchical"))
     p.add_argument("--baseline", default=defaults.get("baseline"))
 
-    p = sub.add_parser("solve-l1", help="strategic solve only (pool of category layouts)")
-    _add_common(p, defaults)
+    command("solve-l1", _run_solve, "strategic solve only (pool of category layouts)",
+            mode="level1")
 
-    p = sub.add_parser("solve-l2", help="tactical solve under a fixed category layout")
-    _add_common(p, defaults)
+    p = command("solve-l2", _run_solve, "tactical solve under a fixed category layout",
+                mode="level2")
     p.add_argument("--baseline", required=True, help="plan providing the category layout")
 
-    p = sub.add_parser("export-lp", help="write linearized models as LP files")
-    _add_common(p, defaults)
-    p.add_argument("--mode", default=defaults.get("models", "level1,level2"),
+    p = command("export-lp", _run_export_lp, "write linearized models as LP files")
+    # argparse runs the type only on a string default, so a list or number
+    # from the config file goes through the tag check as its str()
+    p.add_argument("--mode", dest="models", metavar="MODE", type=_model_tags,
+                   default=str(defaults.get("models", "level1,level2")),
                    help="comma-separated model tags (level1,level2,integrated or all)")
     p.add_argument("--baseline", default=defaults.get("baseline"))
     p.add_argument("--full", action="store_true",
                    help="emit full index ranges instead of eligibility-sparsified models")
 
-    p = sub.add_parser("evaluate", help="evaluate a layout plan")
-    p.add_argument("plan")
-    _add_common(p, defaults)
+    p = command("evaluate", _run_evaluate, "evaluate a layout plan")
+    p.add_argument("plans", nargs=1, metavar="plan")
     p.add_argument("--baseline", default=defaults.get("baseline"))
 
-    p = sub.add_parser("diff", help="movement report between two plans")
-    p.add_argument("plan_a")
-    p.add_argument("plan_b")
-    _add_common(p, defaults)
+    p = command("diff", _run_diff, "movement report between two plans")
+    p.add_argument("plans", nargs=2, metavar="plan")
 
-    p = sub.add_parser("render", help="traffic heatmap for a plan")
-    p.add_argument("plan")
-    _add_common(p, defaults)
+    p = command("render", _run_render, "traffic heatmap for a plan")
+    p.add_argument("plans", nargs=1, metavar="plan")
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    solver = SolverConfig(
-        seed=args.seed,
-        time_limit=args.time_limit,
-        pool_capacity=args.pool_size,
-        pool_gap=args.pool_gap,
-    )
-    command = args.command
-    mode = "hierarchical"
-    models: tuple[str, ...] = ()
-    plan_paths: tuple[str, ...] = ()
-    baseline = getattr(args, "baseline", None)
-    if command == "solve":
-        mode = args.mode
-    elif command == "solve-l1":
-        command, mode = "solve", "level1"
-    elif command == "solve-l2":
-        command, mode = "solve", "level2"
-    elif command == "export-lp":
-        raw = args.mode
-        models = tuple(_MODEL_TAGS) if raw == "all" else tuple(
-            t.strip() for t in raw.split(",") if t.strip()
-        )
-    elif command == "evaluate":
-        plan_paths = (args.plan,)
-    elif command == "diff":
-        plan_paths = (args.plan_a, args.plan_b)
-    elif command == "render":
-        plan_paths = (args.plan,)
-    return RunConfig(
-        command=command,
-        store_path=args.store,
-        transactions_path=args.transactions,
-        out_dir=args.out,
-        mode=mode,
-        transition_mode=args.transition_mode,
-        solver=solver,
-        baseline_path=baseline,
-        plan_paths=plan_paths,
-        models=models or ("level1", "level2"),
-        full_models=getattr(args, "full", False),
-    )
-
-
 def main(argv=None) -> int:
+    """Run one subcommand; on failure remove its partial artifacts, report
+    the error on stderr and return 2."""
+    sink = _Artifacts()
     try:
-        defaults = _env_defaults()
-        args = _parser(defaults).parse_args(argv)
-        config = _config_from_args(args)
+        args = _parser(_env_defaults()).parse_args(argv)
+        args.solver = SolverConfig(
+            seed=args.seed,
+            time_limit=args.time_limit,
+            pool_capacity=args.pool_size,
+            pool_gap=args.pool_gap,
+        )
+        _check(args)
+        args.run(args, sink)
     except LayoutError as exc:
+        sink.cleanup()
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    return run(config)
+    return 0
 
 
 if __name__ == "__main__":

@@ -25,6 +25,12 @@ def _ramp(t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
+def _escape(text: str) -> str:
+    """Text content for the SVG: store names and sublocation ids may hold
+    any character, and an unescaped ``&`` or ``<`` breaks the document."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _num(v: float) -> str:
     return format(v, ".2f").rstrip("0").rstrip(".")
 
@@ -67,6 +73,7 @@ def render_heatmap(
         return height - 30.0 - _MARGIN - (y - y0) * _SCALE
 
     coord = {n.node_id: (px(n.x), py(n.y)) for n in graph.nodes}
+    title = _escape(title)
     out: list[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
@@ -104,7 +111,7 @@ def render_heatmap(
         for rank, label in enumerate(sorted(per_node[node_id])):
             out.append(
                 f'<text x="{_num(x + 8)}" y="{_num(y - 8 - 9 * rank)}" '
-                f'font-family="sans-serif" font-size="8" fill="#333333">{label}</text>'
+                f'font-family="sans-serif" font-size="8" fill="#333333">{_escape(label)}</text>'
             )
 
     # Legend: discrete ramp swatches with the extreme counts labeled.

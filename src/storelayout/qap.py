@@ -686,6 +686,3 @@ class SolutionPool:
             )
             for obj, key in self._entries
         ]
-
-    def permutations(self) -> list[np.ndarray]:
-        return [np.array(key, dtype=np.int64) for _, key in self._entries]

@@ -198,6 +198,24 @@ class TestSolve:
         report = (out / "solve_report.txt").read_text(encoding="utf-8")
         assert "baseline kind: baseline plan" in report
 
+    @pytest.mark.parametrize("mode, command", [("level1", "solve-l1"), ("level2", "solve-l2")])
+    def test_mode_flag_matches_subcommand(
+        self, mode, command, workspace, plan_path, tmp_path, monkeypatch
+    ):
+        # solve --mode level1 is solve-l1, and solve --mode level2 is solve-l2
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", EPOCH)
+        extra = ["--pool-size", "2", "--seed", "3"]
+        if mode == "level2":
+            extra += ["--baseline", plan_path]
+        by_flag = tmp_path / "flag"
+        by_name = tmp_path / "name"
+        assert main(["solve", *common_args(workspace, by_flag, [*extra, "--mode", mode])]) == 0
+        assert main([command, *common_args(workspace, by_name, extra)]) == 0
+        names = sorted(os.listdir(by_flag))
+        assert names == sorted(os.listdir(by_name))
+        for name in names:
+            assert (by_flag / name).read_bytes() == (by_name / name).read_bytes(), name
+
     def test_level2_without_baseline_fails(self, workspace, tmp_path, capsys):
         out = tmp_path / "nobase"
         rc = main(["solve", *common_args(workspace, out, ["--mode", "level2"])])
@@ -322,6 +340,23 @@ class TestFailureModes:
         assert rc == 2
         assert "store" in capsys.readouterr().err
 
+    def test_missing_baseline_file(self, workspace, tmp_path, capsys):
+        out = tmp_path / "x"
+        missing = str(tmp_path / "no_plan.json")
+        rc = main(["solve", *common_args(workspace, out, ["--baseline", missing])])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: baseline plan not found: {missing}\n"
+        assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("command", ["evaluate", "diff", "render"])
+    def test_missing_plan_file(self, command, workspace, plan_path, tmp_path, capsys):
+        out = tmp_path / "x"
+        missing = str(tmp_path / "no_plan.json")
+        plans = [plan_path, missing] if command == "diff" else [missing]
+        assert main([command, *plans, *common_args(workspace, out)]) == 2
+        assert capsys.readouterr().err == f"error: layout plan not found: {missing}\n"
+        assert list(out.glob("*")) == []
+
     def test_cleanup_after_partial_write(self, workspace, tmp_path, monkeypatch, capsys):
         # a baseline plan from a different store passes file checks but
         # fails evaluation after plan.json is already on disk
@@ -390,6 +425,23 @@ class TestEnvDefaults:
         assert main(["build-matrices", "--out", str(out)]) == 0
         assert (out / "matrices_summary.txt").is_file()
 
+    def test_config_file_supplies_model_tags(self, workspace, tmp_path, monkeypatch):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"models": "level1,integrated"}), encoding="utf-8")
+        monkeypatch.setenv("STORELAYOUT_CONFIG", str(cfg))
+        out = tmp_path / "lp"
+        assert main(["export-lp", *common_args(workspace, out)]) == 0
+        assert sorted(os.listdir(out)) == ["model_integrated.lp", "model_level1.lp"]
+
+    def test_config_file_model_tags_are_checked(self, workspace, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"models": ["level3"]}), encoding="utf-8")
+        monkeypatch.setenv("STORELAYOUT_CONFIG", str(cfg))
+        out = tmp_path / "lp"
+        assert main(["export-lp", *common_args(workspace, out)]) == 2
+        assert "unknown model tag" in capsys.readouterr().err
+        assert list(out.glob("*")) == []
+
     def test_flags_override_config_file(self, workspace, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "defaults.json"
         cfg.write_text(
@@ -418,6 +470,20 @@ class TestEnvDefaults:
                    "--transactions", workspace["tx"], "--out", "unused"])
         assert rc == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+
+SUBCOMMANDS = [
+    "build-matrices", "solve", "solve-l1", "solve-l2", "export-lp", "evaluate", "diff", "render",
+]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_help_exits_zero(command, monkeypatch, capsys):
+    monkeypatch.delenv("STORELAYOUT_CONFIG", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: storelayout {command} ")
 
 
 class TestStoreRoundTrip:

@@ -5,8 +5,11 @@ check reads the syntax trees; it runs none of the callers.
 
 A function counts as used when its name is read anywhere in those trees: as
 a name, as an attribute, or as a string constant (the benchmark wraps
-functions by name). Methods are matched by their bare name, so a method is
-flagged only when no attribute of that name is read anywhere."""
+functions by name). An attribute read off a module bound by ``import`` in the
+same file (``itertools.permutations``, ``np.sum``) names that module's
+function, not one of the package's, so it does not count. Methods are matched
+by their bare name, so a method is flagged only when no attribute of that
+name is read anywhere."""
 
 from __future__ import annotations
 
@@ -43,13 +46,22 @@ def public_functions(source: str) -> list[str]:
 
 
 def names_read(source: str) -> set[str]:
-    """Names, attributes and string constants read anywhere in ``source``."""
+    """Names, attributes and string constants read anywhere in ``source``,
+    less the attributes read off a module that ``source`` imports."""
+    tree = ast.parse(source)
+    modules = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
     out = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.add(node.attr)
+            if not (isinstance(node.value, ast.Name) and node.value.id in modules):
+                out.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             out.add(node.value)
     return out
@@ -92,3 +104,21 @@ def test_reads_names_attributes_and_strings():
     read = names_read(source)
     assert {"helper", "used", "by_name"} <= read
     assert not {"spare", "unread", "imported_only", "unread_target"} & read
+
+
+def test_skips_attributes_of_imported_modules():
+    source = (
+        "import itertools\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from . import qap\n"
+        "def f(pool):\n"
+        "    itertools.permutations(pool)\n"
+        "    np.zeros(3)\n"
+        "    os.path.join('a')\n"
+        "    qap.swap_delta(pool)\n"
+        "    return pool.entries\n"
+    )
+    read = names_read(source)
+    assert {"swap_delta", "entries", "itertools", "np"} <= read
+    assert not {"permutations", "zeros", "path"} & read

@@ -624,6 +624,14 @@ class TestBuilders:
             )
 
 
+def held(pool: SolutionPool) -> list[tuple[float, tuple[int, ...]]]:
+    """The pool's entries as (objective, permutation) pairs, best first."""
+    return [
+        (e.objective, tuple(pool.instance.permutation_of(e.assignment).tolist()))
+        for e in pool.entries
+    ]
+
+
 class TestSolutionPool:
     def test_orders_by_objective_then_permutation(self):
         inst = simple_instance(3)
@@ -634,7 +642,7 @@ class TestSolutionPool:
         objs = [e.objective for e in pool.entries]
         assert objs == [12.0, 12.0, 10.0]
         # tie broken toward the lexicographically smaller permutation
-        assert tuple(pool.permutations()[0]) == (1, 0, 2)
+        assert held(pool)[0] == (12.0, (1, 0, 2))
 
     def test_deduplicates_by_assignment(self):
         inst = simple_instance(3)
@@ -681,7 +689,7 @@ class TestSolutionPool:
             pool = SolutionPool(inst, capacity=4, gap=0.25)
             for perm, val in shuffled:
                 pool.offer(perm, val)
-            final_states.append([(e.objective, tuple(p)) for e, p in zip(pool.entries, pool.permutations())])
+            final_states.append(held(pool))
         assert all(state == final_states[0] for state in final_states)
 
     def test_small_capacity_prefix_of_large(self):
@@ -696,7 +704,7 @@ class TestSolutionPool:
         for perm, val in offers:
             big.offer(perm, val)
             small.offer(perm, val)
-        assert tuple(small.permutations()[0]) == tuple(big.permutations()[0])
+        assert held(small)[0] == held(big)[0]
 
     def test_early_rejections_change_nothing(self):
         # reference: every offer is inserted, sorted and cut; the pool's
@@ -719,8 +727,7 @@ class TestSolutionPool:
                     ref = [e for e in ref if e[0] >= cut][:capacity]
                     want = any(k == key for _, k in ref)
                 assert pool.offer(np.array(key), value) == want
-                held = zip(pool.entries, pool.permutations())
-                assert [(e.objective, tuple(p)) for e, p in held] == ref
+                assert held(pool) == ref
 
     def test_empty_pool_best_raises(self):
         inst = simple_instance(3)
@@ -765,7 +772,7 @@ def test_pool_contents_do_not_depend_on_offer_order(values, picks, capacity, gap
         pool = SolutionPool(inst, capacity=capacity, gap=gap)
         for key, value in seq:
             pool.offer(np.array(key), value)
-        return [(e.objective, tuple(p)) for e, p in zip(pool.entries, pool.permutations())]
+        return held(pool)
 
     distinct = sorted({(value, key) for key, value in offers}, key=lambda e: (-e[0], e[1]))
     best = distinct[0][0]

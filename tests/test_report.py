@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -317,6 +319,37 @@ class TestHeatmap:
         path = tmp_path / "u.svg"
         render_heatmap(graph, density, str(path))
         assert path.is_file()
+
+    def test_title_and_labels_are_escaped(self, tmp_path):
+        # the store document takes any string for its name and for a
+        # sublocation id; the SVG must still parse and read them back
+        base = line_store(2)
+        renamed = {"s1": "s1 & <front>"}
+        graph = dataclasses.replace(
+            base,
+            sublocations=tuple(
+                dataclasses.replace(s, sublocation_id=renamed.get(s.sublocation_id, s.sublocation_id))
+                for s in base.sublocations
+            ),
+            locations=tuple(
+                dataclasses.replace(
+                    loc, sublocation_ids=tuple(renamed.get(i, i) for i in loc.sublocation_ids)
+                )
+                for loc in base.locations
+            ),
+        )
+        doc = StoreDocument(
+            name="Fish & Chips <north>", graph=graph, catalog=catalog_for((1, 1)), eligibility=None
+        )
+        save_store(doc, str(tmp_path / "store.json"))
+        doc = load_store(str(tmp_path / "store.json"))
+        density = TrafficDensity(counts={n.node_id: 1 for n in doc.graph.nodes}, path_count=1)
+        path = tmp_path / "h.svg"
+        render_heatmap(doc.graph, density, str(path), title=f"{doc.name}: traffic")
+        root = ElementTree.parse(path).getroot()
+        ns = "{http://www.w3.org/2000/svg}"
+        assert root.find(f"{ns}title").text == "Fish & Chips <north>: traffic"
+        assert {"s1 & <front>", "s2"} <= {t.text for t in root.iter(f"{ns}text")}
 
 
 class TestStoreFile:
