@@ -80,8 +80,8 @@ def _model_tags(raw: str) -> tuple[str, ...]:
 
 
 def _check(args: argparse.Namespace) -> None:
-    """Fail on a missing input file or an unwritable output directory
-    before any handler runs."""
+    """Fail on a missing input file, a config-file mode outside its
+    choices or an unwritable output directory before any handler runs."""
     for label, path in (("store", args.store), ("transactions", args.transactions)):
         if not os.path.isfile(path):
             raise InputError(f"{label} file not found: {path}")
@@ -90,6 +90,12 @@ def _check(args: argparse.Namespace) -> None:
     for plan in args.plans:
         if not os.path.isfile(plan):
             raise InputError(f"layout plan not found: {plan}")
+    # argparse checks `choices` against the command line, not against a
+    # default taken from the config file
+    if args.mode not in _MODES:
+        raise InputError(f"unknown mode {args.mode!r}")
+    if args.transition_mode not in _TRANSITION_MODES:
+        raise InputError(f"unknown transition mode {args.transition_mode!r}")
     os.makedirs(args.out, exist_ok=True)
     if not os.access(args.out, os.W_OK):
         raise InputError(f"output directory not writable: {args.out}")
@@ -442,15 +448,17 @@ def _parser(defaults: dict) -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true",
                    help="emit full index ranges instead of eligibility-sparsified models")
 
+    # each positional plan path is appended to args.plans
     p = command("evaluate", _run_evaluate, "evaluate a layout plan")
-    p.add_argument("plans", nargs=1, metavar="plan")
+    p.add_argument("plans", action="append", metavar="plan")
     p.add_argument("--baseline", default=defaults.get("baseline"))
 
     p = command("diff", _run_diff, "movement report between two plans")
-    p.add_argument("plans", nargs=2, metavar="plan")
+    p.add_argument("plans", action="append", metavar="plan_a")
+    p.add_argument("plans", action="append", metavar="plan_b")
 
     p = command("render", _run_render, "traffic heatmap for a plan")
-    p.add_argument("plans", nargs=1, metavar="plan")
+    p.add_argument("plans", action="append", metavar="plan")
 
     return parser
 

@@ -442,6 +442,25 @@ class TestEnvDefaults:
         assert "unknown model tag" in capsys.readouterr().err
         assert list(out.glob("*")) == []
 
+    @pytest.mark.parametrize(
+        "command, key, value, message",
+        [
+            ("solve", "mode", "bogus", "unknown mode 'bogus'"),
+            ("build-matrices", "transition_mode", "expectd", "unknown transition mode 'expectd'"),
+        ],
+    )
+    def test_config_file_modes_are_checked(
+        self, workspace, tmp_path, monkeypatch, capsys, command, key, value, message
+    ):
+        # argparse checks `choices` only on the command line, not on a default
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        monkeypatch.setenv("STORELAYOUT_CONFIG", str(cfg))
+        out = tmp_path / "modes"
+        assert main([command, *common_args(workspace, out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out.glob("*")) == []
+
     def test_flags_override_config_file(self, workspace, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "defaults.json"
         cfg.write_text(
@@ -484,6 +503,16 @@ def test_help_exits_zero(command, monkeypatch, capsys):
         main([command, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: storelayout {command} ")
+
+
+def test_diff_names_its_missing_plan(workspace, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("STORELAYOUT_CONFIG", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["diff", workspace["store"], *common_args(workspace, tmp_path / "d")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert " plan_a plan_b\n" in err
+    assert err.endswith("error: the following arguments are required: plan_b\n")
 
 
 class TestStoreRoundTrip:
