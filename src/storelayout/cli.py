@@ -67,6 +67,22 @@ _MODES = ("hierarchical", "level1", "level2")
 _TRANSITION_MODES = ("expected", "sampled")
 _MODEL_TAGS = ("level1", "level2", "integrated")
 
+# JSON types a config-file value may take. argparse converts and checks only
+# a string default, so any other value reaches the run as it is; `models` is
+# checked as its str() by the tag parser.
+_CONFIG_TYPES = {
+    "seed": ((int,), "an integer"),
+    "pool_size": ((int,), "an integer"),
+    "pool_gap": ((int, float), "a number"),
+    "time_limit": ((int, float, type(None)), "a number or null"),
+    "store": ((str,), "a string"),
+    "transactions": ((str,), "a string"),
+    "out": ((str,), "a string"),
+    "baseline": ((str, type(None)), "a string or null"),
+    "mode": ((str,), "a string"),
+    "transition_mode": ((str,), "a string"),
+}
+
 
 def _model_tags(raw: str) -> tuple[str, ...]:
     """Export-lp's --mode: comma-separated model tags, or "all"."""
@@ -391,6 +407,11 @@ def _env_defaults() -> dict:
         raise InputError(f"{CONFIG_ENV} file is not valid JSON: {exc.msg}") from None
     if not isinstance(raw, dict):
         raise InputError(f"{CONFIG_ENV} file must hold a JSON object")
+    for key, (kinds, what) in _CONFIG_TYPES.items():
+        value = raw.get(key)
+        # a JSON true/false is a Python int too
+        if key in raw and (isinstance(value, bool) or not isinstance(value, kinds)):
+            raise InputError(f"{CONFIG_ENV} key {key!r} must be {what}, got {json.dumps(value)}")
     return raw
 
 

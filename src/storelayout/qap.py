@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .demand import CHECK_IN, CHECK_OUT, Catalog, TransitionMatrices
 from .errors import InputError, ModelError, ValidationError
@@ -174,8 +172,7 @@ class QapInstance:
         elif self.blocks:
             raise InputError(f"blocks are only meaningful for level2, not {self.level!r}")
 
-        matching = maximum_bipartite_matching(csr_matrix(self.eligibility), perm_type="column")
-        if int((matching >= 0).sum()) != n:
+        if complete_matching(self.eligibility) is None:
             raise ModelError("infeasible instance: eligibility admits no complete assignment")
 
     def _validate_blocks(self) -> None:
@@ -267,6 +264,40 @@ def eligibility_from_blocks(
         if pid in pidx and pos in kidx:
             elig[pidx[pid], kidx[pos]] = True
     return elig
+
+
+# -- eligibility matching ------------------------------------------------------
+
+
+def augment(adj: list[list[int]], owner: list[int], row: int, seen: list[bool]) -> bool:
+    """One augmenting-path step of Kuhn's matching: True when ``row`` gets
+    a column through an alternating path over columns not yet ``seen``, with
+    ``owner`` (column -> row, -1 when free) updated along the path. On False
+    ``owner`` is unchanged. A column marked seen beforehand is blocked.
+
+    ``adj[row]`` lists the row's eligible columns. The recursion is one call
+    per row on the path, so at most one per row."""
+    for col in adj[row]:
+        if not seen[col]:
+            seen[col] = True
+            if owner[col] < 0 or augment(adj, owner, owner[col], seen):
+                owner[col] = row
+                return True
+    return False
+
+
+def complete_matching(elig: np.ndarray) -> list[int] | None:
+    """A perfect matching of the bool eligibility matrix as ``owner[column]
+    = row``, or None when it has none (always for a non-square matrix)."""
+    rows, cols = elig.shape
+    if rows != cols:
+        return None
+    adj = [np.flatnonzero(line).tolist() for line in elig]
+    owner = [-1] * cols
+    for row in range(rows):
+        if not augment(adj, owner, row, [False] * cols):
+            return None
+    return owner
 
 
 # -- objective and delta evaluation -------------------------------------------

@@ -10,14 +10,12 @@ threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from random import Random
 from time import perf_counter
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .demand import Catalog, TransitionMatrices
 from .errors import InputError, ModelError, ValidationError
@@ -26,9 +24,11 @@ from .qap import (
     QapInstance,
     SolutionPool,
     SwapScan,
+    augment,
     build_level1_instance,
     build_level2_instance,
     check_feasible,
+    complete_matching,
     objective_of_permutation,
     swap_candidate_pairs,
     swap_delta_matrix,  # noqa: F401 -- perfbench/spans.py counts calls under this name
@@ -73,8 +73,8 @@ class SolverConfig:
             raise InputError("pool gap must be in [0, 1)")
         if self.iteration_limit < 1:
             raise InputError("iteration_limit must be positive")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise InputError("time_limit must be positive")
+        if self.time_limit is not None and not 0 < self.time_limit < math.inf:
+            raise InputError("time_limit must be finite and positive")
 
 
 @dataclass
@@ -143,36 +143,39 @@ def _better(obj: float, perm: np.ndarray, best_obj: float, best_perm: np.ndarray
 # -- initial assignments ----------------------------------------------------------
 
 
-def _matchable(elig: np.ndarray, rows: list[int], cols: list[int]) -> bool:
-    """True when the remaining eligibility subgraph still has a perfect
-    matching, so a partial assignment can be completed."""
-    if not rows:
-        return True
-    sub = elig[np.ix_(rows, cols)]
-    if sub.shape[0] != sub.shape[1]:
-        return False
-    matching = maximum_bipartite_matching(csr_matrix(sub), perm_type="column")
-    return bool((matching >= 0).all())
-
-
-def _construct(instance: QapInstance, order: list[int], rank, kind: str) -> np.ndarray:
+def _construct(instance: QapInstance, order: list[int], rank) -> np.ndarray:
     """Places the products in ``order``, each on the first position of
     ``rank(i, free, perm, placed)``, its eligible free positions ranked,
-    that still leaves the rest completable."""
+    that still leaves the rest completable.
+
+    ``owner`` (position -> product) keeps a complete matching of the
+    unplaced products to the free positions. Trying i on k gives k to i;
+    the rest stays completable exactly when k's old holder finds an
+    augmenting path that avoids the placed positions and k, which can only
+    end on the position i left. A failed trial undoes the two entries. The
+    instance admits a complete matching, so i's own matched position always
+    succeeds and every product is placed.
+    """
     n = instance.n
     elig = instance.eligibility
+    adj = [np.flatnonzero(row).tolist() for row in elig]
+    owner = complete_matching(elig)
     perm = np.full(n, -1, dtype=np.int64)
     used = np.zeros(n, dtype=bool)
     for step, i in enumerate(order):
-        rest = order[step + 1 :]
+        home = owner.index(i)
         for k in rank(i, np.flatnonzero(elig[i] & ~used), perm, order[:step]):
+            holder = owner[k]
+            if k != home:
+                owner[k], owner[home] = i, -1
+                seen = used.tolist()
+                seen[k] = True
+                if not augment(adj, owner, holder, seen):
+                    owner[k], owner[home] = holder, i
+                    continue
+            perm[i] = k
             used[k] = True
-            if _matchable(elig, rest, list(np.flatnonzero(~used))):
-                perm[i] = k
-                break
-            used[k] = False
-        else:
-            raise ModelError(f"{kind} construction could not complete an assignment")
+            break
     return perm
 
 
@@ -193,7 +196,7 @@ def greedy_assignment(instance: QapInstance) -> np.ndarray:
             gains.append((-gain, int(k)))
         return [k for _, k in sorted(gains)]
 
-    return _construct(instance, order, by_gain, "greedy")
+    return _construct(instance, order, by_gain)
 
 
 def random_assignment(instance: QapInstance, rng: Random) -> np.ndarray:
@@ -207,7 +210,7 @@ def random_assignment(instance: QapInstance, rng: Random) -> np.ndarray:
         rng.shuffle(candidates)
         return candidates
 
-    return _construct(instance, order, shuffled, "random")
+    return _construct(instance, order, shuffled)
 
 
 # -- brute force ----------------------------------------------------------------
@@ -300,6 +303,9 @@ def _node_bound(instance: QapInstance, order: list[int], depth: int, perm: np.nd
         e_out = np.sort(e_sub[off].reshape(r, r - 1), axis=1)
         e_in = np.sort(e_sub.T[off].reshape(r, r - 1), axis=1)
         cost += 0.5 * (f_out @ e_out.T + f_in @ e_in.T)
+
+    # imported here: only exact search on small instances needs scipy
+    from scipy.optimize import linear_sum_assignment
 
     cost = np.where(elig[np.ix_(free, slots)], cost, _FORBIDDEN)
     rows, cols = linear_sum_assignment(cost, maximize=True)

@@ -224,6 +224,20 @@ def random_level2_instance(rng: Random, sizes: tuple[int, ...]) -> QapInstance:
     )
 
 
+def criterion_1_instances():
+    """Release-gate criterion 1's 100 instances, at most 8 free products
+    each: strategic ones with random or full eligibility, and tactical ones
+    over a cycle of block shapes."""
+    rng = Random(97_2026)
+    block_shapes = [(2, 2), (3, 2), (2, 2, 2), (3, 3), (2, 1, 2), (4, 2), (3, 2, 2), (4, 4)]
+    for trial in range(100):
+        if trial % 2 == 0:
+            free = rng.randrange(3, 9)
+            yield random_level1_instance(rng, free, full_eligibility=rng.random() < 0.25)
+        else:
+            yield random_level2_instance(rng, block_shapes[(trial // 2) % len(block_shapes)])
+
+
 def enumerate_optimum(instance: QapInstance) -> float:
     """Plain-loop exhaustive optimum, independent of the solver code."""
     n = instance.n

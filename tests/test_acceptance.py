@@ -22,6 +22,7 @@ import pytest
 
 from conftest import (
     catalog_for,
+    criterion_1_instances,
     criterion_note,
     line_store,
     oracle_category_transitions,
@@ -83,15 +84,8 @@ def single_basket(catalog, sub_ids):
 def test_criterion_1_branch_and_bound_matches_brute_force():
     """On 100 randomized instances with at most 8 free products, the certified
     branch-and-bound optimum equals the brute-force optimum exactly."""
-    rng = Random(97_2026)
-    block_shapes = [(2, 2), (3, 2), (2, 2, 2), (3, 3), (2, 1, 2), (4, 2), (3, 2, 2), (4, 4)]
     started = perf_counter()
-    for trial in range(100):
-        if trial % 2 == 0:
-            free = rng.randrange(3, 9)
-            inst = random_level1_instance(rng, free, full_eligibility=rng.random() < 0.25)
-        else:
-            inst = random_level2_instance(rng, block_shapes[(trial // 2) % len(block_shapes)])
+    for trial, inst in enumerate(criterion_1_instances()):
         exact = brute_force(inst)
         candidate = branch_and_bound(inst)
         assert candidate.certified, f"trial {trial}: {inst.name} not certified"

@@ -7,11 +7,14 @@ import functools
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import catalog_for, line_store
+import storelayout
 from storelayout import cli
 from storelayout.cli import main
 from storelayout.demand import expected_transitions, read_transactions_csv
@@ -461,6 +464,38 @@ class TestEnvDefaults:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(out.glob("*")) == []
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("pool_size", 2.5, "'pool_size' must be an integer, got 2.5"),
+            ("seed", [1], "'seed' must be an integer, got [1]"),
+            ("pool_gap", "0.1", "'pool_gap' must be a number, got \"0.1\""),
+            ("time_limit", True, "'time_limit' must be a number or null, got true"),
+            ("mode", 7, "'mode' must be a string, got 7"),
+        ],
+        ids=["int-float", "int-list", "number-string", "number-bool", "string-int"],
+    )
+    def test_config_file_value_types_are_checked(
+        self, workspace, tmp_path, monkeypatch, capsys, key, value, message
+    ):
+        # argparse converts only a string default; any other value used to
+        # reach the run as it was and crash there
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        monkeypatch.setenv("STORELAYOUT_CONFIG", str(cfg))
+        out = tmp_path / "types"
+        assert main(["solve", *common_args(workspace, out)]) == 2
+        assert capsys.readouterr().err == f"error: STORELAYOUT_CONFIG key {message}\n"
+        assert list(out.glob("*")) == []
+
+    def test_config_file_null_time_limit_is_no_limit(self, workspace, tmp_path, monkeypatch):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"time_limit": None, "pool_size": 2}), encoding="utf-8")
+        monkeypatch.setenv("STORELAYOUT_CONFIG", str(cfg))
+        out = tmp_path / "nolimit"
+        assert main(["solve", *common_args(workspace, out)]) == 0
+        assert (out / "plan.json").is_file()
+
     def test_flags_override_config_file(self, workspace, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "defaults.json"
         cfg.write_text(
@@ -718,3 +753,41 @@ class TestTimeLimitFlag:
             doc.graph,
         )
         assert check_feasible(instance, plan.assignment()).ok
+
+    @pytest.mark.parametrize("limit", ["nan", "inf", "0", "-1"])
+    def test_time_limit_must_be_finite_and_positive(self, tmp_path, capsys, limit):
+        # a NaN limit used to pass the check (nan <= 0 is false) and never fire
+        out = tmp_path / "bad-limit"
+        argv = ["solve", *BUNDLED, "--out", str(out), "--time-limit", limit]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: time_limit must be finite and positive\n"
+        assert list(out.glob("*")) == []
+
+
+# The benchmark's setup snippet, then a short solve on the bundled fixtures.
+STARTUP_SCRIPT = """
+import json
+import sys
+import storelayout.cli
+from storelayout.storefile import load_store
+load_store(sys.argv[1])
+startup = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+code = storelayout.cli.main(sys.argv[2:])
+solve = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps([code, startup, solve]))
+"""
+
+
+def test_start_up_and_solve_import_no_scipy(tmp_path):
+    src = Path(storelayout.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src), "SOURCE_DATE_EPOCH": "0"}
+    argv = [
+        "solve", *BUNDLED, "--out", str(tmp_path / "out"),
+        "--time-limit", "0.05", "--pool-size", "2",
+    ]
+    done = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, str(FIXTURES / "synthetic_store.json"), *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, [], []]

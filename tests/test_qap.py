@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from conftest import (
     catalog_for,
@@ -26,9 +28,11 @@ from storelayout.qap import (
     QapInstance,
     SolutionPool,
     SwapScan,
+    augment,
     build_level1_instance,
     build_level2_instance,
     check_feasible,
+    complete_matching,
     eligibility_from_blocks,
     objective,
     objective_of_permutation,
@@ -357,6 +361,55 @@ class TestFeasibility:
         report = check_feasible(inst, Assignment.from_mapping(bad))
         assert not report.ok
         assert any("block" in v for v in report.violations)
+
+
+@st.composite
+def bool_matrices(draw):
+    """Up to 12x12, square more often than not, with some rows and columns
+    emptied on purpose."""
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.one_of(st.just(rows), st.integers(1, 12)))
+    density = draw(st.sampled_from([0.1, 0.25, 0.5, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    elig = rng.random((rows, cols)) < density
+    elig[draw(st.lists(st.integers(0, rows - 1), max_size=2)), :] = False
+    elig[:, draw(st.lists(st.integers(0, cols - 1), max_size=2))] = False
+    return elig
+
+
+class TestCompleteMatching:
+    @settings(max_examples=400, deadline=None)
+    @given(elig=bool_matrices())
+    def test_agrees_with_scipy(self, elig):
+        rows, cols = elig.shape
+        matched = maximum_bipartite_matching(csr_matrix(elig), perm_type="column")
+        perfect = rows == cols and bool((matched >= 0).all())
+        owner = complete_matching(elig)
+        assert (owner is not None) == perfect
+        if owner is not None:
+            assert sorted(owner) == list(range(rows))
+            assert all(elig[owner[k], k] for k in range(cols))
+
+    def test_failed_augment_leaves_owner_unchanged(self):
+        elig = np.array([[1, 1, 0], [1, 0, 0], [0, 1, 1]], dtype=bool)
+        adj = [np.flatnonzero(line).tolist() for line in elig]
+        owner = complete_matching(elig)
+        assert owner == [1, 0, 2]
+        # free row 2's column, block column 2: row 2 has nowhere to go
+        owner[2] = -1
+        assert not augment(adj, owner, 2, [False, False, True])
+        assert owner == [1, 0, -1]
+        # unblocked, it takes its column back
+        assert augment(adj, owner, 2, [False] * 3)
+        assert owner == [1, 0, 2]
+
+    def test_path_moves_holders_along(self):
+        # row 1 holds column 0, its only column; row 0 must move to column 1
+        elig = np.array([[1, 1], [1, 0]], dtype=bool)
+        adj = [np.flatnonzero(line).tolist() for line in elig]
+        owner = [0, -1]
+        assert augment(adj, owner, 1, [False, False])
+        assert owner == [1, 0]
 
 
 class TestInstanceValidation:

@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from conftest import (
     catalog_for,
+    criterion_1_instances,
     enumerate_optimum,
     line_store,
     random_level1_instance,
@@ -46,6 +49,7 @@ from storelayout.solvers import (
     block_descent,
     branch_and_bound,
     brute_force,
+    capacity_eligibility,
     evaluate_layout,
     greedy_assignment,
     induced_level1_assignment,
@@ -836,6 +840,96 @@ class TestStartingAssignments:
             b = random_assignment(inst, Random(trial))
             assert np.array_equal(a, b)
             assert all(inst.eligibility[i, a[i]] for i in range(inst.n))
+
+
+def matchable(elig: np.ndarray, rows: list[int], cols: list[int]) -> bool:
+    """The construction's former completability check, the slow oracle: a
+    fresh scipy matching on the sub-matrix of the rest for every trial."""
+    if not rows:
+        return True
+    sub = elig[np.ix_(rows, cols)]
+    if sub.shape[0] != sub.shape[1]:
+        return False
+    matching = maximum_bipartite_matching(csr_matrix(sub), perm_type="column")
+    return bool((matching >= 0).all())
+
+
+def oracle_construct(instance: QapInstance, order: list[int], rank, rejected: list) -> np.ndarray:
+    """The construction as it was before the matching was repaired in place:
+    each trial placement asks ``matchable`` about the whole rest."""
+    n = instance.n
+    elig = instance.eligibility
+    perm = np.full(n, -1, dtype=np.int64)
+    used = np.zeros(n, dtype=bool)
+    for step, i in enumerate(order):
+        rest = order[step + 1 :]
+        for k in rank(i, np.flatnonzero(elig[i] & ~used), perm, order[:step]):
+            used[k] = True
+            if matchable(elig, rest, list(np.flatnonzero(~used))):
+                perm[i] = k
+                break
+            used[k] = False
+            rejected.append((i, int(k)))
+        else:
+            raise ModelError("oracle construction could not complete an assignment")
+    return perm
+
+
+@pytest.fixture(scope="module")
+def bundled_instances():
+    """The bundled store's strategic instance (capacity eligibility) and the
+    tactical instances of its greedy layout and of three random layouts."""
+    doc = load_store(str(FIXTURES / "synthetic_store.json"))
+    txns = read_transactions_csv(str(FIXTURES / "synthetic_transactions.csv"), doc.catalog)
+    exposures = build_exposure_matrices(doc.graph)
+    matrices = expected_transitions(txns, doc.catalog)
+    level1 = build_level1_instance(
+        exposures, matrices, capacity_eligibility(doc.eligibility, doc.catalog, doc.graph)
+    )
+    layouts = [greedy_assignment(level1)] + [
+        random_assignment(level1, Random(seed)) for seed in range(3)
+    ]
+    level2 = [
+        build_level2_instance(
+            exposures, matrices, level1.assignment_from_permutation(perm), doc.catalog, doc.graph
+        )
+        for perm in layouts
+    ]
+    return [level1, *level2]
+
+
+class TestConstructionMatchesMatchableOracle:
+    """greedy_assignment and random_assignment give the same permutations,
+    and draw the same random numbers, whether each trial placement repairs
+    the kept matching or asks the scipy oracle about the whole rest."""
+
+    def assert_same(self, instances, monkeypatch, seeds=range(3)) -> int:
+        rejected: list = []
+        for inst in instances:
+            fast = [greedy_assignment(inst)]
+            fast_rngs = [Random(seed) for seed in seeds]
+            fast += [random_assignment(inst, rng) for rng in fast_rngs]
+            with monkeypatch.context() as m:
+                m.setattr(
+                    solvers,
+                    "_construct",
+                    lambda instance, order, rank: oracle_construct(instance, order, rank, rejected),
+                )
+                slow = [greedy_assignment(inst)]
+                slow_rngs = [Random(seed) for seed in seeds]
+                slow += [random_assignment(inst, rng) for rng in slow_rngs]
+            for got, want in zip(fast, slow):
+                assert got.tolist() == want.tolist(), inst.name
+            assert [r.getstate() for r in fast_rngs] == [r.getstate() for r in slow_rngs]
+        return len(rejected)
+
+    def test_bundled_instances(self, bundled_instances, monkeypatch):
+        self.assert_same(bundled_instances, monkeypatch)
+
+    def test_exact_gate_instances(self, monkeypatch):
+        # criterion 1's restricted strategic instances reject trial placements,
+        # so the repair's failure path is exercised, not only its successes
+        assert self.assert_same(list(criterion_1_instances()), monkeypatch) > 0
 
 
 class TestSolveLevel1:
