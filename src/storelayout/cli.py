@@ -6,8 +6,9 @@ The parsed arguments are the run's configuration: each subcommand names its
 handler, and the handler reads the arguments directly. main() checks the
 input files and the output directory before any handler runs, and removes
 the artifacts written before a failure, so an output directory never holds
-a half-written run. Flag defaults may be supplied by a JSON file named in
-the STORELAYOUT_CONFIG environment variable.
+a half-written run. Arguments may also come from a file named with an @
+prefix (`storelayout solve @run.args --seed 5`), one argument per line; they
+pass the same type and choice checks as typed flags, and a later flag wins.
 """
 
 from __future__ import annotations
@@ -61,28 +62,9 @@ from .solvers import (
 from .store import accumulate_traffic, build_exposure_matrices
 from .storefile import StoreDocument, load_store
 
-CONFIG_ENV = "STORELAYOUT_CONFIG"
-
 _MODES = ("hierarchical", "level1", "level2")
 _TRANSITION_MODES = ("expected", "sampled")
 _MODEL_TAGS = ("level1", "level2", "integrated")
-
-# JSON types a config-file value may take. argparse converts and checks only
-# a string default, so any other value reaches the run as it is; `models` is
-# checked as its str() by the tag parser.
-_CONFIG_TYPES = {
-    "seed": ((int,), "an integer"),
-    "pool_size": ((int,), "an integer"),
-    "pool_gap": ((int, float), "a number"),
-    "time_limit": ((int, float, type(None)), "a number or null"),
-    "store": ((str,), "a string"),
-    "transactions": ((str,), "a string"),
-    "out": ((str,), "a string"),
-    "baseline": ((str, type(None)), "a string or null"),
-    "mode": ((str,), "a string"),
-    "transition_mode": ((str,), "a string"),
-}
-
 
 def _model_tags(raw: str) -> tuple[str, ...]:
     """Export-lp's --mode: comma-separated model tags, or "all"."""
@@ -96,8 +78,8 @@ def _model_tags(raw: str) -> tuple[str, ...]:
 
 
 def _check(args: argparse.Namespace) -> None:
-    """Fail on a missing input file, a config-file mode outside its
-    choices or an unwritable output directory before any handler runs."""
+    """Fail on a missing input file or an unwritable output directory
+    before any handler runs."""
     for label, path in (("store", args.store), ("transactions", args.transactions)):
         if not os.path.isfile(path):
             raise InputError(f"{label} file not found: {path}")
@@ -106,12 +88,6 @@ def _check(args: argparse.Namespace) -> None:
     for plan in args.plans:
         if not os.path.isfile(plan):
             raise InputError(f"layout plan not found: {plan}")
-    # argparse checks `choices` against the command line, not against a
-    # default taken from the config file
-    if args.mode not in _MODES:
-        raise InputError(f"unknown mode {args.mode!r}")
-    if args.transition_mode not in _TRANSITION_MODES:
-        raise InputError(f"unknown transition mode {args.transition_mode!r}")
     os.makedirs(args.out, exist_ok=True)
     if not os.access(args.out, os.W_OK):
         raise InputError(f"output directory not writable: {args.out}")
@@ -394,47 +370,22 @@ def _run_render(args: argparse.Namespace, sink: _Artifacts) -> None:
     )
 
 
-def _env_defaults() -> dict:
-    path = os.environ.get(CONFIG_ENV)
-    if not path:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"{CONFIG_ENV} names a missing file: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{CONFIG_ENV} file is not valid JSON: {exc.msg}") from None
-    if not isinstance(raw, dict):
-        raise InputError(f"{CONFIG_ENV} file must hold a JSON object")
-    for key, (kinds, what) in _CONFIG_TYPES.items():
-        value = raw.get(key)
-        # a JSON true/false is a Python int too
-        if key in raw and (isinstance(value, bool) or not isinstance(value, kinds)):
-            raise InputError(f"{CONFIG_ENV} key {key!r} must be {what}, got {json.dumps(value)}")
-    return raw
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--store", required=True, help="store document (JSON)")
+    sub.add_argument("--transactions", required=True, help="transactions CSV")
+    sub.add_argument("--out", default="out", help="output directory")
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--pool-size", type=int, default=10)
+    sub.add_argument("--pool-gap", type=float, default=0.001)
+    sub.add_argument("--time-limit", type=float)
+    sub.add_argument("--transition-mode", choices=_TRANSITION_MODES, default="expected")
 
 
-def _add_common(sub: argparse.ArgumentParser, defaults: dict) -> None:
-    sub.add_argument("--store", required="store" not in defaults,
-                     default=defaults.get("store"), help="store document (JSON)")
-    sub.add_argument("--transactions", required="transactions" not in defaults,
-                     default=defaults.get("transactions"), help="transactions CSV")
-    sub.add_argument("--out", default=defaults.get("out", "out"), help="output directory")
-    sub.add_argument("--seed", type=int, default=defaults.get("seed", 0))
-    sub.add_argument("--pool-size", type=int, default=defaults.get("pool_size", 10))
-    sub.add_argument("--pool-gap", type=float, default=defaults.get("pool_gap", 0.001))
-    sub.add_argument("--time-limit", type=float, default=defaults.get("time_limit"))
-    sub.add_argument(
-        "--transition-mode", choices=_TRANSITION_MODES,
-        default=defaults.get("transition_mode", "expected"),
-    )
-
-
-def _parser(defaults: dict) -> argparse.ArgumentParser:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="storelayout",
         description="store layout optimization over shopper walk exposure",
+        fromfile_prefix_chars="@",
     )
     # what a subcommand without these options runs with
     parser.set_defaults(mode="hierarchical", baseline=None, plans=())
@@ -442,15 +393,15 @@ def _parser(defaults: dict) -> argparse.ArgumentParser:
 
     def command(name: str, run, help: str, **fixed) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
-        _add_common(p, defaults)
+        _add_common(p)
         p.set_defaults(run=run, **fixed)
         return p
 
     command("build-matrices", _run_build_matrices, "exposure and transition matrices as TSV")
 
     p = command("solve", _run_solve, "optimize a layout")
-    p.add_argument("--mode", choices=_MODES, default=defaults.get("mode", "hierarchical"))
-    p.add_argument("--baseline", default=defaults.get("baseline"))
+    p.add_argument("--mode", choices=_MODES, default="hierarchical")
+    p.add_argument("--baseline")
 
     command("solve-l1", _run_solve, "strategic solve only (pool of category layouts)",
             mode="level1")
@@ -460,19 +411,17 @@ def _parser(defaults: dict) -> argparse.ArgumentParser:
     p.add_argument("--baseline", required=True, help="plan providing the category layout")
 
     p = command("export-lp", _run_export_lp, "write linearized models as LP files")
-    # argparse runs the type only on a string default, so a list or number
-    # from the config file goes through the tag check as its str()
     p.add_argument("--mode", dest="models", metavar="MODE", type=_model_tags,
-                   default=str(defaults.get("models", "level1,level2")),
+                   default="level1,level2",
                    help="comma-separated model tags (level1,level2,integrated or all)")
-    p.add_argument("--baseline", default=defaults.get("baseline"))
+    p.add_argument("--baseline")
     p.add_argument("--full", action="store_true",
                    help="emit full index ranges instead of eligibility-sparsified models")
 
     # each positional plan path is appended to args.plans
     p = command("evaluate", _run_evaluate, "evaluate a layout plan")
     p.add_argument("plans", action="append", metavar="plan")
-    p.add_argument("--baseline", default=defaults.get("baseline"))
+    p.add_argument("--baseline")
 
     p = command("diff", _run_diff, "movement report between two plans")
     p.add_argument("plans", action="append", metavar="plan_a")
@@ -489,7 +438,12 @@ def main(argv=None) -> int:
     the error on stderr and return 2."""
     sink = _Artifacts()
     try:
-        args = _parser(_env_defaults()).parse_args(argv)
+        try:
+            args = _parser().parse_args(argv)
+        except UnicodeDecodeError as exc:
+            # before Python 3.12 argparse decodes an @file strictly in the
+            # locale's encoding and lets a decode error escape
+            raise InputError(f"argument file is not {exc.encoding} text ({exc.reason})") from None
         args.solver = SolverConfig(
             seed=args.seed,
             time_limit=args.time_limit,

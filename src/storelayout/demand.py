@@ -182,28 +182,31 @@ def read_transactions_csv(path: str, catalog: Catalog) -> list[Transaction]:
     """Read transactions from delimiter-separated text with header
     ``transaction_id,subcategory_id``, one purchased item per row."""
     records: list[tuple[str, str]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty transactions file", path=path, line=1) from None
-        if [h.strip() for h in header] != ["transaction_id", "subcategory_id"]:
-            raise ParseError(
-                "expected header 'transaction_id,subcategory_id', got "
-                + ",".join(header),
-                path=path,
-                line=1,
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ParseError(f"expected 2 fields, got {len(row)}", path=path, line=lineno)
-            tid, sid = row[0].strip(), row[1].strip()
-            if not tid or not sid:
-                raise ParseError("empty transaction or subcategory id", path=path, line=lineno)
-            records.append((tid, sid))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError("empty transactions file", path=path, line=1) from None
+            if [h.strip() for h in header] != ["transaction_id", "subcategory_id"]:
+                raise ParseError(
+                    "expected header 'transaction_id,subcategory_id', got "
+                    + ",".join(header),
+                    path=path,
+                    line=1,
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 2:
+                    raise ParseError(f"expected 2 fields, got {len(row)}", path=path, line=lineno)
+                tid, sid = row[0].strip(), row[1].strip()
+                if not tid or not sid:
+                    raise ParseError("empty transaction or subcategory id", path=path, line=lineno)
+                records.append((tid, sid))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
     return load_transactions(records, catalog)
 
 

@@ -137,6 +137,8 @@ def read_plan(path: str) -> LayoutPlan:
         raise InputError(f"layout plan not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
     try:
         plan = LayoutPlan(
             store_name=raw["store"],
@@ -146,8 +148,10 @@ def read_plan(path: str) -> LayoutPlan:
             level2_objective=float(raw["objectives"]["level2"]),
             metadata=dict(raw.get("metadata", {})),
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ParseError(f"plan is missing field {exc}", path=path) from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"plan has a malformed field: {exc}", path=path) from None
     missing = [k for k in _REQUIRED_METADATA if k not in plan.metadata]
     if missing:
         raise ValidationError(f"{path}: plan metadata is missing {', '.join(missing)}")

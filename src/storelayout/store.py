@@ -11,6 +11,7 @@ shortest path between them passes by.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,8 +94,10 @@ class StoreGraph:
                 raise InputError(f"edge {e.node_a}-{e.node_b} references unknown node")
             if e.node_a == e.node_b:
                 raise InputError(f"self-loop edge at node {e.node_a}")
-            if not (e.length > 0):
-                raise InputError(f"edge {e.node_a}-{e.node_b} has non-positive length {e.length}")
+            if not (0 < e.length < math.inf):
+                raise InputError(
+                    f"edge {e.node_a}-{e.node_b} length must be finite and positive, got {e.length}"
+                )
             pair = frozenset((e.node_a, e.node_b))
             if pair in seen_pairs:
                 raise InputError(f"duplicate edge {e.node_a}-{e.node_b}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from .demand import Catalog, Category, Subcategory
@@ -41,8 +42,10 @@ def _require(obj: dict, key: str, kind: type | tuple, where: str):
 
 def _number(obj: dict, key: str, where: str) -> float:
     value = _require(obj, key, (int, float), where)
-    if isinstance(value, bool):
-        raise InputError(f"{where}: field {key!r} must be a number")
+    # json reads NaN and Infinity as floats; comparing before float() also
+    # rejects an integer too large for a float
+    if isinstance(value, bool) or not abs(value) <= sys.float_info.max:
+        raise InputError(f"{where}: field {key!r} must be a finite number")
     return float(value)
 
 
@@ -191,6 +194,8 @@ def load_store(path: str) -> StoreDocument:
         raise InputError(f"store file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
     where = path
     if not isinstance(raw, dict):
         raise InputError(f"{where}: top level must be an object")

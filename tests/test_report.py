@@ -397,6 +397,22 @@ class TestStoreFile:
             load_store(str(path))
         assert "L9" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [("nodes", "x", float("nan")), ("edges", "length", float("inf")), ("nodes", "y", 10**400)],
+        ids=["nan-x", "infinite-length", "int-beyond-float"],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, where, key, value):
+        doc = StoreDocument(
+            name="x", graph=line_store(2), catalog=catalog_for((2,)), eligibility=None
+        )
+        raw = store_to_dict(doc)
+        raw[where][0][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(InputError, match=rf"{where}\[0\]: field '{key}' must be a finite number"):
+            load_store(str(path))
+
     def test_edge_length_defaults_to_euclidean(self, tmp_path):
         graph = line_store(2)
         doc = StoreDocument(

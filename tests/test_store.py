@@ -283,6 +283,16 @@ class TestGraphValidation:
                 "n2",
             )
 
+    @pytest.mark.parametrize("length", [float("inf"), float("nan")])
+    def test_non_finite_edge_length(self, length):
+        with pytest.raises(InputError, match="finite and positive"):
+            tiny_graph(
+                self._nodes(),
+                [Edge("n0", "n1", length), Edge("n1", "n2", 1.0)],
+                "n0",
+                "n2",
+            )
+
     def test_entrance_equals_exit(self):
         with pytest.raises(InputError):
             tiny_graph(
