@@ -88,7 +88,10 @@ def _check(args: argparse.Namespace) -> None:
     for plan in args.plans:
         if not os.path.isfile(plan):
             raise InputError(f"layout plan not found: {plan}")
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise InputError(f"cannot create output directory {args.out}: {exc.strerror}") from None
     if not os.access(args.out, os.W_OK):
         raise InputError(f"output directory not writable: {args.out}")
 
@@ -106,9 +109,10 @@ def _run_hash(args: argparse.Namespace) -> str:
             "pool_size": args.pool_size,
             "pool_gap": args.pool_gap,
             "time_limit": args.time_limit,
-            # every run is single-threaded; the key stays so that config
-            # hashes, and the plans, reports and heatmaps carrying them,
-            # keep their values
+            # no run uses threads, and forked tabu lane workers cannot
+            # change an answer; the key stays so that config hashes, and
+            # the plans, reports and heatmaps carrying them, keep their
+            # values
             "threads": 1,
         }
     )

@@ -183,7 +183,8 @@ def read_transactions_csv(path: str, catalog: Catalog) -> list[Transaction]:
     ``transaction_id,subcategory_id``, one purchased item per row."""
     records: list[tuple[str, str]] = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark of a spreadsheet "CSV UTF-8" export
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

@@ -699,6 +699,20 @@ class SolutionPool:
         self._entries = kept
         return key in self._keys
 
+    def admission_bar(self) -> float:
+        """The objective below which no offer can enter: the gap threshold
+        under the best entry, raised to the last entry's objective once the
+        pool is full. The pool must not be empty."""
+        bar = self._threshold(self._entries[0][0])
+        if len(self._entries) == self.capacity:
+            bar = max(bar, self._entries[-1][0])
+        return bar
+
+    @property
+    def ranked(self) -> list[tuple[float, tuple[int, ...]]]:
+        """(objective, permutation) per entry, best first."""
+        return list(self._entries)
+
     @property
     def best_objective(self) -> float:
         if not self._entries:

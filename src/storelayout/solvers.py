@@ -3,14 +3,15 @@
 All solvers maximize, respect eligibility, and evaluate candidates through
 the one canonical objective routine in qap, so identical assignments always
 score bit-identically. Everything is deterministic given (seed, config):
-independent tabu walks run side by side as lanes of one process, never in
-threads.
+independent tabu walks run side by side as lanes, split over forked worker
+processes where that cannot change a bit, never in threads.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, replace
 from random import Random
 from time import perf_counter
@@ -419,16 +420,129 @@ def _tabu_lanes(
     pool: SolutionPool | None,
     deadline: float | None,
 ) -> list[tuple[float, np.ndarray, int]]:
-    """Tabu runs from L feasible permutations ("lanes") in lockstep; returns
-    (best objective, best permutation, iterations executed) per lane.
+    """Tabu runs from L feasible permutations ("lanes"); returns (best
+    objective, best permutation, iterations executed) per lane.
 
-    Every lane scores with the flow and exposure matrices of ``instance``;
-    lane l moves under ``eligibility[l]`` of a C-contiguous bool (L, n, n)
-    stack, which takes the place of the instance's own. Each lane keeps its
-    own permutation, tabu table, rng, current and best objective, and takes
-    exactly the moves it would take alone, while each iteration makes one
-    set of NumPy calls for all lanes. A shared pool receives the offers of
-    all lanes, interleaved; its contents depend only on the set of offers.
+    Lane l scores with the flow and exposure matrices of ``instance`` and
+    moves under ``eligibility[l]`` of a C-contiguous bool (L, n, n) stack,
+    which takes the place of the instance's own. A lane's walk depends on
+    nothing outside the lane, so the lanes are split into contiguous chunks,
+    one per usable CPU: the first runs in this process, each other one in a
+    forked worker, and the results come back in lane order. Under a
+    deadline every lane runs here, so all lanes stop together at it.
+
+    With a pool, each lane offers to a pool of its own (same capacity and
+    gap), and at the end every lane pool's entries are offered to ``pool``.
+    A pool's contents depend only on the set of its offers, and whatever
+    enters the merged pool also ranks within its own lane's pool, so
+    ``pool`` ends as if every lane had offered to it directly."""
+    lanes = len(starts)
+    shape = None if pool is None else (pool.capacity, pool.gap)
+
+    def walk(lo: int, hi: int):
+        return _walk_lanes(
+            instance, eligibility[lo:hi], starts[lo:hi], rngs[lo:hi], iterations, shape, deadline
+        )
+
+    workers = _lane_workers(lanes, deadline)
+    bounds = [(lanes * w // workers, lanes * (w + 1) // workers) for w in range(workers)]
+    chunks = _split_lanes(walk, bounds, rngs) if workers > 1 else [walk(0, lanes)]
+    results = []
+    for chunk_results, ranked in chunks:
+        results += chunk_results
+        for lane_ranked in ranked:
+            for obj, key in lane_ranked:
+                pool.offer(np.array(key), obj)
+    return results
+
+
+def _lane_workers(lanes: int, deadline: float | None) -> int:
+    """Processes one lane call runs in: one per usable CPU, at most one per
+    lane, and one under a deadline."""
+    if deadline is not None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, lanes))
+
+
+def _split_lanes(walk, bounds: list[tuple[int, int]], rngs: list[Random]) -> list:
+    """walk(lo, hi) for each lane range of ``bounds``: the first in this
+    process, each other one in a forked worker that sends back its output
+    and its lanes' rng states. Returns the outputs in range order; a
+    worker's exception is raised here, and no worker outlives the call.
+
+    Workers are forked because they need the caller's state and start in
+    microseconds; a spawned worker would first import the package. All
+    lanes run here where fork does not exist, and while another thread
+    runs, since a fork copies whatever lock that thread holds."""
+    import multiprocessing
+    import threading
+
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return [walk(bounds[0][0], bounds[-1][1])]
+    ctx = multiprocessing.get_context("fork")
+    workers = []
+    finished = False
+    try:
+        for lo, hi in bounds[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_lane_worker, args=(walk, lo, hi, rngs, send), daemon=True)
+            proc.start()
+            send.close()
+            workers.append((proc, recv))
+        outputs = [walk(*bounds[0])]
+        for (lo, hi), (proc, recv) in zip(bounds[1:], workers):
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"tabu lane worker exited with code {proc.exitcode}") from None
+            if not ok:
+                raise value
+            output, states = value
+            for rng, state in zip(rngs[lo:hi], states):
+                rng.setstate(state)
+            outputs.append(output)
+        finished = True
+    finally:
+        for proc, recv in workers:
+            recv.close()
+            if not finished:
+                proc.terminate()
+            proc.join()
+    return outputs
+
+
+def _lane_worker(walk, lo: int, hi: int, rngs: list[Random], send) -> None:
+    """Body of a forked lane worker: sends (True, (output, rng states)) or
+    (False, the exception walk raised). A worker that sends nothing (say,
+    its exception does not pickle) shows as an exit code in the caller."""
+    try:
+        message = (True, (walk(lo, hi), [rng.getstate() for rng in rngs[lo:hi]]))
+    except BaseException as exc:
+        message = (False, exc)
+    send.send(message)
+
+
+def _walk_lanes(
+    instance: QapInstance,
+    eligibility: np.ndarray,
+    starts: list[np.ndarray],
+    rngs: list[Random],
+    iterations: int,
+    pool_shape: tuple[int, float] | None,
+    deadline: float | None,
+) -> tuple[list[tuple[float, np.ndarray, int]], list[list[tuple[float, tuple[int, ...]]]]]:
+    """The lanes of one process in lockstep: (best objective, best
+    permutation, iterations executed) per lane, and per lane the ranked
+    entries of its own pool of shape (capacity, gap), if any.
+
+    Each lane keeps its own permutation, tabu table, rng, current and best
+    objective and pool, and takes exactly the moves it would take alone,
+    while each iteration makes one set of NumPy calls for all lanes.
 
     Each iteration scores the swap pairs eligibility can ever allow in any
     lane (one a lane's own eligibility rules out is never allowed there),
@@ -437,30 +551,34 @@ def _tabu_lanes(
     and two columns per move (Taillard 1991). A move is tabu only when BOTH
     products would return to recently held positions, and aspiration admits
     any move that beats the lane's best by more than round-off, so a tabu
-    move back to the incumbent is never let through by float noise. All
-    lanes stop at the deadline; a lane with no allowed move stops alone."""
+    move back to the incumbent is never let through by float noise. A lane
+    rescores its running objective only when it may reach its best or its
+    pool's admission bar, less round-off. All lanes stop at the deadline; a
+    lane with no allowed move stops alone."""
     lanes, n = len(starts), instance.n
     perms = np.array(starts, dtype=np.int64)
     cur = objective_of_permutation(instance, perms).tolist()
     cur_col = np.array(cur)[:, None]
     best_obj = list(cur)
     best_perm = [perm.copy() for perm in perms]
-    if pool is not None:
-        for perm, obj in zip(perms, cur):
-            pool.offer(perm.copy(), obj)
+    pools = []
+    if pool_shape is not None:
+        pools = [SolutionPool(instance, *pool_shape) for _ in range(lanes)]
+        for lane_pool, perm, obj in zip(pools, perms, cur):
+            lane_pool.offer(perm, obj)
     lo = max(1, round(TENURE_RANGE[0] * n))
     hi = max(lo, round(TENURE_RANGE[1] * n))
-    # a lane's aspiration level and rescoring threshold move with its best
+    # a lane's aspiration level moves with its best, its rescoring threshold
+    # with its best and its pool; a lane's pool holds its best on top, so
+    # the pool's admission bar is never above it
     aspire = np.empty((lanes, 1))
     rescore_at = [0.0] * lanes
 
     def track(lane: int) -> None:
         best = best_obj[lane]
         aspire[lane, 0] = best + 1e-9 * max(1.0, abs(best))
-        margin = 1e-6 * max(1.0, abs(best))
-        if pool is not None:
-            margin += pool.gap * abs(best)
-        rescore_at[lane] = best - margin
+        bar = pools[lane].admission_bar() if pools else best
+        rescore_at[lane] = bar - 1e-6 * max(1.0, abs(best))
 
     for lane in range(lanes):
         track(lane)
@@ -523,15 +641,17 @@ def _tabu_lanes(
                 cur[lane] = obj
                 cur_col[lane, 0] = obj
                 perm = perms[lane]
-                if pool is not None:
-                    pool.offer(perm.copy(), obj)
-                if _better(obj, perm, best_obj[lane], best_perm[lane]):
+                if pools:
+                    pools[lane].offer(perm, obj)
+                better = _better(obj, perm, best_obj[lane], best_perm[lane])
+                if better:
                     best_obj[lane] = obj
                     best_perm[lane] = perm.copy()
+                if better or pools:
                     track(lane)
     for lane in live:
         done[lane] = last
-    return list(zip(best_obj, best_perm, done))
+    return list(zip(best_obj, best_perm, done)), [lane_pool.ranked for lane_pool in pools]
 
 
 def tabu_search(

@@ -444,6 +444,36 @@ class TestFailureModes:
         assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text (")
         assert list(out.glob("*")) == []
 
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "below-file"])
+    def test_out_names_a_file(self, under, workspace, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n", encoding="utf-8")
+        out = afile / under if under else afile
+        assert main(["build-matrices", *common_args(workspace, out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create output directory {out}: ")
+        assert afile.read_text(encoding="utf-8") == "not a directory\n"
+
+    def test_byte_order_mark_in_transactions(self, tmp_path, capsys):
+        # a spreadsheet "CSV UTF-8" export starts with a byte-order mark
+        plain = FIXTURES / "synthetic_transactions.csv"
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        reports = []
+        for csv_path in (plain, marked):
+            argv = ["evaluate", AS_IS_PLAN, *BUNDLED, "--out", str(tmp_path / csv_path.stem)]
+            argv[argv.index(str(plain))] = str(csv_path)
+            assert main(argv) == 0
+            reports.append((tmp_path / csv_path.stem / "evaluate_report.txt").read_text(encoding="utf-8"))
+        capsys.readouterr()
+        # the config hash covers the file's bytes, so only it may differ
+        drop_hash = [
+            [line for line in report.splitlines() if not line.startswith("config hash:")]
+            for report in reports
+        ]
+        assert drop_hash[0] == drop_hash[1]
+        assert len(drop_hash[0]) == len(reports[0].splitlines()) - 1
+
 
 def args_file(path, *lines) -> str:
     """Write one argument per line; return the @path argument naming it."""
@@ -808,3 +838,19 @@ def test_start_up_and_solve_import_no_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == [0, [], []]
+
+
+def test_start_up_imports_no_multiprocessing():
+    # the lane split imports multiprocessing on first use, not at start-up
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import storelayout.cli; "
+        "from storelayout.storefile import load_store; load_store(sys.argv[2]); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+    )
+    src = Path(storelayout.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(src), str(FIXTURES / "synthetic_store.json")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -4,6 +4,9 @@ hierarchical driver's pooling behavior."""
 from __future__ import annotations
 
 import itertools
+import multiprocessing
+import os
+import threading
 from dataclasses import replace
 from pathlib import Path
 from random import Random
@@ -561,6 +564,142 @@ class TestLanesMatchSerialRuns:
             base = random_level1_instance(rng, rng.randint(4, 8), full_eligibility=True)
             inst = replace(base, flow=np.zeros_like(base.flow))
             self.assert_lanes([inst] * (trial + 1), trial)
+
+
+def force_workers(monkeypatch, workers: int) -> None:
+    """Make every lane call split its lanes over ``workers`` processes (at
+    most one per lane), whatever the CPU count."""
+    monkeypatch.setattr(solvers, "_lane_workers", lambda lanes, deadline: min(workers, lanes))
+
+
+class TestLaneSplit:
+    """A lane call split over 1, 2, 3 or L processes gives, per lane, the
+    same best-objective bits, permutation and iteration count, leaves each
+    lane's rng in the same state, and ends with the same pool entries."""
+
+    def run(self, monkeypatch, workers, instances, seed, iterations, capacity):
+        force_workers(monkeypatch, workers)
+        seeds = [seed * 37 + lane for lane in range(len(instances))]
+        starts = [random_assignment(inst, Random(s)) for inst, s in zip(instances, seeds)]
+        rngs = [Random(s) for s in seeds]
+        pool = None if capacity is None else SolutionPool(instances[0], capacity=capacity, gap=0.02)
+        elig = np.stack([inst.eligibility for inst in instances])
+        lanes = _tabu_lanes(instances[0], elig, starts, rngs, iterations, pool, None)
+        return (
+            [(float(obj).hex(), perm.tolist(), done) for obj, perm, done in lanes],
+            [rng.getstate() for rng in rngs],
+            None if pool is None else pool.ranked,
+        )
+
+    def assert_split_exact(self, monkeypatch, instances, seed, capacity, iterations=200):
+        lanes = len(instances)
+        want = self.run(monkeypatch, 1, instances, seed, iterations, capacity)
+        for workers in sorted({2, 3, lanes}):
+            got = self.run(monkeypatch, workers, instances, seed, iterations, capacity)
+            assert got == want, f"{workers} workers"
+        return want
+
+    @pytest.mark.parametrize("capacity", [1, 6])
+    def test_strategic_lanes_with_pool(self, capacity, monkeypatch):
+        rng = Random(811)
+        for trial in range(6):
+            inst = random_level1_instance(rng, rng.randint(6, 10))
+            self.assert_split_exact(monkeypatch, [inst] * (trial % 3 + 4), trial, capacity)
+
+    def test_tactical_lanes_without_pool(self, monkeypatch):
+        rng = Random(821)
+        for trial in range(6):
+            sizes = tuple(rng.choice((1, 2, 3, 4)) for _ in range(rng.randint(3, 6)))
+            base = random_level2_instance(rng, sizes)
+            self.assert_split_exact(monkeypatch, block_variants(rng, base, trial % 4 + 4), trial, None)
+
+
+class TestLaneWorkers:
+    """Forked lane workers: an exception in any chunk surfaces in the
+    caller, and no worker process outlives the call."""
+
+    def fail_chunks(self, monkeypatch, in_caller: bool, exc: Exception):
+        """Make the lane chunks of the caller, or else of the workers, raise
+        ``exc``; the call splits five restarts over two processes."""
+        force_workers(monkeypatch, 2)
+        caller = os.getpid()
+        walk = solvers._walk_lanes
+
+        def failing(*args):
+            if (os.getpid() == caller) == in_caller:
+                raise exc
+            return walk(*args)
+
+        monkeypatch.setattr(solvers, "_walk_lanes", failing)
+        inst = random_level1_instance(Random(827), 8)
+        return lambda: tabu_search(inst, SolverConfig(seed=1, iteration_limit=50))
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_chunk_exception_is_raised_in_caller(self, where, monkeypatch):
+        solve = self.fail_chunks(monkeypatch, where == "caller", ModelError(f"failed in {where}"))
+        with pytest.raises(ModelError, match=f"failed in {where}"):
+            solve()
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exception_that_does_not_pickle(self, monkeypatch):
+        class Local(Exception):
+            """pickle cannot find a class defined in a function"""
+
+        solve = self.fail_chunks(monkeypatch, False, Local("lost"))
+        with pytest.raises(RuntimeError, match="worker exited with code 1"):
+            solve()
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_left_after_pool_solve(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        splits = []
+        split = solvers._split_lanes
+
+        def counted(*args):
+            splits.append(len(args[1]))
+            return split(*args)
+
+        monkeypatch.setattr(solvers, "_split_lanes", counted)
+        doc = load_store(str(FIXTURES / "synthetic_store.json"))
+        txns = read_transactions_csv(str(FIXTURES / "synthetic_transactions.csv"), doc.catalog)
+        result = solve_hierarchical(
+            build_exposure_matrices(doc.graph),
+            expected_transitions(txns, doc.catalog),
+            doc.eligibility,
+            doc.catalog,
+            doc.graph,
+            SolverConfig(seed=413, iteration_limit=100, pool_capacity=10),
+        )
+        assert len(result.candidates) == 10
+        assert splits == [2, 2]  # the strategic restarts and the tactical lanes
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("why", ["deadline", "no-fork", "thread"])
+    def test_lanes_stay_in_process(self, why, monkeypatch):
+        inst = random_level1_instance(Random(829), 8)
+        config = SolverConfig(seed=2, iteration_limit=50)
+        want = tabu_search(inst, config)
+        if why == "deadline":
+            config = replace(config, time_limit=60)
+        else:
+            force_workers(monkeypatch, 2)
+        if why == "no-fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(solvers, "_lane_worker", None)  # a forked worker would fail
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait, args=(30,))
+        if why == "thread":
+            other.start()
+        try:
+            got = tabu_search(inst, config)
+        finally:
+            stop.set()
+            if why == "thread":
+                other.join(30)
+        assert not other.is_alive()
+        assert (got.objective, got.assignment, got.iterations) == (
+            want.objective, want.assignment, want.iterations,
+        )
 
 
 class TestTimeLimit:
