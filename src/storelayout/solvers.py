@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from random import Random
 from time import perf_counter
 
@@ -49,10 +49,9 @@ TENURE_RANGE = (0.1, 0.5)
 NODE_LIMIT = 10_000_000
 # Most free products brute_force enumerates (9! = 362,880 leaves).
 BRUTE_FORCE_CAP = 9
-# Largest block block_descent orders exhaustively (7! = 5,040 orders).
+# Largest block block_descent orders exhaustively (7! = 5,040 orders); the
+# tabu lanes after it search larger blocks with the rest of the instance.
 BLOCK_EXHAUSTIVE_CAP = 7
-# Tabu iterations of block_descent's fallback on a larger block.
-BLOCK_TABU_ITERATIONS = 2_000
 # Most free products solve_level1 hands to branch and bound instead of tabu.
 EXACT_FREE_LIMIT = 11
 
@@ -425,11 +424,13 @@ def _tabu_lanes(
 
     Lane l scores with the flow and exposure matrices of ``instance`` and
     moves under ``eligibility[l]`` of a C-contiguous bool (L, n, n) stack,
-    which takes the place of the instance's own. A lane's walk depends on
-    nothing outside the lane, so the lanes are split into contiguous chunks,
-    one per usable CPU: the first runs in this process, each other one in a
-    forked worker, and the results come back in lane order. Under a
-    deadline every lane runs here, so all lanes stop together at it.
+    which takes the place of the instance's own: the tactical instances of
+    one solve_level2 call share their matrices but not their blocks. A
+    lane's walk depends on nothing outside the lane, so the lanes are split
+    into contiguous chunks, one per usable CPU: the first runs in this
+    process, each other one in a forked worker, and the results come back
+    in lane order. Under a deadline every lane runs here, so all lanes stop
+    together at it.
 
     With a pool, each lane offers to a pool of its own (same capacity and
     gap), and at the end every lane pool's entries are offered to ``pool``.
@@ -721,11 +722,12 @@ def block_descent(
 ) -> SolveResult:
     """Cyclic within-block optimization for tactical instances.
 
-    Visits category blocks in fixed order; small blocks are optimized
-    exhaustively over within-block permutations, oversized ones fall back to
-    a tabu run under eligibility that pins every other product where it is.
-    Stops when a full cycle brings no strict improvement, so the objective
-    trace is non-decreasing and finite.
+    Visits category blocks in fixed order and orders each block of 2 to
+    BLOCK_EXHAUSTIVE_CAP products exhaustively over its within-block
+    permutations; any larger block is left where it is, for the tabu lanes
+    solve_level2 runs next over the whole instance. Stops when a full cycle
+    brings no strict improvement, so the objective trace is non-decreasing
+    and finite. Deterministic: the search draws no random numbers.
     """
     if instance.level != "level2" or not instance.blocks:
         raise InputError("block_descent requires a level2 instance with blocks")
@@ -735,59 +737,36 @@ def block_descent(
     perm = instance.permutation_of(initial) if initial is not None else greedy_assignment(instance)
     cur = objective_of_permutation(instance, perm)
     notes: list[str] = []
-    fallback_blocks = set()
     block_rows = [
         np.array([instance.product_index(p) for p in blk.product_ids], dtype=np.int64)
         for blk in instance.blocks
+        if 2 <= len(blk.product_ids) <= BLOCK_EXHAUSTIVE_CAP
     ]
     cycles = 0
     improved = True
     while improved:
         improved = False
         cycles += 1
-        for bi, blk in enumerate(instance.blocks):
-            rows = block_rows[bi]
-            if len(rows) == 1:
-                continue
+        for rows in block_rows:
             if deadline is not None and perf_counter() > deadline:
                 notes.append(f"time limit {cfg.time_limit}s reached")
                 improved = False
                 break
-            if len(rows) <= BLOCK_EXHAUSTIVE_CAP:
-                slots = perm[rows]
-                best_local = cur
-                best_order: tuple[int, ...] | None = None
-                for cand in itertools.permutations(slots.tolist()):
-                    perm[rows] = cand
-                    obj = objective_of_permutation(instance, perm)
-                    if obj > best_local:
-                        best_local = obj
-                        best_order = cand
-                if best_order is not None:
-                    perm[rows] = best_order
-                    cur = best_local
-                    improved = True
-                else:
-                    perm[rows] = slots
+            slots = perm[rows]
+            best_local = cur
+            best_order: tuple[int, ...] | None = None
+            for cand in itertools.permutations(slots.tolist()):
+                perm[rows] = cand
+                obj = objective_of_permutation(instance, perm)
+                if obj > best_local:
+                    best_local = obj
+                    best_order = cand
+            if best_order is not None:
+                perm[rows] = best_order
+                cur = best_local
+                improved = True
             else:
-                if blk.category_id not in fallback_blocks:
-                    fallback_blocks.add(blk.category_id)
-                    notes.append(
-                        f"block {blk.category_id!r} above exhaustive cap; tabu fallback"
-                    )
-                # a pinned product has one eligible position, so it pairs
-                # with no other: only the block's products can swap
-                elig = np.zeros((1, instance.n, instance.n), dtype=bool)
-                elig[0, np.arange(instance.n), perm] = True
-                elig[0, rows] = instance.eligibility[rows]
-                rng = Random(_mix_seed(cfg.seed, 7_919 * (bi + 1) + cycles))
-                obj, new_perm, _ = _tabu_lanes(
-                    instance, elig, [perm], [rng], BLOCK_TABU_ITERATIONS, None, deadline
-                )[0]
-                if obj > cur:
-                    perm = new_perm
-                    cur = obj
-                    improved = True
+                perm[rows] = slots
     return SolveResult(
         assignment=instance.assignment_from_permutation(perm),
         objective=cur,
@@ -822,20 +801,19 @@ def solve_level2(
     config: SolverConfig,
     restarts: int,
 ) -> list[tuple[SolveResult, SolveResult]]:
-    """Tactical solve of each instance: block descent seeded by the
-    instance's seed, then `restarts` tabu restarts from it, the restarts of
-    all instances run as the lanes of one lockstep call.
+    """Tactical solve of each instance: block descent, then `restarts` tabu
+    restarts from it, the restarts of all instances run as the lanes of one
+    lockstep call. The lanes are the only tabu search of a tactical instance:
+    they also search the blocks too large for the descent.
 
-    Each instance's restarts are seeded as tabu_search seeds its own, with
-    restart 0 starting from the descent's layout; a lane never ends below
-    its start, so the refined objective is never below the descent's. The
-    instances must share one flow and one exposure matrix. Returns
-    (descent, refined) per instance; the refined result carries the
-    descent's notes."""
+    Each instance's restarts are seeded by the instance's seed as
+    tabu_search seeds its own, with restart 0 starting from the descent's
+    layout; a lane never ends below its start, so the refined objective is
+    never below the descent's. The instances must share one flow and one
+    exposure matrix. Returns (descent, refined) per instance; the refined
+    result carries the descent's notes."""
     t0 = perf_counter()
-    descents = [
-        block_descent(inst, replace(config, seed=seed)) for inst, seed in zip(instances, seeds)
-    ]
+    descents = [block_descent(inst, config) for inst in instances]
     deadline = perf_counter() + config.time_limit if config.time_limit else None
     starts: list[np.ndarray] = []
     rngs: list[Random] = []
@@ -893,7 +871,8 @@ def solve_hierarchical(
     (solve_level2 with one tabu restart) and keeps the best final layout.
     Each candidate gets an identical, pool-size-independent budget seeded by
     its pool index, so growing the pool can only improve the final
-    objective.
+    objective. The result keeps each distinct candidate note once, in the
+    order first seen.
     """
     cfg = config or SolverConfig()
     t0 = perf_counter()
@@ -927,7 +906,7 @@ def solve_hierarchical(
         iterations=iterations,
         restarts=RESTARTS,
         solver="hierarchical",
-        notes=tuple(notes),
+        notes=tuple(dict.fromkeys(notes)),
         level1_assignment=best_entry.assignment,
         level1_objective=best_entry.objective,
         candidates=tuple(candidates),

@@ -311,8 +311,7 @@ class TestSwapCandidatePairs:
         assert all(x < y for x, y in zip(a, b))
         # pinned dummies and cross-block pairs never appear
         assert set(zip(a.tolist(), b.tolist())) == {(1, 2), (1, 3), (2, 3), (4, 5)}
-        # products pinned to one position each, as block_descent's fallback
-        # pins those outside its block, pair with no product
+        # products pinned to one position each pair with no product
         elig = inst.eligibility.copy()
         elig[[1, 2, 3]] = np.eye(inst.n, dtype=bool)[[1, 2, 3]]
         a, b = swap_candidate_pairs(elig)

@@ -3,7 +3,6 @@ hierarchical driver's pooling behavior."""
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 import threading
@@ -195,7 +194,7 @@ class TestTabuSearch:
         assert check_feasible(inst, result.assignment).ok
 
 
-def full_scan_tabu_run(instance, start, iterations, tenure_range, rng, pool, move_mask=None):
+def full_scan_tabu_run(instance, start, iterations, tenure_range, rng, pool):
     """The tabu run as it was before the pair scan: every iteration builds
     the whole n x n delta matrix and masks it. Kept as the oracle the pair
     scan must reproduce move for move. Its aspiration margin is the one
@@ -213,8 +212,6 @@ def full_scan_tabu_run(instance, start, iterations, tenure_range, rng, pool, mov
     hi = max(lo, round(tenure_range[1] * n))
     tabu_until = np.zeros((n, n), dtype=np.int64)
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    if move_mask is not None:
-        upper = upper & move_mask
     done = 0
     for it in range(1, iterations + 1):
         done = it
@@ -263,44 +260,20 @@ def equivalence_cases(seed: int, count: int = 20):
         yield trial, inst, random_assignment(inst, Random(trial))
 
 
-def block_mask(n: int, rows) -> np.ndarray:
-    """The move mask the block_descent fallback once passed the tabu run:
-    only pairs of two products in ``rows`` may swap."""
-    mask = np.zeros((n, n), dtype=bool)
-    mask[np.ix_(rows, rows)] = True
-    return mask
-
-
-def pin_outside(eligibility: np.ndarray, rows, perm) -> np.ndarray:
-    """``eligibility`` with every product outside ``rows`` pinned to its
-    position in ``perm``: the fallback's eligibility in place of the mask."""
-    pinned = np.zeros_like(eligibility)
-    pinned[np.arange(len(perm)), perm] = True
-    pinned[rows] = eligibility[rows]
-    return pinned
-
-
-def one_lane(inst, start, iterations, rng, pool, eligibility=None):
-    """A single tabu walk through _tabu_lanes, under the instance's own
-    eligibility unless another is given."""
-    elig = inst.eligibility if eligibility is None else eligibility
-    return _tabu_lanes(inst, elig[None], [start], [rng], iterations, pool, None)[0]
+def one_lane(inst, start, iterations, rng, pool):
+    """A single tabu walk through _tabu_lanes under the instance's own
+    eligibility."""
+    return _tabu_lanes(inst, inst.eligibility[None], [start], [rng], iterations, pool, None)[0]
 
 
 class TestPairScanMatchesFullScan:
     """The pair scan must take the full scan's moves: same result, same
     iteration count and the same pool offers."""
 
-    def assert_same(self, inst, start, trial, block_rows=None, with_pool=True):
-        # with block_rows, the oracle masks the moves and the scan under
-        # test pins every other product instead
+    def assert_same(self, inst, start, trial, with_pool=True):
         pools = [SolutionPool(inst, capacity=5, gap=0.02) if with_pool else None for _ in range(2)]
-        mask = elig = None
-        if block_rows is not None:
-            mask = block_mask(inst.n, block_rows)
-            elig = pin_outside(inst.eligibility, block_rows, start)
-        want = full_scan_tabu_run(inst, start, 300, (0.1, 0.5), Random(trial), pools[0], mask)
-        got = one_lane(inst, start, 300, Random(trial), pools[1], elig)
+        want = full_scan_tabu_run(inst, start, 300, (0.1, 0.5), Random(trial), pools[0])
+        got = one_lane(inst, start, 300, Random(trial), pools[1])
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
         assert got[2] == want[2]
@@ -316,17 +289,6 @@ class TestPairScanMatchesFullScan:
     def test_without_pool(self):
         for trial, inst, start in equivalence_cases(409):
             self.assert_same(inst, start, trial, with_pool=False)
-
-    def test_block_move_mask(self):
-        # the block_descent fallback: moves restricted to one block's rows
-        rng = Random(419)
-        for trial in range(20):
-            sizes = tuple(rng.randint(2, 5) for _ in range(rng.randint(2, 4)))
-            inst = random_level2_instance(rng, sizes)
-            blk = inst.blocks[rng.randrange(len(inst.blocks))]
-            rows = [inst.product_index(p) for p in blk.product_ids]
-            start = random_assignment(inst, Random(trial))
-            self.assert_same(inst, start, trial, block_rows=rows, with_pool=False)
 
     def test_ties_break_on_lowest_pair(self):
         # zero flow makes every delta exactly 0: each move is decided by
@@ -379,7 +341,7 @@ class SerialSwapScan:
             hh[:, y] = col
 
 
-def serial_tabu_run(instance, start, iterations, tenure_range, rng, pool, move_mask=None):
+def serial_tabu_run(instance, start, iterations, tenure_range, rng, pool):
     """One tabu walk on its own, as it ran before lanes: the reference each
     lane of a lockstep call must follow move for move."""
     elig = instance.eligibility
@@ -394,9 +356,6 @@ def serial_tabu_run(instance, start, iterations, tenure_range, rng, pool, move_m
     hi = max(lo, round(tenure_range[1] * n))
     tabu_until = np.zeros((n, n), dtype=np.int64)
     pa, pb = swap_candidate_pairs(elig)
-    if move_mask is not None:
-        keep = move_mask[pa, pb]
-        pa, pb = pa[keep], pb[keep]
     scan = SerialSwapScan(instance.flow, instance.exposure, perm, pa, pb)
     done = 0
     for it in range(1, iterations + 1):
@@ -483,25 +442,18 @@ class TestLanesMatchSerialRuns:
     count, and a shared pool ending with the entries the walks leave when
     they offer one after another."""
 
-    def assert_lanes(self, instances, seed, iterations=200, with_pool=True, block_rows=None):
-        # with block_rows, the serial runs mask the moves and each lane
-        # pins every other product at its start instead
+    def assert_lanes(self, instances, seed, iterations=200, with_pool=True):
         seeds = [seed * 31 + lane for lane in range(len(instances))]
         starts = [random_assignment(inst, Random(s)) for inst, s in zip(instances, seeds)]
         pools = [
             SolutionPool(instances[0], capacity=6, gap=0.02) if with_pool else None
             for _ in range(2)
         ]
-        mask = None if block_rows is None else block_mask(instances[0].n, block_rows)
         want = [
-            serial_tabu_run(inst, start, iterations, (0.1, 0.5), Random(s), pools[0], mask)
+            serial_tabu_run(inst, start, iterations, (0.1, 0.5), Random(s), pools[0])
             for inst, start, s in zip(instances, starts, seeds)
         ]
-        elig = np.stack([
-            inst.eligibility if block_rows is None
-            else pin_outside(inst.eligibility, block_rows, start)
-            for inst, start in zip(instances, starts)
-        ])
+        elig = np.stack([inst.eligibility for inst in instances])
         got = _tabu_lanes(
             instances[0], elig, starts, [Random(s) for s in seeds], iterations, pools[1], None
         )
@@ -540,15 +492,6 @@ class TestLanesMatchSerialRuns:
             got = self.assert_lanes(lanes, trial)
             stopped_early += sum(done == 1 for _, _, done in got)
         assert stopped_early > 0
-
-    def test_block_move_mask(self):
-        rng = Random(617)
-        for trial in range(8):
-            base = random_level2_instance(rng, (3, 3, 2, 2))
-            blk = base.blocks[rng.randrange(len(base.blocks))]
-            rows = [base.product_index(p) for p in blk.product_ids]
-            lanes = block_variants(rng, base, trial % 4 + 1)
-            self.assert_lanes(lanes, trial, with_pool=False, block_rows=rows)
 
     def test_no_pairs_at_several_lanes(self):
         base = random_level2_instance(Random(619), (1, 1, 1, 1))
@@ -731,7 +674,7 @@ def tactical_stage_oracle(instances, seeds, config: SolverConfig):
     """solve_hierarchical's tactical stage before solve_level2: a descent per
     candidate, one lockstep lane per candidate from its descent, and the
     better of the two; (objective, assignment, iterations) per candidate."""
-    descents = [block_descent(inst, replace(config, seed=s)) for inst, s in zip(instances, seeds)]
+    descents = [block_descent(inst, config) for inst in instances]
     refined = _tabu_lanes(
         instances[0],
         np.stack([inst.eligibility for inst in instances]),
@@ -754,10 +697,9 @@ def tactical_stage_oracle(instances, seeds, config: SolverConfig):
 def tactical_case(rng: Random, trial: int, patch, zero_flow: bool = False):
     """(instances, seeds, config): 1-4 tactical instances sharing one flow
     and exposure; at even trials one block is above the exhaustive cap,
-    which ``patch`` (a pytest MonkeyPatch) sets to 4 along with the fallback
-    budget, so the descents fall back to tabu and write notes. Short walks
-    keep the answer dependent on where each walk starts and on its tenure
-    draws."""
+    which ``patch`` (a pytest MonkeyPatch) sets to 4, so the descents skip
+    it and only the tabu lanes order it. Short walks keep the answer
+    dependent on where each walk starts and on its tenure draws."""
     sizes = tuple(rng.choice((1, 2, 3, 4)) for _ in range(rng.randint(2, 5)))
     if trial % 2 == 0:
         sizes += (rng.choice((5, 6)),)
@@ -768,7 +710,6 @@ def tactical_case(rng: Random, trial: int, patch, zero_flow: bool = False):
     seeds = [rng.randrange(10**6) for _ in instances]
     config = SolverConfig(seed=seeds[0], iteration_limit=rng.choice((3, 8, 40)))
     patch.setattr(solvers, "BLOCK_EXHAUSTIVE_CAP", 4)
-    patch.setattr(solvers, "BLOCK_TABU_ITERATIONS", rng.choice((2, 30)))
     return instances, seeds, config
 
 
@@ -778,7 +719,6 @@ class TestSolveLevel2:
     never picked the descent."""
 
     def assert_level2_path(self, rng, monkeypatch, zero_flow=False):
-        noted = 0
         for trial in range(10):
             instances, seeds, config = tactical_case(rng, trial, monkeypatch, zero_flow)
             restarts = trial % 5 + 1
@@ -793,14 +733,21 @@ class TestSolveLevel2:
                 assert refined.iterations == want.iterations
                 assert refined.restarts == restarts
                 assert refined.notes == descended.notes
-                noted += bool(refined.notes)
-        assert noted > 0
 
     def test_matches_level2_path(self, monkeypatch):
         self.assert_level2_path(Random(701), monkeypatch)
 
     def test_matches_level2_path_zero_flow_ties(self, monkeypatch):
         self.assert_level2_path(Random(709), monkeypatch, zero_flow=True)
+
+    def test_refined_carries_the_descent_time_limit_note(self, monkeypatch):
+        # a deadline already past when the descent visits its first block
+        rng = Random(727)
+        for trial in range(6):
+            instances, seeds, config = tactical_case(rng, trial, monkeypatch)
+            config = replace(config, time_limit=1e-9)
+            for descended, refined in solve_level2(instances, seeds, config, trial % 3 + 1):
+                assert descended.notes == refined.notes == ("time limit 1e-09s reached",)
 
     @pytest.mark.parametrize("zero_flow", [False, True], ids=["flow", "zero-flow"])
     def test_matches_tactical_stage(self, zero_flow, monkeypatch):
@@ -861,105 +808,22 @@ class TestBlockDescent:
         result = block_descent(inst)
         assert result.iterations == 1  # one cycle, nothing movable
 
-    def test_oversized_block_falls_back_to_tabu(self, monkeypatch):
-        rng = Random(283)
-        inst = random_level2_instance(rng, (4,))
-        monkeypatch.setattr(solvers, "BLOCK_EXHAUSTIVE_CAP", 2)
-        monkeypatch.setattr(solvers, "BLOCK_TABU_ITERATIONS", 300)
-        result = block_descent(inst)
-        assert any("tabu fallback" in note for note in result.notes)
-        exact = brute_force(inst)
-        assert result.objective <= exact.objective + 1e-9
-
-
-def masked_block_descent(
-    instance: QapInstance, config: SolverConfig, cap: int, fallback_iterations: int, initial=None
-):
-    """block_descent as it was while its oversized-block fallback limited
-    the tabu run to the block's pairs with a move mask, kept as the oracle
-    for the fallback that pins every other product through eligibility.
-    Blocks above ``cap`` products fall back to a masked tabu run of
-    ``fallback_iterations``. The masked run is serial_tabu_run, the walk a
-    one-lane _tabu_lanes call takes move for move; there is no time limit.
-    Returns (objective, permutation, cycles, notes)."""
-    perm = instance.permutation_of(initial) if initial is not None else greedy_assignment(instance)
-    cur = objective_of_permutation(instance, perm)
-    notes: list[str] = []
-    fallback_blocks = set()
-    block_rows = [
-        np.array([instance.product_index(p) for p in blk.product_ids], dtype=np.int64)
-        for blk in instance.blocks
-    ]
-    cycles = 0
-    improved = True
-    while improved:
-        improved = False
-        cycles += 1
-        for bi, blk in enumerate(instance.blocks):
-            rows = block_rows[bi]
-            if len(rows) == 1:
-                continue
-            if len(rows) <= cap:
-                slots = perm[rows]
-                best_local = cur
-                best_order = None
-                for cand in itertools.permutations(slots.tolist()):
-                    perm[rows] = cand
-                    obj = objective_of_permutation(instance, perm)
-                    if obj > best_local:
-                        best_local = obj
-                        best_order = cand
-                if best_order is not None:
-                    perm[rows] = best_order
-                    cur = best_local
-                    improved = True
-                else:
-                    perm[rows] = slots
-            else:
-                if blk.category_id not in fallback_blocks:
-                    fallback_blocks.add(blk.category_id)
-                    notes.append(
-                        f"block {blk.category_id!r} above exhaustive cap; tabu fallback"
-                    )
-                rng = Random(_mix_seed(config.seed, 7_919 * (bi + 1) + cycles))
-                obj, new_perm, _ = serial_tabu_run(
-                    instance, perm, fallback_iterations, (0.1, 0.5), rng,
-                    None, block_mask(instance.n, rows),
-                )
-                if obj > cur:
-                    perm = new_perm
-                    cur = obj
-                    improved = True
-    return cur, perm, cycles, tuple(notes)
-
-
-class TestBlockFallbackMatchesMask:
-    def test_pinned_fallback_matches_masked_one(self, monkeypatch):
-        # every instance has a block above the cap, so each descent falls
-        # back to tabu at least once
-        rng = Random(887)
-        for trial in range(24):
-            cap = 2 + trial % 2
-            sizes = tuple(rng.randint(1, 6) for _ in range(rng.randint(2, 4)))
-            if max(sizes) <= cap:
-                sizes += (cap + 1 + rng.randrange(3),)
-            inst = random_level2_instance(rng, sizes)
-            cfg = SolverConfig(seed=rng.randrange(10**6))
-            iterations = rng.choice((5, 40, 200))
-            monkeypatch.setattr(solvers, "BLOCK_EXHAUSTIVE_CAP", cap)
-            monkeypatch.setattr(solvers, "BLOCK_TABU_ITERATIONS", iterations)
-            initial = None
-            if trial % 3:
-                initial = inst.assignment_from_permutation(random_assignment(inst, Random(trial)))
-            want_obj, want_perm, want_cycles, want_notes = masked_block_descent(
-                inst, cfg, cap, iterations, initial
-            )
-            got = block_descent(inst, cfg, initial)
-            assert got.objective.hex() == want_obj.hex()
-            assert got.assignment == inst.assignment_from_permutation(want_perm)
-            assert got.iterations == want_cycles
-            assert got.notes == want_notes
-            assert "tabu fallback" in want_notes[0]
+    def test_wide_block_is_left_to_the_lanes(self, monkeypatch):
+        # the descent leaves a block above the cap at its greedy positions,
+        # short of the optimum; solve_level2's lanes, which search the whole
+        # instance, order it
+        monkeypatch.setattr(solvers, "BLOCK_EXHAUSTIVE_CAP", 4)
+        for s in range(20):
+            inst = random_level2_instance(Random(1000 + s), (3, 6))
+            optimum = brute_force(inst).objective
+            rows = [inst.product_index(p) for p in inst.blocks[1].product_ids]
+            descended = block_descent(inst)
+            perm = inst.permutation_of(descended.assignment)
+            assert np.array_equal(perm[rows], greedy_assignment(inst)[rows])
+            assert descended.objective < optimum
+            config = SolverConfig(seed=s, iteration_limit=300)
+            ((_, refined),) = solve_level2([inst], [s], config, 1)
+            assert refined.objective == pytest.approx(optimum, rel=1e-12)
 
 
 class TestStartingAssignments:
@@ -1091,6 +955,20 @@ class TestSolveLevel1:
         assert len(pool) >= 1
 
 
+def solve_bundled(config: SolverConfig):
+    """solve_hierarchical on the bundled store and baskets."""
+    doc = load_store(str(FIXTURES / "synthetic_store.json"))
+    txns = read_transactions_csv(str(FIXTURES / "synthetic_transactions.csv"), doc.catalog)
+    return solve_hierarchical(
+        build_exposure_matrices(doc.graph),
+        expected_transitions(txns, doc.catalog),
+        doc.eligibility,
+        doc.catalog,
+        doc.graph,
+        config,
+    )
+
+
 class TestHierarchical:
     def test_pool_growth_never_hurts(self):
         graph, catalog, matrices, exposures = small_fixture((2, 2))
@@ -1133,21 +1011,24 @@ class TestHierarchical:
         inst = build_level2_instance(exposures, matrices, anchor, catalog, graph)
         assert result.objective >= brute_force(inst).objective - 1e-9
 
+    def test_each_note_once(self, monkeypatch):
+        # every candidate's descent writes the same note; the result keeps one
+        descent = solvers.block_descent
+
+        def noted_descent(instance, config=None, initial=None):
+            return replace(descent(instance, config, initial), notes=("same note",))
+
+        monkeypatch.setattr(solvers, "block_descent", noted_descent)
+        result = solve_bundled(SolverConfig(pool_capacity=3, iteration_limit=300))
+        assert len(result.candidates) == 3
+        assert result.notes == ("same note",)
+
 
 class TestBundledStoreAnchor:
     def test_seed_413_objectives_at_3000_iterations(self):
         # the benchmark's tabu budget; pins both levels to the values the
         # full-matrix scan reached, so a faster scan cannot drift silently
-        doc = load_store(str(FIXTURES / "synthetic_store.json"))
-        txns = read_transactions_csv(str(FIXTURES / "synthetic_transactions.csv"), doc.catalog)
-        result = solve_hierarchical(
-            build_exposure_matrices(doc.graph),
-            expected_transitions(txns, doc.catalog),
-            doc.eligibility,
-            doc.catalog,
-            doc.graph,
-            SolverConfig(seed=413, iteration_limit=3000),
-        )
+        result = solve_bundled(SolverConfig(seed=413, iteration_limit=3000))
         assert result.level1_objective == 21218.598809523806
         assert result.objective == 17340.644047619047
 
