@@ -29,9 +29,9 @@ is an equation of +1 terms, at most one -1 term and a right-hand side of 0 or
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -177,7 +177,7 @@ def _product_rows(
     per li group (the cells at one position, ascending), a block per lk group
     (the cells of one product, ascending), then a symmetry block per cell a.
     The +1 terms of a row are entries of ``plus``, any per-cell-pair table on
-    ``names`` (rendered text or values); its -1 term is a name, and its
+    ``names`` (the names themselves or values); its -1 term is a name, and its
     right-hand side is 0.
 
     Row (group G, cell b) sums the products of b with every cell a of G and
@@ -191,33 +191,35 @@ def _product_rows(
     for a, (i, k) in enumerate(cells):
         by_position.setdefault(k, []).append(a)
         by_product.setdefault(i, []).append(a)
+    binaries = [row[b] for b, row in enumerate(names)]
     for prefix, groups in (("li", by_position), ("lk", by_product)):
         for g in sorted(groups):
             group = groups[g]
-            at = {a: j for j, a in enumerate(group)}
-            block = []
+            head = f"{prefix}_{g}_"
             # column b holds the group's +1 terms with cell b
-            for b, (key_b, column) in enumerate(zip(keys, zip(*(plus[a] for a in group)))):
-                j = at.get(b)
-                if j is None:
-                    block.append((f"{prefix}_{g}_{key_b}", column, names[b][b], 0))
-                else:
-                    block.append((f"{prefix}_{g}_{key_b}", column[:j] + column[j + 1 :], None, 0))
+            columns = zip(*(plus[a] for a in group))
+            block = [
+                (head + key_b, column, binary, 0)
+                for key_b, column, binary in zip(keys, columns, binaries)
+            ]
+            for j, b in enumerate(group):
+                name, column, _, _ = block[b]
+                block[b] = (name, column[:j] + column[j + 1 :], None, 0)
             yield block
     for a, key_a in enumerate(keys):
-        plus_a = plus[a]
+        head = f"sym_{key_a}_"
         yield [
-            (f"sym_{key_a}_{keys[b]}", (plus_a[b],), names[b][a], 0)
-            for b in range(a + 1, len(keys))
+            (head + key_b, (term,), row_b[a], 0)
+            for key_b, term, row_b in zip(keys[a + 1 :], plus[a][a + 1 :], names[a + 1 :])
         ]
 
 
 def _row_blocks(
-    rows: ModelRows, terms: Callable[[Sequence[str]], list]
+    rows: ModelRows, terms: Callable[[Sequence[str]], Sequence]
 ) -> Iterator[list[Row]]:
     """Every row of ``rows`` in model order, one block at a time: the head
     rows, then the product layer's blocks. ``terms`` maps variable names to
-    their +1 terms (rendered text for the writer, values for the validator);
+    their +1 terms (the names for the writer, values for the validator);
     each -1 term stays a name."""
     yield [(name, terms(plus), minus, rhs) for name, plus, minus, rhs in rows.head]
     yield from _product_rows(rows.cells, rows.names, [terms(row) for row in rows.names])
@@ -406,52 +408,87 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _pieces(terms: Iterable[tuple[str, float]]) -> list[str]:
-    """Each term as ``+ c name`` or ``- c name``; a unit coefficient is 1."""
-    return [
-        f"{'- ' if coeff < 0 else '+ '}"
-        f"{'1' if coeff in (1.0, -1.0) else f'{abs(coeff):.12g}'} {name}"
-        for name, coeff in terms
-    ]
+class _SignedText(dict):
+    """``+ c `` or ``- c `` of each coefficient c, formatted on first use:
+    an objective holds few distinct coefficients over many terms."""
+
+    def __missing__(self, coeff: float) -> str:
+        text = self[coeff] = f"{'- ' if coeff < 0 else '+ '}{abs(coeff):.12g} "
+        return text
 
 
-def _layout(pieces: Sequence[str], indent: str) -> str:
-    """LP text of term pieces (``+ c name``/``- c name``): six per line,
-    continuation lines indented, the first piece's sign folded into ``c name``
-    or ``-c name``."""
-    if len(pieces) <= 6:
-        text = " ".join(pieces)
-    else:
-        text = ("\n" + indent).join(
-            map(" ".join, (pieces[start : start + 6] for start in range(0, len(pieces), 6)))
+def _write_objective(write: Callable[[str], object], model: LinearModel) -> None:
+    """The objective line: each nonzero term as ``+ c name`` or ``- c name``,
+    six per line, continuation lines indented one space, the first term's
+    sign folded into ``c name`` or ``-c name``. Written one table row at a
+    time, whole lines only, so at most a table row of terms is held."""
+    signed = _SignedText()
+    pending: list[str] = []
+    lead = " obj: "
+
+    def flush(count: int) -> None:
+        # write the first ``count`` pending terms as whole lines
+        nonlocal lead
+        text = "\n ".join(" ".join(pending[start : start + 6]) for start in range(0, count, 6))
+        if lead == " obj: ":
+            text = text[2:] if text[0] == "+" else "-" + text[2:]
+        write(lead + text)
+        lead = "\n "
+        del pending[:count]
+
+    for coeffs, names in zip(model.objective, model.constraints.names):
+        cols = np.flatnonzero(coeffs)
+        pending += map(
+            str.__add__,
+            map(signed.__getitem__, coeffs[cols].tolist()),
+            map(names.__getitem__, cols.tolist()),
         )
-    return text[2:] if text[0] == "+" else "-" + text[2:]
+        if len(pending) >= 6:
+            flush(len(pending) - len(pending) % 6)
+    if pending:
+        flush(len(pending))
+    write("\n")
+
+
+def _terms_text(plus: Sequence[str], minus: str | None) -> str:
+    """LP text of the terms of sum(plus) - minus: ``+ 1 name`` per +1 term,
+    ``- 1 name`` last, six per line, continuation lines indented two
+    spaces, the first sign folded into ``1 name`` or ``-1 name``."""
+    if not plus:
+        return "-1 " + minus
+    text = "1 " + "\n  + 1 ".join(
+        " + 1 ".join(plus[start : start + 6]) for start in range(0, len(plus), 6)
+    )
+    if minus is None:
+        return text
+    if len(plus) % 6:
+        return f"{text} - 1 {minus}"
+    return f"{text}\n  - 1 {minus}"
 
 
 def write_lp(model: LinearModel, path: str) -> None:
     """Emit the model as an LP-format file: Maximize / Subject To / Bounds /
     Binaries / End. Byte-identical output for identical models. Rows are
-    written as soon as they are formatted, one string per row block, so the
-    text is never held whole."""
+    written as soon as they are formatted, one string per row block, straight
+    from their variable names, so the text is never held whole."""
     with open(path, "w", encoding="utf-8") as fh:
         write = fh.write
         write(f"\\ {model.tag} exposure maximization model\nMaximize\n")
-        # the objective's pieces live only while its line is written
         if model.objective.any():
-            write(f" obj: {_layout(_pieces(_objective_terms(model)), ' ')}\n")
+            _write_objective(write, model)
         else:
             anchor = model.binary_names[0] if model.binary_names else model.continuous_names[0]
             write(f" obj: 0 {anchor}\n")
         write("Subject To\n")
-        # each +1 term as its _pieces text; the right-hand side, 0 or 1, as
-        # text by lookup, not by formatting each row's number
+        # the right-hand side, 0 or 1, as text by lookup, not by formatting
+        # each row's number; most rows are one +1 term and one -1 term
         equals = (" = 0\n", " = 1\n")
-        for block in _row_blocks(model.constraints, lambda row: ["+ 1 " + name for name in row]):
+        for block in _row_blocks(model.constraints, _same):
             write(
                 "".join(
-                    f" {name}: "
-                    f"{_layout(plus if minus is None else (*plus, '- 1 ' + minus), '  ')}"
-                    f"{equals[rhs]}"
+                    f" {name}: 1 {plus[0]} - 1 {minus}{equals[rhs]}"
+                    if len(plus) == 1 and minus is not None
+                    else f" {name}: {_terms_text(plus, minus)}{equals[rhs]}"
                     for name, plus, minus, rhs in block
                     if plus or minus is not None
                 )
@@ -464,6 +501,11 @@ def write_lp(model: LinearModel, path: str) -> None:
         for start in range(0, len(names), 8):
             write(" " + " ".join(names[start : start + 8]) + "\n")
         write("End\n")
+
+
+def _same(names: Sequence[str]) -> Sequence[str]:
+    """The writer's +1 terms: the variable names themselves."""
+    return names
 
 
 def parse_solution_file(path: str) -> ExternalSolution:
@@ -517,31 +559,39 @@ def validate_solution(
     violations: list[str] = []
     worst = 0.0
 
-    def note(amount: float, template: str, name: str, value: float) -> None:
-        # every amount counts toward the worst; only a violation is formatted
+    def flagged(amounts: np.ndarray) -> list[int]:
+        # every amount counts toward the worst, as max(worst, amount) taken
+        # one by one would; the indices of those past the tolerance (or NaN)
+        # are returned, so only a violation is formatted
         nonlocal worst
-        worst = max(worst, amount)
-        if amount > TOLERANCE:
-            violations.append(template.format(name, _fmt(value)))
+        above = amounts[amounts > worst]
+        if above.size:
+            worst = float(above.max())
+        return np.flatnonzero(~(amounts <= TOLERANCE)).tolist()
 
-    for name in model.binary_names:
-        v = values[name]
-        note(abs(v - round(v)), "binary {} = {} is not integral", name, v)
-    for name in model.fixed_zero:
-        v = values.get(name, 0.0)
-        note(abs(v), "fixed variable {} = {} violates its zero bound", name, v)
-    for name in model.continuous_names:
-        v = values.get(name, 0.0)
-        note(max(0.0, -v), "continuous {} = {} is negative", name, v)
-    for block in _row_blocks(model.constraints, lambda row: [values.get(v, 0.0) for v in row]):
-        for name, plus, minus, rhs in block:
-            if minus is not None:
-                # -v is -1.0 * v: the sum runs over the terms, in order, that a
-                # sum of (coefficient * value) products would
-                plus = (*plus, -values.get(minus, 0.0))
-            # the float start keeps an empty row's residual a float
-            residual = sum(plus, 0.0) - rhs
-            note(abs(residual), "constraint {} residual {}", name, residual)
+    get = values.get
+    zeros = repeat(0.0)
+    bounds = (
+        (model.binary_names, lambda v: np.abs(v - np.round(v)), "binary {} = {} is not integral"),
+        (model.fixed_zero, np.abs, "fixed variable {} = {} violates its zero bound"),
+        (model.continuous_names, np.negative, "continuous {} = {} is negative"),
+    )
+    for names, amounts, template in bounds:
+        v = np.fromiter(map(get, names, zeros), dtype=float, count=len(names))
+        with np.errstate(invalid="ignore"):  # an infinite binary is NaN off integral
+            off = amounts(v)
+        for j in flagged(off):
+            violations.append(template.format(names[j], _fmt(float(v[j]))))
+    for block in _row_blocks(model.constraints, lambda row: list(map(get, row, zeros))):
+        # -v is -1.0 * v: each row sums the terms, in order, that a sum of
+        # (coefficient * value) products would; the float start keeps an
+        # empty row's residual a float
+        residuals = [
+            sum(plus if minus is None else (*plus, -get(minus, 0.0)), 0.0) - rhs
+            for _, plus, minus, rhs in block
+        ]
+        for j in flagged(np.abs(residuals)):
+            violations.append(f"constraint {block[j][0]} residual {_fmt(residuals[j])}")
 
     # the assignment binaries are the product layer's: cell a's is names[a][a]
     names = model.constraints.names

@@ -362,7 +362,7 @@ def branch_and_bound(
             return
         if deadline is not None and perf_counter() > deadline:
             limit_hit = True
-            notes.append(f"time limit {cfg.time_limit}s reached")
+            notes.append(_time_limit_note(cfg))
             return
         if depth == n:
             obj = objective_of_permutation(instance, perm)
@@ -418,9 +418,10 @@ def _tabu_lanes(
     iterations: int,
     pool: SolutionPool | None,
     deadline: float | None,
-) -> list[tuple[float, np.ndarray, int]]:
+) -> tuple[list[tuple[float, np.ndarray, int]], bool]:
     """Tabu runs from L feasible permutations ("lanes"); returns (best
-    objective, best permutation, iterations executed) per lane.
+    objective, best permutation, iterations executed) per lane, and whether
+    the deadline stopped them.
 
     Lane l scores with the flow and exposure matrices of ``instance`` and
     moves under ``eligibility[l]`` of a C-contiguous bool (L, n, n) stack,
@@ -449,12 +450,12 @@ def _tabu_lanes(
     bounds = [(lanes * w // workers, lanes * (w + 1) // workers) for w in range(workers)]
     chunks = _split_lanes(walk, bounds, rngs) if workers > 1 else [walk(0, lanes)]
     results = []
-    for chunk_results, ranked in chunks:
+    for chunk_results, ranked, _ in chunks:
         results += chunk_results
         for lane_ranked in ranked:
             for obj, key in lane_ranked:
                 pool.offer(np.array(key), obj)
-    return results
+    return results, any(cut for _, _, cut in chunks)
 
 
 def _lane_workers(lanes: int, deadline: float | None) -> int:
@@ -536,10 +537,13 @@ def _walk_lanes(
     iterations: int,
     pool_shape: tuple[int, float] | None,
     deadline: float | None,
-) -> tuple[list[tuple[float, np.ndarray, int]], list[list[tuple[float, tuple[int, ...]]]]]:
+) -> tuple[
+    list[tuple[float, np.ndarray, int]], list[list[tuple[float, tuple[int, ...]]]], bool
+]:
     """The lanes of one process in lockstep: (best objective, best
-    permutation, iterations executed) per lane, and per lane the ranked
-    entries of its own pool of shape (capacity, gap), if any.
+    permutation, iterations executed) per lane, per lane the ranked entries
+    of its own pool of shape (capacity, gap), if any, and whether the
+    deadline stopped the lanes.
 
     Each lane keeps its own permutation, tabu table, rng, current and best
     objective and pool, and takes exactly the moves it would take alone,
@@ -594,8 +598,10 @@ def _walk_lanes(
     live = list(range(lanes))
     done = [0] * lanes
     last = 0
+    cut = False
     for it in range(1, iterations + 1):
         if deadline is not None and perf_counter() > deadline:
+            cut = True
             break
         last = it
         if not pair_a:  # nothing can ever move: every lane stops now
@@ -652,7 +658,7 @@ def _walk_lanes(
                     track(lane)
     for lane in live:
         done[lane] = last
-    return list(zip(best_obj, best_perm, done)), [lane_pool.ranked for lane_pool in pools]
+    return list(zip(best_obj, best_perm, done)), [lane_pool.ranked for lane_pool in pools], cut
 
 
 def tabu_search(
@@ -665,17 +671,22 @@ def tabu_search(
     call. Restart 0 starts from the given assignment (or the deterministic
     greedy construction); later restarts start from seeded random feasible
     assignments. Never returns a worse objective than its starting
-    assignment."""
+    assignment. A run its time limit stopped carries the time-limit note."""
     cfg = config or SolverConfig()
     t0 = perf_counter()
     deadline = t0 + cfg.time_limit if cfg.time_limit else None
     start0 = instance.permutation_of(initial) if initial is not None else greedy_assignment(instance)
     starts, rngs = _restart_lanes(instance, start0, cfg.seed, RESTARTS)
-    lanes = _tabu_lanes(
+    lanes, cut = _tabu_lanes(
         instance, np.stack([instance.eligibility] * RESTARTS), starts, rngs,
         cfg.iteration_limit, pool, deadline,
     )
-    return _best_lane(instance, lanes, t0)
+    return _best_lane(instance, lanes, t0, (_time_limit_note(cfg),) if cut else ())
+
+
+def _time_limit_note(config: SolverConfig) -> str:
+    """The note of a solver call that its deadline stopped."""
+    return f"time limit {config.time_limit}s reached"
 
 
 def _restart_lanes(
@@ -749,7 +760,7 @@ def block_descent(
         cycles += 1
         for rows in block_rows:
             if deadline is not None and perf_counter() > deadline:
-                notes.append(f"time limit {cfg.time_limit}s reached")
+                notes.append(_time_limit_note(cfg))
                 improved = False
                 break
             slots = perm[rows]
@@ -811,7 +822,8 @@ def solve_level2(
     layout; a lane never ends below its start, so the refined objective is
     never below the descent's. The instances must share one flow and one
     exposure matrix. Returns (descent, refined) per instance; the refined
-    result carries the descent's notes."""
+    result carries the descent's notes and, when the deadline stopped the
+    lanes, the time-limit note, each once."""
     t0 = perf_counter()
     descents = [block_descent(inst, config) for inst in instances]
     deadline = perf_counter() + config.time_limit if config.time_limit else None
@@ -823,11 +835,20 @@ def solve_level2(
         starts += inst_starts
         rngs += inst_rngs
     eligibility = np.stack([inst.eligibility for inst in instances for _ in range(restarts)])
-    lanes = _tabu_lanes(
+    lanes, cut = _tabu_lanes(
         instances[0], eligibility, starts, rngs, config.iteration_limit, None, deadline
     )
+    notes = (_time_limit_note(config),) if cut else ()
     return [
-        (d, _best_lane(inst, lanes[i * restarts : (i + 1) * restarts], t0, d.notes))
+        (
+            d,
+            _best_lane(
+                inst,
+                lanes[i * restarts : (i + 1) * restarts],
+                t0,
+                tuple(dict.fromkeys(d.notes + notes)),
+            ),
+        )
         for i, (inst, d) in enumerate(zip(instances, descents))
     ]
 

@@ -801,6 +801,16 @@ class TestTimeLimitFlag:
         )
         assert check_feasible(instance, plan.assignment()).ok
 
+    def test_stopped_run_writes_one_time_limit_note(self, tmp_path):
+        # the default budget takes seconds at K=10, so the deadline stops the
+        # tabu lanes; every candidate's note is the same, and one is written
+        out = tmp_path / "stopped"
+        argv = ["solve", *BUNDLED, "--out", str(out), "--pool-size", "10", "--time-limit", "0.03"]
+        assert main(argv) == 0
+        report = (out / "solve_report.txt").read_text(encoding="utf-8").splitlines()
+        notes = [line for line in report if line.startswith("note:")]
+        assert notes == ["note: time limit 0.03s reached"]
+
     @pytest.mark.parametrize("limit", ["nan", "inf", "0", "-1"])
     def test_time_limit_must_be_finite_and_positive(self, tmp_path, capsys, limit):
         # a NaN limit used to pass the check (nan <= 0 is false) and never fire

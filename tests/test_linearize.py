@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from random import Random
@@ -1034,6 +1035,150 @@ class TestConstraintView:
         assert max(built.values()) == len(model.constraints)
 
 
+# -- the writer's text against the piece layout it replaced ---------------------------
+#
+# write_lp used to render every +1 term as a "+ 1 <name>" piece (a second
+# table the shape of the name table), add "- 1 <name>", and lay the pieces out
+# with _layout; the objective went through _pieces, which formatted every
+# term's coefficient. The writer now formats rows from the names and each
+# distinct coefficient once; its text must be these functions' text.
+
+
+def old_pieces(terms) -> list[str]:
+    """Each (name, coeff) term as ``+ c name`` or ``- c name``."""
+    return [
+        f"{'- ' if coeff < 0 else '+ '}"
+        f"{'1' if coeff in (1.0, -1.0) else f'{abs(coeff):.12g}'} {name}"
+        for name, coeff in terms
+    ]
+
+
+def old_layout(pieces, indent: str) -> str:
+    """Pieces six per line, continuation lines indented, the first piece's
+    sign folded into ``c name`` or ``-c name``."""
+    if len(pieces) <= 6:
+        text = " ".join(pieces)
+    else:
+        text = ("\n" + indent).join(
+            map(" ".join, (pieces[start : start + 6] for start in range(0, len(pieces), 6)))
+        )
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+# +1 term counts around each line break, each with and without a -1 term
+ROW_LENGTHS = (1, 2, 6, 7, 12, 13)
+
+
+def head_only_model(rows: list) -> tuple[LinearModel, LinearModel]:
+    """A model of the head rows ``rows`` alone, and its reference twin."""
+    binaries = tuple(dict.fromkeys(
+        name for _, plus, minus, _ in rows for name in (*plus, minus) if name is not None
+    ))
+    empty = dict(binary_names=binaries, fixed_zero=(), continuous_names=())
+    model = LinearModel(
+        tag="level2", objective=np.zeros((0, 0)),
+        constraints=ModelRows(tuple(rows), [], []), **empty,
+    )
+    ref = LinearModel(
+        tag="level2", objective=(),
+        constraints=tuple(as_constraint((n, unit_terms(p), m, r)) for n, p, m, r in rows),
+        **empty,
+    )
+    return model, ref
+
+
+def written(model: LinearModel, path: Path) -> str:
+    write_lp(model, str(path))
+    return path.read_text(encoding="utf-8")
+
+
+def objective_line(text: str) -> str:
+    """The objective's text in an LP file, continuation lines included."""
+    return text[text.index(" obj: ") : text.index("\nSubject To\n")]
+
+
+class TestWriterText:
+    def test_row_text_matches_old_layout(self):
+        for count in ROW_LENGTHS:
+            plus = tuple(f"y_{j}_{count}_{j + 1}_0" for j in range(count))
+            for minus in (None, f"z_{count}_9"):
+                pieces = ["+ 1 " + name for name in plus]
+                if minus is not None:
+                    pieces.append("- 1 " + minus)
+                want = old_layout(pieces, "  ")
+                assert linearize_module._terms_text(plus, minus) == want, (count, minus)
+        assert linearize_module._terms_text((), "z_0_0") == old_layout(["- 1 z_0_0"], "  ")
+
+    def test_rows_match_reference_writer(self, tmp_path):
+        rows = [("minus_only", (), "z_0_0", 0), ("rhs_one", ("z_0_1",), None, 1)]
+        for count in ROW_LENGTHS:
+            plus = tuple(f"y_{j}_{count}" for j in range(count))
+            rows.append((f"plus_{count}", plus, None, count % 2))
+            rows.append((f"both_{count}", plus, f"z_{count}_9", 0))
+        model, ref = head_only_model(rows)
+        text = written(model, tmp_path / "rows.lp")
+        ref_write_lp(ref, str(tmp_path / "reference.lp"))
+        assert text == (tmp_path / "reference.lp").read_text(encoding="utf-8")
+        assert " minus_only: -1 z_0_0 = 0\n" in text
+        six = " + 1 ".join(f"y_{j}_6" for j in range(6))
+        assert f" both_6: 1 {six}\n  - 1 z_6_9 = 0\n" in text
+
+    def test_objective_matches_old_pieces_and_reference_writer(self, tmp_path):
+        # repeated, negative and unit coefficients, and two floats of
+        # different bits that print the same at 12 digits
+        twins = (0.1 + 0.2, 0.3)
+        assert twins[0] != twins[1] and f"{twins[0]:.12g}" == f"{twins[1]:.12g}"
+        palette = (1.0, -1.0, 2.5, -2.5, *twins, 1e-7, -123456.789012345, 1e15, 7.0)
+        rng = Random(271)
+        inst = random_level1_instance(rng, 3, full_eligibility=True)
+        model, ref = linearize(inst), reference_model(inst, False)
+        names = model.constraints.names
+        seen = Counter()
+        for trial in range(60):
+            density = rng.choice((0.004, 0.02, 0.1, 0.5, 1.0))
+            table = np.array([
+                [rng.choice(palette) if rng.random() < density else 0.0 for _ in row]
+                for row in names
+            ])
+            if not table.any():
+                continue
+            terms = [(names[a][b], float(table[a, b])) for a, b in zip(*np.nonzero(table))]
+            mine = dataclasses.replace(model, objective=table)
+            theirs = dataclasses.replace(ref, objective=tuple(terms))
+            text = written(mine, tmp_path / "objective.lp")
+            ref_write_lp(theirs, str(tmp_path / "reference.lp"))
+            assert text == (tmp_path / "reference.lp").read_text(encoding="utf-8")
+            assert objective_line(text) == " obj: " + old_layout(old_pieces(terms), " ")
+            coeffs = [c for _, c in terms]
+            seen["negative first"] += coeffs[0] < 0
+            seen["whole lines"] += len(terms) % 6 == 0 and len(terms) > 6
+            seen["one line"] += len(terms) <= 6
+            seen["twins"] += all(t in coeffs for t in twins)
+            seen["units"] += 1.0 in coeffs and -1.0 in coeffs
+            seen["repeats"] += len(set(coeffs)) < len(coeffs)
+        assert len(seen) == 6 and min(seen.values()) > 0, seen
+
+    def test_writer_holds_less_than_the_name_table(self, tmp_path):
+        # a second table of rendered "+ 1 <name>" terms, or the objective's
+        # terms held whole, each take more than half the name table's size
+        graph, catalog, matrices, exposures = TestIntegratedModel.pieces((3, 3, 2, 2))
+        model = linearize_integrated(exposures, matrices, None, catalog, graph, sparsify=True)
+        names = model.constraints.names
+        table = sys.getsizeof(names) + sum(
+            sys.getsizeof(row) + sum(map(sys.getsizeof, row)) for row in names
+        )
+        assert np.count_nonzero(model.objective) * 60 > table / 2
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write_lp(model, str(tmp_path / "model.lp"))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < table / 2, (peak, table)
+
+
 # -- validate_solution against the Constraint-loop validator ---------------------------
 
 
@@ -1378,3 +1523,19 @@ class TestValidateSolution:
         values = {k: v + 1e-9 for k, v in product_solution(model, perm).items()}
         report = validate_solution(inst, model, ExternalSolution(values, None))
         assert report.feasible
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_values_flagged(self, bad):
+        # NaN fails every comparison, so an amount counts as a violation
+        # unless it is within the tolerance; the worst amount is never NaN
+        inst, model, perm = self.setup_model()
+        values = product_solution(model, perm)
+        binary, product = model.binary_names[0], model.continuous_names[0]
+        values[binary] = values[product] = float(bad)
+        report = validate_solution(inst, model, ExternalSolution(values, None))
+        assert not report.feasible
+        assert f"binary {binary} = {bad} is not integral" in report.violations
+        negative = f"continuous {product} = {bad} is negative" in report.violations
+        assert negative == (bad != "inf")
+        assert any(v.startswith("constraint ") for v in report.violations)
+        assert report.max_constraint_violation == report.max_constraint_violation

@@ -1,7 +1,8 @@
-"""Static check over the package's public functions: each one is called or
-read by some code in the package or the benchmark. A public function only the
-tests reach is kept for no caller, unless it is a test oracle named below. The
-check reads the syntax trees; it runs none of the callers.
+"""Static check over the package's functions: each public one, and each
+private module-level one, is called or read by some code in the package or
+the benchmark. A function only the tests reach is kept for no caller, unless
+it is a public test oracle named below. The check reads the syntax trees; it
+runs none of the callers.
 
 A function counts as used when its name is read anywhere in those trees: as
 a name, as an attribute, or as a string constant (the benchmark wraps
@@ -45,6 +46,18 @@ def public_functions(source: str) -> list[str]:
     return out
 
 
+def private_functions(source: str) -> list[str]:
+    """Private module-level functions (``_name``, not ``__name__``), in source
+    order."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    ]
+
+
 def names_read(source: str) -> set[str]:
     """Names, attributes and string constants read anywhere in ``source``,
     less the attributes read off a module that ``source`` imports."""
@@ -78,6 +91,17 @@ def test_every_public_function_has_a_caller():
     assert not unused, f"public functions no code in src/ or perfbench/ calls: {unused}"
 
 
+def test_every_private_function_has_a_caller():
+    read = set().union(*(names_read(path.read_text(encoding="utf-8")) for path in CALLERS))
+    unused = [
+        f"{path.name}:{name}"
+        for path in PACKAGE
+        for name in private_functions(path.read_text(encoding="utf-8"))
+        if name not in read
+    ]
+    assert not unused, f"private functions no code in src/ or perfbench/ reads: {unused}"
+
+
 def test_oracles_exist():
     defined = {
         qualname.rsplit(".", 1)[-1]
@@ -101,6 +125,7 @@ def test_reads_names_attributes_and_strings():
         "TARGETS = ('by_name',)\n"
     )
     assert public_functions(source) == ["Box.used", "Box.spare", "helper", "by_name", "unread"]
+    assert private_functions(source) == []
     read = names_read(source)
     assert {"helper", "used", "by_name"} <= read
     assert not {"spare", "unread", "imported_only", "unread_target"} & read
@@ -122,3 +147,17 @@ def test_skips_attributes_of_imported_modules():
     read = names_read(source)
     assert {"swap_delta", "entries", "itertools", "np"} <= read
     assert not {"permutations", "zeros", "path"} & read
+
+
+def test_lists_module_level_private_functions():
+    source = (
+        "def _kept(x): return x\n"
+        "def _spare(): pass\n"
+        "def __getattr__(name): pass\n"
+        "class Box:\n"
+        "    def _method(self): return _kept(self)\n"
+        "def public(): return _kept(1)\n"
+    )
+    assert private_functions(source) == ["_kept", "_spare"]
+    read = names_read(source)
+    assert "_kept" in read and "_spare" not in read

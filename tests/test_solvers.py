@@ -9,6 +9,7 @@ import threading
 from dataclasses import replace
 from pathlib import Path
 from random import Random
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -263,7 +264,8 @@ def equivalence_cases(seed: int, count: int = 20):
 def one_lane(inst, start, iterations, rng, pool):
     """A single tabu walk through _tabu_lanes under the instance's own
     eligibility."""
-    return _tabu_lanes(inst, inst.eligibility[None], [start], [rng], iterations, pool, None)[0]
+    lanes, _ = _tabu_lanes(inst, inst.eligibility[None], [start], [rng], iterations, pool, None)
+    return lanes[0]
 
 
 class TestPairScanMatchesFullScan:
@@ -454,9 +456,10 @@ class TestLanesMatchSerialRuns:
             for inst, start, s in zip(instances, starts, seeds)
         ]
         elig = np.stack([inst.eligibility for inst in instances])
-        got = _tabu_lanes(
+        got, cut = _tabu_lanes(
             instances[0], elig, starts, [Random(s) for s in seeds], iterations, pools[1], None
         )
+        assert not cut
         assert len(got) == len(want)
         for (g_obj, g_perm, g_done), (w_obj, w_perm, w_done) in zip(got, want):
             assert float(g_obj).hex() == float(w_obj).hex()
@@ -527,7 +530,7 @@ class TestLaneSplit:
         rngs = [Random(s) for s in seeds]
         pool = None if capacity is None else SolutionPool(instances[0], capacity=capacity, gap=0.02)
         elig = np.stack([inst.eligibility for inst in instances])
-        lanes = _tabu_lanes(instances[0], elig, starts, rngs, iterations, pool, None)
+        lanes, _ = _tabu_lanes(instances[0], elig, starts, rngs, iterations, pool, None)
         return (
             [(float(obj).hex(), perm.tolist(), done) for obj, perm, done in lanes],
             [rng.getstate() for rng in rngs],
@@ -661,6 +664,39 @@ class TestTimeLimit:
                 assert result.objective >= objective(inst, start)
                 assert result.iterations % restarts == 0
 
+    def test_stopped_lanes_write_one_note(self):
+        # a deadline already past at the first iteration stops every lane
+        inst = random_level1_instance(Random(659), 12)
+        stopped = tabu_search(inst, SolverConfig(seed=1, time_limit=1e-9))
+        assert stopped.notes == ("time limit 1e-09s reached",)
+        finished = tabu_search(inst, SolverConfig(seed=1, iteration_limit=20, time_limit=60))
+        assert finished.iterations == 20 * solvers.RESTARTS
+        assert finished.notes == ()
+
+    def test_lanes_report_the_deadline(self):
+        inst = random_level1_instance(Random(661), 10)
+        starts = [random_assignment(inst, Random(s)) for s in range(3)]
+
+        def cut(deadline):
+            return _tabu_lanes(
+                inst, np.stack([inst.eligibility] * 3), starts,
+                [Random(s) for s in range(3)], 20, None, deadline,
+            )[1]
+
+        assert cut(perf_counter()) is True
+        assert cut(perf_counter() + 60) is False
+        assert cut(None) is False
+
+    def test_refined_carries_the_lanes_time_limit_note(self):
+        # no block is within the descent's cap, so only the lanes meet the
+        # deadline: the refined result carries their note, once
+        inst = random_level2_instance(Random(733), (1, solvers.BLOCK_EXHAUSTIVE_CAP + 1))
+        config = SolverConfig(seed=3, time_limit=1e-9)
+        for restarts in (1, 3):
+            [(descended, refined)] = solve_level2([inst], [3], config, restarts)
+            assert descended.notes == ()
+            assert refined.notes == ("time limit 1e-09s reached",)
+
 
 def level2_path_oracle(instance: QapInstance, config: SolverConfig):
     """The command line's level2 path before solve_level2: block descent,
@@ -675,7 +711,7 @@ def tactical_stage_oracle(instances, seeds, config: SolverConfig):
     candidate, one lockstep lane per candidate from its descent, and the
     better of the two; (objective, assignment, iterations) per candidate."""
     descents = [block_descent(inst, config) for inst in instances]
-    refined = _tabu_lanes(
+    refined, _ = _tabu_lanes(
         instances[0],
         np.stack([inst.eligibility for inst in instances]),
         [inst.permutation_of(d.assignment) for inst, d in zip(instances, descents)],
