@@ -21,17 +21,19 @@ location's slots (``_family_rows``), and the product layer, assembled into a
 from one table (``_cell_names``; the binaries are its diagonal), and the
 objective is the coefficient table of the same shape beside it. Every row
 is an equation of +1 terms, at most one -1 term and a right-hand side of 0 or
-1 (``Row``). The product layer's rows are described, not stored:
-``_product_rows`` generates them from the cells and the name table, and
-``_row_blocks`` streams every row of a model, for ``write_lp`` and
-``validate_solution`` alike.
+1; the head rows are stored as such tuples (``Row``). The product layer's
+rows are described, not stored: ``_product_rows`` gives them as column
+blocks (``ProductBlock``) over the cells and the name table, and is their
+only description. ``write_lp`` joins each block's text in one pass, and
+``validate_solution`` sums each block's columns as arrays.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -58,19 +60,26 @@ TOLERANCE = 1e-6
 
 # A row (name, plus, minus, rhs) is the equation sum(plus) - minus = rhs:
 # ``plus`` holds the +1 terms, ``minus`` the one -1 term or None, and ``rhs``
-# is 0 or 1. Every row of the three models has this shape. Head rows hold
-# variable names; ``_row_blocks`` reads each +1 term through a caller's
-# function of its name.
-Row = tuple[str, Sequence, "str | None", int]
+# is 0 or 1. Every row of the three models has this shape; the head rows are
+# stored so.
+Row = tuple[str, Sequence[str], "str | None", int]
+
+# A product block (head, keys, plus, minus, own) states len(keys) rows of the
+# product layer at once. Row j is named head + keys[j]; its +1 terms are
+# column[j] for each column of ``plus``, its -1 term is minus[j], and its
+# right-hand side is 0. ``minus`` may be an iterator, read once. The j-th
+# entry of ``own`` is a row that leaves out column j and the -1 term: the
+# row of a group's own cell, empty in a singleton group.
+ProductBlock = tuple[str, Sequence[str], list[Sequence[str]], Iterable[str], Sequence[int]]
 
 
 class ModelRows:
     """The constraint rows of a model: the ``head`` rows, then the product
     layer's linking and symmetry rows over ``cells``, named from their
     ``_cell_names`` table ``names``. Product rows are not stored:
-    ``_row_blocks`` generates every row in model order, for ``write_lp`` and
-    ``validate_solution`` alike. Empty rows (a singleton group's own column)
-    are counted but never written."""
+    ``_product_rows`` gives them in model order as column blocks, for
+    ``write_lp`` and ``validate_solution`` alike. Empty rows (a singleton
+    group's own row) are counted but never written."""
 
     __slots__ = ("head", "cells", "names")
 
@@ -100,7 +109,7 @@ class LinearModel:
     ``objective`` is the ``(N, N)`` coefficient table over the product
     layer's N cells: ``objective[a, b]`` multiplies the variable
     ``constraints.names[a][b]``, the binary of cell a when ``a == b``.
-    ``_objective_terms`` reads its nonzero terms."""
+    Its readers take the nonzero terms one table row at a time."""
 
     tag: str
     binary_names: tuple[str, ...]
@@ -170,21 +179,18 @@ def _cell_names(cells: list[tuple[int, int]], bvar: str, wvar: str) -> list[list
     return names
 
 
-def _product_rows(
-    cells: list[tuple[int, int]], names: list[list[str]], plus: list[list]
-) -> Iterator[list[Row]]:
-    """The product layer's rows in model order, one block at a time: a block
-    per li group (the cells at one position, ascending), a block per lk group
+def _product_rows(cells: list[tuple[int, int]], names: list[list[str]]) -> Iterator[ProductBlock]:
+    """The product layer's rows in model order as column blocks: a block per
+    li group (the cells at one position, ascending), a block per lk group
     (the cells of one product, ascending), then a symmetry block per cell a.
-    The +1 terms of a row are entries of ``plus``, any per-cell-pair table on
-    ``names`` (the names themselves or values); its -1 term is a name, and its
-    right-hand side is 0.
 
     Row (group G, cell b) sums the products of b with every cell a of G and
-    subtracts b's binary. The diagonal product a == b is b's binary itself, so
-    when b lies in G the two cancel and neither term is written; a singleton
-    group's own row is empty. Symmetry row (a, b), a < b, equates the product
-    of a with b and the product of b with a."""
+    subtracts b's binary: its columns are the name-table rows of G's cells,
+    used as they are, and its -1 column is the table's diagonal. The diagonal
+    product a == b is b's binary itself, so when b lies in G the two cancel
+    and neither term is written (``own``); a singleton group's own row is
+    empty. Symmetry row (a, b), a < b, equates the product of a with b and
+    the product of b with a."""
     keys = [f"{i}_{k}" for i, k in cells]
     by_position: dict[int, list[int]] = {}
     by_product: dict[int, list[int]] = {}
@@ -192,47 +198,15 @@ def _product_rows(
         by_position.setdefault(k, []).append(a)
         by_product.setdefault(i, []).append(a)
     binaries = [row[b] for b, row in enumerate(names)]
-    for prefix, groups in (("li", by_position), ("lk", by_product)):
+    for prefix, groups in (("li_", by_position), ("lk_", by_product)):
         for g in sorted(groups):
             group = groups[g]
-            head = f"{prefix}_{g}_"
-            # column b holds the group's +1 terms with cell b
-            columns = zip(*(plus[a] for a in group))
-            block = [
-                (head + key_b, column, binary, 0)
-                for key_b, column, binary in zip(keys, columns, binaries)
-            ]
-            for j, b in enumerate(group):
-                name, column, _, _ = block[b]
-                block[b] = (name, column[:j] + column[j + 1 :], None, 0)
-            yield block
+            yield f"{prefix}{g}_", keys, [names[a] for a in group], binaries, group
     for a, key_a in enumerate(keys):
-        head = f"sym_{key_a}_"
-        yield [
-            (head + key_b, (term,), row_b[a], 0)
-            for key_b, term, row_b in zip(keys[a + 1 :], plus[a][a + 1 :], names[a + 1 :])
-        ]
-
-
-def _row_blocks(
-    rows: ModelRows, terms: Callable[[Sequence[str]], Sequence]
-) -> Iterator[list[Row]]:
-    """Every row of ``rows`` in model order, one block at a time: the head
-    rows, then the product layer's blocks. ``terms`` maps variable names to
-    their +1 terms (the names for the writer, values for the validator);
-    each -1 term stays a name."""
-    yield [(name, terms(plus), minus, rhs) for name, plus, minus, rhs in rows.head]
-    yield from _product_rows(rows.cells, rows.names, [terms(row) for row in rows.names])
-
-
-def _objective_terms(model: LinearModel) -> Iterator[tuple[str, float]]:
-    """The objective's nonzero terms ``(name, coeff)`` in row-major cell
-    order, each name read off the name table beside the coefficient table.
-    One table row is read at a time, so the terms are never held whole."""
-    for coeffs, names in zip(model.objective, model.constraints.names):
-        cols = np.flatnonzero(coeffs)
-        for b, coeff in zip(cols.tolist(), coeffs[cols].tolist()):
-            yield names[b], coeff
+        yield (
+            f"sym_{key_a}_", keys[a + 1 :], [names[a][a + 1 :]],
+            map(itemgetter(a), names[a + 1 :]), (),
+        )
 
 
 def _cells(elig: np.ndarray, sparsify: bool) -> list[tuple[int, int]]:
@@ -466,11 +440,46 @@ def _terms_text(plus: Sequence[str], minus: str | None) -> str:
     return f"{text}\n  - 1 {minus}"
 
 
+# A placeholder name: cutting a row's text at it leaves the separators
+# between the row's fields. No row or variable name holds it.
+_SLOT = "\0"
+
+
+def _block_text(block: ProductBlock) -> str:
+    """LP text of a product block's written rows. A regular row is joined
+    from its fields (name key, +1 terms, -1 term) and the block's constant
+    separators, which are ``_terms_text``'s layout of the row cut at
+    placeholder names; an own row goes through ``_terms_text`` itself, and an
+    empty one is not written."""
+    head, keys, plus, minus, own = block
+    template = f" {head}{_SLOT}: {_terms_text((_SLOT,) * len(plus), _SLOT)} = 0\n"
+    seps = [repeat(sep) for sep in template.split(_SLOT)]
+    fields = [iter(keys), *map(iter, plus), iter(minus)]
+
+    def regular(count: int) -> str:
+        # the next ``count`` rows; every field advances together
+        cut = [islice(field, count) for field in fields]
+        return "".join(map("".join, zip(*chain.from_iterable(zip(seps, cut)), seps[-1])))
+
+    parts = []
+    start = 0
+    for j, b in enumerate(own):
+        parts.append(regular(b - start))
+        key, *terms = map(next, fields)
+        terms = terms[:j] + terms[j + 1 : -1]
+        if terms:
+            parts.append(f" {head}{key}: {_terms_text(terms, None)} = 0\n")
+        start = b + 1
+    parts.append(regular(len(keys) - start))
+    return "".join(parts)
+
+
 def write_lp(model: LinearModel, path: str) -> None:
     """Emit the model as an LP-format file: Maximize / Subject To / Bounds /
     Binaries / End. Byte-identical output for identical models. Rows are
-    written as soon as they are formatted, one string per row block, straight
+    written as soon as they are formatted, one string per block, straight
     from their variable names, so the text is never held whole."""
+    rows = model.constraints
     with open(path, "w", encoding="utf-8") as fh:
         write = fh.write
         write(f"\\ {model.tag} exposure maximization model\nMaximize\n")
@@ -480,19 +489,16 @@ def write_lp(model: LinearModel, path: str) -> None:
             anchor = model.binary_names[0] if model.binary_names else model.continuous_names[0]
             write(f" obj: 0 {anchor}\n")
         write("Subject To\n")
-        # the right-hand side, 0 or 1, as text by lookup, not by formatting
-        # each row's number; most rows are one +1 term and one -1 term
         equals = (" = 0\n", " = 1\n")
-        for block in _row_blocks(model.constraints, _same):
-            write(
-                "".join(
-                    f" {name}: 1 {plus[0]} - 1 {minus}{equals[rhs]}"
-                    if len(plus) == 1 and minus is not None
-                    else f" {name}: {_terms_text(plus, minus)}{equals[rhs]}"
-                    for name, plus, minus, rhs in block
-                    if plus or minus is not None
-                )
+        write(
+            "".join(
+                f" {name}: {_terms_text(plus, minus)}{equals[rhs]}"
+                for name, plus, minus, rhs in rows.head
+                if plus or minus is not None
             )
+        )
+        for block in _product_rows(rows.cells, rows.names):
+            write(_block_text(block))
         write("Bounds\n")
         for name in model.fixed_zero:
             write(f" {name} = 0\n")
@@ -501,11 +507,6 @@ def write_lp(model: LinearModel, path: str) -> None:
         for start in range(0, len(names), 8):
             write(" " + " ".join(names[start : start + 8]) + "\n")
         write("End\n")
-
-
-def _same(names: Sequence[str]) -> Sequence[str]:
-    """The writer's +1 terms: the variable names themselves."""
-    return names
 
 
 def parse_solution_file(path: str) -> ExternalSolution:
@@ -540,7 +541,20 @@ def parse_solution_file(path: str) -> ExternalSolution:
 
 
 def evaluate_linear_objective(model: LinearModel, values: dict[str, float]) -> float:
-    return float(sum(coeff * values.get(name, 0.0) for name, coeff in _objective_terms(model)))
+    """The objective at ``values`` (a missing name reads 0): each nonzero
+    term's coefficient times its variable's value, in row-major cell order,
+    added by one running sum over all table rows."""
+    get = values.get
+    zeros = repeat(0.0)
+
+    def row_terms(coeffs: np.ndarray, names: list[str]) -> Iterator[float]:
+        cols = np.flatnonzero(coeffs)
+        return map(
+            mul, coeffs[cols].tolist(), map(get, map(names.__getitem__, cols.tolist()), zeros)
+        )
+
+    terms = map(row_terms, model.objective, model.constraints.names)
+    return float(sum(chain.from_iterable(terms)))
 
 
 def validate_solution(
@@ -582,22 +596,38 @@ def validate_solution(
             off = amounts(v)
         for j in flagged(off):
             violations.append(template.format(names[j], _fmt(float(v[j]))))
-    for block in _row_blocks(model.constraints, lambda row: list(map(get, row, zeros))):
-        # -v is -1.0 * v: each row sums the terms, in order, that a sum of
-        # (coefficient * value) products would; the float start keeps an
-        # empty row's residual a float
-        residuals = [
-            sum(plus if minus is None else (*plus, -get(minus, 0.0)), 0.0) - rhs
-            for _, plus, minus, rhs in block
-        ]
-        for j in flagged(np.abs(residuals)):
-            violations.append(f"constraint {block[j][0]} residual {_fmt(residuals[j])}")
+    rows = model.constraints
+    # a row's residual adds its +1 terms' values in order from 0.0 and then
+    # subtracts its -1 term's value and its right-hand side, as a sum of
+    # (coefficient * value) products would
+    residuals = [
+        sum(map(get, plus, zeros), 0.0) - (0.0 if minus is None else get(minus, 0.0)) - rhs
+        for _, plus, minus, rhs in rows.head
+    ]
+    for j in flagged(np.abs(residuals)):
+        violations.append(f"constraint {rows.head[j][0]} residual {_fmt(residuals[j])}")
+    # a product row's residual is the same sum, one column at a time; an own
+    # row is summed as a head row is
+    blocks = _product_rows(rows.cells, rows.names)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in a sum
+        for head, keys, plus, minus, own in blocks:
+            count = len(keys)
+            residuals = np.zeros(count)
+            for column in plus:
+                residuals += np.fromiter(map(get, column, zeros), dtype=float, count=count)
+            residuals -= np.fromiter(map(get, minus, zeros), dtype=float, count=count)
+            for j, b in enumerate(own):
+                residuals[b] = sum([get(col[b], 0.0) for col in plus[:j] + plus[j + 1 :]], 0.0)
+            for j in flagged(np.abs(residuals)):
+                violations.append(
+                    f"constraint {head}{keys[j]} residual {_fmt(float(residuals[j]))}"
+                )
 
     # the assignment binaries are the product layer's: cell a's is names[a][a]
-    names = model.constraints.names
+    names = rows.names
     mapping: dict[str, str] = {}
     duplicates = False
-    for a, (i, k) in enumerate(model.constraints.cells):
+    for a, (i, k) in enumerate(rows.cells):
         if values[names[a][a]] > 0.5:
             pid = instance.product_ids[i]
             if pid in mapping:

@@ -3,9 +3,12 @@ constraint-count closed forms, LP text format, and solution validation."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
 import itertools
+import math
+import re
 import sys
 import tempfile
 import tracemalloc
@@ -24,7 +27,7 @@ from conftest import (
 )
 from storelayout import linearize as linearize_module
 from storelayout.cli import main
-from storelayout.demand import expected_transitions, load_transactions
+from storelayout.demand import expected_transitions, load_transactions, read_transactions_csv
 from storelayout.errors import InputError, ParseError, ValidationError
 from storelayout.linearize import (
     ExternalSolution,
@@ -33,8 +36,7 @@ from storelayout.linearize import (
     SolutionReport,
     _cell_names,
     _family_rows,
-    _objective_terms,
-    _row_blocks,
+    _product_rows,
     evaluate_linear_objective,
     linearize,
     linearize_integrated,
@@ -51,7 +53,9 @@ from storelayout.qap import (
     check_feasible,
     objective_of_permutation,
 )
+from storelayout.solvers import capacity_eligibility
 from storelayout.store import build_exposure_matrices
+from storelayout.storefile import load_store
 
 
 def decode_variable(name: str) -> tuple[str, tuple[int, ...]]:
@@ -137,6 +141,16 @@ def residuals(model: LinearModel, values: dict[str, float]) -> float:
 def row_count(model: LinearModel, prefix: str) -> int:
     """Written rows of ``model`` whose name starts with ``prefix``."""
     return sum(1 for name, _, _ in lp_rows(model) if name.startswith(prefix))
+
+
+def _objective_terms(model: LinearModel):
+    """The objective's nonzero terms ``(name, coeff)`` in row-major cell
+    order, each name read off the name table beside the coefficient table:
+    the term-by-term reading of ``model.objective``."""
+    for coeffs, names in zip(model.objective, model.constraints.names):
+        cols = np.flatnonzero(coeffs)
+        for b, coeff in zip(cols.tolist(), coeffs[cols].tolist()):
+            yield names[b], coeff
 
 
 GOLDEN_2X2 = """\\ level1 exposure maximization model
@@ -451,11 +465,32 @@ def unit_terms(names) -> list[tuple[str, float]]:
     return [(name, 1.0) for name in names]
 
 
+def expand_block(block) -> list[tuple]:
+    """The rows (name, +1 terms, -1 term or None, 0) of a product column
+    block, in order."""
+    head, keys, plus, minus, own = block
+    rows = [
+        (head + key, tuple(terms[:-1]), terms[-1], 0)
+        for key, *terms in zip(keys, *plus, minus, strict=True)
+    ]
+    for j, b in enumerate(own):
+        name, terms, _, _ = rows[b]
+        rows[b] = (name, terms[:j] + terms[j + 1 :], None, 0)
+    return rows
+
+
 def expanded_rows(model: LinearModel) -> list[Constraint]:
-    """Every row of ``model``, in order, from the stream that write_lp and
-    validate_solution read."""
-    blocks = _row_blocks(model.constraints, unit_terms)
-    return [as_constraint(row) for block in blocks for row in block]
+    """Every row of ``model``, in order: the head rows, then the product
+    layer's column blocks, which write_lp and validate_solution read,
+    expanded row by row."""
+    rows = model.constraints
+    blocks = _product_rows(rows.cells, rows.names)
+    return [
+        as_constraint((name, unit_terms(plus), minus, rhs))
+        for name, plus, minus, rhs in itertools.chain(
+            rows.head, itertools.chain.from_iterable(map(expand_block, blocks))
+        )
+    ]
 
 
 def ref_assignment_rows(n: int, cell_set: set[tuple[int, int]], bvar: str) -> list[Constraint]:
@@ -1179,6 +1214,91 @@ class TestWriterText:
         assert peak < table / 2, (peak, table)
 
 
+# -- the product layer's column blocks against the row tuples they replaced -----------
+
+
+def ref_product_rows(cells, names, plus):
+    """The product layer's rows as tuples (name, +1 terms, -1 term or None,
+    0), one list per block, as ``_product_rows`` gave them before it gave
+    column blocks. ``plus`` is any per-cell-pair table on ``names``."""
+    keys = [f"{i}_{k}" for i, k in cells]
+    by_position: dict[int, list[int]] = {}
+    by_product: dict[int, list[int]] = {}
+    for a, (i, k) in enumerate(cells):
+        by_position.setdefault(k, []).append(a)
+        by_product.setdefault(i, []).append(a)
+    binaries = [row[b] for b, row in enumerate(names)]
+    for prefix, groups in (("li", by_position), ("lk", by_product)):
+        for g in sorted(groups):
+            group = groups[g]
+            head = f"{prefix}_{g}_"
+            columns = zip(*(plus[a] for a in group))
+            block = [
+                (head + key_b, column, binary, 0)
+                for key_b, column, binary in zip(keys, columns, binaries)
+            ]
+            for j, b in enumerate(group):
+                name, column, _, _ = block[b]
+                block[b] = (name, column[:j] + column[j + 1 :], None, 0)
+            yield block
+    for a, key_a in enumerate(keys):
+        head = f"sym_{key_a}_"
+        yield [
+            (head + key_b, (term,), row_b[a], 0)
+            for key_b, term, row_b in zip(keys[a + 1 :], plus[a][a + 1 :], names[a + 1 :])
+        ]
+
+
+def old_row_text(name: str, plus, minus, rhs: int) -> str:
+    """A row's LP line(s) in the piece layout."""
+    pieces = ["+ 1 " + term for term in plus] + ([f"- 1 {minus}"] if minus is not None else [])
+    return f" {name}: {old_layout(pieces, '  ')} = {rhs}\n"
+
+
+def group_sizes(cells) -> set[int]:
+    """The member counts of the li and lk groups over ``cells``."""
+    return set(Counter(k for _, k in cells).values()) | set(Counter(i for i, _ in cells).values())
+
+
+def block_cases():
+    """Models of all three kinds, full and sparsified, whose li and lk groups
+    have 1, 6, 7 and 13 members among others: an own row with no term, and
+    regular rows on one line, across one line break and across two."""
+    rng = Random(281)
+    for n_real, full in ((3, False), (6, True), (7, True), (13, True)):
+        yield linearize(random_level1_instance(rng, n_real, full_eligibility=full), sparsify=True)
+    for n_real in (2, 4, 5):
+        yield linearize(random_level1_instance(rng, n_real), sparsify=False)
+    yield linearize(random_level2_instance(rng, (1, 6, 7, 13)), sparsify=True)
+    yield linearize(random_level2_instance(rng, (2, 3)), sparsify=False)
+    for sizes, sparsify in (((1, 6), True), ((7, 2), True), ((2, 3), False)):
+        graph, catalog, matrices, exposures = random_integrated_pieces(rng, sizes)
+        yield linearize_integrated(exposures, matrices, None, catalog, graph, sparsify=sparsify)
+
+
+class TestProductBlocks:
+    def test_blocks_expand_to_the_reference_rows(self, tmp_path):
+        sizes, tags = set(), set()
+        for model in block_cases():
+            rows = model.constraints
+            blocks = list(_product_rows(rows.cells, rows.names))
+            ref = list(ref_product_rows(rows.cells, rows.names, rows.names))
+            assert len(blocks) == len(ref)
+            for block, ref_block in zip(blocks, ref):
+                assert expand_block(block) == ref_block
+            # every written row is the piece layout of its reference tuple
+            text = written(model, tmp_path / "model.lp")
+            body = text[text.index("Subject To\n") + 11 : text.index("Bounds\n")]
+            ref_rows = itertools.chain(rows.head, *ref)
+            assert body == "".join(
+                old_row_text(*row) for row in ref_rows if row[1] or row[2] is not None
+            )
+            sizes |= group_sizes(rows.cells)
+            tags.add(model.tag)
+        assert {1, 6, 7, 13} <= sizes, sizes
+        assert tags == {"level1", "level2", "integrated"}
+
+
 # -- validate_solution against the Constraint-loop validator ---------------------------
 
 
@@ -1200,9 +1320,11 @@ def reference_validate_solution(
     worst = 0.0
 
     def note(amount: float, message: str) -> None:
+        # a NaN amount fails every comparison: it is a violation, and never
+        # the worst amount
         nonlocal worst
         worst = max(worst, amount)
-        if amount > tolerance:
+        if not amount <= tolerance:
             violations.append(message)
 
     def fmt(value: float) -> str:
@@ -1210,13 +1332,15 @@ def reference_validate_solution(
 
     for name in model.binary_names:
         v = values[name]
-        note(abs(v - round(v)), f"binary {name} = {fmt(v)} is not integral")
+        # round() rejects NaN and the infinities; neither is near an integer
+        off = abs(v - round(v)) if math.isfinite(v) else math.nan
+        note(off, f"binary {name} = {fmt(v)} is not integral")
     for name in model.fixed_zero:
         v = values.get(name, 0.0)
         note(abs(v), f"fixed variable {name} = {fmt(v)} violates its zero bound")
     for name in model.continuous_names:
         v = values.get(name, 0.0)
-        note(max(0.0, -v), f"continuous {name} = {fmt(v)} is negative")
+        note(-v, f"continuous {name} = {fmt(v)} is negative")
     for con in model.constraints:
         total = sum(coeff * values.get(name, 0.0) for name, coeff in con.coeffs)
         note(abs(total - con.rhs), f"constraint {con.name} residual {fmt(total - con.rhs)}")
@@ -1260,7 +1384,11 @@ def reference_validate_solution(
 
 
 ROW_BREAKS = ("asg_", "grp_", "li_", "lk_", "sym_")
-PERTURBATIONS = ROW_BREAKS + ("fractional binary", "negative product", "fixed-zero binary set")
+PERTURBATIONS = ROW_BREAKS + (
+    "fractional binary", "negative product", "fixed-zero binary set",
+    "non-finite product", "non-finite cell binary",
+)
+NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
 def perturbed(rng: Random, kind: str, model: LinearModel, ref: LinearModel, base: dict):
@@ -1282,6 +1410,15 @@ def perturbed(rng: Random, kind: str, model: LinearModel, ref: LinearModel, base
         if not model.continuous_names:
             return None
         values[rng.choice(model.continuous_names)] = -rng.choice((0.3, 1.0, 1e-9))
+    elif kind == "non-finite product":
+        if not model.continuous_names:
+            return None
+        values[rng.choice(model.continuous_names)] = rng.choice(NON_FINITE)
+    elif kind == "non-finite cell binary":
+        # a cell's own li and lk rows leave its binary out
+        names = model.constraints.names
+        a = rng.randrange(len(names))
+        values[names[a][a]] = rng.choice(NON_FINITE)
     else:
         if not model.fixed_zero:
             return None
@@ -1292,8 +1429,15 @@ def perturbed(rng: Random, kind: str, model: LinearModel, ref: LinearModel, base
     return values, broken
 
 
+def report_fields(report: SolutionReport) -> list:
+    """The report's fields, each float as its bits, so that NaN matches
+    NaN."""
+    fields = (getattr(report, field.name) for field in dataclasses.fields(report))
+    return [v.hex() if type(v) is float else v for v in fields]
+
+
 class TestValidateSolutionMatchesReference:
-    """The row-stream validator returns the Constraint-loop validator's
+    """The column-block validator returns the Constraint-loop validator's
     report: the same violations in the same order, the same bits."""
 
     def assert_same_reports(self, instance: QapInstance, rng: Random, seen: Counter) -> None:
@@ -1310,10 +1454,9 @@ class TestValidateSolutionMatchesReference:
                 solution = ExternalSolution(values, rng.choice((None, 1.5)))
                 want = reference_validate_solution(instance, ref, solution)
                 got = validate_solution(instance, model, solution)
-                assert got == want, kind
+                assert report_fields(got) == report_fields(want), kind
                 for field in ("max_constraint_violation", "linear_objective"):
                     assert type(getattr(got, field)) is float
-                    assert getattr(got, field).hex() == getattr(want, field).hex(), field
                 if broken is not None:
                     assert any(v.startswith(f"constraint {broken.name} ") for v in want.violations)
                 seen[kind] += 1
@@ -1407,6 +1550,67 @@ def test_bundled_store_lp_files_are_pinned(tmp_path):
     assert main(argv) == 0
     for name, digest in BUNDLED_LP_SHA256.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.fixture(scope="module")
+def bundled_integrated_model() -> LinearModel:
+    """The sparsified integrated model of the bundled store and baskets, as
+    export-lp builds it."""
+    doc = load_store(str(FIXTURES / "synthetic_store.json"))
+    baskets = read_transactions_csv(str(FIXTURES / "synthetic_transactions.csv"), doc.catalog)
+    return linearize_integrated(
+        build_exposure_matrices(doc.graph),
+        expected_transitions(baskets, doc.catalog),
+        capacity_eligibility(doc.eligibility, doc.catalog, doc.graph),
+        doc.catalog,
+        doc.graph,
+        sparsify=True,
+    )
+
+
+def test_objective_value_keeps_the_term_by_term_bits(bundled_integrated_model):
+    # one running sum over every term in row-major order; a subtotal per
+    # table row rounds differently
+    model = bundled_integrated_model
+    names = model.binary_names + model.continuous_names
+    rng = Random(283)
+    regrouped = 0
+    for _ in range(2):
+        values = {name: rng.uniform(-1.0, 1.0) for name in names if rng.random() < 0.9}
+        terms = [coeff * values.get(name, 0.0) for name, coeff in _objective_terms(model)]
+        want = sum(coeff * values.get(name, 0.0) for name, coeff in _objective_terms(model))
+        got = evaluate_linear_objective(model, values)
+        assert type(got) is float and got.hex() == want.hex()
+        by_row = np.count_nonzero(model.objective, axis=1).cumsum().tolist()
+        subtotals = sum(sum(terms[a:b]) for a, b in zip([0, *by_row], by_row))
+        regrouped += subtotals.hex() != want.hex()
+    assert len(terms) > 300_000 and regrouped
+
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "storelayout"
+PRODUCT_ROW_PREFIX = re.compile(r"(?<![A-Za-z0-9_])(li|lk|sym)_")
+
+
+def test_product_row_names_are_spelled_in_one_function():
+    """The li_, lk_ and sym_ row-name prefixes occur in one function of the
+    package, ``_product_rows``, so the writer and the validator can hold no
+    second description of the product layer. Docstrings do not count."""
+    spelled: dict[str, set[str]] = {}
+
+    def visit(node: ast.AST, path: Path, scope: str) -> None:
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            return  # a docstring
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for prefix in PRODUCT_ROW_PREFIX.findall(node.value):
+                spelled.setdefault(prefix, set()).add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, path.stem)
+    assert spelled == dict.fromkeys(("li", "lk", "sym"), {"linearize._product_rows"})
 
 
 class TestSolutionFileParsing:
