@@ -25,7 +25,8 @@ is an equation of +1 terms, at most one -1 term and a right-hand side of 0 or
 rows are described, not stored: ``_product_rows`` gives them as column
 blocks (``ProductBlock``) over the cells and the name table, and is their
 only description. ``write_lp`` joins each block's text in one pass, and
-``validate_solution`` sums each block's columns as arrays.
+``validate_solution`` reads each block's columns as lists of values and
+sums each row's terms across them with Python's ``sum``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from operator import itemgetter, mul
+from operator import itemgetter, mul, neg
 
 import numpy as np
 
@@ -597,31 +598,26 @@ def validate_solution(
         for j in flagged(off):
             violations.append(template.format(names[j], _fmt(float(v[j]))))
     rows = model.constraints
-    # a row's residual adds its +1 terms' values in order from 0.0 and then
-    # subtracts its -1 term's value and its right-hand side, as a sum of
-    # (coefficient * value) products would
+    # -v is -1.0 * v: each row sums, with Python's sum, the terms in order
+    # that a sum of (coefficient * value) products would; the float start
+    # keeps an empty row's residual a float
     residuals = [
-        sum(map(get, plus, zeros), 0.0) - (0.0 if minus is None else get(minus, 0.0)) - rhs
+        sum(chain(map(get, plus, zeros), () if minus is None else (-get(minus, 0.0),)), 0.0)
+        - rhs
         for _, plus, minus, rhs in rows.head
     ]
     for j in flagged(np.abs(residuals)):
         violations.append(f"constraint {rows.head[j][0]} residual {_fmt(residuals[j])}")
-    # a product row's residual is the same sum, one column at a time; an own
-    # row is summed as a head row is
-    blocks = _product_rows(rows.cells, rows.names)
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in a sum
-        for head, keys, plus, minus, own in blocks:
-            count = len(keys)
-            residuals = np.zeros(count)
-            for column in plus:
-                residuals += np.fromiter(map(get, column, zeros), dtype=float, count=count)
-            residuals -= np.fromiter(map(get, minus, zeros), dtype=float, count=count)
-            for j, b in enumerate(own):
-                residuals[b] = sum([get(col[b], 0.0) for col in plus[:j] + plus[j + 1 :]], 0.0)
-            for j in flagged(np.abs(residuals)):
-                violations.append(
-                    f"constraint {head}{keys[j]} residual {_fmt(float(residuals[j]))}"
-                )
+    # a product row is summed the same way, its terms read across the
+    # block's value columns; an own row leaves out its own column and the
+    # -1 term
+    for head, keys, plus, minus, own in _product_rows(rows.cells, rows.names):
+        columns = [list(map(get, column, zeros)) for column in plus]
+        residuals = list(map(sum, zip(*columns, map(neg, map(get, minus, zeros))), zeros))
+        for j, b in enumerate(own):
+            residuals[b] = sum([column[b] for column in columns[:j] + columns[j + 1 :]], 0.0)
+        for j in flagged(np.abs(residuals)):
+            violations.append(f"constraint {head}{keys[j]} residual {_fmt(residuals[j])}")
 
     # the assignment binaries are the product layer's: cell a's is names[a][a]
     names = rows.names

@@ -4,6 +4,7 @@ constraint-count closed forms, LP text format, and solution validation."""
 from __future__ import annotations
 
 import ast
+import builtins
 import dataclasses
 import hashlib
 import itertools
@@ -1429,6 +1430,23 @@ def perturbed(rng: Random, kind: str, model: LinearModel, ref: LinearModel, base
     return values, broken
 
 
+def compensated_sum(iterable, start=0):
+    """sum() as Python 3.12 and later add floats: Neumaier's compensated
+    summation, so the result depends on which terms are summed together,
+    not only on their order. Items with no exact float among them (start
+    included) are added by the builtin."""
+    items = list(iterable)
+    if not any(type(x) is float for x in (start, *items)):
+        return builtins.sum(items, start)
+    total, c = float(start), 0.0
+    for x in map(float, items):
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    # an infinite or NaN compensation is dropped, as CPython drops it
+    return total + c if c and math.isfinite(c) else total
+
+
 def report_fields(report: SolutionReport) -> list:
     """The report's fields, each float as its bits, so that NaN matches
     NaN."""
@@ -1473,6 +1491,21 @@ class TestValidateSolutionMatchesReference:
         for sizes in ((2, 1), (2, 2), (3, 1), (1, 1, 1), (1, 2, 1)):
             self.assert_same_reports(random_level2_instance(rng, sizes), rng, seen)
         assert set(seen) == set(PERTURBATIONS) - {"asg_", "fixed-zero binary set"}
+
+    def test_compensated_sum_keeps_the_reference_bits(self, monkeypatch):
+        # from Python 3.12 sum() of floats is compensated, so a residual has
+        # the reference's bits on every version only if it is, as there, one
+        # Python sum over the row's terms; adding columns as arrays is not
+        monkeypatch.setattr(linearize_module, "sum", compensated_sum, raising=False)
+        monkeypatch.setitem(globals(), "sum", compensated_sum)
+        rng, seen = Random(271), Counter()
+        for trial in range(8):
+            inst = random_level1_instance(rng, rng.randint(2, 4), full_eligibility=trial % 4 == 0)
+            self.assert_same_reports(inst, rng, seen)
+        for sizes in ((2, 2), (1, 2, 1), (3, 1)):
+            self.assert_same_reports(random_level2_instance(rng, sizes), rng, seen)
+        assert set(seen) == set(PERTURBATIONS)
+        assert compensated_sum([-0.3, 1.0, -1.0]) != (-0.3 + 1.0) - 1.0
 
     @pytest.mark.parametrize("sparsify", [False, True])
     def test_feasible_integrated_witness_formats_nothing(self, monkeypatch, sparsify):
@@ -1525,6 +1558,26 @@ class TestValidateSolutionMatchesReference:
         assert got == want and len(got.violations) == 6
         worst = got.max_constraint_violation
         assert worst.hex() == want.max_constraint_violation.hex() == (1.0).hex()
+
+
+    def test_head_row_sums_its_minus_term_with_the_rest(self, monkeypatch):
+        # under a compensated sum, 1e16 + 1 - 1e16 is 1 only when the -1
+        # term is summed with the +1 terms rather than subtracted after
+        monkeypatch.setattr(linearize_module, "sum", compensated_sum, raising=False)
+        monkeypatch.setitem(globals(), "sum", compensated_sum)
+        empty = dict(binary_names=(), fixed_zero=(), continuous_names=())
+        model = LinearModel(
+            tag="level2", objective=np.zeros((0, 0)),
+            constraints=ModelRows((("grp_t", ("a", "b"), "m", 0),), [], []), **empty,
+        )
+        coeffs = (("a", 1.0), ("b", 1.0), ("m", -1.0))
+        ref_rows = (Constraint("grp_t", coeffs, "=", 0),)
+        ref = LinearModel(tag="level2", objective=(), constraints=ref_rows, **empty)
+        solution = ExternalSolution({"a": 1e16, "b": 1.0, "m": 1e16}, None)
+        got = validate_solution(toy_2x2(), model, solution)
+        want = reference_validate_solution(toy_2x2(), ref, solution)
+        assert report_fields(got) == report_fields(want)
+        assert got.max_constraint_violation == 1.0
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
