@@ -17,24 +17,29 @@ every reader finds a variable by its cell, never by parsing its name.
 All three models come from the same builders: one-to-one assignment rows
 (``_assignment_layer``), family rows tying a category's members to a
 location's slots (``_family_rows``), and the product layer, assembled into a
-``LinearModel`` by ``_model``. Every binary and product name of a layer comes
-from one table (``_cell_names``; the binaries are its diagonal), and the
-objective is the coefficient table of the same shape beside it. Every row
-is an equation of +1 terms, at most one -1 term and a right-hand side of 0 or
-1; the head rows are stored as such tuples (``Row``). The product layer's
-rows are described, not stored: ``_product_rows`` gives them as column
-blocks (``ProductBlock``) over the cells and the name table, and is their
-only description. ``write_lp`` joins each block's text in one pass, and
-``validate_solution`` reads each block's columns as lists of values and
-sums each row's terms across them with Python's ``sum``.
+``LinearModel`` by ``_model``. No product-layer name is stored: a layer
+keeps its cells' index keys and its two variable prefixes (``ProductNames``),
+and each reader spells a name from those when it needs one. Cell a's binary
+is ``z_<key_a>`` and the product of cells a and b is ``y_<key_a>_<key_b>``,
+so the layer's names form an (N, N) table with the binaries on its diagonal,
+and the objective is the coefficient table of that shape. Every row is an
+equation of +1 terms, at most one -1 term and a right-hand side of 0 or 1;
+the head rows are stored as such tuples (``Row``). The product layer's rows
+are described, not stored: ``_product_rows`` gives them as column blocks
+(``ProductBlock``) over the cells, and is their only description. Every
+name in a product row is spelled around the row's own cell key, so
+``write_lp`` lays a block's row out once, cut at that key, and joins each
+row from the pieces with its key. ``validate_solution`` reads the layer's
+values one table row at a time and sums each row's terms with Python's
+``sum``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+import operator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
-from operator import itemgetter, mul, neg
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -65,34 +70,80 @@ TOLERANCE = 1e-6
 # stored so.
 Row = tuple[str, Sequence[str], "str | None", int]
 
-# A product block (head, keys, plus, minus, own) states len(keys) rows of the
-# product layer at once. Row j is named head + keys[j]; its +1 terms are
-# column[j] for each column of ``plus``, its -1 term is minus[j], and its
-# right-hand side is 0. ``minus`` may be an iterator, read once. The j-th
-# entry of ``own`` is a row that leaves out column j and the -1 term: the
-# row of a group's own cell, empty in a singleton group.
-ProductBlock = tuple[str, Sequence[str], list[Sequence[str]], Iterable[str], Sequence[int]]
+# A product block (head, rows, plus, minus, own) states len(rows) rows of the
+# product layer at once, its columns named by cell index. Row b, for each
+# cell b in the range ``rows``, is named head + key of b; its +1 terms are
+# the products of each cell a of ``plus`` with b, its -1 term is b's binary
+# when ``minus`` is None and the product of b with cell ``minus`` otherwise,
+# and its right-hand side is 0. The j-th entry of ``own`` is a row that
+# leaves out column j and the -1 term: the row of a group's own cell, empty
+# in a singleton group.
+ProductBlock = tuple[str, range, list[int], "int | None", Sequence[int]]
+
+
+class ProductNames(Sequence[str]):
+    """The variable names of a product layer, spelled from its cells' index
+    ``keys`` when they are read: cell a's binary is ``binary + keys[a]`` and
+    the product of cells a and b is ``product + keys[a] + "_" + keys[b]``.
+    As a sequence it is the layer's continuous variables, the products of
+    distinct cells in row-major order, with a closed-form ``len()``; no name
+    is stored."""
+
+    __slots__ = ("keys", "binary", "product")
+
+    def __init__(self, keys: list[str], binary: str, product: str) -> None:
+        self.keys = keys
+        self.binary = binary
+        self.product = product
+
+    def prefix(self, a: int) -> str:
+        """The names of table row a, less its diagonal, are this plus a key."""
+        return f"{self.product}{self.keys[a]}_"
+
+    def __len__(self) -> int:
+        n = len(self.keys)
+        return n * (n - 1)
+
+    def __getitem__(self, index: int) -> str:
+        index = operator.index(index)
+        size = len(self)
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("product name index out of range")
+        a, b = divmod(index, len(self.keys) - 1)
+        return self.prefix(a) + self.keys[b + (b >= a)]
+
+    def __iter__(self) -> Iterator[str]:
+        keys = self.keys
+        for a in range(len(keys)):
+            prefix = self.prefix(a).__add__
+            yield from map(prefix, keys[:a])
+            yield from map(prefix, keys[a + 1 :])
+
+    def __radd__(self, other: tuple[str, ...]) -> tuple[str, ...]:
+        # binary_names + continuous_names, a tuple as when both were tuples
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return other + tuple(self)
 
 
 class ModelRows:
     """The constraint rows of a model: the ``head`` rows, then the product
-    layer's linking and symmetry rows over ``cells``, named from their
-    ``_cell_names`` table ``names``. Product rows are not stored:
-    ``_product_rows`` gives them in model order as column blocks, for
-    ``write_lp`` and ``validate_solution`` alike. Empty rows (a singleton
-    group's own row) are counted but never written."""
+    layer's linking and symmetry rows over ``cells``, whose index keys are
+    ``keys``. Product rows are not stored: ``_product_rows`` gives them in
+    model order as column blocks, for ``write_lp`` and ``validate_solution``
+    alike, and the model's ``continuous_names`` spells their variables. Empty
+    rows (a singleton group's own row) are counted but never written."""
 
-    __slots__ = ("head", "cells", "names")
+    __slots__ = ("head", "cells", "keys")
 
     def __init__(
-        self,
-        head: tuple[Row, ...],
-        cells: list[tuple[int, int]],
-        names: list[list[str]],
+        self, head: tuple[Row, ...], cells: list[tuple[int, int]], keys: list[str]
     ) -> None:
         self.head = head
         self.cells = cells
-        self.names = names
+        self.keys = keys
 
     def __len__(self) -> int:
         # one li row per (position, cell), one lk row per (product, cell),
@@ -107,15 +158,16 @@ class LinearModel:
     """Variable registry, constraint rows and objective of one linearized
     instance. All orderings are deterministic functions of the instance.
 
-    ``objective`` is the ``(N, N)`` coefficient table over the product
-    layer's N cells: ``objective[a, b]`` multiplies the variable
-    ``constraints.names[a][b]``, the binary of cell a when ``a == b``.
-    Its readers take the nonzero terms one table row at a time."""
+    ``continuous_names`` spells the product layer's names over its N cells.
+    ``objective`` is the ``(N, N)`` coefficient table over those cells:
+    ``objective[a, b]`` multiplies the product of cells a and b, or the
+    binary of cell a when ``a == b``. Its readers take the nonzero terms one
+    table row at a time."""
 
     tag: str
     binary_names: tuple[str, ...]
     fixed_zero: tuple[str, ...]
-    continuous_names: tuple[str, ...]
+    continuous_names: ProductNames
     objective: np.ndarray
     constraints: ModelRows
 
@@ -165,49 +217,37 @@ def _product_families(instance: QapInstance) -> list[tuple[tuple[int, ...], tupl
     ] + check_out
 
 
-def _cell_names(cells: list[tuple[int, int]], bvar: str, wvar: str) -> list[list[str]]:
-    """Name table of a cell list: ``names[a][b]`` is the product variable of
-    cells a and b, or the binary of cell a when ``a == b`` (x^2 = x). Equal to
-    ``variable_name`` on the same indices; each cell's index key is formatted
-    once, not once per pair, and every model part takes its names from this
-    one table."""
-    keys = [f"{i}_{k}" for i, k in cells]
-    names: list[list[str]] = []
-    for a, key_a in enumerate(keys):
-        row = [f"{wvar}_{key_a}_{key_b}" for key_b in keys]
-        row[a] = f"{bvar}_{key_a}"
-        names.append(row)
-    return names
+def _layer_names(cells: list[tuple[int, int]], bvar: str, wvar: str) -> ProductNames:
+    """The names of a product layer over ``cells``, binaries ``bvar`` and
+    products ``wvar``; equal to ``variable_name`` on the same indices. Each
+    cell's index key is formatted once, not once per pair."""
+    return ProductNames([f"{i}_{k}" for i, k in cells], f"{bvar}_", f"{wvar}_")
 
 
-def _product_rows(cells: list[tuple[int, int]], names: list[list[str]]) -> Iterator[ProductBlock]:
-    """The product layer's rows in model order as column blocks: a block per
-    li group (the cells at one position, ascending), a block per lk group
-    (the cells of one product, ascending), then a symmetry block per cell a.
+def _product_rows(cells: list[tuple[int, int]], keys: list[str]) -> Iterator[ProductBlock]:
+    """The product layer's rows in model order as column blocks over the
+    cells and their index ``keys``: a block per li group (the cells at one
+    position, ascending), a block per lk group (the cells of one product,
+    ascending), then a symmetry block per cell a.
 
-    Row (group G, cell b) sums the products of b with every cell a of G and
-    subtracts b's binary: its columns are the name-table rows of G's cells,
-    used as they are, and its -1 column is the table's diagonal. The diagonal
+    Row (group G, cell b) sums the products of every cell a of G with b and
+    subtracts b's binary: its plus columns are G's cells. The diagonal
     product a == b is b's binary itself, so when b lies in G the two cancel
     and neither term is written (``own``); a singleton group's own row is
     empty. Symmetry row (a, b), a < b, equates the product of a with b and
     the product of b with a."""
-    keys = [f"{i}_{k}" for i, k in cells]
     by_position: dict[int, list[int]] = {}
     by_product: dict[int, list[int]] = {}
     for a, (i, k) in enumerate(cells):
         by_position.setdefault(k, []).append(a)
         by_product.setdefault(i, []).append(a)
-    binaries = [row[b] for b, row in enumerate(names)]
+    every = range(len(cells))
     for prefix, groups in (("li_", by_position), ("lk_", by_product)):
         for g in sorted(groups):
             group = groups[g]
-            yield f"{prefix}{g}_", keys, [names[a] for a in group], binaries, group
+            yield f"{prefix}{g}_", every, group, None, group
     for a, key_a in enumerate(keys):
-        yield (
-            f"sym_{key_a}_", keys[a + 1 :], [names[a][a + 1 :]],
-            map(itemgetter(a), names[a + 1 :]), (),
-        )
+        yield f"sym_{key_a}_", every[a + 1 :], [a], a, ()
 
 
 def _cells(elig: np.ndarray, sparsify: bool) -> list[tuple[int, int]]:
@@ -262,9 +302,9 @@ def _family_rows(
     return rows
 
 
-def _diagonal(cells: list[tuple[int, int]], names: list[list[str]]) -> dict[tuple[int, int], str]:
-    """Each cell's binary, read off the diagonal of its ``_cell_names`` table."""
-    return {cell: names[a][a] for a, cell in enumerate(cells)}
+def _diagonal(cells: list[tuple[int, int]], names: ProductNames) -> dict[tuple[int, int], str]:
+    """Each cell's binary: the diagonal of the layer's name table."""
+    return dict(zip(cells, map(names.binary.__add__, names.keys)))
 
 
 def _model(
@@ -272,25 +312,28 @@ def _model(
     lead_binaries: tuple[str, ...],
     fixed: tuple[str, ...],
     head: list[Row],
-    cells: list[tuple[int, int]],
-    names: list[list[str]],
+    binary: dict[tuple[int, int], str],
+    names: ProductNames,
     flow: np.ndarray,
     expo: np.ndarray,
 ) -> LinearModel:
-    """The model of ``head`` rows over ``lead_binaries`` and the binaries of
-    ``cells``, completed by the product layer over ``cells``; every name
-    past the lead binaries comes from the ``_cell_names`` table ``names``.
-    The objective coefficient of cells a and b is flow[i1, i2] * expo[k1, k2]."""
+    """The model of ``head`` rows over ``lead_binaries`` and the binary layer
+    ``binary`` (its cells and their names), completed by the product layer
+    over those cells, named by ``names``. The objective coefficient of cells
+    a and b is flow[i1, i2] * expo[k1, k2]."""
+    cells = list(binary)
     products, positions = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+    # gathered rows first, then columns: a broadcast index pair would
+    # allocate two (N, N) index arrays
+    objective = flow[products][:, products]
+    objective *= expo[positions][:, positions]
     return LinearModel(
         tag=tag,
-        binary_names=lead_binaries + tuple(row[a] for a, row in enumerate(names)),
+        binary_names=lead_binaries + tuple(binary.values()),
         fixed_zero=fixed,
-        continuous_names=tuple(
-            chain.from_iterable(row[:a] + row[a + 1 :] for a, row in enumerate(names))
-        ),
-        objective=flow[np.ix_(products, products)] * expo[np.ix_(positions, positions)],
-        constraints=ModelRows(tuple(head), cells, names),
+        continuous_names=names,
+        objective=objective,
+        constraints=ModelRows(tuple(head), cells, names.keys),
     )
 
 
@@ -304,7 +347,7 @@ def linearize(instance: QapInstance, sparsify: bool = False) -> LinearModel:
     """
     bvar, wvar = ("x", "w") if instance.level == LEVEL1 else ("z", "y")
     cells = _cells(instance.eligibility, sparsify)
-    names = _cell_names(cells, bvar, wvar)
+    names = _layer_names(cells, bvar, wvar)
     binary = _diagonal(cells, names)
     if instance.level == LEVEL1:
         fixed, head = _assignment_layer(instance.eligibility, binary)
@@ -319,7 +362,7 @@ def linearize(instance: QapInstance, sparsify: bool = False) -> LinearModel:
             members, slots, binary, lambda fi, fk: (None, 1 if fi == fk else 0)
         )
     return _model(
-        instance.level, (), fixed, head, cells, names, instance.flow, instance.exposure
+        instance.level, (), fixed, head, binary, names, instance.flow, instance.exposure
     )
 
 
@@ -363,15 +406,11 @@ def linearize_integrated(
     x_binary = {cell: variable_name("x", *cell) for cell in _cells(cat_elig, sparsify)}
     fixed, head = _assignment_layer(cat_elig, x_binary)
     cells = _cells(sub_ok, sparsify)
-    names = _cell_names(cells, "z", "y")
-    head += _family_rows(
-        members,
-        slots,
-        _diagonal(cells, names),
-        lambda ci, ki: (x_binary.get((ci, ki)), 0),
-    )
+    names = _layer_names(cells, "z", "y")
+    binary = _diagonal(cells, names)
+    head += _family_rows(members, slots, binary, lambda ci, ki: (x_binary.get((ci, ki)), 0))
     return _model(
-        INTEGRATED, tuple(x_binary.values()), fixed, head, cells, names,
+        INTEGRATED, tuple(x_binary.values()), fixed, head, binary, names,
         transitions.sub_transitions, exposures.sub_exposure,
     )
 
@@ -396,32 +435,38 @@ def _write_objective(write: Callable[[str], object], model: LinearModel) -> None
     """The objective line: each nonzero term as ``+ c name`` or ``- c name``,
     six per line, continuation lines indented one space, the first term's
     sign folded into ``c name`` or ``-c name``. Written one table row at a
-    time, whole lines only, so at most a table row of terms is held."""
+    time: each term is joined from its separator, its coefficient's text, the
+    row's name prefix and the column's key, so no term string is built."""
+    names = model.continuous_names
+    keys = names.keys
     signed = _SignedText()
-    pending: list[str] = []
-    lead = " obj: "
-
-    def flush(count: int) -> None:
-        # write the first ``count`` pending terms as whole lines
-        nonlocal lead
-        text = "\n ".join(" ".join(pending[start : start + 6]) for start in range(0, count, 6))
-        if lead == " obj: ":
-            text = text[2:] if text[0] == "+" else "-" + text[2:]
-        write(lead + text)
-        lead = "\n "
-        del pending[:count]
-
-    for coeffs, names in zip(model.objective, model.constraints.names):
+    count = 0  # terms written so far; every sixth term starts a line
+    for a, coeffs in enumerate(model.objective):
         cols = np.flatnonzero(coeffs)
-        pending += map(
-            str.__add__,
-            map(signed.__getitem__, coeffs[cols].tolist()),
-            map(names.__getitem__, cols.tolist()),
+        if not cols.size:
+            continue
+        seps = [" "] * len(cols)
+        breaks = range(-count % 6, len(cols), 6)
+        seps[breaks.start :: 6] = ["\n "] * len(breaks)
+        heads = [names.prefix(a)] * len(cols)
+        if coeffs[a]:
+            # the diagonal term is cell a's binary
+            heads[int(np.searchsorted(cols, a))] = names.binary
+        text = "".join(
+            chain.from_iterable(
+                zip(
+                    seps,
+                    map(signed.__getitem__, coeffs[cols].tolist()),
+                    heads,
+                    map(keys.__getitem__, cols.tolist()),
+                )
+            )
         )
-        if len(pending) >= 6:
-            flush(len(pending) - len(pending) % 6)
-    if pending:
-        flush(len(pending))
+        if not count:
+            # the first term opens the line: no separator, its sign folded
+            text = (" obj: " if text[2] == "+" else " obj: -") + text[4:]
+        write(text)
+        count += len(cols)
     write("\n")
 
 
@@ -441,45 +486,43 @@ def _terms_text(plus: Sequence[str], minus: str | None) -> str:
     return f"{text}\n  - 1 {minus}"
 
 
-# A placeholder name: cutting a row's text at it leaves the separators
-# between the row's fields. No row or variable name holds it.
+# A placeholder key: a product row's text, with each name spelled around
+# this in place of the row's own cell key, cut at it leaves the pieces that
+# the row's key joins. No key holds it.
 _SLOT = "\0"
 
 
-def _block_text(block: ProductBlock) -> str:
-    """LP text of a product block's written rows. A regular row is joined
-    from its fields (name key, +1 terms, -1 term) and the block's constant
-    separators, which are ``_terms_text``'s layout of the row cut at
-    placeholder names; an own row goes through ``_terms_text`` itself, and an
-    empty one is not written."""
-    head, keys, plus, minus, own = block
-    template = f" {head}{_SLOT}: {_terms_text((_SLOT,) * len(plus), _SLOT)} = 0\n"
-    seps = [repeat(sep) for sep in template.split(_SLOT)]
-    fields = [iter(keys), *map(iter, plus), iter(minus)]
+def _block_text(block: ProductBlock, names: ProductNames) -> str:
+    """LP text of a product block's written rows. Every name in a row (the
+    row's own, each +1 term and the -1 term) is spelled around the row's
+    cell key, so a row is its key joining the pieces of ``_terms_text``'s
+    layout of the row cut at a placeholder key; an own row leaves out its
+    column and the -1 term, and an empty one is not written."""
+    head, rows, plus, minus, own = block
+    keys = names.keys
+    terms = [names.prefix(a) + _SLOT for a in plus]
+    last = names.binary + _SLOT if minus is None else f"{names.product}{_SLOT}_{keys[minus]}"
 
-    def regular(count: int) -> str:
-        # the next ``count`` rows; every field advances together
-        cut = [islice(field, count) for field in fields]
-        return "".join(map("".join, zip(*chain.from_iterable(zip(seps, cut)), seps[-1])))
+    def pieces(row_plus: list[str], row_minus: str | None) -> list[str]:
+        return f" {head}{_SLOT}: {_terms_text(row_plus, row_minus)} = 0\n".split(_SLOT)
 
-    parts = []
-    start = 0
+    regular = pieces(terms, last)
+    parts: list[str] = []
+    start = rows.start
     for j, b in enumerate(own):
-        parts.append(regular(b - start))
-        key, *terms = map(next, fields)
-        terms = terms[:j] + terms[j + 1 : -1]
-        if terms:
-            parts.append(f" {head}{key}: {_terms_text(terms, None)} = 0\n")
+        parts += map(str.join, keys[start:b], repeat(regular))
+        if len(terms) > 1:
+            parts.append(keys[b].join(pieces(terms[:j] + terms[j + 1 :], None)))
         start = b + 1
-    parts.append(regular(len(keys) - start))
+    parts += map(str.join, keys[start : rows.stop], repeat(regular))
     return "".join(parts)
 
 
 def write_lp(model: LinearModel, path: str) -> None:
     """Emit the model as an LP-format file: Maximize / Subject To / Bounds /
     Binaries / End. Byte-identical output for identical models. Rows are
-    written as soon as they are formatted, one string per block, straight
-    from their variable names, so the text is never held whole."""
+    written as soon as they are formatted, one string per block, so the text
+    is never held whole."""
     rows = model.constraints
     with open(path, "w", encoding="utf-8") as fh:
         write = fh.write
@@ -498,8 +541,8 @@ def write_lp(model: LinearModel, path: str) -> None:
                 if plus or minus is not None
             )
         )
-        for block in _product_rows(rows.cells, rows.names):
-            write(_block_text(block))
+        for block in _product_rows(rows.cells, rows.keys):
+            write(_block_text(block, model.continuous_names))
         write("Bounds\n")
         for name in model.fixed_zero:
             write(f" {name} = 0\n")
@@ -534,28 +577,61 @@ def parse_solution_file(path: str) -> ExternalSolution:
                 raise ParseError(
                     f"expected 'name value', got {len(parts)} fields", path=path, line=lineno
                 )
+            name = parts[0]
+            if name in values:
+                first = _first_line_of(path, name)
+                raise ParseError(
+                    f"variable {name!r} is listed twice, on lines {first} and {lineno}",
+                    path=path,
+                    line=lineno,
+                )
             try:
-                values[parts[0]] = float(parts[1])
+                values[name] = float(parts[1])
             except ValueError:
-                raise ParseError(f"bad value for {parts[0]!r}", path=path, line=lineno) from None
+                raise ParseError(f"bad value for {name!r}", path=path, line=lineno) from None
     return ExternalSolution(values=values, reported_objective=reported)
+
+
+def _first_line_of(path: str, name: str) -> int:
+    """The number of the first line of a solution file that gives ``name`` a
+    value; a comment line starts with ``#``, which no name does."""
+    with open(path, encoding="utf-8") as fh:
+        return next(lineno for lineno, raw in enumerate(fh, start=1) if raw.split()[:1] == [name])
+
+
+def _value_table(model: LinearModel, values: dict[str, float]) -> np.ndarray:
+    """The values of the product layer's (N, N) name table: cell a's binary
+    at [a, a] and the product of cells a and b at [a, b], a missing name read
+    as 0. Read one table row at a time, from names spelled for that row."""
+    get = values.get
+    zeros = repeat(0.0)
+    keys = model.constraints.keys
+    names = model.continuous_names
+    table = np.empty((len(keys), len(keys)))
+    for a, row in enumerate(table):
+        row[:] = np.fromiter(map(get, map(names.prefix(a).__add__, keys), zeros), float, len(keys))
+        row[a] = get(names.binary + keys[a], 0.0)
+    return table
 
 
 def evaluate_linear_objective(model: LinearModel, values: dict[str, float]) -> float:
     """The objective at ``values`` (a missing name reads 0): each nonzero
     term's coefficient times its variable's value, in row-major cell order,
-    added by one running sum over all table rows."""
+    added by one running sum over all table rows. Each table row's names are
+    spelled from the row's prefix, and its diagonal term is cell a's binary."""
     get = values.get
     zeros = repeat(0.0)
+    names = model.continuous_names
+    keys = model.constraints.keys
 
-    def row_terms(coeffs: np.ndarray, names: list[str]) -> Iterator[float]:
+    def row_terms(a: int, coeffs: np.ndarray) -> Iterator[float]:
         cols = np.flatnonzero(coeffs)
-        return map(
-            mul, coeffs[cols].tolist(), map(get, map(names.__getitem__, cols.tolist()), zeros)
-        )
+        spelled = list(map(names.prefix(a).__add__, map(keys.__getitem__, cols.tolist())))
+        if coeffs[a]:
+            spelled[int(np.searchsorted(cols, a))] = names.binary + keys[a]
+        return map(operator.mul, coeffs[cols].tolist(), map(get, spelled, zeros))
 
-    terms = map(row_terms, model.objective, model.constraints.names)
-    return float(sum(chain.from_iterable(terms)))
+    return float(sum(chain.from_iterable(map(row_terms, range(len(keys)), model.objective))))
 
 
 def validate_solution(
@@ -586,13 +662,23 @@ def validate_solution(
 
     get = values.get
     zeros = repeat(0.0)
+    table = _value_table(model, values)
+
+    def read(names: Sequence[str]) -> np.ndarray:
+        return np.fromiter(map(get, names, zeros), dtype=float, count=len(names))
+
+    # the continuous values are the table's off its diagonal, row-major
     bounds = (
-        (model.binary_names, lambda v: np.abs(v - np.round(v)), "binary {} = {} is not integral"),
-        (model.fixed_zero, np.abs, "fixed variable {} = {} violates its zero bound"),
-        (model.continuous_names, np.negative, "continuous {} = {} is negative"),
+        (model.binary_names, read(model.binary_names), lambda v: np.abs(v - np.round(v))),
+        (model.fixed_zero, read(model.fixed_zero), np.abs),
+        (model.continuous_names, table[~np.eye(len(table), dtype=bool)], np.negative),
     )
-    for names, amounts, template in bounds:
-        v = np.fromiter(map(get, names, zeros), dtype=float, count=len(names))
+    templates = (
+        "binary {} = {} is not integral",
+        "fixed variable {} = {} violates its zero bound",
+        "continuous {} = {} is negative",
+    )
+    for (names, v, amounts), template in zip(bounds, templates):
         with np.errstate(invalid="ignore"):  # an infinite binary is NaN off integral
             off = amounts(v)
         for j in flagged(off):
@@ -608,27 +694,34 @@ def validate_solution(
     ]
     for j in flagged(np.abs(residuals)):
         violations.append(f"constraint {rows.head[j][0]} residual {_fmt(residuals[j])}")
-    # a product row is summed the same way, its terms read across the
-    # block's value columns; an own row leaves out its own column and the
-    # -1 term
-    for head, keys, plus, minus, own in _product_rows(rows.cells, rows.names):
-        columns = [list(map(get, column, zeros)) for column in plus]
-        residuals = list(map(sum, zip(*columns, map(neg, map(get, minus, zeros))), zeros))
+    # a product row is summed the same way, its terms read off the value
+    # table: plus cell a's term in row b is [a, b], the -1 term is the
+    # diagonal or the minus cell's column; an own row leaves out its own
+    # column and the -1 term
+    keys = rows.keys
+    diagonal = table.diagonal()
+    for head, span, plus, minus, own in _product_rows(rows.cells, keys):
+        cols = slice(span.start, span.stop)
+        last = diagonal[cols] if minus is None else table[cols, minus]
+        terms = np.vstack((table[plus, cols], -last)).T.tolist()
+        residuals = np.fromiter(map(sum, terms, zeros), float, len(terms))
         for j, b in enumerate(own):
-            residuals[b] = sum([column[b] for column in columns[:j] + columns[j + 1 :]], 0.0)
+            row = terms[b - span.start]
+            residuals[b - span.start] = sum(row[:j] + row[j + 1 : -1], 0.0)
         for j in flagged(np.abs(residuals)):
-            violations.append(f"constraint {head}{keys[j]} residual {_fmt(residuals[j])}")
+            violations.append(
+                f"constraint {head}{keys[span[j]]} residual {_fmt(float(residuals[j]))}"
+            )
 
-    # the assignment binaries are the product layer's: cell a's is names[a][a]
-    names = rows.names
+    # the assignment binaries are the product layer's: the table's diagonal
     mapping: dict[str, str] = {}
     duplicates = False
-    for a, (i, k) in enumerate(rows.cells):
-        if values[names[a][a]] > 0.5:
-            pid = instance.product_ids[i]
-            if pid in mapping:
-                duplicates = True
-            mapping[pid] = instance.position_ids[k]
+    for a in np.flatnonzero(diagonal > 0.5).tolist():
+        i, k = rows.cells[a]
+        pid = instance.product_ids[i]
+        if pid in mapping:
+            duplicates = True
+        mapping[pid] = instance.position_ids[k]
     assignment = Assignment.from_mapping(mapping) if mapping else None
     quadratic = None
     if assignment is not None and not duplicates:

@@ -34,8 +34,8 @@ from storelayout.linearize import (
     ExternalSolution,
     LinearModel,
     ModelRows,
+    ProductNames,
     SolutionReport,
-    _cell_names,
     _family_rows,
     _product_rows,
     evaluate_linear_objective,
@@ -144,11 +144,31 @@ def row_count(model: LinearModel, prefix: str) -> int:
     return sum(1 for name, _, _ in lp_rows(model) if name.startswith(prefix))
 
 
+def _cell_names(cells: list[tuple[int, int]], bvar: str, wvar: str) -> list[list[str]]:
+    """Name table of a cell list: ``names[a][b]`` is the product variable of
+    cells a and b, or the binary of cell a when ``a == b`` (x^2 = x). The
+    table the package built for every layer before it spelled names from the
+    cells' keys; the oracle for the names it spells now."""
+    keys = [f"{i}_{k}" for i, k in cells]
+    names: list[list[str]] = []
+    for a, key_a in enumerate(keys):
+        row = [f"{wvar}_{key_a}_{key_b}" for key_b in keys]
+        row[a] = f"{bvar}_{key_a}"
+        names.append(row)
+    return names
+
+
+def name_table(model: LinearModel) -> list[list[str]]:
+    """The oracle name table of ``model``'s product layer."""
+    bvar, wvar = ("x", "w") if model.tag == "level1" else ("z", "y")
+    return _cell_names(model.constraints.cells, bvar, wvar)
+
+
 def _objective_terms(model: LinearModel):
     """The objective's nonzero terms ``(name, coeff)`` in row-major cell
-    order, each name read off the name table beside the coefficient table:
-    the term-by-term reading of ``model.objective``."""
-    for coeffs, names in zip(model.objective, model.constraints.names):
+    order, each name read off the oracle name table beside the coefficient
+    table: the term-by-term reading of ``model.objective``."""
+    for coeffs, names in zip(model.objective, name_table(model)):
         cols = np.flatnonzero(coeffs)
         for b, coeff in zip(cols.tolist(), coeffs[cols].tolist()):
             yield names[b], coeff
@@ -466,17 +486,18 @@ def unit_terms(names) -> list[tuple[str, float]]:
     return [(name, 1.0) for name in names]
 
 
-def expand_block(block) -> list[tuple]:
+def expand_block(block, keys, table) -> list[tuple]:
     """The rows (name, +1 terms, -1 term or None, 0) of a product column
-    block, in order."""
-    head, keys, plus, minus, own = block
-    rows = [
-        (head + key, tuple(terms[:-1]), terms[-1], 0)
-        for key, *terms in zip(keys, *plus, minus, strict=True)
-    ]
+    block over cells with index ``keys``, in order, each name read off the
+    oracle name ``table``."""
+    head, span, plus, minus, own = block
+    rows = []
+    for b in span:
+        last = table[b][b] if minus is None else table[b][minus]
+        rows.append((head + keys[b], tuple(table[a][b] for a in plus), last, 0))
     for j, b in enumerate(own):
-        name, terms, _, _ = rows[b]
-        rows[b] = (name, terms[:j] + terms[j + 1 :], None, 0)
+        name, terms, _, _ = rows[b - span.start]
+        rows[b - span.start] = (name, terms[:j] + terms[j + 1 :], None, 0)
     return rows
 
 
@@ -485,12 +506,11 @@ def expanded_rows(model: LinearModel) -> list[Constraint]:
     layer's column blocks, which write_lp and validate_solution read,
     expanded row by row."""
     rows = model.constraints
-    blocks = _product_rows(rows.cells, rows.names)
+    table = name_table(model)
+    blocks = (expand_block(b, rows.keys, table) for b in _product_rows(rows.cells, rows.keys))
     return [
         as_constraint((name, unit_terms(plus), minus, rhs))
-        for name, plus, minus, rhs in itertools.chain(
-            rows.head, itertools.chain.from_iterable(map(expand_block, blocks))
-        )
+        for name, plus, minus, rhs in itertools.chain(rows.head, *blocks)
     ]
 
 
@@ -800,7 +820,10 @@ def reference_integrated_model(
 def assert_matches_reference(model: LinearModel, ref: LinearModel, tmp_path: Path) -> None:
     for field in dataclasses.fields(LinearModel):
         if field.name not in ("constraints", "objective"):
-            assert getattr(model, field.name) == getattr(ref, field.name), field.name
+            mine = getattr(model, field.name)
+            if isinstance(mine, ProductNames):  # a view, equal to no tuple
+                mine = tuple(mine)
+            assert mine == getattr(ref, field.name), field.name
     assert len(model.constraints) == len(ref.constraints)
     assert expanded_rows(model) == list(ref.constraints)
     # the reference's (name, coeff) list, with the same float64 bits, as
@@ -966,6 +989,28 @@ class TestNameAgreement:
                 want = variable_name("z", i1, k1) if a == b else variable_name("y", i1, k1, i2, k2)
                 assert names[a][b] == want
 
+    def test_continuous_names_view_matches_the_oracle(self):
+        # the view spells the oracle table's names off its diagonal, in
+        # row-major order; the binaries are the lead binaries, then the
+        # table's diagonal, as the reference builds them
+        for model, ref in view_cases():
+            table = name_table(model)
+            want = tuple(
+                itertools.chain.from_iterable(row[:a] + row[a + 1 :] for a, row in enumerate(table))
+            )
+            names = model.continuous_names
+            assert tuple(names) == want == ref.continuous_names
+            assert len(names) == len(want)
+            assert [names[j] for j in range(len(want))] == list(want)
+            assert [names[j] for j in range(-len(want), 0)] == list(want)
+            for outside in (len(want), -len(want) - 1):
+                with pytest.raises(IndexError):
+                    names[outside]
+            lead = model.binary_names[: len(model.binary_names) - len(table)]
+            diagonal = tuple(row[a] for a, row in enumerate(table))
+            assert model.binary_names == lead + diagonal == ref.binary_names
+            assert model.binary_names + names == ref.binary_names + want
+
 
 ROW_PREFIXES = ("asg_p_", "asg_k_", "grp_p_", "grp_k_", "li_", "lk_", "sym_")
 
@@ -1013,7 +1058,7 @@ class TestObjectiveTable:
         # row-major order are the reference's (name, coeff) list
         tags = set()
         for model, ref in view_cases():
-            cells, names = model.constraints.cells, model.constraints.names
+            cells, names = model.constraints.cells, name_table(model)
             table = model.objective
             assert isinstance(table, np.ndarray) and table.dtype == np.float64
             assert table.shape == (len(cells), len(cells)) == (len(names), len(names))
@@ -1168,7 +1213,7 @@ class TestWriterText:
         rng = Random(271)
         inst = random_level1_instance(rng, 3, full_eligibility=True)
         model, ref = linearize(inst), reference_model(inst, False)
-        names = model.constraints.names
+        names = name_table(model)
         seen = Counter()
         for trial in range(60):
             density = rng.choice((0.004, 0.02, 0.1, 0.5, 1.0))
@@ -1194,21 +1239,23 @@ class TestWriterText:
             seen["repeats"] += len(set(coeffs)) < len(coeffs)
         assert len(seen) == 6 and min(seen.values()) > 0, seen
 
-    def test_writer_holds_less_than_the_name_table(self, tmp_path):
-        # a second table of rendered "+ 1 <name>" terms, or the objective's
-        # terms held whole, each take more than half the name table's size
+    def test_export_holds_less_than_the_name_table(self, tmp_path):
+        # building and writing a model spells its names from the cells'
+        # keys: the name table the package used to build, and the tuple of
+        # continuous names beside it, would each take more than half its
+        # size (sys.getsizeof counts its lists and strings)
         graph, catalog, matrices, exposures = TestIntegratedModel.pieces((3, 3, 2, 2))
-        model = linearize_integrated(exposures, matrices, None, catalog, graph, sparsify=True)
-        names = model.constraints.names
+        args = (exposures, matrices, None, catalog, graph)
+        names = name_table(linearize_integrated(*args, sparsify=True))
         table = sys.getsizeof(names) + sum(
             sys.getsizeof(row) + sum(map(sys.getsizeof, row)) for row in names
         )
-        assert np.count_nonzero(model.objective) * 60 > table / 2
+        del names
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            write_lp(model, str(tmp_path / "model.lp"))
+            write_lp(linearize_integrated(*args, sparsify=True), str(tmp_path / "model.lp"))
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -1282,11 +1329,12 @@ class TestProductBlocks:
         sizes, tags = set(), set()
         for model in block_cases():
             rows = model.constraints
-            blocks = list(_product_rows(rows.cells, rows.names))
-            ref = list(ref_product_rows(rows.cells, rows.names, rows.names))
+            table = name_table(model)
+            blocks = list(_product_rows(rows.cells, rows.keys))
+            ref = list(ref_product_rows(rows.cells, table, table))
             assert len(blocks) == len(ref)
             for block, ref_block in zip(blocks, ref):
-                assert expand_block(block) == ref_block
+                assert expand_block(block, rows.keys, table) == ref_block
             # every written row is the piece layout of its reference tuple
             text = written(model, tmp_path / "model.lp")
             body = text[text.index("Subject To\n") + 11 : text.index("Bounds\n")]
@@ -1417,7 +1465,7 @@ def perturbed(rng: Random, kind: str, model: LinearModel, ref: LinearModel, base
         values[rng.choice(model.continuous_names)] = rng.choice(NON_FINITE)
     elif kind == "non-finite cell binary":
         # a cell's own li and lk rows leave its binary out
-        names = model.constraints.names
+        names = name_table(model)
         a = rng.randrange(len(names))
         values[names[a][a]] = rng.choice(NON_FINITE)
     else:
@@ -1699,6 +1747,17 @@ class TestSolutionFileParsing:
         path.write_text("# Objective value = soon\n", encoding="utf-8")
         with pytest.raises(ParseError):
             parse_solution_file(str(path))
+
+    def test_variable_listed_twice(self, tmp_path):
+        # a second value would silently replace the first
+        path = tmp_path / "sol.txt"
+        path.write_text(
+            "# Objective value = 1\nx_0_0 1\nw_0_0_1_1 0.25\n\nx_0_0 0\n", encoding="utf-8"
+        )
+        with pytest.raises(ParseError) as err:
+            parse_solution_file(str(path))
+        assert err.value.line == 5
+        assert "'x_0_0' is listed twice, on lines 2 and 5" in str(err.value)
 
 
 class TestValidateSolution:
