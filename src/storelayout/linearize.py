@@ -30,8 +30,9 @@ are described, not stored: ``_product_rows`` gives them as column blocks
 name in a product row is spelled around the row's own cell key, so
 ``write_lp`` lays a block's row out once, cut at that key, and joins each
 row from the pieces with its key. ``validate_solution`` reads the layer's
-values one table row at a time and sums each row's terms with Python's
-``sum``.
+values once, into a table of the objective's shape, and takes every row
+residual and the objective off that table, each a Python ``sum`` over its
+terms.
 """
 
 from __future__ import annotations
@@ -120,12 +121,6 @@ class ProductNames(Sequence[str]):
             prefix = self.prefix(a).__add__
             yield from map(prefix, keys[:a])
             yield from map(prefix, keys[a + 1 :])
-
-    def __radd__(self, other: tuple[str, ...]) -> tuple[str, ...]:
-        # binary_names + continuous_names, a tuple as when both were tuples
-        if not isinstance(other, tuple):
-            return NotImplemented
-        return other + tuple(self)
 
 
 class ModelRows:
@@ -530,8 +525,7 @@ def write_lp(model: LinearModel, path: str) -> None:
         if model.objective.any():
             _write_objective(write, model)
         else:
-            anchor = model.binary_names[0] if model.binary_names else model.continuous_names[0]
-            write(f" obj: 0 {anchor}\n")
+            write(f" obj: 0 {model.binary_names[0]}\n")
         write("Subject To\n")
         equals = (" = 0\n", " = 1\n")
         write(
@@ -614,24 +608,16 @@ def _value_table(model: LinearModel, values: dict[str, float]) -> np.ndarray:
     return table
 
 
-def evaluate_linear_objective(model: LinearModel, values: dict[str, float]) -> float:
-    """The objective at ``values`` (a missing name reads 0): each nonzero
-    term's coefficient times its variable's value, in row-major cell order,
-    added by one running sum over all table rows. Each table row's names are
-    spelled from the row's prefix, and its diagonal term is cell a's binary."""
-    get = values.get
-    zeros = repeat(0.0)
-    names = model.continuous_names
-    keys = model.constraints.keys
+def _objective_value(model: LinearModel, table: np.ndarray) -> float:
+    """The objective at the value table ``table`` (``_value_table``): each
+    nonzero term's coefficient times its value, in row-major cell order,
+    added by one running sum over all table rows."""
 
-    def row_terms(a: int, coeffs: np.ndarray) -> Iterator[float]:
+    def row_terms(coeffs: np.ndarray, values: np.ndarray) -> Iterator[float]:
         cols = np.flatnonzero(coeffs)
-        spelled = list(map(names.prefix(a).__add__, map(keys.__getitem__, cols.tolist())))
-        if coeffs[a]:
-            spelled[int(np.searchsorted(cols, a))] = names.binary + keys[a]
-        return map(operator.mul, coeffs[cols].tolist(), map(get, spelled, zeros))
+        return map(operator.mul, coeffs[cols].tolist(), values[cols].tolist())
 
-    return float(sum(chain.from_iterable(map(row_terms, range(len(keys)), model.objective))))
+    return float(sum(chain.from_iterable(map(row_terms, model.objective, table))))
 
 
 def validate_solution(
@@ -733,7 +719,7 @@ def validate_solution(
     elif duplicates:
         violations.append("a product carries two active assignment binaries")
 
-    linear = evaluate_linear_objective(model, values)
+    linear = _objective_value(model, table)
     gap = abs(linear - quadratic) if quadratic is not None else None
     return SolutionReport(
         feasible=not violations,

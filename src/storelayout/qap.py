@@ -498,11 +498,6 @@ class SwapScan:
         self._dots = np.empty((lanes, len(a)))
         self._corner_sums = np.empty((lanes, len(a)))
 
-    @property
-    def h(self) -> np.ndarray:
-        """The (L, n, n) permuted exposure matrices, a view."""
-        return self._hh[:, :, : self.n]
-
     def deltas(self) -> np.ndarray:
         hh, rows_a, rows_b = self._hh, self._rows_a, self._rows_b
         np.take(hh, self._b, axis=1, out=rows_b, mode="clip")

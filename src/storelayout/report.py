@@ -21,12 +21,8 @@ import numpy as np
 from . import __version__
 from .demand import Catalog, TransitionMatrices
 from .errors import InputError, ParseError, ValidationError
-from .qap import Assignment, build_level2_instance, objective_of_permutation
-from .solvers import (
-    ExposureReport,
-    SolveResult,
-    induced_level1_assignment,
-)
+from .qap import Assignment, objective_of_permutation
+from .solvers import ExposureReport, SolveResult, layout_instance
 from .store import ExposureMatrices, StoreGraph
 
 
@@ -249,10 +245,9 @@ class DiffReport:
         return self.objective_b - self.objective_a
 
 
-def _contributions(instance, assignment: Assignment) -> dict[str, float]:
+def _contributions(instance, perm: np.ndarray) -> dict[str, float]:
     """Per-product share of the objective: half of every directed flow term
     touching the product, so shares sum exactly to the objective."""
-    perm = instance.permutation_of(assignment)
     scaled = instance.flow * instance.exposure[np.ix_(perm, perm)]
     per_product = 0.5 * (scaled.sum(axis=1) + scaled.sum(axis=0))
     return {pid: float(per_product[i]) for i, pid in enumerate(instance.product_ids)}
@@ -288,21 +283,13 @@ def diff_layouts(
         if old != new:
             movements.append(Movement(sid, "subcategory", old, new))
 
-    assign_a = plan_a.assignment()
-    assign_b = plan_b.assignment()
-    inst_a = build_level2_instance(
-        exposures, transitions, induced_level1_assignment(assign_a, catalog, graph),
-        catalog, graph,
-    )
-    inst_b = build_level2_instance(
-        exposures, transitions, induced_level1_assignment(assign_b, catalog, graph),
-        catalog, graph,
-    )
-    contrib_a = _contributions(inst_a, assign_a)
-    contrib_b = _contributions(inst_b, assign_b)
+    inst_a, perm_a = layout_instance(plan_a.assignment(), exposures, transitions, catalog, graph)
+    inst_b, perm_b = layout_instance(plan_b.assignment(), exposures, transitions, catalog, graph)
+    contrib_a = _contributions(inst_a, perm_a)
+    contrib_b = _contributions(inst_b, perm_b)
     deltas = {pid: contrib_b[pid] - contrib_a[pid] for pid in contrib_a}
-    obj_a = objective_of_permutation(inst_a, inst_a.permutation_of(assign_a))
-    obj_b = objective_of_permutation(inst_b, inst_b.permutation_of(assign_b))
+    obj_a = objective_of_permutation(inst_a, perm_a)
+    obj_b = objective_of_permutation(inst_b, perm_b)
     return DiffReport(
         movements=tuple(movements),
         contribution_deltas=deltas,

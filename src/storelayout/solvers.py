@@ -956,13 +956,16 @@ def induced_level1_assignment(
     return Assignment.pinned(induced)
 
 
-def _layout_metrics(
+def layout_instance(
     assignment: Assignment,
     exposures: ExposureMatrices,
     transitions: TransitionMatrices,
     catalog: Catalog,
     graph: StoreGraph,
-) -> tuple[float, float]:
+) -> tuple[QapInstance, np.ndarray]:
+    """The tactical instance of a subcategory layout, under the strategic
+    layout it induces, and the layout's permutation on that instance;
+    rejects an infeasible layout."""
     l1 = induced_level1_assignment(assignment, catalog, graph)
     instance = build_level2_instance(exposures, transitions, l1, catalog, graph)
     # door placements are forced, so accept layouts that omit them
@@ -970,7 +973,17 @@ def _layout_metrics(
     report = check_feasible(instance, assignment)
     if not report.ok:
         raise ValidationError("infeasible layout: " + "; ".join(report.violations))
-    perm = instance.permutation_of(assignment)
+    return instance, instance.permutation_of(assignment)
+
+
+def _layout_metrics(
+    assignment: Assignment,
+    exposures: ExposureMatrices,
+    transitions: TransitionMatrices,
+    catalog: Catalog,
+    graph: StoreGraph,
+) -> tuple[float, float]:
+    instance, perm = layout_instance(assignment, exposures, transitions, catalog, graph)
     exposure_total = objective_of_permutation(instance, perm)
     distance_total = float(
         (transitions.sub_transitions * exposures.sub_distance[np.ix_(perm, perm)]).sum()

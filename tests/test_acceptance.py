@@ -30,7 +30,7 @@ from conftest import (
     random_level1_instance,
     random_level2_instance,
 )
-from test_linearize import product_solution, residuals
+from test_linearize import linear_objective, product_solution, residuals
 from storelayout.cli import main
 from storelayout.demand import (
     expected_transitions,
@@ -39,7 +39,6 @@ from storelayout.demand import (
     sampled_transitions,
 )
 from storelayout.linearize import (
-    evaluate_linear_objective,
     linearize,
     parse_solution_file,
     validate_solution,
@@ -118,7 +117,7 @@ def test_criterion_2_linearization_exact_on_1000_assignments():
         inst, model = models[check % len(models)]
         perm = random_assignment(inst, rng)
         values = product_solution(model, perm)
-        linear = evaluate_linear_objective(model, values)
+        linear = linear_objective(inst, model, values)
         quadratic = objective_of_permutation(inst, perm)
         gap = abs(linear - quadratic) / max(1.0, abs(quadratic))
         residual = residuals(model, values)

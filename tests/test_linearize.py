@@ -37,8 +37,9 @@ from storelayout.linearize import (
     ProductNames,
     SolutionReport,
     _family_rows,
+    _objective_value,
     _product_rows,
-    evaluate_linear_objective,
+    _value_table,
     linearize,
     linearize_integrated,
     parse_solution_file,
@@ -129,6 +130,12 @@ def lp_rows(model: LinearModel) -> list[tuple[str, list[tuple[str, float]], floa
             sign, at = 1.0, at + 2
         rows.append((name.strip(), terms, float(rhs)))
     return rows
+
+
+def linear_objective(instance: QapInstance, model: LinearModel, values: dict[str, float]) -> float:
+    """The objective the validator reads at ``values``, which set every
+    binary."""
+    return validate_solution(instance, model, ExternalSolution(values, None)).linear_objective
 
 
 def residuals(model: LinearModel, values: dict[str, float]) -> float:
@@ -247,7 +254,7 @@ class TestExactness:
                 for perm in feasible_perms(inst):
                     values = product_solution(model, perm)
                     want = objective_of_permutation(inst, perm)
-                    got = evaluate_linear_objective(model, values)
+                    got = linear_objective(inst, model, values)
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
                     assert residuals(model, values) <= 1e-12
 
@@ -260,7 +267,7 @@ class TestExactness:
                 for perm in feasible_perms(inst):
                     values = product_solution(model, perm)
                     want = objective_of_permutation(inst, perm)
-                    got = evaluate_linear_objective(model, values)
+                    got = linear_objective(inst, model, values)
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
                     assert residuals(model, values) <= 1e-12
 
@@ -282,7 +289,7 @@ class TestExactness:
         assert byname.get("x_1_1") == 5.0
         perm = np.array([0, 1])
         values = product_solution(model, perm)
-        assert evaluate_linear_objective(model, values) == pytest.approx(
+        assert linear_objective(inst, model, values) == pytest.approx(
             objective_of_permutation(inst, perm)
         )
 
@@ -371,7 +378,8 @@ class TestIntegratedModel:
 
     @pytest.mark.parametrize("sparsify", [False, True])
     def test_consistent_witness_is_feasible_and_exact(self, sparsify):
-        # equal block sizes so every category order is assignable
+        # equal block sizes so every category order is assignable; the
+        # tactical instance of each category order is the validator's
         graph, catalog, matrices, exposures = self.pieces((2, 2))
         model = linearize_integrated(
             exposures, matrices, None, catalog, graph, sparsify=sparsify
@@ -389,7 +397,11 @@ class TestIntegratedModel:
                     )
                     assert residuals(model, values) <= 1e-12
                     want = float((flow * expo[np.ix_(sub_perm, sub_perm)]).sum())
-                    got = evaluate_linear_objective(model, values)
+                    layout = dict(zip(matrices.cat_axis, (exposures.loc_axis[k] for k in cat_perm)))
+                    instance = build_level2_instance(
+                        exposures, matrices, Assignment.from_mapping(layout), catalog, graph
+                    )
+                    got = linear_objective(instance, model, values)
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_inconsistent_witness_violates_coupling(self):
@@ -977,7 +989,7 @@ class TestNameAgreement:
             linearize_integrated(exposures, matrices, None, catalog, graph),
         ]
         for model in models:
-            for name in model.binary_names + model.continuous_names:
+            for name in (*model.binary_names, *model.continuous_names):
                 prefix, indices = decode_variable(name)
                 assert variable_name(prefix, *indices) == name
 
@@ -1009,7 +1021,7 @@ class TestNameAgreement:
             lead = model.binary_names[: len(model.binary_names) - len(table)]
             diagonal = tuple(row[a] for a, row in enumerate(table))
             assert model.binary_names == lead + diagonal == ref.binary_names
-            assert model.binary_names + names == ref.binary_names + want
+            assert (*model.binary_names, *names) == ref.binary_names + want
 
 
 ROW_PREFIXES = ("asg_p_", "asg_k_", "grp_p_", "grp_k_", "li_", "lk_", "sym_")
@@ -1673,19 +1685,48 @@ def test_objective_value_keeps_the_term_by_term_bits(bundled_integrated_model):
     # one running sum over every term in row-major order; a subtotal per
     # table row rounds differently
     model = bundled_integrated_model
-    names = model.binary_names + model.continuous_names
+    names = (*model.binary_names, *model.continuous_names)
     rng = Random(283)
     regrouped = 0
     for _ in range(2):
         values = {name: rng.uniform(-1.0, 1.0) for name in names if rng.random() < 0.9}
         terms = [coeff * values.get(name, 0.0) for name, coeff in _objective_terms(model)]
         want = sum(coeff * values.get(name, 0.0) for name, coeff in _objective_terms(model))
-        got = evaluate_linear_objective(model, values)
+        got = _objective_value(model, _value_table(model, values))
         assert type(got) is float and got.hex() == want.hex()
         by_row = np.count_nonzero(model.objective, axis=1).cumsum().tolist()
         subtotals = sum(sum(terms[a:b]) for a, b in zip([0, *by_row], by_row))
         regrouped += subtotals.hex() != want.hex()
     assert len(terms) > 300_000 and regrouped
+
+
+def oracle_objective(model: LinearModel, values: dict[str, float]) -> float:
+    """The objective as one running sum over the oracle's terms, in order."""
+    return sum(coeff * values.get(name, 0.0) for name, coeff in _objective_terms(model))
+
+
+def test_objective_value_has_the_oracle_bits(bundled_integrated_model):
+    # the package reads the objective off its value table; each term's value
+    # must sit in the table cell of that term's name, the diagonal included
+    rng = Random(293)
+    for model, _ in view_cases():
+        names = (*model.binary_names, *model.continuous_names)
+        full = {name: rng.uniform(-1.0, 1.0) for name in names}
+        partial = {name: value for name, value in full.items() if rng.random() < 0.9}
+        for values in (full, partial):
+            got = _objective_value(model, _value_table(model, values))
+            assert type(got) is float and got.hex() == oracle_objective(model, values).hex()
+    # no binary is active at zero or at noise, so validation never reads the
+    # instance
+    model = bundled_integrated_model
+    names = (*model.binary_names, *model.continuous_names)
+    for values in (
+        dict.fromkeys(names, 0.0),
+        {name: rng.uniform(-1e-9, 1e-9) for name in names},
+    ):
+        report = validate_solution(toy_2x2(), model, ExternalSolution(values, None))
+        assert report.assignment is None
+        assert report.linear_objective.hex() == oracle_objective(model, values).hex()
 
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "storelayout"

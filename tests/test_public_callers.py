@@ -9,8 +9,9 @@ a name, as an attribute, or as a string constant (the benchmark wraps
 functions by name). An attribute read off a module bound by ``import`` in the
 same file (``itertools.permutations``, ``np.sum``) names that module's
 function, not one of the package's, so it does not count. Methods are matched
-by their bare name, so a method is flagged only when no attribute of that
-name is read anywhere."""
+by their bare name, but only against attributes and strings: a method is
+flagged when no attribute or string of that name is read anywhere, whatever
+local variables share its name."""
 
 from __future__ import annotations
 
@@ -58,9 +59,10 @@ def private_functions(source: str) -> list[str]:
     ]
 
 
-def names_read(source: str) -> set[str]:
-    """Names, attributes and string constants read anywhere in ``source``,
-    less the attributes read off a module that ``source`` imports."""
+def attributes_read(source: str) -> set[str]:
+    """Attributes and string constants read anywhere in ``source``, less the
+    attributes read off a module that ``source`` imports: the reads that can
+    reach a method."""
     tree = ast.parse(source)
     modules = {
         (alias.asname or alias.name).split(".")[0]
@@ -70,9 +72,7 @@ def names_read(source: str) -> set[str]:
     }
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             if not (isinstance(node.value, ast.Name) and node.value.id in modules):
                 out.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -80,13 +80,34 @@ def names_read(source: str) -> set[str]:
     return out
 
 
+def names_read(source: str) -> set[str]:
+    """Names read anywhere in ``source``, plus its ``attributes_read``."""
+    bare = {
+        node.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return bare | attributes_read(source)
+
+
+def unread_public(source: str, names: set[str], attributes: set[str]) -> list[str]:
+    """The public functions of ``source`` not in ``names`` and its public
+    methods not in ``attributes``, less the oracles, in source order."""
+    return [
+        qualname
+        for qualname in public_functions(source)
+        if qualname.rsplit(".", 1)[-1] not in (attributes if "." in qualname else names) | ORACLES
+    ]
+
+
 def test_every_public_function_has_a_caller():
-    read = set().union(*(names_read(path.read_text(encoding="utf-8")) for path in CALLERS))
+    sources = [path.read_text(encoding="utf-8") for path in CALLERS]
+    names = set().union(*map(names_read, sources))
+    attributes = set().union(*map(attributes_read, sources))
     unused = [
         f"{path.name}:{qualname}"
         for path in PACKAGE
-        for qualname in public_functions(path.read_text(encoding="utf-8"))
-        if qualname.rsplit(".", 1)[-1] not in read | ORACLES
+        for qualname in unread_public(path.read_text(encoding="utf-8"), names, attributes)
     ]
     assert not unused, f"public functions no code in src/ or perfbench/ calls: {unused}"
 
@@ -161,3 +182,20 @@ def test_lists_module_level_private_functions():
     assert private_functions(source) == ["_kept", "_spare"]
     read = names_read(source)
     assert "_kept" in read and "_spare" not in read
+
+
+def test_a_local_variable_does_not_read_a_method():
+    # a method is reached only through an attribute or a string; a local
+    # variable of its name reads nothing of it, a bare name reads a function
+    source = (
+        "class Scan:\n"
+        "    def __init__(self, m):\n"
+        "        h = m * 2\n"
+        "        self.m = h\n"
+        "    def h(self): return self.m\n"
+        "    def deltas(self): return helper(self.m)\n"
+        "def helper(m): return m\n"
+        "def run(scan): return scan.deltas()\n"
+    )
+    assert "h" in names_read(source) and "h" not in attributes_read(source)
+    assert unread_public(source, names_read(source), attributes_read(source)) == ["Scan.h", "run"]

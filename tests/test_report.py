@@ -263,6 +263,16 @@ class TestDiff:
         with pytest.raises(ValidationError):
             diff_layouts(plan_a, plan_b, exposures, matrices, catalog, graph)
 
+    def test_infeasible_plan_rejected_as_evaluate_rejects_it(self):
+        # diff scores each plan as evaluate does, so it fails the same way
+        graph, catalog, matrices, exposures = pieces()
+        cats = {"C1": "L1", "C2": "L2"}
+        good = make_plan({"u1": "s1", "u2": "s2", "u3": "s3", "check-in": "entrance"}, cats)
+        bad = make_plan({"u1": "s1", "u2": "s2", "u3": "s3", "check-in": "s3"}, cats)
+        for plan_a, plan_b in ((good, bad), (bad, good)):
+            with pytest.raises(ValidationError, match="^infeasible layout: "):
+                diff_layouts(plan_a, plan_b, exposures, matrices, catalog, graph)
+
     def test_catalog_mismatch_rejected(self):
         graph, catalog, matrices, exposures = pieces((2, 1))
         plan_a = make_plan({"u1": "s1", "u2": "s2", "u3": "s3"}, {"C1": "L1", "C2": "L2"})
