@@ -3,8 +3,10 @@ arguments read from an @file, failure exit codes, and artifact cleanup."""
 
 from __future__ import annotations
 
+import csv
 import functools
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -23,6 +25,7 @@ from storelayout.report import read_plan
 from storelayout.solvers import SolverConfig
 from storelayout.store import build_exposure_matrices
 from storelayout.storefile import StoreDocument, load_store, save_store
+from storelayout.synthetic import build_synthetic_transactions
 
 EPOCH = "1718236800"
 
@@ -662,6 +665,75 @@ class TestBundledGoldenBytes:
         out = tmp_path / "render"
         assert main(["render", AS_IS_PLAN, *BUNDLED, "--out", str(out)]) == 0
         assert sha256_of(out / "heatmap.svg") == HEATMAP_SHA256
+
+
+@pytest.fixture(scope="module")
+def baskets_6k(tmp_path_factory):
+    """The benchmark's basket file: 6,000 seed-413 synthetic baskets for the
+    bundled store, in the layout of the bundled fixture file."""
+    doc = load_store(str(FIXTURES / "synthetic_store.json"))
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["transaction_id", "subcategory_id"])
+    writer.writerows(build_synthetic_transactions(doc.catalog, 6000, 413))
+    path = tmp_path_factory.mktemp("baskets-6k") / "baskets.csv"
+    path.write_bytes(buf.getvalue().encode("utf-8"))
+    return path
+
+
+# the exposure and distance tables do not depend on the transition mode
+STORE_TSV_SHA256 = {
+    "sub_exposure.tsv": "c63a42571beb942116c0ce486a9e7b781a90beb33d5a8e9357d8fae35bae3076",
+    "loc_exposure.tsv": "c2b499a3205f9f887bd2a36581ee69c7ead882b02566b779ce0ea77d792ea1bd",
+    "sub_distance.tsv": "3d94feee3429535c8c31e32a94c0066c54bffca0d10576ac16f7c19c9cbd60c6",
+    "loc_distance.tsv": "9bb5fdb4240bbbe9903902a368ebb7a8ba2b29f7461b0478e36e9d3e5dce8d7d",
+}
+
+
+class TestBenchmarkSizeGoldenBytes:
+    """The basket-layer commands of the benchmark workload, on 6,000 baskets:
+    at this size most baskets repeat, and the bytes are the ones the
+    per-transaction, Dijkstra-per-leg code wrote."""
+
+    @pytest.mark.parametrize(
+        "argv, pinned",
+        [
+            (
+                ["evaluate", AS_IS_PLAN],
+                {"evaluate_report.txt": "4c5f3a1832f6299240b6e51f7bafbe019e30c2fea5e7a95930d40627b1ccf2b9"},
+            ),
+            (
+                ["render", AS_IS_PLAN],
+                {"heatmap.svg": "ca6378714eb34d7414e16571e712bc87ac14db252b5141faab86394610b705f8"},
+            ),
+            (
+                ["build-matrices"],
+                {
+                    **STORE_TSV_SHA256,
+                    "cat_transitions.tsv": "7c8749e9bae27bff2efdd27600e6217e1093b620b5f2f1ab7f702730487612d5",
+                    "sub_transitions.tsv": "1066430908d8ae58511d658c7b56c868041e24ff34d189998dbd8acbf0d51238",
+                    "matrices_summary.txt": "5999fa31e9b4697c6002b6e20570b23e9b00a9b62b75637f91ef2932f1d6f4dd",
+                },
+            ),
+            (
+                ["build-matrices", "--transition-mode", "sampled"],
+                {
+                    **STORE_TSV_SHA256,
+                    "cat_transitions.tsv": "f918bdeb073a9edd86de47f694c0b4b88e15803add84980b29fd92746032c3b5",
+                    "sub_transitions.tsv": "17563c0b799c12e9f487fad03364a2d7ae4ebb735a664bfc3474852c43adf6f0",
+                    "matrices_summary.txt": "eff9a43221a0c0b6afba39063d305652f0bed8fb87e6070f20d33b5051916563",
+                },
+            ),
+        ],
+        ids=["evaluate", "render", "build-matrices", "build-matrices-sampled"],
+    )
+    def test_pinned_sha256(self, argv, pinned, baskets_6k, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        out = tmp_path / "out"
+        store = ["--store", BUNDLED[1], "--transactions", str(baskets_6k), "--seed", "413"]
+        assert main([*argv, *store, "--out", str(out)]) == 0
+        for name, digest in pinned.items():
+            assert sha256_of(out / name) == digest, name
 
 
 # sublocation number held by sub-01 .. sub-48 in the seed-413 plan
