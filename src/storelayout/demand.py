@@ -13,10 +13,9 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from random import Random
 
 import numpy as np
@@ -211,11 +210,12 @@ def read_transactions_csv(path: str, catalog: Catalog) -> list[Transaction]:
     return load_transactions(records, catalog)
 
 
-def _basket_blocks(txn: Transaction, catalog: Catalog) -> list[tuple[str, list[str]]]:
-    """Purchased subcategories grouped by parent category, catalog order."""
+def _basket_blocks(items: tuple[str, ...], catalog: Catalog) -> list[tuple[str, list[str]]]:
+    """A basket's purchased subcategories grouped by parent category, catalog
+    order."""
     by_cat: dict[str, list[str]] = {}
     cat_order: list[str] = []
-    for sid in txn.subcategory_ids:
+    for sid in items:
         cid = catalog.category_of(sid)
         if cid not in by_cat:
             by_cat[cid] = []
@@ -224,72 +224,86 @@ def _basket_blocks(txn: Transaction, catalog: Catalog) -> list[tuple[str, list[s
     return [(cid, by_cat[cid]) for cid in cat_order]
 
 
-def _block_contributions(blocks: list[tuple[str, Sequence[str]]]):
-    """Exact expected transition counts for one basket, as ``(leg, d)`` pairs
-    that each add weight ``1/d``.
+def _leg_template(shape: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """Exact expected legs of any basket whose m blocks hold g1, ..., gm
+    products, as slot pairs ``(a, b, d)`` that each add weight ``1/d``.
 
-    ``blocks`` are the basket's m categories, each with the g products
-    visited inside it. Within a block, ordered pairs are adjacent with
+    Slot 0 is check-in, slots 1..n the basket's products block by block and
+    slot n + 1 check-out. Within a block, ordered pairs are adjacent with
     probability 1/g. A cross-block leg s1→s2 needs the second category to
     directly follow the first (1/m), s1 to be picked last in its block
     (1/g1) and s2 first in its (1/g2). With every block a single product
-    named by its category (g = 1), these are the category-level counts.
+    named by its category (g = 1), these are the category-level legs.
     """
-    m = len(blocks)
-    for _, subs in blocks:
-        g = len(subs)
-        d_edge = m * g
-        for sid in subs:
-            yield (CHECK_IN, sid), d_edge
-            yield (sid, CHECK_OUT), d_edge
-        for s1 in subs:
-            for s2 in subs:
-                if s1 != s2:
-                    yield (s1, s2), g
-    for c1, subs1 in blocks:
-        for c2, subs2 in blocks:
-            if c1 == c2:
-                continue
-            d = m * len(subs1) * len(subs2)
-            for s1 in subs1:
-                for s2 in subs2:
-                    yield (s1, s2), d
+    m = len(shape)
+    out = sum(shape) + 1
+    blocks = []
+    start = 1
+    for g in shape:
+        blocks.append(range(start, start + g))
+        start += g
+    legs = []
+    for slots in blocks:
+        g = len(slots)
+        for s in slots:
+            legs += ((0, s, m * g), (s, out, m * g))
+        legs += ((s1, s2, g) for s1 in slots for s2 in slots if s1 != s2)
+    for slots1 in blocks:
+        for slots2 in blocks:
+            if slots1 is not slots2:
+                d = m * len(slots1) * len(slots2)
+                legs += ((s1, s2, d) for s1 in slots1 for s2 in slots2)
+    return legs
 
 
-def _accumulate(
-    counts: Counter, axis: tuple[str, ...]
+def _exact_transitions(
+    baskets: Mapping[tuple[tuple[int, ...], tuple[int, ...]], int], size: int
 ) -> tuple[np.ndarray, dict[tuple[int, int], Fraction]]:
-    """Sum unit-fraction contributions exactly, one ``Fraction`` per pair.
+    """Expected transitions summed exactly over distinct baskets.
 
-    ``counts`` holds the number of contributions per (leg, denominator);
-    each pair's weight is then ``sum(count / d)`` over a common denominator.
-    Pairs keep the order in which they were first contributed.
+    ``baskets`` maps each distinct basket, as its block shape and its product
+    indices in block order, to the number of transactions that hold it. Its
+    legs come from the template of its shape. Each pair sums integer
+    numerators over one common denominator of every template's ``d``, and
+    becomes one ``Fraction`` at the end. Pairs keep the order in which they
+    were first contributed.
     """
-    index = {pid: i for i, pid in enumerate(axis)}
-    terms: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for ((a, b), d), count in counts.items():
-        terms.setdefault((index[a], index[b]), []).append((d, count))
-    exact: dict[tuple[int, int], Fraction] = {}
-    dense = np.zeros((len(axis), len(axis)), dtype=np.float64)
-    for key, counts in terms.items():
-        common = math.lcm(*(d for d, _ in counts))
-        w = Fraction(sum(c * (common // d) for d, c in counts), common)
-        exact[key] = w
+    templates = {shape: _leg_template(shape) for shape in {shape for shape, _ in baskets}}
+    common = math.lcm(*(d for legs in templates.values() for _, _, d in legs))
+    scaled = {
+        shape: [(a, b, common // d) for a, b, d in legs] for shape, legs in templates.items()
+    }
+    numerators: dict[int, int] = {}
+    get = numerators.get
+    for (shape, codes), count in baskets.items():
+        ends = (0, *codes, size - 1)
+        rows = [i * size for i in ends]
+        for a, b, k in scaled[shape]:
+            key = rows[a] + ends[b]
+            numerators[key] = get(key, 0) + count * k
+    exact = {divmod(key, size): Fraction(num, common) for key, num in numerators.items()}
+    dense = np.zeros((size, size), dtype=np.float64)
+    for key, w in exact.items():
         dense[key] = float(w)
     return dense, exact
 
 
 def expected_transitions(transactions: list[Transaction], catalog: Catalog) -> TransitionMatrices:
     """Both transition matrices in exact-expectation mode (seed-free). Each
-    basket is grouped once and counted at both granularities."""
-    cat_counts: Counter = Counter()
-    sub_counts: Counter = Counter()
-    for txn in transactions:
-        blocks = _basket_blocks(txn, catalog)
-        cat_counts.update(_block_contributions([(cid, (cid,)) for cid, _ in blocks]))
-        sub_counts.update(_block_contributions(blocks))
-    cat_dense, cat_exact = _accumulate(cat_counts, catalog.category_axis)
-    sub_dense, sub_exact = _accumulate(sub_counts, catalog.subcategory_axis)
+    distinct basket is grouped once, counted at both granularities, and
+    weighted by the number of transactions that hold it."""
+    cat_index = {pid: i for i, pid in enumerate(catalog.category_axis)}
+    sub_index = {pid: i for i, pid in enumerate(catalog.subcategory_axis)}
+    cat_baskets: Counter = Counter()
+    sub_baskets: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    for items, count in Counter(t.subcategory_ids for t in transactions).items():
+        blocks = _basket_blocks(items, catalog)
+        cats = tuple(cat_index[cid] for cid, _ in blocks)
+        cat_baskets[(1,) * len(cats), cats] += count
+        shape = tuple(len(subs) for _, subs in blocks)
+        sub_baskets[shape, tuple(sub_index[sid] for _, subs in blocks for sid in subs)] = count
+    cat_dense, cat_exact = _exact_transitions(cat_baskets, len(cat_index))
+    sub_dense, sub_exact = _exact_transitions(sub_baskets, len(sub_index))
     return TransitionMatrices(
         cat_axis=catalog.category_axis,
         sub_axis=catalog.subcategory_axis,
@@ -303,49 +317,81 @@ def expected_transitions(transactions: list[Transaction], catalog: Catalog) -> T
     )
 
 
-def _realized_blocks(
-    txn: Transaction, catalog: Catalog, rng: Random
-) -> list[tuple[str, list[str]]]:
-    """One sampled visit order as its (category, subcategories) blocks: the
-    blocks shuffled, then each block's subcategories shuffled in place
-    (Fisher-Yates both times via Random.shuffle). The walk visits the blocks
-    in order, so each category is one contiguous stretch of it."""
-    blocks = _basket_blocks(txn, catalog)
-    rng.shuffle(blocks)
-    for _, subs in blocks:
-        rng.shuffle(subs)
-    return blocks
+def _shared_blocks(blocks: Iterable[Iterable], pool: dict[tuple, tuple]) -> tuple[tuple, ...]:
+    """A basket's blocks as one tuple of tuples. The same blocks recur across
+    distinct baskets, and ``pool`` keeps one copy of each."""
+    return tuple(pool.setdefault(block, block) for block in map(tuple, blocks))
+
+
+def _visit_order(blocks: tuple[tuple, ...], rng: Random) -> list:
+    """One sampled visit order of a basket's blocks of products: the blocks
+    shuffled, then each block's products (Fisher-Yates both times via
+    Random.shuffle, which draws nothing for a single element). The walk
+    visits the blocks in order, so each category is one contiguous stretch
+    of it."""
+    if len(blocks) > 1:
+        blocks = list(blocks)
+        rng.shuffle(blocks)
+    visits: list = []
+    for products in blocks:
+        if len(products) > 1:
+            products = list(products)
+            rng.shuffle(products)
+        visits += products
+    return visits
 
 
 def sampled_transitions(
     transactions: list[Transaction], catalog: Catalog, seed: int
 ) -> TransitionMatrices:
     """One seeded realization of every basket's visit order, counted at both
-    granularities. Bit-reproducible for a fixed seed and transaction order."""
+    granularities. Bit-reproducible for a fixed seed and transaction order.
+
+    Each distinct basket is grouped once per call. The category walk is the
+    subcategory walk with each block merged into its category, so the
+    category counts are the subcategory leg counts of the legs that change
+    category, summed by category pair.
+    """
     rng = Random(seed)
     cat_axis = catalog.category_axis
     sub_axis = catalog.subcategory_axis
-    cat_idx = {pid: i for i, pid in enumerate(cat_axis)}
-    sub_idx = {pid: i for i, pid in enumerate(sub_axis)}
-    cat_counts = np.zeros((len(cat_axis), len(cat_axis)), dtype=np.int64)
-    sub_counts = np.zeros((len(sub_axis), len(sub_axis)), dtype=np.int64)
+    cat_index = {pid: i for i, pid in enumerate(cat_axis)}
+    sub_index = {pid: i for i, pid in enumerate(sub_axis)}
+    last = len(sub_axis) - 1
+    blocks_of: dict[tuple[str, ...], tuple[tuple[int, ...], ...]] = {}
+    pool: dict[tuple, tuple] = {}
+    sub_legs: Counter = Counter()
     for txn in transactions:
-        blocks = _realized_blocks(txn, catalog, rng)
-        walk = [CHECK_IN, *chain.from_iterable(subs for _, subs in blocks), CHECK_OUT]
-        for a, b in zip(walk, walk[1:]):
-            sub_counts[sub_idx[a], sub_idx[b]] += 1
-        cat_walk = [CHECK_IN, *(cid for cid, _ in blocks), CHECK_OUT]
-        for a, b in zip(cat_walk, cat_walk[1:]):
-            cat_counts[cat_idx[a], cat_idx[b]] += 1
+        blocks = blocks_of.get(txn.subcategory_ids)
+        if blocks is None:
+            grouped = _basket_blocks(txn.subcategory_ids, catalog)
+            blocks = blocks_of[txn.subcategory_ids] = _shared_blocks(
+                ([sub_index[sid] for sid in subs] for _, subs in grouped), pool
+            )
+        walk = [0, *_visit_order(blocks, rng), last]
+        sub_legs.update(zip(walk, walk[1:]))
+    cat_of = [cat_index[catalog.category_of(sid)] for sid in sub_axis]
+    cat_legs: Counter = Counter()
+    for (a, b), count in sub_legs.items():
+        if cat_of[a] != cat_of[b]:
+            cat_legs[cat_of[a], cat_of[b]] += count
     return TransitionMatrices(
         cat_axis=cat_axis,
         sub_axis=sub_axis,
-        cat_transitions=cat_counts.astype(np.float64),
-        sub_transitions=sub_counts.astype(np.float64),
+        cat_transitions=_leg_counts(cat_legs, len(cat_axis)),
+        sub_transitions=_leg_counts(sub_legs, len(sub_axis)),
         mode=MODE_SAMPLED,
         seed=seed,
         transaction_count=len(transactions),
     )
+
+
+def _leg_counts(legs: Counter, size: int) -> np.ndarray:
+    """(size, size) float matrix of counts keyed by index pairs."""
+    counts = np.zeros((size, size), dtype=np.float64)
+    for leg, count in legs.items():
+        counts[leg] = count
+    return counts
 
 
 def replay_paths(
@@ -359,23 +405,43 @@ def replay_paths(
 
     ``assignment`` maps subcategory ids to sublocation ids. Each basket gets
     one sampled visit order; the walk concatenates shortest paths entrance →
-    picked sublocation centers → exit, sharing junction nodes.
+    picked sublocation centers → exit, sharing junction nodes. Within one
+    call, each distinct basket is grouped once, each product's center node
+    is looked up once, and each distinct leg's path is asked of
+    ``shortest_path`` once.
     """
     rng = Random(seed)
+    blocks_of: dict[tuple[str, ...], tuple[tuple[str, ...], ...]] = {}
+    pool: dict[tuple, tuple] = {}
+    centers: dict[str, str] = {}
+    tails: dict[tuple[str, str], list[str]] = {}
+
+    def center(sid: str) -> str:
+        node = centers.get(sid)
+        if node is None:
+            node = centers[sid] = graph.position_center(assignment[sid], MODE_SUBLOCATION)
+        return node
+
     paths: list[list[str]] = []
     for txn in transactions:
-        missing = [sid for sid in txn.subcategory_ids if sid not in assignment]
-        if missing:
-            raise ValidationError(
-                f"transaction {txn.transaction_id}: no assigned position for {missing}"
+        blocks = blocks_of.get(txn.subcategory_ids)
+        if blocks is None:
+            missing = [sid for sid in txn.subcategory_ids if sid not in assignment]
+            if missing:
+                raise ValidationError(
+                    f"transaction {txn.transaction_id}: no assigned position for {missing}"
+                )
+            grouped = _basket_blocks(txn.subcategory_ids, catalog)
+            blocks = blocks_of[txn.subcategory_ids] = _shared_blocks(
+                (subs for _, subs in grouped), pool
             )
-        stops = [graph.entrance_node]
-        for _, subs in _realized_blocks(txn, catalog, rng):
-            for sid in subs:
-                stops.append(graph.position_center(assignment[sid], MODE_SUBLOCATION))
-        stops.append(graph.exit_node)
+        stops = [graph.entrance_node, *map(center, _visit_order(blocks, rng)), graph.exit_node]
         walk: list[str] = [stops[0]]
-        for a, b in zip(stops, stops[1:]):
-            walk.extend(shortest_path(graph, a, b)[1:])
-        paths.append(walk)
+        for leg in zip(stops, stops[1:]):
+            tail = tails.get(leg)
+            if tail is None:
+                tail = tails[leg] = shortest_path(graph, *leg)[1:]
+            walk += tail
+        # a slice copy holds no spare capacity, which the extended walk does
+        paths.append(walk[:])
     return paths

@@ -236,6 +236,11 @@ class QapInstance:
         report = check_feasible(self, assignment)
         if not report.ok:
             raise ValidationError("infeasible assignment: " + "; ".join(report.violations))
+        return self._permutation(assignment)
+
+    def _permutation(self, assignment: Assignment) -> np.ndarray:
+        """Position index per product index of an assignment that
+        ``check_feasible`` has passed."""
         perm = np.empty(self.n, dtype=np.int64)
         for pid, pos in assignment.pairs:
             perm[self._product_index[pid]] = self._position_index[pos]

@@ -973,7 +973,7 @@ def layout_instance(
     report = check_feasible(instance, assignment)
     if not report.ok:
         raise ValidationError("infeasible layout: " + "; ".join(report.violations))
-    return instance, instance.permutation_of(assignment)
+    return instance, instance._permutation(assignment)
 
 
 def _layout_metrics(

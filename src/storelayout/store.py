@@ -12,7 +12,11 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain
+from operator import or_
 
 import numpy as np
 
@@ -71,7 +75,8 @@ class StoreGraph:
     name: str = "store"
 
     _adjacency: dict[str, tuple[tuple[str, float], ...]] = field(init=False, repr=False)
-    _facing_sublocations: dict[str, tuple[str, ...]] = field(init=False, repr=False)
+    # exposure mode -> node -> facing mask (see __post_init__)
+    _facing_masks: dict[str, dict[str, int]] = field(init=False, repr=False)
     # Id lookups and the lazily filled shortest-path memo (source -> Dijkstra
     # labels) take no part in equality: equal graphs stay equal whatever
     # their memos hold.
@@ -155,11 +160,18 @@ class StoreGraph:
         # Neighbor lists sorted by node id so traversal order is reproducible.
         self._adjacency = {nid: tuple(sorted(nbrs)) for nid, nbrs in adjacency.items()}
 
-        facing: dict[str, list[str]] = {nid: [] for nid in node_ids}
+        # Facing masks: bit i stands for the i-th sublocation. A node's
+        # sublocation mask holds the sublocations it faces; its location mask
+        # holds every sublocation of each location it faces.
+        bit = {s.sublocation_id: 1 << i for i, s in enumerate(self.sublocations)}
+        whole = {loc.location_id: sum(bit[sid] for sid in loc.sublocation_ids) for loc in self.locations}
+        sub_masks = dict.fromkeys(node_ids, 0)
+        loc_masks = dict.fromkeys(node_ids, 0)
         for s in self.sublocations:
-            for nid in sorted(s.facing_nodes):
-                facing[nid].append(s.sublocation_id)
-        self._facing_sublocations = {nid: tuple(subs) for nid, subs in facing.items()}
+            for nid in s.facing_nodes:
+                sub_masks[nid] |= bit[s.sublocation_id]
+                loc_masks[nid] |= whole[s.parent_location_id]
+        self._facing_masks = {MODE_SUBLOCATION: sub_masks, MODE_LOCATION: loc_masks}
 
         # Connectivity: every node reachable from the entrance.
         seen = {self.entrance_node}
@@ -181,9 +193,6 @@ class StoreGraph:
 
     def neighbors(self, node_id: str) -> tuple[tuple[str, float], ...]:
         return self._adjacency[node_id]
-
-    def sublocations_facing(self, node_id: str) -> tuple[str, ...]:
-        return self._facing_sublocations[node_id]
 
     def location_by_id(self, location_id: str) -> Location:
         try:
@@ -316,15 +325,11 @@ def path_exposure(graph: StoreGraph, path: list[str], mode: str = MODE_SUBLOCATI
         raise InputError("path must be non-empty")
     if mode not in (MODE_SUBLOCATION, MODE_LOCATION):
         raise InputError(f"unknown exposure mode {mode!r}")
-    faced: set[str] = set()
-    for nid in path:
-        if not graph.has_node(nid):
-            raise InputError(f"unknown node id {nid!r} in path")
-        faced.update(graph.sublocations_facing(nid))
-    if mode == MODE_SUBLOCATION:
-        return len(faced)
-    parents = {graph.sublocation_by_id(sid).parent_location_id for sid in faced}
-    return sum(len(graph.location_by_id(lid).sublocation_ids) for lid in parents)
+    # the sublocations in the union of the nodes' facing masks
+    try:
+        return reduce(or_, map(graph._facing_masks[mode].__getitem__, path)).bit_count()
+    except KeyError as exc:
+        raise InputError(f"unknown node id {exc.args[0]!r} in path") from None
 
 
 def build_exposure_matrices(graph: StoreGraph) -> ExposureMatrices:
@@ -343,19 +348,18 @@ def build_exposure_matrices(graph: StoreGraph) -> ExposureMatrices:
     labels = {c: _paths_from(graph, c) for c in sorted(centers)}
 
     def fill(axis: tuple[str, ...], level: str, mode: str) -> tuple[np.ndarray, np.ndarray]:
-        n = len(axis)
-        expo = np.zeros((n, n), dtype=np.int64)
-        dist = np.zeros((n, n), dtype=np.float64)
         node_of = [graph.position_center(pid, level) for pid in axis]
-        for i, src in enumerate(node_of):
+        expo: list[list[int]] = []
+        dist: list[list[float]] = []
+        for src in node_of:
             from_src = labels[src]
-            for j, dst in enumerate(node_of):
-                if dst not in from_src:
-                    raise ModelError(f"no path between centers {src!r} and {dst!r}")
-                length, path = from_src[dst]
-                expo[i, j] = path_exposure(graph, list(path), mode)
-                dist[i, j] = length
-        return expo, dist
+            missing = [dst for dst in node_of if dst not in from_src]
+            if missing:
+                raise ModelError(f"no path between centers {src!r} and {missing[0]!r}")
+            row = [from_src[dst] for dst in node_of]
+            expo.append([path_exposure(graph, path, mode) for _, path in row])
+            dist.append([length for length, _ in row])
+        return np.array(expo, dtype=np.int64), np.array(dist, dtype=np.float64)
 
     sub_exposure, sub_distance = fill(sub_axis, MODE_SUBLOCATION, MODE_SUBLOCATION)
     loc_exposure, loc_distance = fill(loc_axis, MODE_LOCATION, MODE_LOCATION)
@@ -372,9 +376,9 @@ def build_exposure_matrices(graph: StoreGraph) -> ExposureMatrices:
 def accumulate_traffic(graph: StoreGraph, paths: list[list[str]]) -> TrafficDensity:
     """Per-node visit counts over a list of walks (repeat visits count again)."""
     counts = {n.node_id: 0 for n in graph.nodes}
-    for path in paths:
-        for nid in path:
-            if nid not in counts:
-                raise InputError(f"unknown node id {nid!r} in path")
-            counts[nid] += 1
+    visits = Counter(chain.from_iterable(paths))
+    if not visits.keys() <= counts.keys():
+        first = next(nid for nid in chain.from_iterable(paths) if nid not in counts)
+        raise InputError(f"unknown node id {first!r} in path")
+    counts.update(visits)
     return TrafficDensity(counts=counts, path_count=len(paths))

@@ -10,6 +10,8 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     catalog_for,
@@ -17,6 +19,7 @@ from conftest import (
     oracle_category_transitions,
     oracle_subcategory_transitions,
 )
+from storelayout import demand
 from storelayout.demand import (
     CHECK_IN,
     CHECK_OUT,
@@ -25,6 +28,7 @@ from storelayout.demand import (
     Subcategory,
     Transaction,
     _basket_blocks,
+    _leg_template,
     expected_transitions,
     load_transactions,
     read_transactions_csv,
@@ -32,7 +36,7 @@ from storelayout.demand import (
     sampled_transitions,
 )
 from storelayout.errors import InputError, ParseError, ValidationError
-from storelayout.store import Edge, StoreGraph, _single_source_paths
+from storelayout.store import Edge, StoreGraph, _single_source_paths, shortest_path
 from storelayout.storefile import load_store
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -316,7 +320,7 @@ class TestTransactionCanonicalization:
 
 
 def _reference_category_contributions(txn, catalog):
-    cats = [cid for cid, _ in _basket_blocks(txn, catalog)]
+    cats = [cid for cid, _ in _basket_blocks(txn.subcategory_ids, catalog)]
     m = len(cats)
     w = Fraction(1, m)
     for cid in cats:
@@ -329,7 +333,7 @@ def _reference_category_contributions(txn, catalog):
 
 
 def _reference_subcategory_contributions(txn, catalog):
-    blocks = _basket_blocks(txn, catalog)
+    blocks = _basket_blocks(txn.subcategory_ids, catalog)
     m = len(blocks)
     for cid, subs in blocks:
         g = len(subs)
@@ -390,6 +394,14 @@ def random_baskets(rng: Random, catalog: Catalog, count: int, max_categories: in
     return load_transactions(records, catalog)
 
 
+def repeated_baskets(rng: Random, catalog: Catalog, distinct: int, count: int):
+    """``count`` transactions that hold at most ``distinct`` different
+    baskets, each drawn at random, so the repeats of one basket interleave
+    with the others."""
+    pool = [t.subcategory_ids for t in random_baskets(rng, catalog, distinct)]
+    return [Transaction(f"r{t}", rng.choice(pool)) for t in range(count)]
+
+
 def assert_matches_reference(transactions, catalog):
     got = expected_transitions(transactions, catalog)
     (cat_dense, cat_exact), (sub_dense, sub_exact) = reference_expected(transactions, catalog)
@@ -430,11 +442,87 @@ class TestExactTransitionsMatchReference:
         txns = read_transactions_csv(str(FIXTURES / "synthetic_transactions.csv"), doc.catalog)
         assert_matches_reference(txns, doc.catalog)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_duplicate_heavy_interleaved_baskets(self, seed):
+        rng = Random(100 + seed)
+        sizes = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 9)))
+        catalog = catalog_for(sizes)
+        txns = repeated_baskets(rng, catalog, rng.randint(1, 12), 300)
+        assert_matches_reference(txns, catalog)
+
+    def test_one_basket_many_times(self):
+        catalog = catalog_for((3, 2, 4))
+        txns = single_basket(catalog, ["u1", "u3", "u5", "u6", "u9"]) * 7
+        txns += single_basket(catalog, ["u2"]) + txns
+        assert_matches_reference(txns, catalog)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5))
+def test_repeating_every_transaction_scales_exact_values(seed, k):
+    # in place (t1 t1 t2 t2) or as a whole (t1 t2 t1 t2), k copies of every
+    # transaction multiply each exact value by k and keep the pair order
+    rng = Random(seed)
+    catalog = catalog_for(tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 6))))
+    txns = random_baskets(rng, catalog, rng.randint(1, 20))
+    once = expected_transitions(txns, catalog)
+    for repeated in ([t for t in txns for _ in range(k)], txns * k):
+        got = expected_transitions(repeated, catalog)
+        assert list(got.cat_exact.items()) == [(key, k * w) for key, w in once.cat_exact.items()]
+        assert list(got.sub_exact.items()) == [(key, k * w) for key, w in once.sub_exact.items()]
+
+
+def block_contributions(blocks):
+    """Exact expected transition counts for one basket, as ``(leg, d)`` pairs
+    that each add weight ``1/d``: the per-basket generator the leg templates
+    replaced, kept as their oracle.
+
+    ``blocks`` are the basket's m categories, each with the g products
+    visited inside it. Within a block, ordered pairs are adjacent with
+    probability 1/g. A cross-block leg s1→s2 needs the second category to
+    directly follow the first (1/m), s1 to be picked last in its block
+    (1/g1) and s2 first in its (1/g2).
+    """
+    m = len(blocks)
+    for _, subs in blocks:
+        g = len(subs)
+        d_edge = m * g
+        for sid in subs:
+            yield (CHECK_IN, sid), d_edge
+            yield (sid, CHECK_OUT), d_edge
+        for s1 in subs:
+            for s2 in subs:
+                if s1 != s2:
+                    yield (s1, s2), g
+    for c1, subs1 in blocks:
+        for c2, subs2 in blocks:
+            if c1 == c2:
+                continue
+            d = m * len(subs1) * len(subs2)
+            for s1 in subs1:
+                for s2 in subs2:
+                    yield (s1, s2), d
+
+
+class TestLegTemplate:
+    @pytest.mark.parametrize("shape", [*SMALL_SHAPES, (1,) * 7, (8, 1, 3), (2,) * 5])
+    def test_lists_the_block_contributions_in_order(self, shape):
+        blocks = []
+        start = 1
+        for k, g in enumerate(shape):
+            blocks.append((k, tuple(range(start, start + g))))
+            start += g
+        slot = {CHECK_IN: 0, CHECK_OUT: start}
+        want = [
+            (slot.get(a, a), slot.get(b, b), d) for (a, b), d in block_contributions(blocks)
+        ]
+        assert _leg_template(shape) == want
+
 
 def reference_sequence(txn, catalog, rng):
     """One sampled visit order as a flat list of subcategories: the category
     blocks shuffled, then a shuffled copy of each block appended."""
-    blocks = _basket_blocks(txn, catalog)
+    blocks = _basket_blocks(txn.subcategory_ids, catalog)
     rng.shuffle(blocks)
     sequence = []
     for _, subs in blocks:
@@ -478,15 +566,37 @@ class TestSampledMatchesPerItemReference:
         assert got.cat_transitions.tobytes() == cat.tobytes()
         assert got.sub_transitions.tobytes() == sub.tobytes()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicate_heavy_interleaved_baskets(self, seed):
+        rng = Random(200 + seed)
+        catalog = catalog_for(tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 8))))
+        txns = repeated_baskets(rng, catalog, rng.randint(1, 10), 300)
+        got = sampled_transitions(txns, catalog, seed=seed)
+        cat, sub = reference_sampled(txns, catalog, seed)
+        assert got.cat_transitions.tobytes() == cat.tobytes()
+        assert got.sub_transitions.tobytes() == sub.tobytes()
+
+    def test_no_transactions(self):
+        catalog = catalog_for((2, 1))
+        got = sampled_transitions([], catalog, seed=0)
+        assert not got.cat_transitions.any() and not got.sub_transitions.any()
+        assert got.cat_transitions.shape == (4, 4) and got.sub_transitions.shape == (5, 5)
+
+
+def reference_stops(transactions, assignment, graph, catalog, seed):
+    """The node stops of every replayed walk: entrance, the centers in one
+    sampled visit order, exit."""
+    centers = {s.sublocation_id: s.center_node for s in graph.sublocations}
+    rng = Random(seed)
+    for txn in transactions:
+        sequence = reference_sequence(txn, catalog, rng)
+        yield [graph.entrance_node, *(centers[assignment[sid]] for sid in sequence), graph.exit_node]
+
 
 def reference_replay(transactions, assignment, graph, catalog, seed):
     """Walk replay with a fresh Dijkstra for every leg."""
-    centers = {s.sublocation_id: s.center_node for s in graph.sublocations}
-    rng = Random(seed)
     paths = []
-    for txn in transactions:
-        sequence = reference_sequence(txn, catalog, rng)
-        stops = [graph.entrance_node, *(centers[assignment[sid]] for sid in sequence), graph.exit_node]
+    for stops in reference_stops(transactions, assignment, graph, catalog, seed):
         walk = [stops[0]]
         for a, b in zip(stops, stops[1:]):
             walk.extend(_single_source_paths(graph, a)[b][1][1:])
@@ -541,3 +651,29 @@ class TestReplayMatchesPerLegReference:
         # a second replay reads the memo filled by the first
         again = replay_paths(txns, assignment, graph, catalog, seed=seed)
         assert again == got
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicate_heavy_baskets_ask_once_per_distinct_leg(self, seed, monkeypatch):
+        rng = Random(300 + seed)
+        sizes = tuple(rng.randint(1, 4) for _ in range(rng.randint(2, 5)))
+        graph = random_walk_store(rng, sizes)
+        catalog = catalog_for(sizes)
+        slots = [s.sublocation_id for s in graph.sublocations]
+        rng.shuffle(slots)
+        assignment = {s.subcategory_id: k for s, k in zip(catalog.subcategories, slots)}
+        txns = repeated_baskets(rng, catalog, rng.randint(1, 8), 200)
+        asked = []
+
+        def counted(graph, a, b):
+            asked.append((a, b))
+            return shortest_path(graph, a, b)
+
+        monkeypatch.setattr(demand, "shortest_path", counted)
+        got = replay_paths(txns, assignment, graph, catalog, seed=seed)
+        assert got == reference_replay(txns, assignment, graph, catalog, seed)
+        stops = reference_stops(txns, assignment, graph, catalog, seed)
+        legs = {leg for walk in stops for leg in zip(walk, walk[1:])}
+        assert sorted(asked) == sorted(legs)
+        # the walks share no list, so changing one leaves the others as they were
+        got[0].append("extra")
+        assert got[1:] == reference_replay(txns, assignment, graph, catalog, seed)[1:]

@@ -26,7 +26,7 @@ from conftest import (
     random_level1_instance,
     random_level2_instance,
 )
-from storelayout import solvers
+from storelayout import qap, solvers
 from storelayout.demand import expected_transitions, load_transactions, read_transactions_csv
 from storelayout.errors import InputError, ModelError, ValidationError
 from storelayout.qap import (
@@ -1107,6 +1107,20 @@ class TestLayoutEvaluation:
         assert metrics(shelves) == full
         assert metrics({**shelves, "check-in": "entrance"}) == full
         assert metrics({**shelves, "check-out": "exit"}) == full
+
+    def test_layout_is_checked_once(self, monkeypatch):
+        graph, catalog, matrices, exposures = small_fixture((2, 1))
+        layout = Assignment.from_mapping({"u1": "s2", "u2": "s1", "u3": "s3"})
+        calls = []
+
+        def counted(instance, assignment):
+            calls.append(assignment)
+            return check_feasible(instance, assignment)
+
+        monkeypatch.setattr(solvers, "check_feasible", counted)
+        monkeypatch.setattr(qap, "check_feasible", counted)
+        evaluate_layout(layout, exposures, matrices, catalog, graph)
+        assert len(calls) == 1
 
     def test_check_in_off_the_entrance_is_infeasible(self):
         graph, catalog, matrices, exposures = small_fixture((2, 1))

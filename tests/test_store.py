@@ -185,10 +185,83 @@ class TestPathExposure:
         with pytest.raises(InputError):
             path_exposure(g, ["n00", "bogus"], MODE_SUBLOCATION)
 
+    def test_names_the_first_unknown_node(self):
+        g = line_store(2)
+        for mode in (MODE_SUBLOCATION, MODE_LOCATION):
+            with pytest.raises(InputError, match="^unknown node id 'bogus' in path$"):
+                path_exposure(g, ["n00", "bogus", "n01", "worse"], mode)
+
     def test_rejects_empty_path(self):
         g = line_store(2)
         with pytest.raises(InputError):
             path_exposure(g, [], MODE_SUBLOCATION)
+
+
+def facing_store(rng: Random, n: int = 9) -> StoreGraph:
+    """The random graph with sublocations that face one to three nodes each,
+    centers shared by some of them, grouped into locations of random size."""
+    base = random_connected_graph(rng, n)
+    ids = [node.node_id for node in base.nodes]
+    subs = []
+    locs = []
+    count = rng.randint(2, 7)
+    for i in range(count):
+        faced = rng.sample(ids, rng.randint(1, 3))
+        subs.append([f"s{i + 1}", faced[0], frozenset(faced)])
+    start = 0
+    while start < count:
+        members = subs[start : start + rng.randint(1, 3)]
+        lid = f"L{len(locs) + 1}"
+        for sub in members:
+            sub.insert(1, lid)
+        locs.append(Location(lid, "aisle", members[0][2], tuple(sub[0] for sub in members)))
+        start += len(members)
+    return StoreGraph(
+        nodes=base.nodes,
+        edges=base.edges,
+        entrance_node=base.entrance_node,
+        exit_node=base.exit_node,
+        locations=tuple(locs),
+        sublocations=tuple(Sublocation(*sub) for sub in subs),
+    )
+
+
+def reference_exposure(graph: StoreGraph, path, mode: str) -> int:
+    """Shelf space passed by, read off each sublocation's own facing set."""
+    on_path = set(path)
+    faced = [s for s in graph.sublocations if s.facing_nodes & on_path]
+    if mode == MODE_SUBLOCATION:
+        return len(faced)
+    parents = {s.parent_location_id for s in faced}
+    return sum(len(loc.sublocation_ids) for loc in graph.locations if loc.location_id in parents)
+
+
+class TestExposureMatchesSetReference:
+    """The facing-mask exposure equals a count over the sublocations' facing
+    sets, path by path and over every center pair."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matrices(self, seed):
+        graph = facing_store(Random(seed))
+        ex = build_exposure_matrices(graph)
+        for axis, mode, matrix in (
+            (ex.sub_axis, MODE_SUBLOCATION, ex.sub_exposure),
+            (ex.loc_axis, MODE_LOCATION, ex.loc_exposure),
+        ):
+            centers = [graph.position_center(pid, mode) for pid in axis]
+            for i, a in enumerate(centers):
+                labels = _single_source_paths(graph, a)
+                for j, b in enumerate(centers):
+                    assert matrix[i, j] == reference_exposure(graph, labels[b][1], mode)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_path_exposure(self, seed, data):
+        graph = facing_store(Random(seed))
+        ids = [node.node_id for node in graph.nodes]
+        path = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=12))
+        for mode in (MODE_SUBLOCATION, MODE_LOCATION):
+            assert path_exposure(graph, path, mode) == reference_exposure(graph, path, mode)
 
 
 class TestExposureMatrices:
@@ -259,6 +332,19 @@ class TestTrafficDensity:
         g = line_store(2)
         with pytest.raises(InputError):
             accumulate_traffic(g, [["n00", "zzz"]])
+
+    def test_names_the_first_unknown_node(self):
+        g = line_store(2)
+        paths = [["n00", "n01"], ["n01", "bad-b", "n00", "bad-a"], ["bad-a"]]
+        with pytest.raises(InputError, match="^unknown node id 'bad-b' in path$"):
+            accumulate_traffic(g, paths)
+
+    def test_counts_keep_the_node_order(self):
+        g = line_store(3)
+        density = accumulate_traffic(g, [["n03", "n02", "n03"], ["n01"]])
+        assert list(density.counts.items()) == [
+            ("n00", 0), ("n01", 1), ("n02", 1), ("n03", 2), ("n04", 0)
+        ]
 
 
 class TestGraphValidation:
