@@ -224,6 +224,15 @@ def _basket_blocks(items: tuple[str, ...], catalog: Catalog) -> list[tuple[str, 
     return [(cid, by_cat[cid]) for cid in cat_order]
 
 
+def _dense(entries: Mapping[tuple[int, int], int | Fraction], size: int) -> np.ndarray:
+    """(size, size) float matrix of entries keyed by index pairs, each
+    correctly rounded, zero elsewhere."""
+    dense = np.zeros((size, size), dtype=np.float64)
+    for key, value in entries.items():
+        dense[key] = float(value)
+    return dense
+
+
 def _leg_template(shape: tuple[int, ...]) -> list[tuple[int, int, int]]:
     """Exact expected legs of any basket whose m blocks hold g1, ..., gm
     products, as slot pairs ``(a, b, d)`` that each add weight ``1/d``.
@@ -282,10 +291,7 @@ def _exact_transitions(
             key = rows[a] + ends[b]
             numerators[key] = get(key, 0) + count * k
     exact = {divmod(key, size): Fraction(num, common) for key, num in numerators.items()}
-    dense = np.zeros((size, size), dtype=np.float64)
-    for key, w in exact.items():
-        dense[key] = float(w)
-    return dense, exact
+    return _dense(exact, size), exact
 
 
 def expected_transitions(transactions: list[Transaction], catalog: Catalog) -> TransitionMatrices:
@@ -378,20 +384,12 @@ def sampled_transitions(
     return TransitionMatrices(
         cat_axis=cat_axis,
         sub_axis=sub_axis,
-        cat_transitions=_leg_counts(cat_legs, len(cat_axis)),
-        sub_transitions=_leg_counts(sub_legs, len(sub_axis)),
+        cat_transitions=_dense(cat_legs, len(cat_axis)),
+        sub_transitions=_dense(sub_legs, len(sub_axis)),
         mode=MODE_SAMPLED,
         seed=seed,
         transaction_count=len(transactions),
     )
-
-
-def _leg_counts(legs: Counter, size: int) -> np.ndarray:
-    """(size, size) float matrix of counts keyed by index pairs."""
-    counts = np.zeros((size, size), dtype=np.float64)
-    for leg, count in legs.items():
-        counts[leg] = count
-    return counts
 
 
 def replay_paths(

@@ -348,18 +348,19 @@ def build_exposure_matrices(graph: StoreGraph) -> ExposureMatrices:
     labels = {c: _paths_from(graph, c) for c in sorted(centers)}
 
     def fill(axis: tuple[str, ...], level: str, mode: str) -> tuple[np.ndarray, np.ndarray]:
+        n = len(axis)
+        expo = np.zeros((n, n), dtype=np.int64)
+        dist = np.zeros((n, n), dtype=np.float64)
         node_of = [graph.position_center(pid, level) for pid in axis]
-        expo: list[list[int]] = []
-        dist: list[list[float]] = []
-        for src in node_of:
+        for i, src in enumerate(node_of):
             from_src = labels[src]
-            missing = [dst for dst in node_of if dst not in from_src]
-            if missing:
-                raise ModelError(f"no path between centers {src!r} and {missing[0]!r}")
-            row = [from_src[dst] for dst in node_of]
-            expo.append([path_exposure(graph, path, mode) for _, path in row])
-            dist.append([length for length, _ in row])
-        return np.array(expo, dtype=np.int64), np.array(dist, dtype=np.float64)
+            for j, dst in enumerate(node_of):
+                if dst not in from_src:
+                    raise ModelError(f"no path between centers {src!r} and {dst!r}")
+                length, path = from_src[dst]
+                expo[i, j] = path_exposure(graph, path, mode)
+                dist[i, j] = length
+        return expo, dist
 
     sub_exposure, sub_distance = fill(sub_axis, MODE_SUBLOCATION, MODE_SUBLOCATION)
     loc_exposure, loc_distance = fill(loc_axis, MODE_LOCATION, MODE_LOCATION)
