@@ -21,18 +21,20 @@ location's slots (``_family_rows``), and the product layer, assembled into a
 keeps its cells' index keys and its two variable prefixes (``ProductNames``),
 and each reader spells a name from those when it needs one. Cell a's binary
 is ``z_<key_a>`` and the product of cells a and b is ``y_<key_a>_<key_b>``,
-so the layer's names form an (N, N) table with the binaries on its diagonal,
-and the objective is the coefficient table of that shape. Every row is an
-equation of +1 terms, at most one -1 term and a right-hand side of 0 or 1;
-the head rows are stored as such tuples (``Row``). The product layer's rows
-are described, not stored: ``_product_rows`` gives them as column blocks
-(``ProductBlock``) over the cells, and is their only description. Every
-name in a product row is spelled around the row's own cell key, so
-``write_lp`` lays a block's row out once, cut at that key, and joins each
-row from the pieces with its key. ``validate_solution`` reads the layer's
-values once, into a table of the objective's shape, and takes every row
-residual and the objective off that table, each a Python ``sum`` over its
-terms.
+so the layer's names form an (N, N) table with the binaries on its diagonal.
+The objective's coefficients form a table of that shape too, but it is not
+stored either: ``ObjectiveRows`` computes each table row when it is read,
+from the flow and exposure columns of the layer's cells. Every constraint
+row is an equation of +1 terms, at most one -1 term and a right-hand side
+of 0 or 1; the head rows are stored as such tuples (``Row``). The product
+layer's rows are described, not stored: ``_product_rows`` gives them as
+column blocks (``ProductBlock``) over the cells, and is their only
+description. Every name in a product row is spelled around the row's own
+cell key, so ``write_lp`` lays a block's row out once, cut at that key, and
+joins each row from the pieces with its key. ``validate_solution`` reads the layer's
+values once, into an (N, N) table laid out as the name table, and takes
+every row residual and the objective off that table, each a Python ``sum``
+over its terms.
 """
 
 from __future__ import annotations
@@ -123,6 +125,50 @@ class ProductNames(Sequence[str]):
             yield from map(prefix, keys[a + 1 :])
 
 
+class ObjectiveRows(Sequence[np.ndarray]):
+    """The objective coefficients of a product layer over N cells, one row
+    per cell, computed when read: row a is ``flow_cols[products[a]] *
+    expo_cols[positions[a]]``, a fresh float64 array whose entry b
+    multiplies the product of cells a and b, or cell a's binary when
+    ``a == b``. ``flow_cols`` and ``expo_cols`` are the ``(n, N)`` flow and
+    exposure columns of the cells' products and positions, so each entry is
+    the product of the same two doubles as in the ``(N, N)`` table, which is
+    never built."""
+
+    __slots__ = ("flow_cols", "expo_cols", "products", "positions")
+
+    def __init__(
+        self,
+        flow_cols: np.ndarray,
+        expo_cols: np.ndarray,
+        products: list[int],
+        positions: list[int],
+    ) -> None:
+        self.flow_cols = flow_cols
+        self.expo_cols = expo_cols
+        self.products = products
+        self.positions = positions
+
+    def __len__(self) -> int:
+        return len(self.products)
+
+    def __getitem__(self, index: int) -> np.ndarray:
+        index = operator.index(index)
+        size = len(self)
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("objective row index out of range")
+        return self.flow_cols[self.products[index]] * self.expo_cols[self.positions[index]]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return map(
+            operator.mul,
+            map(self.flow_cols.__getitem__, self.products),
+            map(self.expo_cols.__getitem__, self.positions),
+        )
+
+
 class ModelRows:
     """The constraint rows of a model: the ``head`` rows, then the product
     layer's linking and symmetry rows over ``cells``, whose index keys are
@@ -154,16 +200,17 @@ class LinearModel:
     instance. All orderings are deterministic functions of the instance.
 
     ``continuous_names`` spells the product layer's names over its N cells.
-    ``objective`` is the ``(N, N)`` coefficient table over those cells:
-    ``objective[a, b]`` multiplies the product of cells a and b, or the
-    binary of cell a when ``a == b``. Its readers take the nonzero terms one
-    table row at a time."""
+    ``objective`` holds the objective's coefficients over those cells as N
+    rows of length N (``ObjectiveRows`` in every built model): entry b of
+    row a multiplies the product of cells a and b, or the binary of cell a
+    when ``a == b``. Its readers take the nonzero terms one row at a time,
+    so any sequence of such rows serves, an ``(N, N)`` array included."""
 
     tag: str
     binary_names: tuple[str, ...]
     fixed_zero: tuple[str, ...]
     continuous_names: ProductNames
-    objective: np.ndarray
+    objective: Sequence[np.ndarray]
     constraints: ModelRows
 
 
@@ -318,10 +365,12 @@ def _model(
     a and b is flow[i1, i2] * expo[k1, k2]."""
     cells = list(binary)
     products, positions = np.array(cells, dtype=np.intp).reshape(-1, 2).T
-    # gathered rows first, then columns: a broadcast index pair would
-    # allocate two (N, N) index arrays
-    objective = flow[products][:, products]
-    objective *= expo[positions][:, positions]
+    objective = ObjectiveRows(
+        flow.take(products, axis=1),
+        expo.take(positions, axis=1),
+        products.tolist(),
+        positions.tolist(),
+    )
     return LinearModel(
         tag=tag,
         binary_names=lead_binaries + tuple(binary.values()),
@@ -429,11 +478,12 @@ class _SignedText(dict):
 def _write_objective(write: Callable[[str], object], model: LinearModel) -> None:
     """The objective line: each nonzero term as ``+ c name`` or ``- c name``,
     six per line, continuation lines indented one space, the first term's
-    sign folded into ``c name`` or ``-c name``. Written one table row at a
-    time: each term is joined from its separator, its coefficient's text, the
-    row's name prefix and the column's key, so no term string is built."""
+    sign folded into ``c name`` or ``-c name``; ``0`` times the first binary
+    when no term is nonzero. Written one objective row at a time, each row
+    read once: each term is joined from its separator, its coefficient's
+    text, the row's name prefix and the column's key, so no term string is
+    built."""
     names = model.continuous_names
-    keys = names.keys
     signed = _SignedText()
     count = 0  # terms written so far; every sixth term starts a line
     for a, coeffs in enumerate(model.objective):
@@ -453,7 +503,7 @@ def _write_objective(write: Callable[[str], object], model: LinearModel) -> None
                     seps,
                     map(signed.__getitem__, coeffs[cols].tolist()),
                     heads,
-                    map(keys.__getitem__, cols.tolist()),
+                    map(names.keys.__getitem__, cols.tolist()),
                 )
             )
         )
@@ -462,6 +512,8 @@ def _write_objective(write: Callable[[str], object], model: LinearModel) -> None
             text = (" obj: " if text[2] == "+" else " obj: -") + text[4:]
         write(text)
         count += len(cols)
+    if not count:
+        write(f" obj: 0 {model.binary_names[0]}")
     write("\n")
 
 
@@ -522,10 +574,7 @@ def write_lp(model: LinearModel, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         write = fh.write
         write(f"\\ {model.tag} exposure maximization model\nMaximize\n")
-        if model.objective.any():
-            _write_objective(write, model)
-        else:
-            write(f" obj: 0 {model.binary_names[0]}\n")
+        _write_objective(write, model)
         write("Subject To\n")
         equals = (" = 0\n", " = 1\n")
         write(
@@ -549,54 +598,63 @@ def write_lp(model: LinearModel, path: str) -> None:
 
 def parse_solution_file(path: str) -> ExternalSolution:
     """Read a solver solution file: one ``name value`` pair per line,
-    ``#`` comments ignored, optional ``# Objective value = X`` header."""
+    ``#`` comments ignored, optional ``# Objective value = X`` header. The
+    file is UTF-8 text, with or without a byte-order mark."""
     values: dict[str, float] = {}
     reported: float | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.lower().startswith("objective value"):
-                    _, _, tail = body.partition("=")
-                    try:
-                        reported = float(tail.strip())
-                    except ValueError:
-                        raise ParseError("bad objective value", path=path, line=lineno) from None
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(
-                    f"expected 'name value', got {len(parts)} fields", path=path, line=lineno
-                )
-            name = parts[0]
-            if name in values:
-                first = _first_line_of(path, name)
-                raise ParseError(
-                    f"variable {name!r} is listed twice, on lines {first} and {lineno}",
-                    path=path,
-                    line=lineno,
-                )
-            try:
-                values[name] = float(parts[1])
-            except ValueError:
-                raise ParseError(f"bad value for {name!r}", path=path, line=lineno) from None
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    body = line.lstrip("#").strip()
+                    if body.lower().startswith("objective value"):
+                        _, _, tail = body.partition("=")
+                        try:
+                            reported = float(tail.strip())
+                        except ValueError:
+                            raise ParseError(
+                                "bad objective value", path=path, line=lineno
+                            ) from None
+                    continue
+                parts = line.split()
+                if len(parts) != 2:
+                    raise ParseError(
+                        f"expected 'name value', got {len(parts)} fields", path=path, line=lineno
+                    )
+                name = parts[0]
+                if name in values:
+                    first = _first_line_of(path, name)
+                    raise ParseError(
+                        f"variable {name!r} is listed twice, on lines {first} and {lineno}",
+                        path=path,
+                        line=lineno,
+                    )
+                try:
+                    values[name] = float(parts[1])
+                except ValueError:
+                    raise ParseError(f"bad value for {name!r}", path=path, line=lineno) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
     return ExternalSolution(values=values, reported_objective=reported)
 
 
 def _first_line_of(path: str, name: str) -> int:
     """The number of the first line of a solution file that gives ``name`` a
-    value; a comment line starts with ``#``, which no name does."""
-    with open(path, encoding="utf-8") as fh:
+    value; a comment line starts with ``#``, which no name does. Opened as
+    ``parse_solution_file`` opens it, so a byte-order mark is no part of the
+    first line's name."""
+    with open(path, encoding="utf-8-sig") as fh:
         return next(lineno for lineno, raw in enumerate(fh, start=1) if raw.split()[:1] == [name])
 
 
 def _value_table(model: LinearModel, values: dict[str, float]) -> np.ndarray:
-    """The values of the product layer's (N, N) name table: cell a's binary
-    at [a, a] and the product of cells a and b at [a, b], a missing name read
-    as 0. Read one table row at a time, from names spelled for that row."""
+    """The values of the product layer's names as an (N, N) table laid out
+    as the objective's rows: cell a's binary at [a, a] and the product of
+    cells a and b at [a, b], a missing name read as 0. Read one table row at
+    a time, from names spelled for that row."""
     get = values.get
     zeros = repeat(0.0)
     keys = model.constraints.keys
@@ -610,8 +668,8 @@ def _value_table(model: LinearModel, values: dict[str, float]) -> np.ndarray:
 
 def _objective_value(model: LinearModel, table: np.ndarray) -> float:
     """The objective at the value table ``table`` (``_value_table``): each
-    nonzero term's coefficient times its value, in row-major cell order,
-    added by one running sum over all table rows."""
+    objective row's nonzero coefficients times the same row of values, in
+    row-major cell order, added by one running sum over all rows."""
 
     def row_terms(coeffs: np.ndarray, values: np.ndarray) -> Iterator[float]:
         cols = np.flatnonzero(coeffs)

@@ -34,6 +34,7 @@ from storelayout.linearize import (
     ExternalSolution,
     LinearModel,
     ModelRows,
+    ObjectiveRows,
     ProductNames,
     SolutionReport,
     _family_rows,
@@ -51,10 +52,12 @@ from storelayout.qap import (
     Assignment,
     QapInstance,
     _eligibility_matrix,
+    build_level1_instance,
     build_level2_instance,
     check_feasible,
     objective_of_permutation,
 )
+from storelayout.report import read_plan
 from storelayout.solvers import capacity_eligibility
 from storelayout.store import build_exposure_matrices
 from storelayout.storefile import load_store
@@ -173,12 +176,26 @@ def name_table(model: LinearModel) -> list[list[str]]:
 
 def _objective_terms(model: LinearModel):
     """The objective's nonzero terms ``(name, coeff)`` in row-major cell
-    order, each name read off the oracle name table beside the coefficient
-    table: the term-by-term reading of ``model.objective``."""
+    order, each name read off the oracle name table beside the row of
+    coefficients: the term-by-term reading of ``model.objective``."""
     for coeffs, names in zip(model.objective, name_table(model)):
         cols = np.flatnonzero(coeffs)
         for b, coeff in zip(cols.tolist(), coeffs[cols].tolist()):
             yield names[b], coeff
+
+
+def objective_table(
+    cells: list[tuple[int, int]], flow: np.ndarray, expo: np.ndarray
+) -> np.ndarray:
+    """The ``(N, N)`` objective coefficient table of a product layer over
+    ``cells``: ``table[a, b]`` is flow[i1, i2] * expo[k1, k2] for cells a =
+    (i1, k1) and b = (i2, k2). The table the package built for every model
+    before it computed the objective's rows when read; the oracle for
+    ``ObjectiveRows``."""
+    products, positions = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+    table = flow[products][:, products]
+    table *= expo[positions][:, positions]
+    return table
 
 
 GOLDEN_2X2 = """\\ level1 exposure maximization model
@@ -1066,18 +1083,99 @@ def constructor_calls(run) -> Counter:
 
 class TestObjectiveTable:
     def test_table_is_aligned_with_the_name_table(self):
-        # objective[a, b] is the coefficient of names[a][b]: its nonzeros in
-        # row-major order are the reference's (name, coeff) list
+        # entry b of row a is the coefficient of names[a][b]: the nonzeros
+        # in row-major order are the reference's (name, coeff) list
         tags = set()
         for model, ref in view_cases():
             cells, names = model.constraints.cells, name_table(model)
-            table = model.objective
-            assert isinstance(table, np.ndarray) and table.dtype == np.float64
-            assert table.shape == (len(cells), len(cells)) == (len(names), len(names))
-            rows, cols = np.nonzero(table)
-            assert [(names[a][b], table[a, b]) for a, b in zip(rows, cols)] == list(ref.objective)
+            assert len(model.objective) == len(cells) == len(names)
+            terms = []
+            for row, row_names in zip(model.objective, names):
+                assert isinstance(row, np.ndarray) and row.dtype == np.float64
+                assert row.shape == (len(cells),)
+                terms += [(row_names[b], row[b]) for b in np.flatnonzero(row)]
+            assert terms == list(ref.objective)
             tags.add(model.tag)
         assert tags == {"level1", "level2", "integrated"}
+
+
+def assert_rows_are_the_oracle_table(model: LinearModel, flow: np.ndarray, expo: np.ndarray):
+    """Every row of ``model.objective``, iterated or indexed from either
+    end, has the bytes of the oracle table's row; an index past either end
+    raises IndexError."""
+    table = objective_table(model.constraints.cells, flow, expo)
+    rows = model.objective
+    assert isinstance(rows, ObjectiveRows) and len(rows) == len(table)
+    count = 0
+    for a, (row, want) in enumerate(zip(rows, table)):
+        assert row.dtype == want.dtype == np.float64 and row.shape == want.shape
+        assert row.tobytes() == want.tobytes()
+        assert rows[a].tobytes() == rows[a - len(rows)].tobytes() == want.tobytes()
+        count += 1
+    assert count == len(table)
+    for outside in (len(table), -len(table) - 1):
+        with pytest.raises(IndexError):
+            rows[outside]
+
+
+class TestObjectiveRows:
+    def test_level_models_match_the_oracle(self):
+        rng = Random(311)
+        for sparsify in (False, True):
+            for inst in (
+                random_level1_instance(rng, 3),
+                random_level1_instance(rng, 4, full_eligibility=True),
+                random_level2_instance(rng, (2, 1)),
+                random_level2_instance(rng, (1, 1, 1)),
+                signed_level1_instance(rng),
+            ):
+                model = linearize(inst, sparsify=sparsify)
+                assert_rows_are_the_oracle_table(model, inst.flow, inst.exposure)
+
+    @pytest.mark.parametrize("sparsify", [False, True], ids=["full", "sparsified"])
+    def test_integrated_rows_match_the_oracle(self, sparsify):
+        graph, catalog, matrices, exposures = TestIntegratedModel.pieces((3, 2, 1))
+        model = linearize_integrated(exposures, matrices, None, catalog, graph, sparsify=sparsify)
+        assert_rows_are_the_oracle_table(model, matrices.sub_transitions, exposures.sub_exposure)
+
+    def test_bundled_models_match_the_oracle(self, bundled_inputs, bundled_integrated_model):
+        doc, exposures, matrices = bundled_inputs
+        eligibility = capacity_eligibility(doc.eligibility, doc.catalog, doc.graph)
+        level1 = build_level1_instance(exposures, matrices, eligibility)
+        baseline = read_plan(str(FIXTURES / "current_layout.json")).level1_assignment()
+        level2 = build_level2_instance(exposures, matrices, baseline, doc.catalog, doc.graph)
+        for inst in (level1, level2):
+            model = linearize(inst, sparsify=True)
+            assert_rows_are_the_oracle_table(model, inst.flow, inst.exposure)
+        assert_rows_are_the_oracle_table(
+            bundled_integrated_model, matrices.sub_transitions, exposures.sub_exposure
+        )
+
+    def test_writer_reads_each_row_once(self, tmp_path):
+        # write_lp takes every term off one pass over the rows, with no
+        # whole-table test for a nonzero term before it writes
+        rng = Random(307)
+        model = linearize(random_level1_instance(rng, 4, full_eligibility=True))
+        for rows in (model.objective, np.zeros((len(model.objective),) * 2)):
+            reads = Counter()
+
+            class Counted:
+                def __len__(self):
+                    return len(rows)
+
+                def __getitem__(self, index):
+                    reads[index] += 1
+                    return rows[index]
+
+                def __iter__(self):
+                    for a, row in enumerate(rows):
+                        reads[a] += 1
+                        yield row
+
+            text = written(dataclasses.replace(model, objective=Counted()), tmp_path / "a.lp")
+            assert reads == Counter(range(len(rows)))
+            assert text == written(dataclasses.replace(model, objective=rows), tmp_path / "b.lp")
+        assert objective_line(text) == f" obj: 0 {model.binary_names[0]}"
 
 
 class TestConstraintView:
@@ -1271,6 +1369,28 @@ class TestWriterText:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
+        assert peak < table / 2, (peak, table)
+
+    @pytest.mark.parametrize("sparsify", [False, True], ids=["full", "sparsified"])
+    def test_export_holds_less_than_the_objective_table(self, sparsify, tmp_path):
+        # building and writing a model computes the objective's rows as it
+        # reads them: the (N, N) float64 coefficient table the package used
+        # to build, with a second one as a temporary, came to four times
+        # this bound
+        graph, catalog, matrices, exposures = TestIntegratedModel.pieces((5, 5, 4, 4, 3, 3))
+        args = (exposures, matrices, None, catalog, graph)
+        cells = len(linearize_integrated(*args, sparsify=sparsify).constraints.cells)
+        table = cells * cells * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            model = linearize_integrated(*args, sparsify=sparsify)
+            write_lp(model, str(tmp_path / "model.lp"))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(model.objective) == cells > 500
         assert peak < table / 2, (peak, table)
 
 
@@ -1666,14 +1786,22 @@ def test_bundled_store_lp_files_are_pinned(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def bundled_integrated_model() -> LinearModel:
-    """The sparsified integrated model of the bundled store and baskets, as
-    export-lp builds it."""
+def bundled_inputs():
+    """The bundled store document, its exposure matrices and the expected
+    transitions of the bundled baskets, as export-lp reads them."""
     doc = load_store(str(FIXTURES / "synthetic_store.json"))
     baskets = read_transactions_csv(str(FIXTURES / "synthetic_transactions.csv"), doc.catalog)
+    return doc, build_exposure_matrices(doc.graph), expected_transitions(baskets, doc.catalog)
+
+
+@pytest.fixture(scope="module")
+def bundled_integrated_model(bundled_inputs) -> LinearModel:
+    """The sparsified integrated model of the bundled store and baskets, as
+    export-lp builds it."""
+    doc, exposures, matrices = bundled_inputs
     return linearize_integrated(
-        build_exposure_matrices(doc.graph),
-        expected_transitions(baskets, doc.catalog),
+        exposures,
+        matrices,
         capacity_eligibility(doc.eligibility, doc.catalog, doc.graph),
         doc.catalog,
         doc.graph,
@@ -1799,6 +1927,31 @@ class TestSolutionFileParsing:
             parse_solution_file(str(path))
         assert err.value.line == 5
         assert "'x_0_0' is listed twice, on lines 2 and 5" in str(err.value)
+
+    def test_byte_order_mark_is_no_part_of_the_first_name(self, tmp_path):
+        # a "UTF-8 with BOM" save: read as utf-8 the first name would start
+        # with U+FEFF and its variable would read as missing
+        path = tmp_path / "sol.txt"
+        path.write_text("x_0_0 1\nw_0_0_1_1 0.25\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        sol = parse_solution_file(str(path))
+        assert sol.values == {"x_0_0": 1.0, "w_0_0_1_1": 0.25}
+
+    def test_byte_order_mark_keeps_the_duplicate_line_numbers(self, tmp_path):
+        path = tmp_path / "sol.txt"
+        path.write_text("x_0_0 1\nw_0_0_1_1 0.25\nx_0_0 0\n", encoding="utf-8-sig")
+        with pytest.raises(ParseError) as err:
+            parse_solution_file(str(path))
+        assert err.value.line == 3
+        assert "'x_0_0' is listed twice, on lines 1 and 3" in str(err.value)
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "sol.txt"
+        path.write_bytes(b"x_0_0 1\nw_0_0_1_\xff 0.25\n")
+        with pytest.raises(ParseError) as err:
+            parse_solution_file(str(path))
+        assert err.value.path == str(path) and err.value.line is None
+        assert str(err.value).startswith(f"{path}: not UTF-8 text (")
 
 
 class TestValidateSolution:
