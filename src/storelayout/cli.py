@@ -5,15 +5,20 @@ traffic heatmaps.
 The parsed arguments are the run's configuration: each subcommand names its
 handler, and the handler reads the arguments directly. main() checks the
 input files and the output directory before any handler runs, and removes
-the artifacts written before a failure, so an output directory never holds
-a half-written run. Arguments may also come from a file named with an @
-prefix (`storelayout solve @run.args --seed 5`), one argument per line; they
-pass the same type and choice checks as typed flags, and a later flag wins.
+the artifacts written before any failure, so an output directory never
+holds a half-written run. The handler runs with the cyclic garbage
+collector paused: almost all of a command's objects are acyclic and freed
+by reference counting, and each collector pass would walk its live
+transactions and matrices again. Arguments may also come from a file named
+with an @ prefix (`storelayout solve @run.args --seed 5`), one argument per
+line; they pass the same type and choice checks as typed flags, and a later
+flag wins.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -438,8 +443,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; on failure remove its partial artifacts, report
-    the error on stderr and return 2."""
+    """Run one subcommand with the cyclic collector paused; on failure
+    remove its partial artifacts, report the error on stderr and return 2.
+    Any other exception removes them as well and is raised again. The
+    collector is enabled again on every exit if it was enabled on entry."""
     sink = _Artifacts()
     try:
         try:
@@ -455,11 +462,25 @@ def main(argv=None) -> int:
             pool_gap=args.pool_gap,
         )
         _check(args)
-        args.run(args, sink)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            args.run(args, sink)
+        finally:
+            if collecting:
+                gc.enable()
     except LayoutError as exc:
         sink.cleanup()
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except OSError as exc:  # say, a directory where an artifact goes
+        sink.cleanup()
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        sys.stderr.write(f"error: {where}{exc.strerror or exc}\n")
+        return 2
+    except BaseException:
+        sink.cleanup()
+        raise
     return 0
 
 

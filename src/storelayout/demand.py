@@ -196,14 +196,20 @@ def read_transactions_csv(path: str, catalog: Catalog) -> list[Transaction]:
                     path=path,
                     line=1,
                 )
-            for lineno, row in enumerate(reader, start=2):
+            # a quoted field may span lines, so a row's number is the
+            # reader's count of lines read: the row's last line
+            for row in reader:
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 if len(row) != 2:
-                    raise ParseError(f"expected 2 fields, got {len(row)}", path=path, line=lineno)
+                    raise ParseError(
+                        f"expected 2 fields, got {len(row)}", path=path, line=reader.line_num
+                    )
                 tid, sid = row[0].strip(), row[1].strip()
                 if not tid or not sid:
-                    raise ParseError("empty transaction or subcategory id", path=path, line=lineno)
+                    raise ParseError(
+                        "empty transaction or subcategory id", path=path, line=reader.line_num
+                    )
                 records.append((tid, sid))
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None

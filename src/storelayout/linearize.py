@@ -711,22 +711,28 @@ def validate_solution(
     def read(names: Sequence[str]) -> np.ndarray:
         return np.fromiter(map(get, names, zeros), dtype=float, count=len(names))
 
-    # the continuous values are the table's off its diagonal, row-major
     bounds = (
         (model.binary_names, read(model.binary_names), lambda v: np.abs(v - np.round(v))),
         (model.fixed_zero, read(model.fixed_zero), np.abs),
-        (model.continuous_names, table[~np.eye(len(table), dtype=bool)], np.negative),
     )
     templates = (
         "binary {} = {} is not integral",
         "fixed variable {} = {} violates its zero bound",
-        "continuous {} = {} is negative",
     )
     for (names, v, amounts), template in zip(bounds, templates):
         with np.errstate(invalid="ignore"):  # an infinite binary is NaN off integral
             off = amounts(v)
         for j in flagged(off):
             violations.append(template.format(names[j], _fmt(float(v[j]))))
+    # the continuous values are the table's off its diagonal, row-major:
+    # each table row is checked where it lies, its diagonal binary left out
+    products = model.continuous_names
+    for a, row in enumerate(table):
+        below = np.negative(row)
+        below[a] = 0.0
+        for b in flagged(below):
+            name = products.prefix(a) + products.keys[b]
+            violations.append(f"continuous {name} = {_fmt(float(row[b]))} is negative")
     rows = model.constraints
     # -v is -1.0 * v: each row sums, with Python's sum, the terms in order
     # that a sum of (coefficient * value) products would; the float start

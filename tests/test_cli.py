@@ -4,7 +4,9 @@ arguments read from an @file, failure exit codes, and artifact cleanup."""
 from __future__ import annotations
 
 import csv
+import errno
 import functools
+import gc
 import hashlib
 import io
 import json
@@ -20,6 +22,7 @@ import storelayout
 from storelayout import cli
 from storelayout.cli import main
 from storelayout.demand import expected_transitions, read_transactions_csv
+from storelayout.errors import InputError
 from storelayout.qap import build_level2_instance, check_feasible
 from storelayout.report import read_plan
 from storelayout.solvers import SolverConfig
@@ -476,6 +479,70 @@ class TestFailureModes:
         ]
         assert drop_hash[0] == drop_hash[1]
         assert len(drop_hash[0]) == len(reports[0].splitlines()) - 1
+
+    def test_directory_in_an_artifacts_place(self, workspace, plan_path, tmp_path, capsys):
+        # export-lp writes the level1 and level2 models, then cannot open the
+        # integrated model's path: both are removed, the directory stays
+        out = tmp_path / "lp"
+        blocker = out / "model_integrated.lp"
+        blocker.mkdir(parents=True)
+        extra = ["--mode", "all", "--baseline", plan_path]
+        assert main(["export-lp", *common_args(workspace, out, extra)]) == 2
+        assert capsys.readouterr().err == f"error: {blocker}: {os.strerror(errno.EISDIR)}\n"
+        assert list(out.iterdir()) == [blocker] and blocker.is_dir()
+
+
+class TestCollectorPause:
+    """main runs the handler with the cyclic garbage collector paused and
+    hands it back as it found it on every way out; a failed handler's
+    artifacts are removed either way."""
+
+    # what the handler raises, if anything, for each outcome
+    OUTCOMES = {
+        "success": None,
+        "layout-error": lambda: InputError("bad input"),
+        "os-error": lambda: IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), "a/dir"),
+        "unexpected": lambda: RuntimeError("bug"),
+        "interrupt": KeyboardInterrupt,
+    }
+
+    @pytest.fixture
+    def collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "caller-disabled"])
+    @pytest.mark.parametrize("outcome", list(OUTCOMES))
+    def test_collector_is_restored(
+        self, outcome, enabled, collector, workspace, tmp_path, monkeypatch, capsys
+    ):
+        seen = []
+        out = tmp_path / "out"
+        failure = self.OUTCOMES[outcome]
+
+        def handler(args, sink):
+            seen.append(gc.isenabled())
+            cli._write_text(sink, os.path.join(args.out, "partial.txt"), "partial\n")
+            if failure is not None:
+                raise failure()
+
+        monkeypatch.setattr(cli, "_run_build_matrices", handler)
+        (gc.enable if enabled else gc.disable)()
+        argv = ["build-matrices", *common_args(workspace, out)]
+        if outcome in ("unexpected", "interrupt"):
+            with pytest.raises(type(failure())):
+                main(argv)
+        else:
+            assert main(argv) == (0 if outcome == "success" else 2)
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+        assert [p.name for p in out.iterdir()] == (["partial.txt"] if outcome == "success" else [])
+        err = capsys.readouterr().err
+        assert err == {
+            "layout-error": "error: bad input\n",
+            "os-error": f"error: a/dir: {os.strerror(errno.EISDIR)}\n",
+        }.get(outcome, "")
 
 
 def args_file(path, *lines) -> str:

@@ -139,6 +139,26 @@ class TestLoadTransactions:
             read_transactions_csv(str(path), cat)
         assert ":2:" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ('"t\n1",u1\nt2,u1,extra\n', "expected 2 fields, got 3"),
+            ("t1,u1\n\nt2,u1,extra\n", "expected 2 fields, got 3"),
+            ("t1,u1\n\nt2, \n", "empty transaction or subcategory id"),
+        ],
+        ids=["after-a-quoted-line-break", "after-a-blank-line", "empty-id"],
+    )
+    def test_csv_error_names_the_physical_line(self, tmp_path, body, message):
+        # a quoted id spanning lines 2-3, or a blank line 3, puts the bad row
+        # on line 4 of the file, though it is the file's third record
+        cat = catalog_for((1,))
+        path = tmp_path / "tx.csv"
+        path.write_text("transaction_id,subcategory_id\n" + body, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_transactions_csv(str(path), cat)
+        assert err.value.line == 4
+        assert str(err.value) == f"{path}:4: {message}"
+
 
 class TestExpectedTransitions:
     @pytest.mark.parametrize("shape", SMALL_SHAPES)

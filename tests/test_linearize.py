@@ -1857,7 +1857,28 @@ def test_objective_value_has_the_oracle_bits(bundled_integrated_model):
         assert report.linear_objective.hex() == oracle_objective(model, values).hex()
 
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "storelayout"
+def test_validation_holds_less_than_two_value_tables(bundled_integrated_model):
+    # validate_solution reads the product layer's values into one (N, N)
+    # table and checks the continuous bounds one table row at a time; a mask
+    # of the diagonal and a copy of the values off it, with their negation,
+    # would come to more than three tables
+    model = bundled_integrated_model
+    cells = len(model.constraints.cells)
+    table = cells * cells * np.dtype(np.float64).itemsize
+    zeros = ExternalSolution(dict.fromkeys(model.binary_names, 0.0), None)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = validate_solution(toy_2x2(), model, zeros)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert cells == 898 and report.assignment is None and not report.feasible
+    assert peak < 2 * table, (peak, table)
+
+
+PACKAGE =Path(__file__).resolve().parent.parent / "src" / "storelayout"
 PRODUCT_ROW_PREFIX = re.compile(r"(?<![A-Za-z0-9_])(li|lk|sym)_")
 
 
