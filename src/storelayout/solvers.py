@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from random import Random
 from time import perf_counter
@@ -54,6 +55,9 @@ BRUTE_FORCE_CAP = 9
 BLOCK_EXHAUSTIVE_CAP = 7
 # Most free products solve_level1 hands to branch and bound instead of tabu.
 EXACT_FREE_LIMIT = 11
+# Permutations a tabu lane remembers the objective of. On the bundled store a
+# strategic lane rescores about 40 distinct ones over 50,000 iterations.
+RESCORE_MEMO = 256
 
 
 @dataclass(frozen=True)
@@ -411,57 +415,79 @@ def branch_and_bound(
 
 
 def _tabu_lanes(
-    instance: QapInstance,
-    eligibility: np.ndarray,
-    starts: list[np.ndarray],
+    instances: list[QapInstance],
+    restarts: int,
+    first: Callable[[int], tuple[np.ndarray, object]],
     rngs: list[Random],
     iterations: int,
     pool: SolutionPool | None,
-    deadline: float | None,
-) -> tuple[list[tuple[float, np.ndarray, int]], bool]:
-    """Tabu runs from L feasible permutations ("lanes"); returns (best
-    objective, best permutation, iterations executed) per lane, and whether
-    the deadline stopped them.
+    time_limit: float | None,
+    t0: float | None,
+) -> tuple[list[tuple[float, np.ndarray, int]], list, bool]:
+    """Tabu runs of ``restarts`` lanes per instance; returns (best
+    objective, best permutation, iterations executed) per lane, the output
+    of ``first`` per instance, and whether the deadline stopped the lanes.
 
-    Lane l scores with the flow and exposure matrices of ``instance`` and
-    moves under ``eligibility[l]`` of a C-contiguous bool (L, n, n) stack,
-    which takes the place of the instance's own: the tactical instances of
-    one solve_level2 call share their matrices but not their blocks. A
-    lane's walk depends on nothing outside the lane, so the lanes are split
-    into contiguous chunks, one per usable CPU: the first runs in this
-    process, each other one in a forked worker, and the results come back
-    in lane order. Under a deadline every lane runs here, so all lanes stop
-    together at it.
+    Lane l walks instance l // restarts as restart l % restarts, drawing
+    from ``rngs[l]``. Restart 0 starts from the permutation ``first(j)``
+    returns with its output for instance j; a later restart starts from a
+    random feasible assignment drawn from its own rng. Every lane scores
+    with the flow and exposure matrices of ``instances[0]``, which all
+    instances share, and moves under its own instance's eligibility: the
+    tactical instances of one solve_level2 call share their matrices but
+    not their blocks.
+
+    A lane's walk depends on nothing outside the lane, so the lanes are
+    split into contiguous chunks, one per usable CPU: the first runs in
+    this process, each other one in a forked worker. A chunk builds the
+    starts of its own lanes, calling ``first`` once for each instance whose
+    restart-0 lane it holds, then walks them; the results and the outputs
+    come back in lane and instance order. Under a time limit every lane
+    runs here, so all lanes stop together at the deadline, ``time_limit``
+    after ``t0``, or, with ``t0`` None, after the restart-0 starts are built.
 
     With a pool, each lane offers to a pool of its own (same capacity and
     gap), and at the end every lane pool's entries are offered to ``pool``.
     A pool's contents depend only on the set of its offers, and whatever
     enters the merged pool also ranks within its own lane's pool, so
     ``pool`` ends as if every lane had offered to it directly."""
-    lanes = len(starts)
+    lanes = len(rngs)
     shape = None if pool is None else (pool.capacity, pool.gap)
 
     def walk(lo: int, hi: int):
-        return _walk_lanes(
-            instance, eligibility[lo:hi], starts[lo:hi], rngs[lo:hi], iterations, shape, deadline
+        # the instances whose restart-0 lane is in [lo, hi)
+        made = {j: first(j) for j in range(-(-lo // restarts), -(-hi // restarts))}
+        deadline = None
+        if time_limit is not None:
+            deadline = (perf_counter() if t0 is None else t0) + time_limit
+        starts = [
+            made[lane // restarts][0] if lane % restarts == 0
+            else random_assignment(instances[lane // restarts], rngs[lane])
+            for lane in range(lo, hi)
+        ]
+        eligibility = np.stack([instances[lane // restarts].eligibility for lane in range(lo, hi)])
+        walked = _walk_lanes(
+            instances[0], eligibility, starts, rngs[lo:hi], iterations, shape, deadline
         )
+        return walked, [output for _, output in made.values()]
 
-    workers = _lane_workers(lanes, deadline)
+    workers = _lane_workers(lanes, time_limit)
     bounds = [(lanes * w // workers, lanes * (w + 1) // workers) for w in range(workers)]
     chunks = _split_lanes(walk, bounds, rngs) if workers > 1 else [walk(0, lanes)]
-    results = []
-    for chunk_results, ranked, _ in chunks:
+    results, outputs = [], []
+    for (chunk_results, ranked, _), chunk_outputs in chunks:
         results += chunk_results
+        outputs += chunk_outputs
         for lane_ranked in ranked:
             for obj, key in lane_ranked:
                 pool.offer(np.array(key), obj)
-    return results, any(cut for _, _, cut in chunks)
+    return results, outputs, any(cut for (_, _, cut), _ in chunks)
 
 
-def _lane_workers(lanes: int, deadline: float | None) -> int:
+def _lane_workers(lanes: int, time_limit: float | None) -> int:
     """Processes one lane call runs in: one per usable CPU, at most one per
-    lane, and one under a deadline."""
-    if deadline is not None:
+    lane, and one under a time limit."""
+    if time_limit is not None:
         return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -556,14 +582,23 @@ def _walk_lanes(
     and two columns per move (Taillard 1991). A move is tabu only when BOTH
     products would return to recently held positions, and aspiration admits
     any move that beats the lane's best by more than round-off, so a tabu
-    move back to the incumbent is never let through by float noise. A lane
-    rescores its running objective only when it may reach its best or its
-    pool's admission bar, less round-off. All lanes stop at the deadline; a
-    lane with no allowed move stops alone."""
+    move back to the incumbent is never let through by float noise. All
+    lanes stop at the deadline; a lane with no allowed move stops alone.
+
+    A lane rescores its running objective only when it may reach its best
+    or its pool's admission bar, less round-off. It remembers the canonical
+    objective of up to RESCORE_MEMO permutations it has scored, its start
+    among them, forgetting them all when full: a remembered one is taken
+    back as the running objective and nothing else, since its offer, its
+    ranking against the best and the bars it set have all been made and
+    cannot change (a pool's contents depend only on the set of its offers,
+    and its best and bar only rise). The lanes' new permutations are scored
+    in one stacked call."""
     lanes, n = len(starts), instance.n
     perms = np.array(starts, dtype=np.int64)
     cur = objective_of_permutation(instance, perms).tolist()
     cur_col = np.array(cur)[:, None]
+    scored = [{perm.tobytes(): obj} for perm, obj in zip(perms, cur)]
     best_obj = list(cur)
     best_perm = [perm.copy() for perm in perms]
     pools = []
@@ -615,7 +650,7 @@ def _walk_lanes(
         admissible = allowed & (~tabu_move | (cur_col + delta > aspire))
         picks = np.where(admissible, delta, -np.inf).argmax(axis=1).tolist()
         stuck = []
-        rescore = []
+        fresh = []
         for lane in live:
             p = picks[lane]
             if not admissible[lane, p]:
@@ -635,19 +670,26 @@ def _walk_lanes(
             perm[a], perm[b] = kb, ka
             scan.swap(a, b, lane)
             cur[lane] += float(delta[lane, p])
-            cur_col[lane, 0] = cur[lane]
             if cur[lane] >= rescore_at[lane]:
-                rescore.append(lane)
+                known = scored[lane].get(perm.tobytes())
+                if known is None:
+                    fresh.append(lane)
+                else:
+                    cur[lane] = known
+            cur_col[lane, 0] = cur[lane]
         if stuck:
             live = [lane for lane in live if lane not in stuck]
             if not live:
                 break
-        if rescore:
-            canon = objective_of_permutation(instance, perms[rescore]).tolist()
-            for lane, obj in zip(rescore, canon):
+        if fresh:
+            canon = objective_of_permutation(instance, perms[fresh]).tolist()
+            for lane, obj in zip(fresh, canon):
                 cur[lane] = obj
                 cur_col[lane, 0] = obj
                 perm = perms[lane]
+                if len(scored[lane]) == RESCORE_MEMO:
+                    scored[lane].clear()
+                scored[lane][perm.tobytes()] = obj
                 if pools:
                     pools[lane].offer(perm, obj)
                 better = _better(obj, perm, best_obj[lane], best_perm[lane])
@@ -668,18 +710,24 @@ def tabu_search(
     pool: SolutionPool | None = None,
 ) -> SolveResult:
     """Multi-restart tabu search, the restarts run as lanes of one lockstep
-    call. Restart 0 starts from the given assignment (or the deterministic
-    greedy construction); later restarts start from seeded random feasible
-    assignments. Never returns a worse objective than its starting
-    assignment. A run its time limit stopped carries the time-limit note."""
+    call. Restart r draws from Random(_mix_seed(seed, r)). Restart 0 starts
+    from the given assignment (or the deterministic greedy construction),
+    built by the process that walks it; later restarts start from random
+    feasible assignments drawn from their own rngs, each in the process
+    that walks it. Never returns a worse objective than its starting
+    assignment. The time limit counts from the call; a run it stopped
+    carries the time-limit note."""
     cfg = config or SolverConfig()
     t0 = perf_counter()
-    deadline = t0 + cfg.time_limit if cfg.time_limit else None
-    start0 = instance.permutation_of(initial) if initial is not None else greedy_assignment(instance)
-    starts, rngs = _restart_lanes(instance, start0, cfg.seed, RESTARTS)
-    lanes, cut = _tabu_lanes(
-        instance, np.stack([instance.eligibility] * RESTARTS), starts, rngs,
-        cfg.iteration_limit, pool, deadline,
+
+    def first(_):
+        if initial is not None:
+            return instance.permutation_of(initial), None
+        return greedy_assignment(instance), None
+
+    rngs = [Random(_mix_seed(cfg.seed, r)) for r in range(RESTARTS)]
+    lanes, _, cut = _tabu_lanes(
+        [instance], RESTARTS, first, rngs, cfg.iteration_limit, pool, cfg.time_limit, t0
     )
     return _best_lane(instance, lanes, t0, (_time_limit_note(cfg),) if cut else ())
 
@@ -687,16 +735,6 @@ def tabu_search(
 def _time_limit_note(config: SolverConfig) -> str:
     """The note of a solver call that its deadline stopped."""
     return f"time limit {config.time_limit}s reached"
-
-
-def _restart_lanes(
-    instance: QapInstance, start0: np.ndarray, seed: int, restarts: int
-) -> tuple[list[np.ndarray], list[Random]]:
-    """Starts and rngs of one instance's tabu restarts: restart r draws from
-    Random(_mix_seed(seed, r)); restart 0 starts from start0, later ones from
-    a random feasible assignment drawn from their own rng."""
-    rngs = [Random(_mix_seed(seed, r)) for r in range(restarts)]
-    return [start0] + [random_assignment(instance, rng) for rng in rngs[1:]], rngs
 
 
 def _best_lane(
@@ -820,23 +858,21 @@ def solve_level2(
     Each instance's restarts are seeded by the instance's seed as
     tabu_search seeds its own, with restart 0 starting from the descent's
     layout; a lane never ends below its start, so the refined objective is
-    never below the descent's. The instances must share one flow and one
+    never below the descent's. Each descent runs once, in the process that
+    walks its instance's restart 0, and the lanes' time limit counts from
+    the end of the descents. The instances must share one flow and one
     exposure matrix. Returns (descent, refined) per instance; the refined
     result carries the descent's notes and, when the deadline stopped the
     lanes, the time-limit note, each once."""
     t0 = perf_counter()
-    descents = [block_descent(inst, config) for inst in instances]
-    deadline = perf_counter() + config.time_limit if config.time_limit else None
-    starts: list[np.ndarray] = []
-    rngs: list[Random] = []
-    for inst, seed, descended in zip(instances, seeds, descents):
-        start0 = inst.permutation_of(descended.assignment)
-        inst_starts, inst_rngs = _restart_lanes(inst, start0, seed, restarts)
-        starts += inst_starts
-        rngs += inst_rngs
-    eligibility = np.stack([inst.eligibility for inst in instances for _ in range(restarts)])
-    lanes, cut = _tabu_lanes(
-        instances[0], eligibility, starts, rngs, config.iteration_limit, None, deadline
+
+    def descend(j):
+        descended = block_descent(instances[j], config)
+        return instances[j].permutation_of(descended.assignment), descended
+
+    rngs = [Random(_mix_seed(seed, r)) for seed in seeds for r in range(restarts)]
+    lanes, descents, cut = _tabu_lanes(
+        instances, restarts, descend, rngs, config.iteration_limit, None, config.time_limit, None
     )
     notes = (_time_limit_note(config),) if cut else ()
     return [

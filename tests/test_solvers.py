@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -264,7 +265,7 @@ def equivalence_cases(seed: int, count: int = 20):
 def one_lane(inst, start, iterations, rng, pool):
     """A single tabu walk through _tabu_lanes under the instance's own
     eligibility."""
-    lanes, _ = _tabu_lanes(inst, inst.eligibility[None], [start], [rng], iterations, pool, None)
+    lanes, _, _ = _tabu_lanes([inst], 1, lambda _: (start, None), [rng], iterations, pool, None, None)
     return lanes[0]
 
 
@@ -455,9 +456,9 @@ class TestLanesMatchSerialRuns:
             serial_tabu_run(inst, start, iterations, (0.1, 0.5), Random(s), pools[0])
             for inst, start, s in zip(instances, starts, seeds)
         ]
-        elig = np.stack([inst.eligibility for inst in instances])
-        got, cut = _tabu_lanes(
-            instances[0], elig, starts, [Random(s) for s in seeds], iterations, pools[1], None
+        got, _, cut = _tabu_lanes(
+            instances, 1, lambda j: (starts[j], None), [Random(s) for s in seeds], iterations,
+            pools[1], None, None,
         )
         assert not cut
         assert len(got) == len(want)
@@ -529,8 +530,9 @@ class TestLaneSplit:
         starts = [random_assignment(inst, Random(s)) for inst, s in zip(instances, seeds)]
         rngs = [Random(s) for s in seeds]
         pool = None if capacity is None else SolutionPool(instances[0], capacity=capacity, gap=0.02)
-        elig = np.stack([inst.eligibility for inst in instances])
-        lanes, _ = _tabu_lanes(instances[0], elig, starts, rngs, iterations, pool, None)
+        lanes, _, _ = _tabu_lanes(
+            instances, 1, lambda j: (starts[j], None), rngs, iterations, pool, None, None
+        )
         return (
             [(float(obj).hex(), perm.tolist(), done) for obj, perm, done in lanes],
             [rng.getstate() for rng in rngs],
@@ -558,6 +560,182 @@ class TestLaneSplit:
             sizes = tuple(rng.choice((1, 2, 3, 4)) for _ in range(rng.randint(3, 6)))
             base = random_level2_instance(rng, sizes)
             self.assert_split_exact(monkeypatch, block_variants(rng, base, trial % 4 + 4), trial, None)
+
+
+def lane_rngs(monkeypatch) -> list[list[Random]]:
+    """Record the rngs of every lane call from now on, so a test can read
+    the states the lanes leave them in."""
+    calls = []
+
+    def recorded(instances, restarts, first, rngs, *args):
+        calls.append(rngs)
+        return _tabu_lanes(instances, restarts, first, rngs, *args)
+
+    monkeypatch.setattr(solvers, "_tabu_lanes", recorded)
+    return calls
+
+
+def result_bits(result) -> tuple:
+    return (result.objective.hex(), result.assignment, result.iterations, result.notes)
+
+
+class TestStartsBuiltWhereWalked:
+    """Each lane chunk builds its own lanes' starts: the descents and greedy
+    starts of the restart-0 lanes it holds and the random starts of the
+    others. Split over 1, 2, 3 or L processes, with an instance's restarts
+    often in different chunks, a solve gives the same descents and results
+    bit for bit and leaves every lane's rng in the same state."""
+
+    def assert_split_exact(self, monkeypatch, lanes: int, solve) -> None:
+        calls = lane_rngs(monkeypatch)
+        want = None
+        for workers in sorted({1, 2, 3, lanes}):
+            force_workers(monkeypatch, workers)
+            calls.clear()
+            got = (solve(), [[rng.getstate() for rng in rngs] for rngs in calls])
+            if want is None:
+                want = got
+            assert got == want, f"{workers} workers"
+
+    def test_level2(self, monkeypatch):
+        rng = Random(839)
+        parted = 0
+        for trial in range(10):
+            instances, seeds, config = tactical_case(rng, trial, monkeypatch)
+            restarts = trial % 5 + 1
+            descents = []
+
+            def counted(instance, cfg=None, initial=None):
+                descents.append(instance)
+                return block_descent(instance, cfg, initial)
+
+            def solve():
+                descents.clear()
+                solved = solve_level2(instances, seeds, config, restarts)
+                return [(result_bits(d), result_bits(r)) for d, r in solved]
+
+            monkeypatch.setattr(solvers, "block_descent", counted)
+            self.assert_split_exact(monkeypatch, len(instances) * restarts, solve)
+            # the last solve ran one lane per process: this one ran only
+            # the first instance's descent, each worker its own instance's
+            assert len(descents) == 1 and descents[0] is instances[0]
+            # the two chunks of a 2-process split part an instance's restarts
+            parted += len(instances) * restarts // 2 % restarts != 0
+        assert parted > 0
+
+    @pytest.mark.parametrize("start", ["greedy", "initial"])
+    def test_tabu_search(self, start, monkeypatch):
+        rng = Random(853)
+        for trial in range(6):
+            restarts = trial % 5 + 1
+            monkeypatch.setattr(solvers, "RESTARTS", restarts)
+            inst = random_level1_instance(rng, rng.randint(6, 10))
+            initial = None
+            if start == "initial":
+                initial = inst.assignment_from_permutation(random_assignment(inst, Random(trial)))
+            config = SolverConfig(seed=trial, iteration_limit=rng.choice((5, 60)))
+
+            def solve():
+                pool = SolutionPool(inst, capacity=4, gap=0.02)
+                result = tabu_search(inst, config, initial=initial, pool=pool)
+                return result_bits(result), pool.ranked
+
+            self.assert_split_exact(monkeypatch, restarts, solve)
+
+
+class TestRescoreMemo:
+    """A lane remembers the objectives of the permutations it rescored, so
+    a revisit costs no objective call and no pool offer, and it still takes
+    the moves and fills the pool of the walk that rescores every visit."""
+
+    @pytest.mark.parametrize("memo", [None, 16], ids=["default", "small"])
+    def test_plateau_memo_stays_within_its_bound(self, memo, monkeypatch):
+        # zero flow ties every state with the best, so each lane rescores
+        # after every move; the objective rows scored must be exactly the
+        # misses of a memo that forgets everything when it is full
+        force_workers(monkeypatch, 1)  # the spies count in this process
+        if memo is not None:
+            monkeypatch.setattr(solvers, "RESCORE_MEMO", memo)
+        cap = solvers.RESCORE_MEMO
+        rng = Random(641)
+        base = random_level1_instance(rng, 20, full_eligibility=True)
+        inst = replace(base, flow=np.zeros_like(base.flow))
+        seeds = [3, 5, 8]
+        starts = [random_assignment(inst, Random(s)) for s in seeds]
+
+        visits = []
+        canonical = objective_of_permutation
+
+        def recorded(instance, perm):
+            visits[-1].append(perm.tobytes())
+            return canonical(instance, perm)
+
+        monkeypatch.setattr(sys.modules[__name__], "objective_of_permutation", recorded)
+        want = []
+        for start, s in zip(starts, seeds):
+            visits.append([])
+            want.append(serial_tabu_run(inst, start, 5000, (0.1, 0.5), Random(s), None))
+        monkeypatch.setattr(sys.modules[__name__], "objective_of_permutation", canonical)
+
+        scored = [0]
+
+        def counted(instance, perm):
+            scored[0] += len(perm)
+            return canonical(instance, perm)
+
+        monkeypatch.setattr(solvers, "objective_of_permutation", counted)
+        got, _, _ = _tabu_lanes(
+            [inst] * 3, 1, lambda j: (starts[j], None), [Random(s) for s in seeds], 5000,
+            None, None, None,
+        )
+        assert [(g[0].hex(), g[1].tolist(), g[2]) for g in got] == [
+            (w[0].hex(), w[1].tolist(), w[2]) for w in want
+        ]
+        misses = 0
+        for lane_visits in visits:
+            assert len(lane_visits) == 5001  # the start, then every move
+            held = {lane_visits[0]}
+            for key in lane_visits[1:]:
+                if key not in held:
+                    misses += 1
+                    if len(held) == cap:
+                        held.clear()
+                    held.add(key)
+            assert len(set(lane_visits)) > cap  # the memo filled and was cleared
+        assert scored[0] == len(seeds) + misses
+
+    def test_each_lane_offers_each_permutation_once(self, monkeypatch):
+        # the serial walk offers every rescored permutation, revisits
+        # included; a lane offers each one once and fills the same pool
+        force_workers(monkeypatch, 1)  # the spy records in this process
+        offers = []
+        offer = SolutionPool.offer
+
+        def spied(pool, perm, objective_value):
+            offers.append((id(pool), np.asarray(perm).tobytes()))
+            return offer(pool, perm, objective_value)
+
+        monkeypatch.setattr(SolutionPool, "offer", spied)
+        rng = Random(643)
+        repeated = 0
+        for trial in range(6):
+            inst = random_level1_instance(rng, rng.randint(6, 10))
+            seeds = [trial * 41 + lane for lane in range(trial % 3 + 2)]
+            starts = [random_assignment(inst, Random(s)) for s in seeds]
+            pools = [SolutionPool(inst, capacity=6, gap=0.02) for _ in range(2)]
+            offers.clear()
+            for start, s in zip(starts, seeds):
+                serial_tabu_run(inst, start, 2000, (0.1, 0.5), Random(s), pools[0])
+            repeated += len(offers) - len(set(offers))
+            offers.clear()
+            _tabu_lanes(
+                [inst] * len(seeds), 1, lambda j: (starts[j], None),
+                [Random(s) for s in seeds], 2000, pools[1], None, None,
+            )
+            lane_offers = [o for o in offers if o[0] != id(pools[1])]
+            assert len(lane_offers) == len(set(lane_offers))
+            assert pools[1].ranked == pools[0].ranked
+        assert repeated > 0
 
 
 class TestLaneWorkers:
@@ -620,6 +798,24 @@ class TestLaneWorkers:
         assert splits == [2, 2]  # the strategic restarts and the tactical lanes
         assert multiprocessing.active_children() == []
 
+    def test_worker_descent_exception_is_raised_in_caller(self, monkeypatch):
+        # the second instance's descent runs in the forked worker, and fails
+        force_workers(monkeypatch, 2)
+        caller = os.getpid()
+        descend = solvers.block_descent
+
+        def failing(instance, config=None, initial=None):
+            if os.getpid() != caller:
+                raise ModelError("descent failed in worker")
+            return descend(instance, config, initial)
+
+        monkeypatch.setattr(solvers, "block_descent", failing)
+        instances, seeds, config = tactical_case(Random(859), 1, monkeypatch)
+        instances, seeds = instances[:1] * 2, seeds[:1] * 2
+        with pytest.raises(ModelError, match="descent failed in worker"):
+            solve_level2(instances, seeds, config, 1)
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("why", ["deadline", "no-fork", "thread"])
     def test_lanes_stay_in_process(self, why, monkeypatch):
         inst = random_level1_instance(Random(829), 8)
@@ -677,15 +873,15 @@ class TestTimeLimit:
         inst = random_level1_instance(Random(661), 10)
         starts = [random_assignment(inst, Random(s)) for s in range(3)]
 
-        def cut(deadline):
+        def cut(time_limit, t0):
             return _tabu_lanes(
-                inst, np.stack([inst.eligibility] * 3), starts,
-                [Random(s) for s in range(3)], 20, None, deadline,
-            )[1]
+                [inst] * 3, 1, lambda j: (starts[j], None),
+                [Random(s) for s in range(3)], 20, None, time_limit, t0,
+            )[2]
 
-        assert cut(perf_counter()) is True
-        assert cut(perf_counter() + 60) is False
-        assert cut(None) is False
+        assert cut(1e-9, perf_counter()) is True
+        assert cut(60, perf_counter()) is False
+        assert cut(None, None) is False
 
     def test_refined_carries_the_lanes_time_limit_note(self):
         # no block is within the descent's cap, so only the lanes meet the
@@ -711,12 +907,13 @@ def tactical_stage_oracle(instances, seeds, config: SolverConfig):
     candidate, one lockstep lane per candidate from its descent, and the
     better of the two; (objective, assignment, iterations) per candidate."""
     descents = [block_descent(inst, config) for inst in instances]
-    refined, _ = _tabu_lanes(
-        instances[0],
-        np.stack([inst.eligibility for inst in instances]),
-        [inst.permutation_of(d.assignment) for inst, d in zip(instances, descents)],
+    refined, _, _ = _tabu_lanes(
+        instances,
+        1,
+        lambda j: (instances[j].permutation_of(descents[j].assignment), None),
         [Random(_mix_seed(s, 0)) for s in seeds],
         config.iteration_limit,
+        None,
         None,
         None,
     )
