@@ -390,7 +390,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--transition-mode", choices=_TRANSITION_MODES, default="expected")
 
 
-def _parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="storelayout",
         description="store layout optimization over shopper walk exposure",
@@ -400,26 +400,27 @@ def _parser() -> argparse.ArgumentParser:
     parser.set_defaults(mode="hierarchical", baseline=None, plans=())
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, run, help: str, **fixed) -> argparse.ArgumentParser:
+    # each subcommand names its handler, looked up when main runs it
+    def command(name: str, run: str, help: str, **fixed) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         _add_common(p)
         p.set_defaults(run=run, **fixed)
         return p
 
-    command("build-matrices", _run_build_matrices, "exposure and transition matrices as TSV")
+    command("build-matrices", "_run_build_matrices", "exposure and transition matrices as TSV")
 
-    p = command("solve", _run_solve, "optimize a layout")
+    p = command("solve", "_run_solve", "optimize a layout")
     p.add_argument("--mode", choices=_MODES, default="hierarchical")
     p.add_argument("--baseline")
 
-    command("solve-l1", _run_solve, "strategic solve only (pool of category layouts)",
+    command("solve-l1", "_run_solve", "strategic solve only (pool of category layouts)",
             mode="level1")
 
-    p = command("solve-l2", _run_solve, "tactical solve under a fixed category layout",
+    p = command("solve-l2", "_run_solve", "tactical solve under a fixed category layout",
                 mode="level2")
     p.add_argument("--baseline", required=True, help="plan providing the category layout")
 
-    p = command("export-lp", _run_export_lp, "write linearized models as LP files")
+    p = command("export-lp", "_run_export_lp", "write linearized models as LP files")
     p.add_argument("--mode", dest="models", metavar="MODE", type=_model_tags,
                    default="level1,level2",
                    help="comma-separated model tags (level1,level2,integrated or all)")
@@ -428,18 +429,31 @@ def _parser() -> argparse.ArgumentParser:
                    help="emit full index ranges instead of eligibility-sparsified models")
 
     # each positional plan path is appended to args.plans
-    p = command("evaluate", _run_evaluate, "evaluate a layout plan")
+    p = command("evaluate", "_run_evaluate", "evaluate a layout plan")
     p.add_argument("plans", action="append", metavar="plan")
     p.add_argument("--baseline")
 
-    p = command("diff", _run_diff, "movement report between two plans")
+    p = command("diff", "_run_diff", "movement report between two plans")
     p.add_argument("plans", action="append", metavar="plan_a")
     p.add_argument("plans", action="append", metavar="plan_b")
 
-    p = command("render", _run_render, "traffic heatmap for a plan")
+    p = command("render", "_run_render", "traffic heatmap for a plan")
     p.add_argument("plans", action="append", metavar="plan")
 
     return parser
+
+
+_built_parser: argparse.ArgumentParser | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built by the first call and kept: parsing
+    leaves it unchanged, and a process that runs several commands builds
+    its nine subparsers once."""
+    global _built_parser
+    if _built_parser is None:
+        _built_parser = _build_parser()
+    return _built_parser
 
 
 def main(argv=None) -> int:
@@ -465,7 +479,7 @@ def main(argv=None) -> int:
         collecting = gc.isenabled()
         gc.disable()
         try:
-            args.run(args, sink)
+            globals()[args.run](args, sink)
         finally:
             if collecting:
                 gc.enable()

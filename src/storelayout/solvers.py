@@ -58,6 +58,11 @@ EXACT_FREE_LIMIT = 11
 # Permutations a tabu lane remembers the objective of. On the bundled store a
 # strategic lane rescores about 40 distinct ones over 50,000 iterations.
 RESCORE_MEMO = 256
+# Iterations a tactical tabu lane walks past its last new best before it
+# retires. On the bundled store, at six basket sets, no tactical lane found
+# a new best after iteration 22; on small random tactical instances 2 walks
+# in 150 went more than 200 iterations between new bests, and 1 more than 500.
+STALL = 500
 
 
 @dataclass(frozen=True)
@@ -423,6 +428,7 @@ def _tabu_lanes(
     pool: SolutionPool | None,
     time_limit: float | None,
     t0: float | None,
+    stall: int | None = None,
 ) -> tuple[list[tuple[float, np.ndarray, int]], list, bool]:
     """Tabu runs of ``restarts`` lanes per instance; returns (best
     objective, best permutation, iterations executed) per lane, the output
@@ -445,6 +451,8 @@ def _tabu_lanes(
     come back in lane and instance order. Under a time limit every lane
     runs here, so all lanes stop together at the deadline, ``time_limit``
     after ``t0``, or, with ``t0`` None, after the restart-0 starts are built.
+    With ``stall``, each lane retires ``stall`` iterations after its last
+    new best, and ``iterations`` is a cap.
 
     With a pool, each lane offers to a pool of its own (same capacity and
     gap), and at the end every lane pool's entries are offered to ``pool``.
@@ -467,7 +475,7 @@ def _tabu_lanes(
         ]
         eligibility = np.stack([instances[lane // restarts].eligibility for lane in range(lo, hi)])
         walked = _walk_lanes(
-            instances[0], eligibility, starts, rngs[lo:hi], iterations, shape, deadline
+            instances[0], eligibility, starts, rngs[lo:hi], iterations, shape, deadline, stall
         )
         return walked, [output for _, output in made.values()]
 
@@ -563,6 +571,7 @@ def _walk_lanes(
     iterations: int,
     pool_shape: tuple[int, float] | None,
     deadline: float | None,
+    stall: int | None = None,
 ) -> tuple[
     list[tuple[float, np.ndarray, int]], list[list[tuple[float, tuple[int, ...]]]], bool
 ]:
@@ -583,7 +592,11 @@ def _walk_lanes(
     products would return to recently held positions, and aspiration admits
     any move that beats the lane's best by more than round-off, so a tabu
     move back to the incumbent is never let through by float noise. All
-    lanes stop at the deadline; a lane with no allowed move stops alone.
+    lanes stop at the deadline; a lane with no allowed move stops alone,
+    and so, with ``stall``, does a lane whose best last changed ``stall``
+    iterations ago (a move to an equal objective at a lexicographically
+    smaller permutation changes it too). The call ends when no lane is
+    left.
 
     A lane rescores its running objective only when it may reach its best
     or its pool's admission bar, less round-off. It remembers the canonical
@@ -632,6 +645,8 @@ def _walk_lanes(
     pair_a, pair_b = pa.tolist(), pb.tolist()
     live = list(range(lanes))
     done = [0] * lanes
+    # the iteration of each lane's last new best, its start at 0
+    improved = [0] * lanes
     last = 0
     cut = False
     for it in range(1, iterations + 1):
@@ -649,7 +664,7 @@ def _walk_lanes(
         tabu_move = (tabu_flat.take(at_ab) >= it) & (tabu_flat.take(at_ba) >= it)
         admissible = allowed & (~tabu_move | (cur_col + delta > aspire))
         picks = np.where(admissible, delta, -np.inf).argmax(axis=1).tolist()
-        stuck = []
+        ending = []  # the lanes that stop at this iteration
         fresh = []
         for lane in live:
             p = picks[lane]
@@ -657,8 +672,7 @@ def _walk_lanes(
                 # no admissible move: any allowed one will do, and a lane
                 # with none stops here
                 if not allowed[lane].any():
-                    done[lane] = it
-                    stuck.append(lane)
+                    ending.append(lane)
                     continue
                 p = int(np.argmax(np.where(allowed[lane], delta[lane], -np.inf)))
             a, b = pair_a[p], pair_b[p]
@@ -677,10 +691,6 @@ def _walk_lanes(
                 else:
                     cur[lane] = known
             cur_col[lane, 0] = cur[lane]
-        if stuck:
-            live = [lane for lane in live if lane not in stuck]
-            if not live:
-                break
         if fresh:
             canon = objective_of_permutation(instance, perms[fresh]).tolist()
             for lane, obj in zip(fresh, canon):
@@ -696,8 +706,17 @@ def _walk_lanes(
                 if better:
                     best_obj[lane] = obj
                     best_perm[lane] = perm.copy()
+                    improved[lane] = it
                 if better or pools:
                     track(lane)
+        if stall is not None:
+            ending += [lane for lane in live if it - improved[lane] >= stall]
+        if ending:
+            for lane in ending:
+                done[lane] = it
+            live = [lane for lane in live if lane not in ending]
+            if not live:
+                break
     for lane in live:
         done[lane] = last
     return list(zip(best_obj, best_perm, done)), [lane_pool.ranked for lane_pool in pools], cut
@@ -853,7 +872,9 @@ def solve_level2(
     """Tactical solve of each instance: block descent, then `restarts` tabu
     restarts from it, the restarts of all instances run as the lanes of one
     lockstep call. The lanes are the only tabu search of a tactical instance:
-    they also search the blocks too large for the descent.
+    they also search the blocks too large for the descent. Each lane retires
+    STALL iterations after its last new best; the config's iteration limit
+    is a cap.
 
     Each instance's restarts are seeded by the instance's seed as
     tabu_search seeds its own, with restart 0 starting from the descent's
@@ -872,7 +893,8 @@ def solve_level2(
 
     rngs = [Random(_mix_seed(seed, r)) for seed in seeds for r in range(restarts)]
     lanes, descents, cut = _tabu_lanes(
-        instances, restarts, descend, rngs, config.iteration_limit, None, config.time_limit, None
+        instances, restarts, descend, rngs, config.iteration_limit, None, config.time_limit, None,
+        STALL,
     )
     notes = (_time_limit_note(config),) if cut else ()
     return [

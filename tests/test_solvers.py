@@ -262,10 +262,12 @@ def equivalence_cases(seed: int, count: int = 20):
         yield trial, inst, random_assignment(inst, Random(trial))
 
 
-def one_lane(inst, start, iterations, rng, pool):
+def one_lane(inst, start, iterations, rng, pool, stall=None):
     """A single tabu walk through _tabu_lanes under the instance's own
     eligibility."""
-    lanes, _, _ = _tabu_lanes([inst], 1, lambda _: (start, None), [rng], iterations, pool, None, None)
+    lanes, _, _ = _tabu_lanes(
+        [inst], 1, lambda _: (start, None), [rng], iterations, pool, None, None, stall
+    )
     return lanes[0]
 
 
@@ -344,9 +346,11 @@ class SerialSwapScan:
             hh[:, y] = col
 
 
-def serial_tabu_run(instance, start, iterations, tenure_range, rng, pool):
+def serial_tabu_run(instance, start, iterations, tenure_range, rng, pool, stall=None, hits=None):
     """One tabu walk on its own, as it ran before lanes: the reference each
-    lane of a lockstep call must follow move for move."""
+    lane of a lockstep call must follow move for move. With ``stall`` it
+    stops ``stall`` iterations after its last new best; ``hits``, if given,
+    collects the iteration of each new best."""
     elig = instance.eligibility
     n = instance.n
     perm = start.copy()
@@ -361,6 +365,7 @@ def serial_tabu_run(instance, start, iterations, tenure_range, rng, pool):
     pa, pb = swap_candidate_pairs(elig)
     scan = SerialSwapScan(instance.flow, instance.exposure, perm, pa, pb)
     done = 0
+    improved = 0
     for it in range(1, iterations + 1):
         done = it
         ka, kb = perm[pa], perm[pb]
@@ -392,6 +397,11 @@ def serial_tabu_run(instance, start, iterations, tenure_range, rng, pool):
             if _better(canon, perm, best_obj, best_perm):
                 best_obj = canon
                 best_perm = perm.copy()
+                improved = it
+                if hits is not None:
+                    hits.append(it)
+        if stall is not None and it - improved >= stall:
+            break
     return best_obj, best_perm, done
 
 
@@ -443,9 +453,13 @@ class TestLanesMatchSerialRuns:
     """L walks in lockstep must each take the moves of the same walk run on
     its own: the same best-objective bits, best permutation and iteration
     count, and a shared pool ending with the entries the walks leave when
-    they offer one after another."""
+    they offer one after another. Each case runs again with a stall, under
+    which both sides stop a walk that many iterations after its last new
+    best."""
 
-    def assert_lanes(self, instances, seed, iterations=200, with_pool=True):
+    STALLS = (1, 3, 10, 30)
+
+    def assert_lanes(self, instances, seed, iterations=200, with_pool=True, stall=None):
         seeds = [seed * 31 + lane for lane in range(len(instances))]
         starts = [random_assignment(inst, Random(s)) for inst, s in zip(instances, seeds)]
         pools = [
@@ -453,12 +467,12 @@ class TestLanesMatchSerialRuns:
             for _ in range(2)
         ]
         want = [
-            serial_tabu_run(inst, start, iterations, (0.1, 0.5), Random(s), pools[0])
+            serial_tabu_run(inst, start, iterations, (0.1, 0.5), Random(s), pools[0], stall)
             for inst, start, s in zip(instances, starts, seeds)
         ]
         got, _, cut = _tabu_lanes(
             instances, 1, lambda j: (starts[j], None), [Random(s) for s in seeds], iterations,
-            pools[1], None, None,
+            pools[1], None, None, stall,
         )
         assert not cut
         assert len(got) == len(want)
@@ -473,9 +487,13 @@ class TestLanesMatchSerialRuns:
 
     def test_strategic_restarts(self):
         rng = Random(601)
+        stopped = 0
         for trial in range(12):
             inst = random_level1_instance(rng, rng.randint(4, 10))
             self.assert_lanes([inst] * (trial % 6 + 1), trial)
+            got = self.assert_lanes([inst] * (trial % 6 + 1), trial, stall=self.STALLS[trial % 4])
+            stopped += sum(done < 200 for _, _, done in got)
+        assert stopped > 0
 
     def test_tactical_candidates(self):
         rng = Random(607)
@@ -483,7 +501,8 @@ class TestLanesMatchSerialRuns:
             sizes = tuple(rng.choice((1, 2, 3)) for _ in range(rng.randint(3, 6)))
             base = random_level2_instance(rng, sizes)
             lanes = block_variants(rng, base, trial % 6 + 1)
-            self.assert_lanes(lanes, trial, with_pool=trial % 2 == 0)
+            for stall in (None, self.STALLS[trial % 4]):
+                self.assert_lanes(lanes, trial, with_pool=trial % 2 == 0, stall=stall)
 
     def test_lanes_with_different_pair_lists(self):
         # pairs are the union over lanes; a lane never moves a pair its own
@@ -510,7 +529,34 @@ class TestLanesMatchSerialRuns:
         for trial in range(6):
             base = random_level1_instance(rng, rng.randint(4, 8), full_eligibility=True)
             inst = replace(base, flow=np.zeros_like(base.flow))
-            self.assert_lanes([inst] * (trial + 1), trial)
+            for stall in (None, self.STALLS[trial % 4]):
+                self.assert_lanes([inst] * (trial + 1), trial, stall=stall)
+
+    def test_stall_counts_from_the_last_tie_move(self):
+        # zero flow ties every state, so each new best is a move to a
+        # lexicographically smaller permutation; each one must restart the
+        # count, and the lane must retire exactly ``stall`` iterations after
+        # the last new best before the first gap of more than ``stall``
+        rng = Random(1637)
+        extended = 0
+        for trial in range(12):
+            base = random_level1_instance(rng, rng.randint(5, 9), full_eligibility=True)
+            inst = replace(base, flow=np.zeros_like(base.flow))
+            start = random_assignment(inst, Random(trial))
+            hits = []
+            serial_tabu_run(inst, start, 400, (0.1, 0.5), Random(trial), None, hits=hits)
+            stall = self.STALLS[trial % 4]
+            last = 0
+            for hit in hits:
+                if hit - last > stall:
+                    break
+                last = hit
+            obj, perm, done = one_lane(inst, start, 400, Random(trial), None, stall)
+            assert done == min(last + stall, 400)
+            assert obj == 0.0
+            assert tuple(perm) <= tuple(start)
+            extended += last > 0
+        assert extended > 0
 
 
 def force_workers(monkeypatch, workers: int) -> None:
@@ -522,16 +568,17 @@ def force_workers(monkeypatch, workers: int) -> None:
 class TestLaneSplit:
     """A lane call split over 1, 2, 3 or L processes gives, per lane, the
     same best-objective bits, permutation and iteration count, leaves each
-    lane's rng in the same state, and ends with the same pool entries."""
+    lane's rng in the same state, and ends with the same pool entries, with
+    or without a stall."""
 
-    def run(self, monkeypatch, workers, instances, seed, iterations, capacity):
+    def run(self, monkeypatch, workers, instances, seed, iterations, capacity, stall):
         force_workers(monkeypatch, workers)
         seeds = [seed * 37 + lane for lane in range(len(instances))]
         starts = [random_assignment(inst, Random(s)) for inst, s in zip(instances, seeds)]
         rngs = [Random(s) for s in seeds]
         pool = None if capacity is None else SolutionPool(instances[0], capacity=capacity, gap=0.02)
         lanes, _, _ = _tabu_lanes(
-            instances, 1, lambda j: (starts[j], None), rngs, iterations, pool, None, None
+            instances, 1, lambda j: (starts[j], None), rngs, iterations, pool, None, None, stall
         )
         return (
             [(float(obj).hex(), perm.tolist(), done) for obj, perm, done in lanes],
@@ -539,27 +586,35 @@ class TestLaneSplit:
             None if pool is None else pool.ranked,
         )
 
-    def assert_split_exact(self, monkeypatch, instances, seed, capacity, iterations=200):
+    def assert_split_exact(self, monkeypatch, instances, seed, capacity, iterations=200, stall=None):
         lanes = len(instances)
-        want = self.run(monkeypatch, 1, instances, seed, iterations, capacity)
+        want = self.run(monkeypatch, 1, instances, seed, iterations, capacity, stall)
         for workers in sorted({2, 3, lanes}):
-            got = self.run(monkeypatch, workers, instances, seed, iterations, capacity)
+            got = self.run(monkeypatch, workers, instances, seed, iterations, capacity, stall)
             assert got == want, f"{workers} workers"
         return want
 
     @pytest.mark.parametrize("capacity", [1, 6])
     def test_strategic_lanes_with_pool(self, capacity, monkeypatch):
         rng = Random(811)
+        stopped = 0
         for trial in range(6):
             inst = random_level1_instance(rng, rng.randint(6, 10))
-            self.assert_split_exact(monkeypatch, [inst] * (trial % 3 + 4), trial, capacity)
+            for stall in (None, trial % 3 + 2):
+                lanes, _, _ = self.assert_split_exact(
+                    monkeypatch, [inst] * (trial % 3 + 4), trial, capacity, stall=stall
+                )
+            stopped += sum(done < 200 for _, _, done in lanes)
+        assert stopped > 0
 
     def test_tactical_lanes_without_pool(self, monkeypatch):
         rng = Random(821)
         for trial in range(6):
             sizes = tuple(rng.choice((1, 2, 3, 4)) for _ in range(rng.randint(3, 6)))
             base = random_level2_instance(rng, sizes)
-            self.assert_split_exact(monkeypatch, block_variants(rng, base, trial % 4 + 4), trial, None)
+            lanes = block_variants(rng, base, trial % 4 + 4)
+            for stall in (None, trial % 3 + 2):
+                self.assert_split_exact(monkeypatch, lanes, trial, None, stall=stall)
 
 
 def lane_rngs(monkeypatch) -> list[list[Random]]:
@@ -599,6 +654,7 @@ class TestStartsBuiltWhereWalked:
 
     def test_level2(self, monkeypatch):
         rng = Random(839)
+        default_stall = solvers.STALL
         parted = 0
         for trial in range(10):
             instances, seeds, config = tactical_case(rng, trial, monkeypatch)
@@ -615,7 +671,12 @@ class TestStartsBuiltWhereWalked:
                 return [(result_bits(d), result_bits(r)) for d, r in solved]
 
             monkeypatch.setattr(solvers, "block_descent", counted)
-            self.assert_split_exact(monkeypatch, len(instances) * restarts, solve)
+            # at the default stall and at one below the walks' budgets, which
+            # retires lanes at different iterations in whichever process
+            # walks them
+            for stall in (default_stall, trial % 3 + 1):
+                monkeypatch.setattr(solvers, "STALL", stall)
+                self.assert_split_exact(monkeypatch, len(instances) * restarts, solve)
             # the last solve ran one lane per process: this one ran only
             # the first instance's descent, each worker its own instance's
             assert len(descents) == 1 and descents[0] is instances[0]
@@ -999,11 +1060,16 @@ class TestSolveLevel2:
         case=st.integers(0, 10**6),
         restarts=st.integers(1, 5),
         time_limit=st.sampled_from([None, 1e-9]),
+        stall=st.sampled_from([None, 1, 2, 5]),
     )
-    def test_refined_never_below_descent(self, case, restarts, time_limit):
+    def test_refined_never_below_descent(self, case, restarts, time_limit, stall):
+        # a lane stopped by the deadline, or retired by a stall long before
+        # the iteration cap, still ends at or above its start
         with pytest.MonkeyPatch.context() as patch:
             instances, seeds, config = tactical_case(Random(case), case, patch)
             config = replace(config, time_limit=time_limit)
+            if stall is not None:
+                patch.setattr(solvers, "STALL", stall)
             for inst, (descended, refined) in zip(
                 instances, solve_level2(instances, seeds, config, restarts)
             ):
