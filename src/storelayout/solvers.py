@@ -328,18 +328,21 @@ def branch_and_bound(
     instance: QapInstance,
     config: SolverConfig | None = None,
     pool: SolutionPool | None = None,
+    *,
+    deadline: float | None = None,
 ) -> SolveResult:
     """Depth-first exact search with bound-based pruning.
 
     Products are assigned in static fewest-eligible-first order. A node is
     pruned when its bound cannot beat the incumbent (minus the pool gap when
     collecting a pool, so near-optimal leaves survive). Exhausting the tree
-    certifies optimality; hitting node/time limits downgrades to the root
-    bound as the gap reference.
+    certifies optimality. Hitting the node limit or the deadline (see
+    _deadline) downgrades to the root bound as the gap reference, and
+    before the first leaf it answers with, and offers, the greedy layout.
     """
     cfg = config or SolverConfig()
     t0 = perf_counter()
-    deadline = t0 + cfg.time_limit if cfg.time_limit else None
+    deadline = _deadline(cfg, deadline)
     n = instance.n
     elig = instance.eligibility
     order = sorted(range(n), key=lambda i: (int(elig[i].sum()), i))
@@ -398,9 +401,12 @@ def branch_and_bound(
 
     descend(0)
     if best_perm is None:
-        if limit_hit:
-            raise ModelError("search limits hit before any feasible assignment was found")
-        raise ModelError("no feasible assignment found")
+        if not limit_hit:
+            raise ModelError("no feasible assignment found")
+        best_perm = greedy_assignment(instance)
+        best_obj = objective_of_permutation(instance, best_perm)
+        if pool is not None:
+            pool.offer(best_perm, best_obj)
     certified = not limit_hit
     bound = best_obj if certified else max(root_bound, best_obj)
     return SolveResult(
@@ -426,8 +432,7 @@ def _tabu_lanes(
     rngs: list[Random],
     iterations: int,
     pool: SolutionPool | None,
-    time_limit: float | None,
-    t0: float | None,
+    deadline: float | None,
     stall: int | None = None,
 ) -> tuple[list[tuple[float, np.ndarray, int]], list, bool]:
     """Tabu runs of ``restarts`` lanes per instance; returns (best
@@ -448,11 +453,10 @@ def _tabu_lanes(
     this process, each other one in a forked worker. A chunk builds the
     starts of its own lanes, calling ``first`` once for each instance whose
     restart-0 lane it holds, then walks them; the results and the outputs
-    come back in lane and instance order. Under a time limit every lane
-    runs here, so all lanes stop together at the deadline, ``time_limit``
-    after ``t0``, or, with ``t0`` None, after the restart-0 starts are built.
-    With ``stall``, each lane retires ``stall`` iterations after its last
-    new best, and ``iterations`` is a cap.
+    come back in lane and instance order. Under a deadline every lane runs
+    here and all stop together at it, the starts built whatever the clock
+    says. With ``stall``, each lane retires ``stall`` iterations after its
+    last new best, and ``iterations`` is a cap.
 
     With a pool, each lane offers to a pool of its own (same capacity and
     gap), and at the end every lane pool's entries are offered to ``pool``.
@@ -465,9 +469,6 @@ def _tabu_lanes(
     def walk(lo: int, hi: int):
         # the instances whose restart-0 lane is in [lo, hi)
         made = {j: first(j) for j in range(-(-lo // restarts), -(-hi // restarts))}
-        deadline = None
-        if time_limit is not None:
-            deadline = (perf_counter() if t0 is None else t0) + time_limit
         starts = [
             made[lane // restarts][0] if lane % restarts == 0
             else random_assignment(instances[lane // restarts], rngs[lane])
@@ -479,7 +480,7 @@ def _tabu_lanes(
         )
         return walked, [output for _, output in made.values()]
 
-    workers = _lane_workers(lanes, time_limit)
+    workers = _lane_workers(lanes, deadline)
     bounds = [(lanes * w // workers, lanes * (w + 1) // workers) for w in range(workers)]
     chunks = _split_lanes(walk, bounds, rngs) if workers > 1 else [walk(0, lanes)]
     results, outputs = [], []
@@ -492,10 +493,10 @@ def _tabu_lanes(
     return results, outputs, any(cut for (_, _, cut), _ in chunks)
 
 
-def _lane_workers(lanes: int, time_limit: float | None) -> int:
+def _lane_workers(lanes: int, deadline: float | None) -> int:
     """Processes one lane call runs in: one per usable CPU, at most one per
-    lane, and one under a time limit."""
-    if time_limit is not None:
+    lane, and one under a deadline."""
+    if deadline is not None:
         return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -727,6 +728,8 @@ def tabu_search(
     config: SolverConfig | None = None,
     initial: Assignment | None = None,
     pool: SolutionPool | None = None,
+    *,
+    deadline: float | None = None,
 ) -> SolveResult:
     """Multi-restart tabu search, the restarts run as lanes of one lockstep
     call. Restart r draws from Random(_mix_seed(seed, r)). Restart 0 starts
@@ -734,8 +737,8 @@ def tabu_search(
     built by the process that walks it; later restarts start from random
     feasible assignments drawn from their own rngs, each in the process
     that walks it. Never returns a worse objective than its starting
-    assignment. The time limit counts from the call; a run it stopped
-    carries the time-limit note."""
+    assignment. A run the deadline (see _deadline) stopped carries the
+    time-limit note."""
     cfg = config or SolverConfig()
     t0 = perf_counter()
 
@@ -746,14 +749,23 @@ def tabu_search(
 
     rngs = [Random(_mix_seed(cfg.seed, r)) for r in range(RESTARTS)]
     lanes, _, cut = _tabu_lanes(
-        [instance], RESTARTS, first, rngs, cfg.iteration_limit, pool, cfg.time_limit, t0
+        [instance], RESTARTS, first, rngs, cfg.iteration_limit, pool, _deadline(cfg, deadline)
     )
     return _best_lane(instance, lanes, t0, (_time_limit_note(cfg),) if cut else ())
 
 
+def _deadline(config: SolverConfig, deadline: float | None) -> float | None:
+    """The absolute perf_counter time a search stops at: ``deadline`` when
+    the caller gives one, so every search of a run stops at the same time,
+    else the config's time limit from now, or None without a limit."""
+    if deadline is not None or config.time_limit is None:
+        return deadline
+    return perf_counter() + config.time_limit
+
+
 def _time_limit_note(config: SolverConfig) -> str:
     """The note of a solver call that its deadline stopped."""
-    return f"time limit {config.time_limit}s reached"
+    return f"time limit {config.time_limit}s reached" if config.time_limit else "deadline reached"
 
 
 def _best_lane(
@@ -783,11 +795,7 @@ def _best_lane(
 # -- block coordinate descent -------------------------------------------------------
 
 
-def block_descent(
-    instance: QapInstance,
-    config: SolverConfig | None = None,
-    initial: Assignment | None = None,
-) -> SolveResult:
+def block_descent(instance: QapInstance, initial: Assignment | None = None) -> SolveResult:
     """Cyclic within-block optimization for tactical instances.
 
     Visits category blocks in fixed order and orders each block of 2 to
@@ -795,16 +803,13 @@ def block_descent(
     permutations; any larger block is left where it is, for the tabu lanes
     solve_level2 runs next over the whole instance. Stops when a full cycle
     brings no strict improvement, so the objective trace is non-decreasing
-    and finite. Deterministic: the search draws no random numbers.
+    and finite. Deterministic: the search draws no random numbers and reads
+    no clock, so no deadline cuts it.
     """
     if instance.level != "level2" or not instance.blocks:
         raise InputError("block_descent requires a level2 instance with blocks")
-    cfg = config or SolverConfig()
-    t0 = perf_counter()
-    deadline = t0 + cfg.time_limit if cfg.time_limit else None
     perm = instance.permutation_of(initial) if initial is not None else greedy_assignment(instance)
     cur = objective_of_permutation(instance, perm)
-    notes: list[str] = []
     block_rows = [
         np.array([instance.product_index(p) for p in blk.product_ids], dtype=np.int64)
         for blk in instance.blocks
@@ -816,10 +821,6 @@ def block_descent(
         improved = False
         cycles += 1
         for rows in block_rows:
-            if deadline is not None and perf_counter() > deadline:
-                notes.append(_time_limit_note(cfg))
-                improved = False
-                break
             slots = perm[rows]
             best_local = cur
             best_order: tuple[int, ...] | None = None
@@ -838,26 +839,26 @@ def block_descent(
     return SolveResult(
         assignment=instance.assignment_from_permutation(perm),
         objective=cur,
-        wall_time=perf_counter() - t0,
         iterations=cycles,
         solver="block-descent",
-        notes=tuple(notes),
     )
 
 
 # -- pooled strategic solve and the two-level driver ----------------------------------
 
 
-def solve_level1(instance: QapInstance, config: SolverConfig | None = None) -> SolutionPool:
+def solve_level1(instance: QapInstance, config: SolverConfig | None = None, *,
+                 deadline: float | None = None) -> SolutionPool:
     """Pool of near-optimal strategic assignments: exact branch-and-bound
     when the free-product count is small enough to certify, tabu restarts
-    otherwise."""
+    otherwise, either stopping at the deadline (see _deadline)."""
     cfg = config or SolverConfig()
+    deadline = _deadline(cfg, deadline)
     pool = SolutionPool(instance, capacity=cfg.pool_capacity, gap=cfg.pool_gap)
     if instance.free_product_count() <= EXACT_FREE_LIMIT:
-        branch_and_bound(instance, cfg, pool=pool)
+        branch_and_bound(instance, cfg, pool=pool, deadline=deadline)
     else:
-        tabu_search(instance, cfg, pool=pool)
+        tabu_search(instance, cfg, pool=pool, deadline=deadline)
     if len(pool) == 0:
         raise ModelError("strategic solve produced an empty solution pool")
     return pool
@@ -868,6 +869,8 @@ def solve_level2(
     seeds: list[int],
     config: SolverConfig,
     restarts: int,
+    *,
+    deadline: float | None = None,
 ) -> list[tuple[SolveResult, SolveResult]]:
     """Tactical solve of each instance: block descent, then `restarts` tabu
     restarts from it, the restarts of all instances run as the lanes of one
@@ -880,33 +883,25 @@ def solve_level2(
     tabu_search seeds its own, with restart 0 starting from the descent's
     layout; a lane never ends below its start, so the refined objective is
     never below the descent's. Each descent runs once, in the process that
-    walks its instance's restart 0, and the lanes' time limit counts from
-    the end of the descents. The instances must share one flow and one
-    exposure matrix. Returns (descent, refined) per instance; the refined
-    result carries the descent's notes and, when the deadline stopped the
-    lanes, the time-limit note, each once."""
+    walks its instance's restart 0, and always to its end: the deadline (see
+    _deadline) stops only the lanes. The instances must share one flow and
+    one exposure matrix. Returns (descent, refined) per instance; when the
+    deadline stopped the lanes, each refined result carries the time-limit
+    note."""
     t0 = perf_counter()
+    deadline = _deadline(config, deadline)
 
     def descend(j):
-        descended = block_descent(instances[j], config)
+        descended = block_descent(instances[j])
         return instances[j].permutation_of(descended.assignment), descended
 
     rngs = [Random(_mix_seed(seed, r)) for seed in seeds for r in range(restarts)]
     lanes, descents, cut = _tabu_lanes(
-        instances, restarts, descend, rngs, config.iteration_limit, None, config.time_limit, None,
-        STALL,
+        instances, restarts, descend, rngs, config.iteration_limit, None, deadline, STALL
     )
     notes = (_time_limit_note(config),) if cut else ()
     return [
-        (
-            d,
-            _best_lane(
-                inst,
-                lanes[i * restarts : (i + 1) * restarts],
-                t0,
-                tuple(dict.fromkeys(d.notes + notes)),
-            ),
-        )
+        (d, _best_lane(inst, lanes[i * restarts : (i + 1) * restarts], t0, notes))
         for i, (inst, d) in enumerate(zip(instances, descents))
     ]
 
@@ -942,6 +937,8 @@ def solve_hierarchical(
     catalog: Catalog,
     graph: StoreGraph,
     config: SolverConfig | None = None,
+    *,
+    deadline: float | None = None,
 ) -> HierarchicalResult:
     """Two-level sequential driver.
 
@@ -949,15 +946,18 @@ def solve_hierarchical(
     layouts, then solves the induced tactical problem for each pool member
     (solve_level2 with one tabu restart) and keeps the best final layout.
     Each candidate gets an identical, pool-size-independent budget seeded by
-    its pool index, so growing the pool can only improve the final
-    objective. The result keeps each distinct candidate note once, in the
-    order first seen.
+    its pool index, so growing the pool can only improve the final objective
+    of a run no deadline cuts. Every search of the run stops at one deadline
+    (see _deadline): a strategic stage that spends it leaves the tactical
+    lanes none, and their note reports the cut. The result keeps each
+    distinct candidate note once, in the order first seen.
     """
     cfg = config or SolverConfig()
     t0 = perf_counter()
+    deadline = _deadline(cfg, deadline)
     effective = capacity_eligibility(eligibility, catalog, graph)
     l1_instance = build_level1_instance(exposures, transitions, effective)
-    pool = solve_level1(l1_instance, cfg)
+    pool = solve_level1(l1_instance, cfg, deadline=deadline)
 
     entries = pool.entries
     seeds = [_mix_seed(cfg.seed, 100_003 + idx) for idx in range(len(entries))]
@@ -965,7 +965,7 @@ def solve_hierarchical(
         build_level2_instance(exposures, transitions, entry.assignment, catalog, graph)
         for entry in entries
     ]
-    solved = solve_level2(instances, seeds, cfg, restarts=1)
+    solved = solve_level2(instances, seeds, cfg, restarts=1, deadline=deadline)
 
     best_obj = float("-inf")
     best_assignment = best_entry = None

@@ -266,7 +266,7 @@ def one_lane(inst, start, iterations, rng, pool, stall=None):
     """A single tabu walk through _tabu_lanes under the instance's own
     eligibility."""
     lanes, _, _ = _tabu_lanes(
-        [inst], 1, lambda _: (start, None), [rng], iterations, pool, None, None, stall
+        [inst], 1, lambda _: (start, None), [rng], iterations, pool, None, stall
     )
     return lanes[0]
 
@@ -472,7 +472,7 @@ class TestLanesMatchSerialRuns:
         ]
         got, _, cut = _tabu_lanes(
             instances, 1, lambda j: (starts[j], None), [Random(s) for s in seeds], iterations,
-            pools[1], None, None, stall,
+            pools[1], None, stall,
         )
         assert not cut
         assert len(got) == len(want)
@@ -578,7 +578,7 @@ class TestLaneSplit:
         rngs = [Random(s) for s in seeds]
         pool = None if capacity is None else SolutionPool(instances[0], capacity=capacity, gap=0.02)
         lanes, _, _ = _tabu_lanes(
-            instances, 1, lambda j: (starts[j], None), rngs, iterations, pool, None, None, stall
+            instances, 1, lambda j: (starts[j], None), rngs, iterations, pool, None, stall
         )
         return (
             [(float(obj).hex(), perm.tolist(), done) for obj, perm, done in lanes],
@@ -661,9 +661,9 @@ class TestStartsBuiltWhereWalked:
             restarts = trial % 5 + 1
             descents = []
 
-            def counted(instance, cfg=None, initial=None):
+            def counted(instance, initial=None):
                 descents.append(instance)
-                return block_descent(instance, cfg, initial)
+                return block_descent(instance, initial)
 
             def solve():
                 descents.clear()
@@ -747,7 +747,7 @@ class TestRescoreMemo:
         monkeypatch.setattr(solvers, "objective_of_permutation", counted)
         got, _, _ = _tabu_lanes(
             [inst] * 3, 1, lambda j: (starts[j], None), [Random(s) for s in seeds], 5000,
-            None, None, None,
+            None, None,
         )
         assert [(g[0].hex(), g[1].tolist(), g[2]) for g in got] == [
             (w[0].hex(), w[1].tolist(), w[2]) for w in want
@@ -791,7 +791,7 @@ class TestRescoreMemo:
             offers.clear()
             _tabu_lanes(
                 [inst] * len(seeds), 1, lambda j: (starts[j], None),
-                [Random(s) for s in seeds], 2000, pools[1], None, None,
+                [Random(s) for s in seeds], 2000, pools[1], None,
             )
             lane_offers = [o for o in offers if o[0] != id(pools[1])]
             assert len(lane_offers) == len(set(lane_offers))
@@ -865,10 +865,10 @@ class TestLaneWorkers:
         caller = os.getpid()
         descend = solvers.block_descent
 
-        def failing(instance, config=None, initial=None):
+        def failing(instance, initial=None):
             if os.getpid() != caller:
                 raise ModelError("descent failed in worker")
-            return descend(instance, config, initial)
+            return descend(instance, initial)
 
         monkeypatch.setattr(solvers, "block_descent", failing)
         instances, seeds, config = tactical_case(Random(859), 1, monkeypatch)
@@ -934,15 +934,15 @@ class TestTimeLimit:
         inst = random_level1_instance(Random(661), 10)
         starts = [random_assignment(inst, Random(s)) for s in range(3)]
 
-        def cut(time_limit, t0):
+        def cut(deadline):
             return _tabu_lanes(
                 [inst] * 3, 1, lambda j: (starts[j], None),
-                [Random(s) for s in range(3)], 20, None, time_limit, t0,
+                [Random(s) for s in range(3)], 20, None, deadline,
             )[2]
 
-        assert cut(1e-9, perf_counter()) is True
-        assert cut(60, perf_counter()) is False
-        assert cut(None, None) is False
+        assert cut(perf_counter()) is True  # past by the first iteration
+        assert cut(perf_counter() + 60) is False
+        assert cut(None) is False
 
     def test_refined_carries_the_lanes_time_limit_note(self):
         # no block is within the descent's cap, so only the lanes meet the
@@ -954,11 +954,78 @@ class TestTimeLimit:
             assert descended.notes == ()
             assert refined.notes == ("time limit 1e-09s reached",)
 
+    @pytest.mark.parametrize("limit", ["deadline", "nodes"])
+    def test_branch_and_bound_stopped_before_a_leaf_answers_greedy(self, limit, monkeypatch):
+        # an exact search stopped before its first leaf answers with the
+        # greedy layout, uncertified, and offers it to the pool
+        inst = random_level1_instance(Random(5), 8)
+        config, note = SolverConfig(time_limit=1e-9), "time limit 1e-09s reached"
+        if limit == "nodes":
+            monkeypatch.setattr(solvers, "NODE_LIMIT", 1)
+            config, note = SolverConfig(), "node limit 1 reached"
+        pool = SolutionPool(inst, capacity=config.pool_capacity, gap=config.pool_gap)
+        result = branch_and_bound(inst, config, pool=pool)
+        greedy = greedy_assignment(inst)
+        assert result.assignment == inst.assignment_from_permutation(greedy)
+        assert result.objective == objective_of_permutation(inst, greedy)
+        assert not result.certified and result.notes == (note,)
+        assert result.bound >= result.objective
+        assert result.gap == solvers._gap_of(result.bound, result.objective)
+        assert [e.objective for e in pool.entries] == [result.objective]
+        assert solve_level1(inst, config).best_objective == result.objective
+
+    def test_a_given_deadline_without_a_time_limit_is_named(self):
+        inst = random_level2_instance(Random(733), (2, 3))
+        [(_, refined)] = solve_level2([inst], [3], SolverConfig(), 1, deadline=perf_counter() - 1)
+        assert refined.notes == ("deadline reached",)
+
+    def test_cut_strategic_stage_is_reported(self):
+        # the strategic lanes spend the whole limit, so the tactical lanes
+        # start past the run's one deadline and report it
+        result = solve_bundled(SolverConfig(time_limit=0.1))
+        assert result.notes == ("time limit 0.1s reached",)
+
+    def searches_deadlines(self, monkeypatch, solve) -> list[tuple[str, float | None]]:
+        """(search, deadline) of every branch-and-bound call and lane call
+        ``solve`` makes."""
+        seen = []
+        walk, exact = solvers._walk_lanes, solvers.branch_and_bound
+
+        def walked(*args):
+            seen.append(("lanes", args[6]))
+            return walk(*args)
+
+        def bounded(*args, **kwargs):
+            seen.append(("branch-and-bound", kwargs["deadline"]))
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_walk_lanes", walked)
+        monkeypatch.setattr(solvers, "branch_and_bound", bounded)
+        solve()
+        return seen
+
+    @pytest.mark.parametrize("store", ["bundled", "small"])
+    def test_one_deadline_per_run(self, store, monkeypatch):
+        config = SolverConfig(seed=5, iteration_limit=100, pool_capacity=3, time_limit=60)
+        if store == "bundled":
+            searches = ["lanes", "lanes"]  # strategic tabu, then tactical
+            seen = self.searches_deadlines(monkeypatch, lambda: solve_bundled(config))
+        else:
+            searches = ["branch-and-bound", "lanes"]
+            graph, catalog, matrices, exposures = small_fixture((2, 2))
+            seen = self.searches_deadlines(
+                monkeypatch,
+                lambda: solve_hierarchical(exposures, matrices, None, catalog, graph, config),
+            )
+        assert [search for search, _ in seen] == searches
+        deadlines = {deadline for _, deadline in seen}
+        assert len(deadlines) == 1 and None not in deadlines
+
 
 def level2_path_oracle(instance: QapInstance, config: SolverConfig):
     """The command line's level2 path before solve_level2: block descent,
     tabu_search from the descent's layout, and the better of the two."""
-    descended = block_descent(instance, config)
+    descended = block_descent(instance)
     refined = tabu_search(instance, config, initial=descended.assignment)
     return refined if refined.objective >= descended.objective else descended
 
@@ -967,14 +1034,13 @@ def tactical_stage_oracle(instances, seeds, config: SolverConfig):
     """solve_hierarchical's tactical stage before solve_level2: a descent per
     candidate, one lockstep lane per candidate from its descent, and the
     better of the two; (objective, assignment, iterations) per candidate."""
-    descents = [block_descent(inst, config) for inst in instances]
+    descents = [block_descent(inst) for inst in instances]
     refined, _, _ = _tabu_lanes(
         instances,
         1,
         lambda j: (instances[j].permutation_of(descents[j].assignment), None),
         [Random(_mix_seed(s, 0)) for s in seeds],
         config.iteration_limit,
-        None,
         None,
         None,
     )
@@ -1026,7 +1092,7 @@ class TestSolveLevel2:
                 assert refined.assignment == want.assignment
                 assert refined.iterations == want.iterations
                 assert refined.restarts == restarts
-                assert refined.notes == descended.notes
+                assert refined.notes == descended.notes == ()
 
     def test_matches_level2_path(self, monkeypatch):
         self.assert_level2_path(Random(701), monkeypatch)
@@ -1034,14 +1100,23 @@ class TestSolveLevel2:
     def test_matches_level2_path_zero_flow_ties(self, monkeypatch):
         self.assert_level2_path(Random(709), monkeypatch, zero_flow=True)
 
-    def test_refined_carries_the_descent_time_limit_note(self, monkeypatch):
+    def test_a_deadline_never_cuts_the_descent(self, monkeypatch):
         # a deadline already past when the descent visits its first block
+        # still lets it finish, and stops only the lanes after it
         rng = Random(727)
+        moved = 0
         for trial in range(6):
             instances, seeds, config = tactical_case(rng, trial, monkeypatch)
             config = replace(config, time_limit=1e-9)
-            for descended, refined in solve_level2(instances, seeds, config, trial % 3 + 1):
-                assert descended.notes == refined.notes == ("time limit 1e-09s reached",)
+            for inst, (descended, refined) in zip(
+                instances, solve_level2(instances, seeds, config, trial % 3 + 1)
+            ):
+                assert result_bits(descended) == result_bits(block_descent(inst))
+                assert refined.notes == ("time limit 1e-09s reached",)
+                moved += descended.objective > objective_of_permutation(
+                    inst, greedy_assignment(inst)
+                )
+        assert moved > 0  # the descents a deadline would cut do work
 
     @pytest.mark.parametrize("zero_flow", [False, True], ids=["flow", "zero-flow"])
     def test_matches_tactical_stage(self, zero_flow, monkeypatch):
@@ -1311,13 +1386,13 @@ class TestHierarchical:
         assert result.objective >= brute_force(inst).objective - 1e-9
 
     def test_each_note_once(self, monkeypatch):
-        # every candidate's descent writes the same note; the result keeps one
-        descent = solvers.block_descent
+        # every candidate's lanes write the same note; the result keeps one
+        best_lane = solvers._best_lane
 
-        def noted_descent(instance, config=None, initial=None):
-            return replace(descent(instance, config, initial), notes=("same note",))
+        def noted_lanes(*args):
+            return replace(best_lane(*args), notes=("same note",))
 
-        monkeypatch.setattr(solvers, "block_descent", noted_descent)
+        monkeypatch.setattr(solvers, "_best_lane", noted_lanes)
         result = solve_bundled(SolverConfig(pool_capacity=3, iteration_limit=300))
         assert len(result.candidates) == 3
         assert result.notes == ("same note",)
