@@ -765,7 +765,7 @@ def _deadline(config: SolverConfig, deadline: float | None) -> float | None:
 
 def _time_limit_note(config: SolverConfig) -> str:
     """The note of a solver call that its deadline stopped."""
-    return f"time limit {config.time_limit}s reached" if config.time_limit else "deadline reached"
+    return f"time limit {config.time_limit}s reached"
 
 
 def _best_lane(
@@ -937,8 +937,6 @@ def solve_hierarchical(
     catalog: Catalog,
     graph: StoreGraph,
     config: SolverConfig | None = None,
-    *,
-    deadline: float | None = None,
 ) -> HierarchicalResult:
     """Two-level sequential driver.
 
@@ -954,7 +952,7 @@ def solve_hierarchical(
     """
     cfg = config or SolverConfig()
     t0 = perf_counter()
-    deadline = _deadline(cfg, deadline)
+    deadline = _deadline(cfg, None)
     effective = capacity_eligibility(eligibility, catalog, graph)
     l1_instance = build_level1_instance(exposures, transitions, effective)
     pool = solve_level1(l1_instance, cfg, deadline=deadline)

@@ -974,16 +974,22 @@ class TestTimeLimit:
         assert [e.objective for e in pool.entries] == [result.objective]
         assert solve_level1(inst, config).best_objective == result.objective
 
-    def test_a_given_deadline_without_a_time_limit_is_named(self):
-        inst = random_level2_instance(Random(733), (2, 3))
-        [(_, refined)] = solve_level2([inst], [3], SolverConfig(), 1, deadline=perf_counter() - 1)
-        assert refined.notes == ("deadline reached",)
-
-    def test_cut_strategic_stage_is_reported(self):
+    def test_cut_strategic_stage_is_reported(self, monkeypatch):
         # the strategic lanes spend the whole limit, so the tactical lanes
-        # start past the run's one deadline and report it
+        # start past the run's one deadline, walk no iteration and report it
+        walk, calls = solvers._walk_lanes, []
+
+        def walked(*args):
+            calls.append(walk(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(solvers, "_walk_lanes", walked)
         result = solve_bundled(SolverConfig(time_limit=0.1))
         assert result.notes == ("time limit 0.1s reached",)
+        [(_, _, strategic_cut), (tactical, _, tactical_cut)] = calls
+        assert strategic_cut
+        assert tactical_cut and [done for _, _, done in tactical] == [0] * len(tactical)
+        assert len(tactical) == len(result.candidates) > 1
 
     def searches_deadlines(self, monkeypatch, solve) -> list[tuple[str, float | None]]:
         """(search, deadline) of every branch-and-bound call and lane call
