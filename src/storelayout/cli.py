@@ -261,6 +261,7 @@ def _run_solve(args: argparse.Namespace, sink: _Artifacts) -> None:
             f"candidates: {len(pool.entries)}",
         ]
         lines += [f"  {i}: objective {e.objective:.6f}" for i, e in enumerate(pool.entries)]
+        lines += [f"note: {note}" for note in pool.notes]
         path = os.path.join(args.out, "solve_report.txt")
         _write_text(sink, path, "\n".join(lines) + "\n")
         return
@@ -272,7 +273,7 @@ def _run_solve(args: argparse.Namespace, sink: _Artifacts) -> None:
         instance = build_level2_instance(
             exposures, matrices, level1_assignment, doc.catalog, doc.graph
         )
-        _, result = solve_level2([instance], [args.seed], args.solver, RESTARTS)[0]
+        [result] = solve_level2([instance], [args.seed], args.solver, RESTARTS)
         l1_objective = objective(_level1_instance(doc, exposures, matrices), level1_assignment)
         _write_solve_artifacts(
             args, doc, exposures, matrices, transactions,

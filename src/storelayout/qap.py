@@ -657,7 +657,8 @@ class SolutionPool:
     Ordering is objective-descending with lexicographic permutation
     tie-break, so pool contents are deterministic for a deterministic
     offer sequence. De-duplication is by exact assignment, not objective,
-    so alternative optima coexist.
+    so alternative optima coexist. ``notes`` holds what the search that
+    filled the pool reported, such as a limit it hit.
     """
 
     def __init__(self, instance: QapInstance, capacity: int = 10, gap: float = 0.001):
@@ -670,6 +671,7 @@ class SolutionPool:
         self.gap = gap
         self._entries: list[tuple[float, tuple[int, ...]]] = []
         self._keys: set[tuple[int, ...]] = set()
+        self.notes: tuple[str, ...] = ()
 
     def _threshold(self, best: float) -> float:
         return best - self.gap * abs(best)

@@ -107,7 +107,9 @@ class SolveResult:
 @dataclass
 class HierarchicalResult(SolveResult):
     """Final tactical result plus the strategic assignment that induced it
-    and the per-pool-candidate trace."""
+    and the per-pool-candidate trace. ``iterations`` counts the tactical
+    lanes' iterations over every candidate; ``restarts`` is the strategic
+    tabu's restart count."""
 
     level1_assignment: Assignment | None = None
     level1_objective: float = 0.0
@@ -428,35 +430,35 @@ def branch_and_bound(
 def _tabu_lanes(
     instances: list[QapInstance],
     restarts: int,
-    first: Callable[[int], tuple[np.ndarray, object]],
+    first: Callable[[int], np.ndarray],
     rngs: list[Random],
     iterations: int,
     pool: SolutionPool | None,
     deadline: float | None,
     stall: int | None = None,
-) -> tuple[list[tuple[float, np.ndarray, int]], list, bool]:
+) -> tuple[list[tuple[float, np.ndarray, int]], bool]:
     """Tabu runs of ``restarts`` lanes per instance; returns (best
-    objective, best permutation, iterations executed) per lane, the output
-    of ``first`` per instance, and whether the deadline stopped the lanes.
+    objective, best permutation, iterations executed) per lane, and whether
+    the deadline stopped any lane.
 
     Lane l walks instance l // restarts as restart l % restarts, drawing
     from ``rngs[l]``. Restart 0 starts from the permutation ``first(j)``
-    returns with its output for instance j; a later restart starts from a
-    random feasible assignment drawn from its own rng. Every lane scores
-    with the flow and exposure matrices of ``instances[0]``, which all
-    instances share, and moves under its own instance's eligibility: the
-    tactical instances of one solve_level2 call share their matrices but
-    not their blocks.
+    returns for instance j; a later restart starts from a random feasible
+    assignment drawn from its own rng. Every lane scores with the flow and
+    exposure matrices of ``instances[0]``, which all instances share, and
+    moves under its own instance's eligibility: the tactical instances of
+    one solve_level2 call share their matrices but not their blocks.
 
     A lane's walk depends on nothing outside the lane, so the lanes are
     split into contiguous chunks, one per usable CPU: the first runs in
     this process, each other one in a forked worker. A chunk builds the
     starts of its own lanes, calling ``first`` once for each instance whose
-    restart-0 lane it holds, then walks them; the results and the outputs
-    come back in lane and instance order. Under a deadline every lane runs
-    here and all stop together at it, the starts built whatever the clock
-    says. With ``stall``, each lane retires ``stall`` iterations after its
-    last new best, and ``iterations`` is a cap.
+    restart-0 lane it holds, then walks them; the results come back in lane
+    order. Every chunk builds its starts whatever the clock says, then stops
+    its lanes at the one absolute ``deadline``: perf_counter is a monotonic
+    clock that a forked worker shares. With ``stall``, each lane retires
+    ``stall`` iterations after its last new best, and ``iterations`` is a
+    cap.
 
     With a pool, each lane offers to a pool of its own (same capacity and
     gap), and at the end every lane pool's entries are offered to ``pool``.
@@ -467,37 +469,31 @@ def _tabu_lanes(
     shape = None if pool is None else (pool.capacity, pool.gap)
 
     def walk(lo: int, hi: int):
-        # the instances whose restart-0 lane is in [lo, hi)
-        made = {j: first(j) for j in range(-(-lo // restarts), -(-hi // restarts))}
         starts = [
-            made[lane // restarts][0] if lane % restarts == 0
+            first(lane // restarts) if lane % restarts == 0
             else random_assignment(instances[lane // restarts], rngs[lane])
             for lane in range(lo, hi)
         ]
         eligibility = np.stack([instances[lane // restarts].eligibility for lane in range(lo, hi)])
-        walked = _walk_lanes(
+        return _walk_lanes(
             instances[0], eligibility, starts, rngs[lo:hi], iterations, shape, deadline, stall
         )
-        return walked, [output for _, output in made.values()]
 
-    workers = _lane_workers(lanes, deadline)
+    workers = _lane_workers(lanes)
     bounds = [(lanes * w // workers, lanes * (w + 1) // workers) for w in range(workers)]
-    chunks = _split_lanes(walk, bounds, rngs) if workers > 1 else [walk(0, lanes)]
-    results, outputs = [], []
-    for (chunk_results, ranked, _), chunk_outputs in chunks:
+    chunks = _split_lanes(walk, bounds) if workers > 1 else [walk(0, lanes)]
+    results = []
+    for chunk_results, ranked, _ in chunks:
         results += chunk_results
-        outputs += chunk_outputs
         for lane_ranked in ranked:
             for obj, key in lane_ranked:
                 pool.offer(np.array(key), obj)
-    return results, outputs, any(cut for (_, _, cut), _ in chunks)
+    return results, any(cut for _, _, cut in chunks)
 
 
-def _lane_workers(lanes: int, deadline: float | None) -> int:
+def _lane_workers(lanes: int) -> int:
     """Processes one lane call runs in: one per usable CPU, at most one per
-    lane, and one under a deadline."""
-    if deadline is not None:
-        return 1
+    lane."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -505,11 +501,11 @@ def _lane_workers(lanes: int, deadline: float | None) -> int:
     return max(1, min(cpus, lanes))
 
 
-def _split_lanes(walk, bounds: list[tuple[int, int]], rngs: list[Random]) -> list:
+def _split_lanes(walk, bounds: list[tuple[int, int]]) -> list:
     """walk(lo, hi) for each lane range of ``bounds``: the first in this
-    process, each other one in a forked worker that sends back its output
-    and its lanes' rng states. Returns the outputs in range order; a
-    worker's exception is raised here, and no worker outlives the call.
+    process, each other one in a forked worker that sends back its output.
+    Returns the outputs in range order; a worker's exception is raised
+    here, and no worker outlives the call.
 
     Workers are forked because they need the caller's state and start in
     microseconds; a spawned worker would first import the package. All
@@ -526,12 +522,12 @@ def _split_lanes(walk, bounds: list[tuple[int, int]], rngs: list[Random]) -> lis
     try:
         for lo, hi in bounds[1:]:
             recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_lane_worker, args=(walk, lo, hi, rngs, send), daemon=True)
+            proc = ctx.Process(target=_lane_worker, args=(walk, lo, hi, send), daemon=True)
             proc.start()
             send.close()
             workers.append((proc, recv))
         outputs = [walk(*bounds[0])]
-        for (lo, hi), (proc, recv) in zip(bounds[1:], workers):
+        for proc, recv in workers:
             try:
                 ok, value = recv.recv()
             except EOFError:
@@ -539,10 +535,7 @@ def _split_lanes(walk, bounds: list[tuple[int, int]], rngs: list[Random]) -> lis
                 raise RuntimeError(f"tabu lane worker exited with code {proc.exitcode}") from None
             if not ok:
                 raise value
-            output, states = value
-            for rng, state in zip(rngs[lo:hi], states):
-                rng.setstate(state)
-            outputs.append(output)
+            outputs.append(value)
         finished = True
     finally:
         for proc, recv in workers:
@@ -553,12 +546,12 @@ def _split_lanes(walk, bounds: list[tuple[int, int]], rngs: list[Random]) -> lis
     return outputs
 
 
-def _lane_worker(walk, lo: int, hi: int, rngs: list[Random], send) -> None:
-    """Body of a forked lane worker: sends (True, (output, rng states)) or
-    (False, the exception walk raised). A worker that sends nothing (say,
-    its exception does not pickle) shows as an exit code in the caller."""
+def _lane_worker(walk, lo: int, hi: int, send) -> None:
+    """Body of a forked lane worker: sends (True, walk's output) or (False,
+    the exception walk raised). A worker that sends nothing (say, its
+    exception does not pickle) shows as an exit code in the caller."""
     try:
-        message = (True, (walk(lo, hi), [rng.getstate() for rng in rngs[lo:hi]]))
+        message = (True, walk(lo, hi))
     except BaseException as exc:
         message = (False, exc)
     send.send(message)
@@ -579,7 +572,7 @@ def _walk_lanes(
     """The lanes of one process in lockstep: (best objective, best
     permutation, iterations executed) per lane, per lane the ranked entries
     of its own pool of shape (capacity, gap), if any, and whether the
-    deadline stopped the lanes.
+    deadline stopped them.
 
     Each lane keeps its own permutation, tabu table, rng, current and best
     objective and pool, and takes exactly the moves it would take alone,
@@ -726,30 +719,23 @@ def _walk_lanes(
 def tabu_search(
     instance: QapInstance,
     config: SolverConfig | None = None,
-    initial: Assignment | None = None,
     pool: SolutionPool | None = None,
     *,
     deadline: float | None = None,
 ) -> SolveResult:
     """Multi-restart tabu search, the restarts run as lanes of one lockstep
     call. Restart r draws from Random(_mix_seed(seed, r)). Restart 0 starts
-    from the given assignment (or the deterministic greedy construction),
-    built by the process that walks it; later restarts start from random
-    feasible assignments drawn from their own rngs, each in the process
-    that walks it. Never returns a worse objective than its starting
-    assignment. A run the deadline (see _deadline) stopped carries the
+    from the deterministic greedy construction, later restarts from random
+    feasible assignments drawn from their own rngs, each built by the
+    process that walks it. Never returns a worse objective than the greedy
+    construction. A run the deadline (see _deadline) stopped carries the
     time-limit note."""
     cfg = config or SolverConfig()
     t0 = perf_counter()
-
-    def first(_):
-        if initial is not None:
-            return instance.permutation_of(initial), None
-        return greedy_assignment(instance), None
-
     rngs = [Random(_mix_seed(cfg.seed, r)) for r in range(RESTARTS)]
-    lanes, _, cut = _tabu_lanes(
-        [instance], RESTARTS, first, rngs, cfg.iteration_limit, pool, _deadline(cfg, deadline)
+    lanes, cut = _tabu_lanes(
+        [instance], RESTARTS, lambda _: greedy_assignment(instance), rngs, cfg.iteration_limit,
+        pool, _deadline(cfg, deadline),
     )
     return _best_lane(instance, lanes, t0, (_time_limit_note(cfg),) if cut else ())
 
@@ -795,8 +781,9 @@ def _best_lane(
 # -- block coordinate descent -------------------------------------------------------
 
 
-def block_descent(instance: QapInstance, initial: Assignment | None = None) -> SolveResult:
-    """Cyclic within-block optimization for tactical instances.
+def block_descent(instance: QapInstance) -> SolveResult:
+    """Cyclic within-block optimization for tactical instances, from the
+    greedy construction.
 
     Visits category blocks in fixed order and orders each block of 2 to
     BLOCK_EXHAUSTIVE_CAP products exhaustively over its within-block
@@ -808,7 +795,7 @@ def block_descent(instance: QapInstance, initial: Assignment | None = None) -> S
     """
     if instance.level != "level2" or not instance.blocks:
         raise InputError("block_descent requires a level2 instance with blocks")
-    perm = instance.permutation_of(initial) if initial is not None else greedy_assignment(instance)
+    perm = greedy_assignment(instance)
     cur = objective_of_permutation(instance, perm)
     block_rows = [
         np.array([instance.product_index(p) for p in blk.product_ids], dtype=np.int64)
@@ -851,14 +838,16 @@ def solve_level1(instance: QapInstance, config: SolverConfig | None = None, *,
                  deadline: float | None = None) -> SolutionPool:
     """Pool of near-optimal strategic assignments: exact branch-and-bound
     when the free-product count is small enough to certify, tabu restarts
-    otherwise, either stopping at the deadline (see _deadline)."""
+    otherwise, either stopping at the deadline (see _deadline). The pool
+    carries the search's notes, such as a node or time limit it hit."""
     cfg = config or SolverConfig()
     deadline = _deadline(cfg, deadline)
     pool = SolutionPool(instance, capacity=cfg.pool_capacity, gap=cfg.pool_gap)
     if instance.free_product_count() <= EXACT_FREE_LIMIT:
-        branch_and_bound(instance, cfg, pool=pool, deadline=deadline)
+        result = branch_and_bound(instance, cfg, pool=pool, deadline=deadline)
     else:
-        tabu_search(instance, cfg, pool=pool, deadline=deadline)
+        result = tabu_search(instance, cfg, pool=pool, deadline=deadline)
+    pool.notes = result.notes
     if len(pool) == 0:
         raise ModelError("strategic solve produced an empty solution pool")
     return pool
@@ -871,7 +860,7 @@ def solve_level2(
     restarts: int,
     *,
     deadline: float | None = None,
-) -> list[tuple[SolveResult, SolveResult]]:
+) -> list[SolveResult]:
     """Tactical solve of each instance: block descent, then `restarts` tabu
     restarts from it, the restarts of all instances run as the lanes of one
     lockstep call. The lanes are the only tabu search of a tactical instance:
@@ -881,28 +870,27 @@ def solve_level2(
 
     Each instance's restarts are seeded by the instance's seed as
     tabu_search seeds its own, with restart 0 starting from the descent's
-    layout; a lane never ends below its start, so the refined objective is
-    never below the descent's. Each descent runs once, in the process that
-    walks its instance's restart 0, and always to its end: the deadline (see
+    layout; a lane never ends below its start, so the result is never below
+    the descent's. Each descent runs once, in the process that walks its
+    instance's restart 0, and always to its end: the deadline (see
     _deadline) stops only the lanes. The instances must share one flow and
-    one exposure matrix. Returns (descent, refined) per instance; when the
-    deadline stopped the lanes, each refined result carries the time-limit
-    note."""
+    one exposure matrix. Returns the best lane per instance, its iterations
+    those of the instance's lanes; when the deadline stopped the lanes, each
+    result carries the time-limit note."""
     t0 = perf_counter()
     deadline = _deadline(config, deadline)
 
     def descend(j):
-        descended = block_descent(instances[j])
-        return instances[j].permutation_of(descended.assignment), descended
+        return instances[j].permutation_of(block_descent(instances[j]).assignment)
 
     rngs = [Random(_mix_seed(seed, r)) for seed in seeds for r in range(restarts)]
-    lanes, descents, cut = _tabu_lanes(
+    lanes, cut = _tabu_lanes(
         instances, restarts, descend, rngs, config.iteration_limit, None, deadline, STALL
     )
     notes = (_time_limit_note(config),) if cut else ()
     return [
-        (d, _best_lane(inst, lanes[i * restarts : (i + 1) * restarts], t0, notes))
-        for i, (inst, d) in enumerate(zip(instances, descents))
+        _best_lane(inst, lanes[i * restarts : (i + 1) * restarts], t0, notes)
+        for i, inst in enumerate(instances)
     ]
 
 
@@ -948,7 +936,8 @@ def solve_hierarchical(
     of a run no deadline cuts. Every search of the run stops at one deadline
     (see _deadline): a strategic stage that spends it leaves the tactical
     lanes none, and their note reports the cut. The result keeps each
-    distinct candidate note once, in the order first seen.
+    distinct note once, the strategic search's first, then the candidates'
+    in the order first seen.
     """
     cfg = config or SolverConfig()
     t0 = perf_counter()
@@ -968,11 +957,11 @@ def solve_hierarchical(
     best_obj = float("-inf")
     best_assignment = best_entry = None
     candidates: list[tuple[int, float, float]] = []
-    notes: list[str] = []
+    notes = list(pool.notes)
     iterations = 0
-    for idx, (entry, (descended, refined)) in enumerate(zip(entries, solved)):
+    for idx, (entry, refined) in enumerate(zip(entries, solved)):
         notes.extend(refined.notes)
-        iterations += descended.iterations + refined.iterations
+        iterations += refined.iterations
         candidates.append((idx, entry.objective, refined.objective))
         if best_entry is None or refined.objective > best_obj:
             best_obj, best_assignment, best_entry = refined.objective, refined.assignment, entry

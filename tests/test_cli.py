@@ -855,7 +855,7 @@ class TestBundledSolveGolden:
                     "heatmap_optimal.svg": "389482d6c75a88dce2f4c41080371b8e3661421fb66a3e04b4758752c2318098",
                     "heatmap_baseline.svg": "fbefb2143dddfb77752186a3903d644eceda5a172e7a17856ccacd114e144407",
                     "plan.json": "7ca336b2119c2934c16cf9d5ce74a7b9169577bc388e0b50e3fe5119773822f1",
-                    "solve_report.txt": "33995372249a450b960d5cb9bad6fb0b0e7b032202a9b28f3239074de6b68eab",
+                    "solve_report.txt": "378b59988cb9c3a6d15812915e2ccf4800170a9dc12a24a23fbba90c6f9334a8",
                 },
             ),
             (
@@ -864,7 +864,7 @@ class TestBundledSolveGolden:
                     "heatmap_optimal.svg": "346625e2b39e01eeffb0149cd08e36d55ac18de66d8b8b3777f7769771119322",
                     "heatmap_baseline.svg": "1ef228d00b838143bf0605a0a75a8ebac4bc62f08e3a11a608e7ccedc9bb47c1",
                     "plan.json": "b4aa452ee5f3936c94e2f5ff6dfe97ad05b3365f54662ce7680336a9ccb5cd21",
-                    "solve_report.txt": "f5ade3fecaa7f239e44509101b0ff7160bd0db45e496ccde735cd30623f50e25",
+                    "solve_report.txt": "910806d3521eec15b7de422a16057e67a2491a02734dc067d31adaf14ed1d240",
                 },
             ),
         ],
@@ -980,6 +980,15 @@ class TestTimeLimitFlag:
         report = (out / "solve_report.txt").read_text(encoding="utf-8").splitlines()
         notes = [line for line in report if line.startswith("note:")]
         assert notes == ["note: time limit 0.03s reached"]
+
+    def test_stopped_solve_l1_writes_its_note(self, tmp_path):
+        # the strategic tabu's default budget takes seconds, so the deadline
+        # stops it; the pool carries the search's note into the report
+        out = tmp_path / "stopped-l1"
+        assert main(["solve-l1", *BUNDLED, "--out", str(out), "--time-limit", "0.01"]) == 0
+        report = (out / "solve_report.txt").read_text(encoding="utf-8").splitlines()
+        notes = [line for line in report if line.startswith("note:")]
+        assert notes == ["note: time limit 0.01s reached"]
 
     @pytest.mark.parametrize("limit", ["nan", "inf", "0", "-1"])
     def test_time_limit_must_be_finite_and_positive(self, tmp_path, capsys, limit):

@@ -64,7 +64,7 @@ def test_block_descent_reads_no_clock():
         node for node in ast.parse(source).body
         if isinstance(node, ast.FunctionDef) and node.name == "block_descent"
     ]
-    assert [arg.arg for arg in descent.args.args] == ["instance", "initial"]
+    assert [arg.arg for arg in descent.args.args] == ["instance"]
     names = {node.id for node in ast.walk(descent) if isinstance(node, ast.Name)}
     assert not names & {"perf_counter", "time", "monotonic", "_deadline"}
     assert "block_descent" not in time_limit_readers(source)

@@ -39,7 +39,6 @@ from storelayout.qap import (
     build_level2_instance,
     check_feasible,
     eligibility_from_blocks,
-    objective,
     objective_of_permutation,
     swap_candidate_pairs,
     swap_delta_matrix,
@@ -164,16 +163,16 @@ class TestTabuSearch:
         assert a.assignment == b.assignment
 
     def test_never_worse_than_initial(self, monkeypatch):
+        # restart 0 starts where the greedy construction puts it; patched,
+        # the construction hands it an arbitrary feasible start
         rng = Random(251)
         monkeypatch.setattr(solvers, "RESTARTS", 1)
         for trial in range(10):
             inst = random_level1_instance(rng, 5, full_eligibility=True)
-            start = inst.assignment_from_permutation(random_assignment(inst, Random(trial)))
-            start_obj = objective_of_permutation(inst, inst.permutation_of(start))
-            result = tabu_search(
-                inst, SolverConfig(seed=trial, iteration_limit=100), initial=start
-            )
-            assert result.objective >= start_obj - 1e-12
+            start = random_assignment(inst, Random(trial))
+            monkeypatch.setattr(solvers, "greedy_assignment", lambda _: start.copy())
+            result = tabu_search(inst, SolverConfig(seed=trial, iteration_limit=100))
+            assert result.objective >= objective_of_permutation(inst, start) - 1e-12
 
     def test_usually_finds_small_optimum(self, monkeypatch):
         rng = Random(257)
@@ -265,9 +264,7 @@ def equivalence_cases(seed: int, count: int = 20):
 def one_lane(inst, start, iterations, rng, pool, stall=None):
     """A single tabu walk through _tabu_lanes under the instance's own
     eligibility."""
-    lanes, _, _ = _tabu_lanes(
-        [inst], 1, lambda _: (start, None), [rng], iterations, pool, None, stall
-    )
+    lanes, _ = _tabu_lanes([inst], 1, lambda _: start, [rng], iterations, pool, None, stall)
     return lanes[0]
 
 
@@ -470,8 +467,8 @@ class TestLanesMatchSerialRuns:
             serial_tabu_run(inst, start, iterations, (0.1, 0.5), Random(s), pools[0], stall)
             for inst, start, s in zip(instances, starts, seeds)
         ]
-        got, _, cut = _tabu_lanes(
-            instances, 1, lambda j: (starts[j], None), [Random(s) for s in seeds], iterations,
+        got, cut = _tabu_lanes(
+            instances, 1, lambda j: starts[j], [Random(s) for s in seeds], iterations,
             pools[1], None, stall,
         )
         assert not cut
@@ -561,15 +558,15 @@ class TestLanesMatchSerialRuns:
 
 def force_workers(monkeypatch, workers: int) -> None:
     """Make every lane call split its lanes over ``workers`` processes (at
-    most one per lane), whatever the CPU count."""
-    monkeypatch.setattr(solvers, "_lane_workers", lambda lanes, deadline: min(workers, lanes))
+    most one per lane), whatever the CPU count: the lane split sees
+    ``workers`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(workers)), raising=False)
 
 
 class TestLaneSplit:
     """A lane call split over 1, 2, 3 or L processes gives, per lane, the
-    same best-objective bits, permutation and iteration count, leaves each
-    lane's rng in the same state, and ends with the same pool entries, with
-    or without a stall."""
+    same best-objective bits, permutation and iteration count, and ends
+    with the same pool entries, with or without a stall."""
 
     def run(self, monkeypatch, workers, instances, seed, iterations, capacity, stall):
         force_workers(monkeypatch, workers)
@@ -577,12 +574,11 @@ class TestLaneSplit:
         starts = [random_assignment(inst, Random(s)) for inst, s in zip(instances, seeds)]
         rngs = [Random(s) for s in seeds]
         pool = None if capacity is None else SolutionPool(instances[0], capacity=capacity, gap=0.02)
-        lanes, _, _ = _tabu_lanes(
-            instances, 1, lambda j: (starts[j], None), rngs, iterations, pool, None, stall
+        lanes, _ = _tabu_lanes(
+            instances, 1, lambda j: starts[j], rngs, iterations, pool, None, stall
         )
         return (
             [(float(obj).hex(), perm.tolist(), done) for obj, perm, done in lanes],
-            [rng.getstate() for rng in rngs],
             None if pool is None else pool.ranked,
         )
 
@@ -601,7 +597,7 @@ class TestLaneSplit:
         for trial in range(6):
             inst = random_level1_instance(rng, rng.randint(6, 10))
             for stall in (None, trial % 3 + 2):
-                lanes, _, _ = self.assert_split_exact(
+                lanes, _ = self.assert_split_exact(
                     monkeypatch, [inst] * (trial % 3 + 4), trial, capacity, stall=stall
                 )
             stopped += sum(done < 200 for _, _, done in lanes)
@@ -617,19 +613,6 @@ class TestLaneSplit:
                 self.assert_split_exact(monkeypatch, lanes, trial, None, stall=stall)
 
 
-def lane_rngs(monkeypatch) -> list[list[Random]]:
-    """Record the rngs of every lane call from now on, so a test can read
-    the states the lanes leave them in."""
-    calls = []
-
-    def recorded(instances, restarts, first, rngs, *args):
-        calls.append(rngs)
-        return _tabu_lanes(instances, restarts, first, rngs, *args)
-
-    monkeypatch.setattr(solvers, "_tabu_lanes", recorded)
-    return calls
-
-
 def result_bits(result) -> tuple:
     return (result.objective.hex(), result.assignment, result.iterations, result.notes)
 
@@ -638,16 +621,14 @@ class TestStartsBuiltWhereWalked:
     """Each lane chunk builds its own lanes' starts: the descents and greedy
     starts of the restart-0 lanes it holds and the random starts of the
     others. Split over 1, 2, 3 or L processes, with an instance's restarts
-    often in different chunks, a solve gives the same descents and results
-    bit for bit and leaves every lane's rng in the same state."""
+    often in different chunks, a solve gives the same results bit for
+    bit."""
 
     def assert_split_exact(self, monkeypatch, lanes: int, solve) -> None:
-        calls = lane_rngs(monkeypatch)
         want = None
         for workers in sorted({1, 2, 3, lanes}):
             force_workers(monkeypatch, workers)
-            calls.clear()
-            got = (solve(), [[rng.getstate() for rng in rngs] for rngs in calls])
+            got = solve()
             if want is None:
                 want = got
             assert got == want, f"{workers} workers"
@@ -661,14 +642,13 @@ class TestStartsBuiltWhereWalked:
             restarts = trial % 5 + 1
             descents = []
 
-            def counted(instance, initial=None):
+            def counted(instance):
                 descents.append(instance)
-                return block_descent(instance, initial)
+                return block_descent(instance)
 
             def solve():
                 descents.clear()
-                solved = solve_level2(instances, seeds, config, restarts)
-                return [(result_bits(d), result_bits(r)) for d, r in solved]
+                return [result_bits(r) for r in solve_level2(instances, seeds, config, restarts)]
 
             monkeypatch.setattr(solvers, "block_descent", counted)
             # at the default stall and at one below the walks' budgets, which
@@ -686,19 +666,20 @@ class TestStartsBuiltWhereWalked:
 
     @pytest.mark.parametrize("start", ["greedy", "initial"])
     def test_tabu_search(self, start, monkeypatch):
+        # "initial": the construction, patched, starts restart 0 elsewhere
         rng = Random(853)
         for trial in range(6):
             restarts = trial % 5 + 1
             monkeypatch.setattr(solvers, "RESTARTS", restarts)
             inst = random_level1_instance(rng, rng.randint(6, 10))
-            initial = None
             if start == "initial":
-                initial = inst.assignment_from_permutation(random_assignment(inst, Random(trial)))
+                initial = random_assignment(inst, Random(trial))
+                monkeypatch.setattr(solvers, "greedy_assignment", lambda _: initial.copy())
             config = SolverConfig(seed=trial, iteration_limit=rng.choice((5, 60)))
 
             def solve():
                 pool = SolutionPool(inst, capacity=4, gap=0.02)
-                result = tabu_search(inst, config, initial=initial, pool=pool)
+                result = tabu_search(inst, config, pool=pool)
                 return result_bits(result), pool.ranked
 
             self.assert_split_exact(monkeypatch, restarts, solve)
@@ -745,9 +726,8 @@ class TestRescoreMemo:
             return canonical(instance, perm)
 
         monkeypatch.setattr(solvers, "objective_of_permutation", counted)
-        got, _, _ = _tabu_lanes(
-            [inst] * 3, 1, lambda j: (starts[j], None), [Random(s) for s in seeds], 5000,
-            None, None,
+        got, _ = _tabu_lanes(
+            [inst] * 3, 1, lambda j: starts[j], [Random(s) for s in seeds], 5000, None, None
         )
         assert [(g[0].hex(), g[1].tolist(), g[2]) for g in got] == [
             (w[0].hex(), w[1].tolist(), w[2]) for w in want
@@ -790,8 +770,8 @@ class TestRescoreMemo:
             repeated += len(offers) - len(set(offers))
             offers.clear()
             _tabu_lanes(
-                [inst] * len(seeds), 1, lambda j: (starts[j], None),
-                [Random(s) for s in seeds], 2000, pools[1], None,
+                [inst] * len(seeds), 1, lambda j: starts[j], [Random(s) for s in seeds], 2000,
+                pools[1], None,
             )
             lane_offers = [o for o in offers if o[0] != id(pools[1])]
             assert len(lane_offers) == len(set(lane_offers))
@@ -835,7 +815,9 @@ class TestLaneWorkers:
             solve()
         assert multiprocessing.active_children() == []
 
-    def test_no_worker_left_after_pool_solve(self, monkeypatch):
+    def count_splits(self, monkeypatch) -> list[int]:
+        """Split every lane call over two processes, and record the number
+        of lane ranges of each split."""
         force_workers(monkeypatch, 2)
         splits = []
         split = solvers._split_lanes
@@ -845,19 +827,27 @@ class TestLaneWorkers:
             return split(*args)
 
         monkeypatch.setattr(solvers, "_split_lanes", counted)
-        doc = load_store(str(FIXTURES / "synthetic_store.json"))
-        txns = read_transactions_csv(str(FIXTURES / "synthetic_transactions.csv"), doc.catalog)
-        result = solve_hierarchical(
-            build_exposure_matrices(doc.graph),
-            expected_transitions(txns, doc.catalog),
-            doc.eligibility,
-            doc.catalog,
-            doc.graph,
-            SolverConfig(seed=413, iteration_limit=100, pool_capacity=10),
-        )
+        return splits
+
+    def test_no_worker_left_after_pool_solve(self, monkeypatch):
+        splits = self.count_splits(monkeypatch)
+        result = solve_bundled(SolverConfig(seed=413, iteration_limit=100, pool_capacity=10))
         assert len(result.candidates) == 10
         assert splits == [2, 2]  # the strategic restarts and the tactical lanes
         assert multiprocessing.active_children() == []
+
+    def test_lanes_split_under_a_deadline(self, monkeypatch):
+        # every process stops at the same absolute deadline, so lanes under
+        # one fork like any others, and a run it does not cut gives the
+        # answer of the run with no limit, bit for bit
+        config = SolverConfig(seed=413, iteration_limit=100, pool_capacity=10)
+        want = solve_bundled(config)
+        splits = self.count_splits(monkeypatch)
+        got = solve_bundled(replace(config, time_limit=60))
+        assert splits == [2, 2]  # the strategic restarts and the tactical lanes
+        assert multiprocessing.active_children() == []
+        assert hierarchical_bits(got) == hierarchical_bits(want)
+        assert got.notes == ()
 
     def test_worker_descent_exception_is_raised_in_caller(self, monkeypatch):
         # the second instance's descent runs in the forked worker, and fails
@@ -865,10 +855,10 @@ class TestLaneWorkers:
         caller = os.getpid()
         descend = solvers.block_descent
 
-        def failing(instance, initial=None):
+        def failing(instance):
             if os.getpid() != caller:
                 raise ModelError("descent failed in worker")
-            return descend(instance, initial)
+            return descend(instance)
 
         monkeypatch.setattr(solvers, "block_descent", failing)
         instances, seeds, config = tactical_case(Random(859), 1, monkeypatch)
@@ -877,15 +867,12 @@ class TestLaneWorkers:
             solve_level2(instances, seeds, config, 1)
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("why", ["deadline", "no-fork", "thread"])
+    @pytest.mark.parametrize("why", ["no-fork", "thread"])
     def test_lanes_stay_in_process(self, why, monkeypatch):
         inst = random_level1_instance(Random(829), 8)
         config = SolverConfig(seed=2, iteration_limit=50)
         want = tabu_search(inst, config)
-        if why == "deadline":
-            config = replace(config, time_limit=60)
-        else:
-            force_workers(monkeypatch, 2)
+        force_workers(monkeypatch, 2)
         if why == "no-fork":
             monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         monkeypatch.setattr(solvers, "_lane_worker", None)  # a forked worker would fail
@@ -908,18 +895,33 @@ class TestLaneWorkers:
 class TestTimeLimit:
     def test_tiny_limit_feasible_and_never_worse(self, monkeypatch):
         # whatever the clock allows, the answer is feasible, no worse than
-        # its start, and every lane ran as many iterations as the others
+        # its start, and every lane ran as many iterations as the others in
+        # its process, which all stop together at the deadline
+        force_workers(monkeypatch, 2)
+        chunks = []
+        split = solvers._split_lanes
+
+        def recorded(*args):
+            out = split(*args)
+            chunks.extend(out)
+            return out
+
+        monkeypatch.setattr(solvers, "_split_lanes", recorded)
         rng = Random(653)
         for restarts in (1, 3, 4):
             monkeypatch.setattr(solvers, "RESTARTS", restarts)
             inst = random_level1_instance(rng, 30)
-            start = inst.assignment_from_permutation(random_assignment(inst, Random(restarts)))
+            start = random_assignment(inst, Random(restarts))
+            monkeypatch.setattr(solvers, "greedy_assignment", lambda _: start.copy())
             for limit in (1e-9, 0.02):
+                chunks.clear()
                 cfg = SolverConfig(seed=restarts, time_limit=limit)
-                result = tabu_search(inst, cfg, initial=start)
+                result = tabu_search(inst, cfg)
                 assert check_feasible(inst, result.assignment).ok
-                assert result.objective >= objective(inst, start)
-                assert result.iterations % restarts == 0
+                assert result.objective >= objective_of_permutation(inst, start)
+                assert len(chunks) == (2 if restarts > 1 else 0)  # one lane runs here
+                for lanes, _, _ in chunks:
+                    assert len({done for _, _, done in lanes}) == 1
 
     def test_stopped_lanes_write_one_note(self):
         # a deadline already past at the first iteration stops every lane
@@ -936,9 +938,9 @@ class TestTimeLimit:
 
         def cut(deadline):
             return _tabu_lanes(
-                [inst] * 3, 1, lambda j: (starts[j], None),
-                [Random(s) for s in range(3)], 20, None, deadline,
-            )[2]
+                [inst] * 3, 1, lambda j: starts[j], [Random(s) for s in range(3)], 20, None,
+                deadline,
+            )[1]
 
         assert cut(perf_counter()) is True  # past by the first iteration
         assert cut(perf_counter() + 60) is False
@@ -950,8 +952,7 @@ class TestTimeLimit:
         inst = random_level2_instance(Random(733), (1, solvers.BLOCK_EXHAUSTIVE_CAP + 1))
         config = SolverConfig(seed=3, time_limit=1e-9)
         for restarts in (1, 3):
-            [(descended, refined)] = solve_level2([inst], [3], config, restarts)
-            assert descended.notes == ()
+            [refined] = solve_level2([inst], [3], config, restarts)
             assert refined.notes == ("time limit 1e-09s reached",)
 
     @pytest.mark.parametrize("limit", ["deadline", "nodes"])
@@ -977,16 +978,16 @@ class TestTimeLimit:
     def test_cut_strategic_stage_is_reported(self, monkeypatch):
         # the strategic lanes spend the whole limit, so the tactical lanes
         # start past the run's one deadline, walk no iteration and report it
-        walk, calls = solvers._walk_lanes, []
+        lane_call, calls = solvers._tabu_lanes, []
 
-        def walked(*args):
-            calls.append(walk(*args))
+        def recorded(*args):
+            calls.append(lane_call(*args))
             return calls[-1]
 
-        monkeypatch.setattr(solvers, "_walk_lanes", walked)
+        monkeypatch.setattr(solvers, "_tabu_lanes", recorded)
         result = solve_bundled(SolverConfig(time_limit=0.1))
         assert result.notes == ("time limit 0.1s reached",)
-        [(_, _, strategic_cut), (tactical, _, tactical_cut)] = calls
+        [(_, strategic_cut), (tactical, tactical_cut)] = calls
         assert strategic_cut
         assert tactical_cut and [done for _, _, done in tactical] == [0] * len(tactical)
         assert len(tactical) == len(result.candidates) > 1
@@ -1028,23 +1029,31 @@ class TestTimeLimit:
         assert len(deadlines) == 1 and None not in deadlines
 
 
-def level2_path_oracle(instance: QapInstance, config: SolverConfig):
+def level2_path_oracle(instance: QapInstance, config: SolverConfig, restarts: int):
     """The command line's level2 path before solve_level2: block descent,
-    tabu_search from the descent's layout, and the better of the two."""
+    tabu_search's restarts from the descent's layout, and the better of the
+    two."""
     descended = block_descent(instance)
-    refined = tabu_search(instance, config, initial=descended.assignment)
+    start = instance.permutation_of(descended.assignment)
+    lanes, _ = _tabu_lanes(
+        [instance], restarts, lambda _: start,
+        [Random(_mix_seed(config.seed, r)) for r in range(restarts)],
+        config.iteration_limit, None, None,
+    )
+    refined = solvers._best_lane(instance, lanes, 0.0)
     return refined if refined.objective >= descended.objective else descended
 
 
 def tactical_stage_oracle(instances, seeds, config: SolverConfig):
     """solve_hierarchical's tactical stage before solve_level2: a descent per
     candidate, one lockstep lane per candidate from its descent, and the
-    better of the two; (objective, assignment, iterations) per candidate."""
+    better of the two; (objective, assignment, lane iterations) per
+    candidate."""
     descents = [block_descent(inst) for inst in instances]
-    refined, _, _ = _tabu_lanes(
+    refined, _ = _tabu_lanes(
         instances,
         1,
-        lambda j: (instances[j].permutation_of(descents[j].assignment), None),
+        lambda j: instances[j].permutation_of(descents[j].assignment),
         [Random(_mix_seed(s, 0)) for s in seeds],
         config.iteration_limit,
         None,
@@ -1056,7 +1065,7 @@ def tactical_stage_oracle(instances, seeds, config: SolverConfig):
             assignment = inst.assignment_from_permutation(perm)
         else:
             obj, assignment = descended.objective, descended.assignment
-        out.append((obj, assignment, descended.iterations + done))
+        out.append((obj, assignment, done))
     return out
 
 
@@ -1089,16 +1098,14 @@ class TestSolveLevel2:
             instances, seeds, config = tactical_case(rng, trial, monkeypatch, zero_flow)
             restarts = trial % 5 + 1
             got = solve_level2(instances, seeds, config, restarts)
-            # the oracle's tabu_search runs RESTARTS restarts
-            monkeypatch.setattr(solvers, "RESTARTS", restarts)
-            for inst, seed, (descended, refined) in zip(instances, seeds, got):
-                want = level2_path_oracle(inst, replace(config, seed=seed))
+            for inst, seed, refined in zip(instances, seeds, got):
+                want = level2_path_oracle(inst, replace(config, seed=seed), restarts)
                 assert want.solver == refined.solver == "tabu"
                 assert refined.objective.hex() == want.objective.hex()
                 assert refined.assignment == want.assignment
                 assert refined.iterations == want.iterations
                 assert refined.restarts == restarts
-                assert refined.notes == descended.notes == ()
+                assert refined.notes == ()
 
     def test_matches_level2_path(self, monkeypatch):
         self.assert_level2_path(Random(701), monkeypatch)
@@ -1108,16 +1115,22 @@ class TestSolveLevel2:
 
     def test_a_deadline_never_cuts_the_descent(self, monkeypatch):
         # a deadline already past when the descent visits its first block
-        # still lets it finish, and stops only the lanes after it
+        # still lets it finish, and stops the lanes after it at their starts:
+        # the answer is the best start, the whole descent's layout when it
+        # is the only one
         rng = Random(727)
         moved = 0
         for trial in range(6):
             instances, seeds, config = tactical_case(rng, trial, monkeypatch)
             config = replace(config, time_limit=1e-9)
-            for inst, (descended, refined) in zip(
-                instances, solve_level2(instances, seeds, config, trial % 3 + 1)
-            ):
-                assert result_bits(descended) == result_bits(block_descent(inst))
+            restarts = trial % 3 + 1
+            for inst, refined in zip(instances, solve_level2(instances, seeds, config, restarts)):
+                descended = block_descent(inst)
+                assert refined.objective >= descended.objective
+                if restarts == 1:
+                    assert refined.objective.hex() == descended.objective.hex()
+                    assert refined.assignment == descended.assignment
+                assert refined.iterations == 0
                 assert refined.notes == ("time limit 1e-09s reached",)
                 moved += descended.objective > objective_of_permutation(
                     inst, greedy_assignment(inst)
@@ -1131,10 +1144,10 @@ class TestSolveLevel2:
             instances, seeds, config = tactical_case(rng, trial, monkeypatch, zero_flow)
             got = solve_level2(instances, seeds, config, restarts=1)
             want = tactical_stage_oracle(instances, seeds, config)
-            for (descended, refined), (w_obj, w_assignment, w_iterations) in zip(got, want):
+            for refined, (w_obj, w_assignment, w_iterations) in zip(got, want):
                 assert refined.objective.hex() == w_obj.hex()
                 assert refined.assignment == w_assignment
-                assert descended.iterations + refined.iterations == w_iterations
+                assert refined.iterations == w_iterations
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1151,10 +1164,8 @@ class TestSolveLevel2:
             config = replace(config, time_limit=time_limit)
             if stall is not None:
                 patch.setattr(solvers, "STALL", stall)
-            for inst, (descended, refined) in zip(
-                instances, solve_level2(instances, seeds, config, restarts)
-            ):
-                assert refined.objective >= descended.objective
+            for inst, refined in zip(instances, solve_level2(instances, seeds, config, restarts)):
+                assert refined.objective >= block_descent(inst).objective
                 assert check_feasible(inst, refined.assignment).ok
 
 
@@ -1171,15 +1182,16 @@ class TestBlockDescent:
         result = block_descent(inst)
         assert result.objective == pytest.approx(brute_force(inst).objective, rel=1e-12)
 
-    def test_monotone_from_any_start(self):
+    def test_monotone_from_any_start(self, monkeypatch):
+        # the descent starts where the greedy construction puts it; patched,
+        # the construction hands it an arbitrary feasible start
         rng = Random(277)
         inst = random_level2_instance(rng, (3, 2, 2))
         for trial in range(5):
-            start_perm = random_assignment(inst, Random(trial))
-            start = inst.assignment_from_permutation(start_perm)
-            start_obj = objective_of_permutation(inst, start_perm)
-            result = block_descent(inst, initial=start)
-            assert result.objective >= start_obj - 1e-12
+            start = random_assignment(inst, Random(trial))
+            monkeypatch.setattr(solvers, "greedy_assignment", lambda _: start.copy())
+            result = block_descent(inst)
+            assert result.objective >= objective_of_permutation(inst, start) - 1e-12
             assert check_feasible(inst, result.assignment).ok
 
     def test_all_singletons_returns_start(self):
@@ -1202,7 +1214,7 @@ class TestBlockDescent:
             assert np.array_equal(perm[rows], greedy_assignment(inst)[rows])
             assert descended.objective < optimum
             config = SolverConfig(seed=s, iteration_limit=300)
-            ((_, refined),) = solve_level2([inst], [s], config, 1)
+            [refined] = solve_level2([inst], [s], config, 1)
             assert refined.objective == pytest.approx(optimum, rel=1e-12)
 
 
@@ -1335,6 +1347,14 @@ class TestSolveLevel1:
         assert len(pool) >= 1
 
 
+def hierarchical_bits(result) -> tuple:
+    """Everything a hierarchical result holds but its wall time."""
+    return (
+        *result_bits(result), result.restarts, result.level1_assignment,
+        result.level1_objective.hex(), result.candidates,
+    )
+
+
 def solve_bundled(config: SolverConfig):
     """solve_hierarchical on the bundled store and baskets."""
     doc = load_store(str(FIXTURES / "synthetic_store.json"))
@@ -1390,6 +1410,14 @@ class TestHierarchical:
         anchor = Assignment.from_mapping({"C1": "L1", "C2": "L2"})
         inst = build_level2_instance(exposures, matrices, anchor, catalog, graph)
         assert result.objective >= brute_force(inst).objective - 1e-9
+
+    def test_strategic_notes_reach_the_answer(self, monkeypatch):
+        # a branch and bound stopped by its node limit leaves its note on
+        # the pool, and the answer lists it before the candidates' notes
+        monkeypatch.setattr(solvers, "NODE_LIMIT", 1)
+        graph, catalog, matrices, exposures = small_fixture((2, 2))
+        result = solve_hierarchical(exposures, matrices, None, catalog, graph, SolverConfig())
+        assert result.notes == ("node limit 1 reached",)
 
     def test_each_note_once(self, monkeypatch):
         # every candidate's lanes write the same note; the result keeps one
