@@ -3,16 +3,16 @@ matrices, run the solvers, and write plans, reports, LP models and
 traffic heatmaps.
 
 The parsed arguments are the run's configuration: each subcommand names its
-handler, and the handler reads the arguments directly. main() checks the
-input files and the output directory before any handler runs, and removes
-the artifacts written before any failure, so an output directory never
-holds a half-written run. The handler runs with the cyclic garbage
-collector paused: almost all of a command's objects are acyclic and freed
-by reference counting, and each collector pass would walk its live
-transactions and matrices again. Arguments may also come from a file named
-with an @ prefix (`storelayout solve @run.args --seed 5`), one argument per
-line; they pass the same type and choice checks as typed flags, and a later
-flag wins.
+own handler and takes only the options that handler reads, and the handler
+reads the arguments directly. main() checks the input files and the output
+directory before any handler runs, and removes the artifacts written before
+any failure, so an output directory never holds a half-written run. The
+handler runs with the cyclic garbage collector paused: almost all of a
+command's objects are acyclic and freed by reference counting, and each
+collector pass would walk its live transactions and matrices again.
+Arguments may also come from a file named with an @ prefix (`storelayout
+solve @run.args --seed 5`), one argument per line; they pass the same type
+and choice checks as typed flags, and a later flag wins.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from .solvers import (
 from .store import accumulate_traffic, build_exposure_matrices
 from .storefile import StoreDocument, load_store
 
-_MODES = ("hierarchical", "level1", "level2")
 _TRANSITION_MODES = ("expected", "sampled")
 _MODEL_TAGS = ("level1", "level2", "integrated")
 
@@ -102,9 +101,11 @@ def _check(args: argparse.Namespace) -> None:
 
 
 def _run_hash(args: argparse.Namespace) -> str:
+    # the solve commands hash as "solve" with their mode, and "threads" as 1
+    # (no run uses threads; forked lane workers cannot change an answer), so
+    # config hashes, and the artifacts carrying them, keep their values
     return config_hash(
         {
-            # solve-l1 and solve-l2 hash as solve --mode level1 and level2
             "command": "solve" if args.command.startswith("solve") else args.command,
             "store": file_digest(args.store),
             "transactions": file_digest(args.transactions),
@@ -114,10 +115,6 @@ def _run_hash(args: argparse.Namespace) -> str:
             "pool_size": args.pool_size,
             "pool_gap": args.pool_gap,
             "time_limit": args.time_limit,
-            # no run uses threads, and forked tabu lane workers cannot
-            # change an answer; the key stays so that config hashes, and
-            # the plans, reports and heatmaps carrying them, keep their
-            # values
             "threads": 1,
         }
     )
@@ -208,6 +205,7 @@ def _write_solve_artifacts(
         level2_objective=result.objective,
         run_hash=run_hash,
         seed=args.seed,
+        # names the retired solve --mode flag; kept so plans keep their bytes
         generator=f"solve --mode {args.mode}",
     )
     write_plan(plan, sink.register(os.path.join(args.out, "plan.json")))
@@ -238,49 +236,6 @@ def _write_solve_artifacts(
 
 def _run_solve(args: argparse.Namespace, sink: _Artifacts) -> None:
     doc, transactions, exposures, matrices = _load_inputs(args)
-    if args.mode == "level1":
-        pool = solve_level1(_level1_instance(doc, exposures, matrices), args.solver)
-        run_hash = _run_hash(args)
-        entries = [
-            {
-                "objective": entry.objective,
-                "category_to_location": entry.assignment.shelf_mapping,
-            }
-            for entry in pool.entries
-        ]
-        payload = {
-            "store": doc.name,
-            "entries": entries,
-            "metadata": {"config_hash": run_hash, "seed": str(args.seed)},
-        }
-        path = os.path.join(args.out, "level1_pool.json")
-        _write_text(sink, path, json.dumps(payload, indent=2) + "\n")
-        lines = [
-            "strategic pool",
-            f"config hash: {run_hash}",
-            f"candidates: {len(pool.entries)}",
-        ]
-        lines += [f"  {i}: objective {e.objective:.6f}" for i, e in enumerate(pool.entries)]
-        lines += [f"note: {note}" for note in pool.notes]
-        path = os.path.join(args.out, "solve_report.txt")
-        _write_text(sink, path, "\n".join(lines) + "\n")
-        return
-
-    if args.mode == "level2":
-        if args.baseline is None:
-            raise InputError("level2 mode needs --baseline for the fixed category layout")
-        level1_assignment = read_plan(args.baseline).level1_assignment()
-        instance = build_level2_instance(
-            exposures, matrices, level1_assignment, doc.catalog, doc.graph
-        )
-        [result] = solve_level2([instance], [args.seed], args.solver, RESTARTS)
-        l1_objective = objective(_level1_instance(doc, exposures, matrices), level1_assignment)
-        _write_solve_artifacts(
-            args, doc, exposures, matrices, transactions,
-            level1_assignment, l1_objective, result, None, sink,
-        )
-        return
-
     result = solve_hierarchical(
         exposures, matrices, doc.eligibility, doc.catalog, doc.graph, args.solver
     )
@@ -288,6 +243,49 @@ def _run_solve(args: argparse.Namespace, sink: _Artifacts) -> None:
         args, doc, exposures, matrices, transactions,
         result.level1_assignment, result.level1_objective,
         result, list(result.candidates), sink,
+    )
+
+
+def _run_solve_l1(args: argparse.Namespace, sink: _Artifacts) -> None:
+    doc, transactions, exposures, matrices = _load_inputs(args)
+    pool = solve_level1(_level1_instance(doc, exposures, matrices), args.solver)
+    run_hash = _run_hash(args)
+    entries = [
+        {
+            "objective": entry.objective,
+            "category_to_location": entry.assignment.shelf_mapping,
+        }
+        for entry in pool.entries
+    ]
+    payload = {
+        "store": doc.name,
+        "entries": entries,
+        "metadata": {"config_hash": run_hash, "seed": str(args.seed)},
+    }
+    path = os.path.join(args.out, "level1_pool.json")
+    _write_text(sink, path, json.dumps(payload, indent=2) + "\n")
+    lines = [
+        "strategic pool",
+        f"config hash: {run_hash}",
+        f"candidates: {len(pool.entries)}",
+    ]
+    lines += [f"  {i}: objective {e.objective:.6f}" for i, e in enumerate(pool.entries)]
+    lines += [f"note: {note}" for note in pool.notes]
+    path = os.path.join(args.out, "solve_report.txt")
+    _write_text(sink, path, "\n".join(lines) + "\n")
+
+
+def _run_solve_l2(args: argparse.Namespace, sink: _Artifacts) -> None:
+    doc, transactions, exposures, matrices = _load_inputs(args)
+    level1_assignment = read_plan(args.baseline).level1_assignment()
+    instance = build_level2_instance(
+        exposures, matrices, level1_assignment, doc.catalog, doc.graph
+    )
+    [result] = solve_level2([instance], [args.seed], args.solver, RESTARTS)
+    l1_objective = objective(_level1_instance(doc, exposures, matrices), level1_assignment)
+    _write_solve_artifacts(
+        args, doc, exposures, matrices, transactions,
+        level1_assignment, l1_objective, result, None, sink,
     )
 
 
@@ -380,65 +378,70 @@ def _run_render(args: argparse.Namespace, sink: _Artifacts) -> None:
     )
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--store", required=True, help="store document (JSON)")
-    sub.add_argument("--transactions", required=True, help="transactions CSV")
-    sub.add_argument("--out", default="out", help="output directory")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--pool-size", type=int, default=10)
-    sub.add_argument("--pool-gap", type=float, default=0.001)
-    sub.add_argument("--time-limit", type=float)
-    sub.add_argument("--transition-mode", choices=_TRANSITION_MODES, default="expected")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="storelayout",
         description="store layout optimization over shopper walk exposure",
         fromfile_prefix_chars="@",
     )
-    # what a subcommand without these options runs with
-    parser.set_defaults(mode="hierarchical", baseline=None, plans=())
+    # the value of each option that a subcommand lacks or a run does not
+    # give, and so what _run_hash hashes for it, whichever command runs
+    parser.set_defaults(
+        mode="hierarchical", baseline=None, plans=(), transition_mode="expected",
+        time_limit=None, pool_size=10, pool_gap=0.001,
+    )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--transition-mode": {"choices": _TRANSITION_MODES},
+        "--time-limit": {"type": float},
+        "--pool-size": {"type": int},
+        "--pool-gap": {"type": float},
+        "--baseline": {},
+    }
 
-    # each subcommand names its handler, looked up when main runs it
-    def command(name: str, run: str, help: str, **fixed) -> argparse.ArgumentParser:
+    # each subcommand names its handler, looked up when main runs it, and
+    # takes only the options of ``shared`` that its handler reads
+    def command(name: str, run: str, help: str, options, **fixed) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
-        _add_common(p)
+        p.add_argument("--store", required=True, help="store document (JSON)")
+        p.add_argument("--transactions", required=True, help="transactions CSV")
+        p.add_argument("--out", default="out", help="output directory")
+        p.add_argument("--seed", type=int, default=0)
+        for option in options:
+            p.add_argument(option, default=argparse.SUPPRESS, **shared[option])
         p.set_defaults(run=run, **fixed)
         return p
 
-    command("build-matrices", "_run_build_matrices", "exposure and transition matrices as TSV")
+    pooled = ("--transition-mode", "--time-limit", "--pool-size", "--pool-gap")
+    command("build-matrices", "_run_build_matrices", "exposure and transition matrices as TSV",
+            ["--transition-mode"])
+    command("solve", "_run_solve", "optimize a layout", [*pooled, "--baseline"])
+    command("solve-l1", "_run_solve_l1", "strategic solve only (pool of category layouts)",
+            pooled, mode="level1")
 
-    p = command("solve", "_run_solve", "optimize a layout")
-    p.add_argument("--mode", choices=_MODES, default="hierarchical")
-    p.add_argument("--baseline")
-
-    command("solve-l1", "_run_solve", "strategic solve only (pool of category layouts)",
-            mode="level1")
-
-    p = command("solve-l2", "_run_solve", "tactical solve under a fixed category layout",
-                mode="level2")
+    p = command("solve-l2", "_run_solve_l2", "tactical solve under a fixed category layout",
+                ["--transition-mode", "--time-limit"], mode="level2")
     p.add_argument("--baseline", required=True, help="plan providing the category layout")
 
-    p = command("export-lp", "_run_export_lp", "write linearized models as LP files")
+    # the pool options shape the strategic solve of a level2 model without --baseline
+    p = command("export-lp", "_run_export_lp", "write linearized models as LP files",
+                [*pooled, "--baseline"])
     p.add_argument("--mode", dest="models", metavar="MODE", type=_model_tags,
                    default="level1,level2",
                    help="comma-separated model tags (level1,level2,integrated or all)")
-    p.add_argument("--baseline")
     p.add_argument("--full", action="store_true",
                    help="emit full index ranges instead of eligibility-sparsified models")
 
     # each positional plan path is appended to args.plans
-    p = command("evaluate", "_run_evaluate", "evaluate a layout plan")
+    p = command("evaluate", "_run_evaluate", "evaluate a layout plan",
+                ["--transition-mode", "--baseline"])
     p.add_argument("plans", action="append", metavar="plan")
-    p.add_argument("--baseline")
 
-    p = command("diff", "_run_diff", "movement report between two plans")
+    p = command("diff", "_run_diff", "movement report between two plans", ["--transition-mode"])
     p.add_argument("plans", action="append", metavar="plan_a")
     p.add_argument("plans", action="append", metavar="plan_b")
 
-    p = command("render", "_run_render", "traffic heatmap for a plan")
+    p = command("render", "_run_render", "traffic heatmap for a plan", [])
     p.add_argument("plans", action="append", metavar="plan")
 
     return parser

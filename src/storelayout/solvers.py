@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from random import Random
@@ -107,9 +108,9 @@ class SolveResult:
 @dataclass
 class HierarchicalResult(SolveResult):
     """Final tactical result plus the strategic assignment that induced it
-    and the per-pool-candidate trace. ``iterations`` counts the tactical
-    lanes' iterations over every candidate; ``restarts`` is the strategic
-    tabu's restart count."""
+    and the per-pool-candidate trace. ``iterations`` and ``restarts`` count
+    the tactical lanes' iterations and the lanes themselves, over every
+    candidate."""
 
     level1_assignment: Assignment | None = None
     level1_objective: float = 0.0
@@ -479,9 +480,7 @@ def _tabu_lanes(
             instances[0], eligibility, starts, rngs[lo:hi], iterations, shape, deadline, stall
         )
 
-    workers = _lane_workers(lanes)
-    bounds = [(lanes * w // workers, lanes * (w + 1) // workers) for w in range(workers)]
-    chunks = _split_lanes(walk, bounds) if workers > 1 else [walk(0, lanes)]
+    chunks = _split_lanes(walk, lanes)
     results = []
     for chunk_results, ranked, _ in chunks:
         results += chunk_results
@@ -491,31 +490,30 @@ def _tabu_lanes(
     return results, any(cut for _, _, cut in chunks)
 
 
-def _lane_workers(lanes: int) -> int:
-    """Processes one lane call runs in: one per usable CPU, at most one per
-    lane."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, lanes))
-
-
-def _split_lanes(walk, bounds: list[tuple[int, int]]) -> list:
-    """walk(lo, hi) for each lane range of ``bounds``: the first in this
+def _split_lanes(walk, lanes: int) -> list:
+    """walk(lo, hi) over contiguous ranges of the lanes 0 .. lanes - 1, one
+    range per usable CPU and at most one per lane: the first in this
     process, each other one in a forked worker that sends back its output.
     Returns the outputs in range order; a worker's exception is raised
     here, and no worker outlives the call.
 
     Workers are forked because they need the caller's state and start in
     microseconds; a spawned worker would first import the package. All
-    lanes run here where fork does not exist, and while another thread
-    runs, since a fork copies whatever lock that thread holds."""
+    lanes run here, as one range, on one usable CPU, where fork does not
+    exist, and while another thread runs, since a fork copies whatever lock
+    that thread holds."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    parts = min(cpus, lanes)
+    if parts < 2 or threading.active_count() > 1:
+        return [walk(0, lanes)]
     import multiprocessing
-    import threading
 
-    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
-        return [walk(bounds[0][0], bounds[-1][1])]
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [walk(0, lanes)]
+    bounds = [(lanes * w // parts, lanes * (w + 1) // parts) for w in range(parts)]
     ctx = multiprocessing.get_context("fork")
     workers = []
     finished = False
@@ -958,10 +956,8 @@ def solve_hierarchical(
     best_assignment = best_entry = None
     candidates: list[tuple[int, float, float]] = []
     notes = list(pool.notes)
-    iterations = 0
     for idx, (entry, refined) in enumerate(zip(entries, solved)):
         notes.extend(refined.notes)
-        iterations += refined.iterations
         candidates.append((idx, entry.objective, refined.objective))
         if best_entry is None or refined.objective > best_obj:
             best_obj, best_assignment, best_entry = refined.objective, refined.assignment, entry
@@ -969,8 +965,8 @@ def solve_hierarchical(
         assignment=best_assignment,
         objective=best_obj,
         wall_time=perf_counter() - t0,
-        iterations=iterations,
-        restarts=RESTARTS,
+        iterations=sum(r.iterations for r in solved),
+        restarts=sum(r.restarts for r in solved),
         solver="hierarchical",
         notes=tuple(dict.fromkeys(notes)),
         level1_assignment=best_entry.assignment,

@@ -3,6 +3,7 @@ arguments read from an @file, failure exit codes, and artifact cleanup."""
 
 from __future__ import annotations
 
+import argparse
 import csv
 import errno
 import functools
@@ -207,30 +208,13 @@ class TestSolve:
         report = (out / "solve_report.txt").read_text(encoding="utf-8")
         assert "baseline kind: baseline plan" in report
 
-    @pytest.mark.parametrize("mode, command", [("level1", "solve-l1"), ("level2", "solve-l2")])
-    def test_mode_flag_matches_subcommand(
-        self, mode, command, workspace, plan_path, tmp_path, monkeypatch
-    ):
-        # solve --mode level1 is solve-l1, and solve --mode level2 is solve-l2
-        monkeypatch.setenv("SOURCE_DATE_EPOCH", EPOCH)
-        extra = ["--pool-size", "2", "--seed", "3"]
-        if mode == "level2":
-            extra += ["--baseline", plan_path]
-        by_flag = tmp_path / "flag"
-        by_name = tmp_path / "name"
-        assert main(["solve", *common_args(workspace, by_flag, [*extra, "--mode", mode])]) == 0
-        assert main([command, *common_args(workspace, by_name, extra)]) == 0
-        names = sorted(os.listdir(by_flag))
-        assert names == sorted(os.listdir(by_name))
-        for name in names:
-            assert (by_flag / name).read_bytes() == (by_name / name).read_bytes(), name
-
     def test_level2_without_baseline_fails(self, workspace, tmp_path, capsys):
         out = tmp_path / "nobase"
-        rc = main(["solve", *common_args(workspace, out, ["--mode", "level2"])])
-        assert rc == 2
-        assert "baseline" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-l2", *common_args(workspace, out)])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --baseline" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_identical_runs_byte_identical(self, workspace, tmp_path, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", EPOCH)
@@ -582,7 +566,6 @@ class TestArgsFile:
     @pytest.mark.parametrize(
         "command, line, message",
         [
-            ("solve", "--mode=bogus", "argument --mode: invalid choice: 'bogus'"),
             ("build-matrices", "--transition-mode=expectd",
              "argument --transition-mode: invalid choice: 'expectd'"),
             ("solve", "--pool-size=2.5", "argument --pool-size: invalid int value: '2.5'"),
@@ -590,7 +573,7 @@ class TestArgsFile:
             ("solve", "--pool-gap=wide", "argument --pool-gap: invalid float value: 'wide'"),
             ("solve", "--time-limit=true", "argument --time-limit: invalid float value: 'true'"),
         ],
-        ids=["mode", "transition-mode", "pool-size", "seed", "pool-gap", "time-limit"],
+        ids=["transition-mode", "pool-size", "seed", "pool-gap", "time-limit"],
     )
     def test_file_values_are_checked(self, workspace, tmp_path, capsys, command, line, message):
         out = tmp_path / "checked"
@@ -656,6 +639,71 @@ def test_help_exits_zero(command, capsys):
         main([command, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: storelayout {command} ")
+
+
+INPUTS = ["--store", "--transactions", "--out", "--seed"]
+POOLED = ["--transition-mode", "--time-limit", "--pool-size", "--pool-gap"]
+# the options and positionals of each subcommand: 59 in all, each one read
+# by the subcommand's handler
+OPTIONS = {
+    "build-matrices": [*INPUTS, "--transition-mode"],
+    "solve": [*INPUTS, *POOLED, "--baseline"],
+    "solve-l1": [*INPUTS, *POOLED],
+    "solve-l2": [*INPUTS, "--transition-mode", "--time-limit", "--baseline"],
+    "export-lp": [*INPUTS, *POOLED, "--mode", "--baseline", "--full"],
+    "evaluate": [*INPUTS, "--transition-mode", "plan", "--baseline"],
+    "diff": [*INPUTS, "--transition-mode", "plan_a", "plan_b"],
+    "render": [*INPUTS, "plan"],
+}
+
+
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    [action] = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestOptionsPerCommand:
+    """Each subcommand takes exactly the options its handler reads and
+    names a handler of its own: an option a command would not read is
+    refused, not hashed into its artifacts."""
+
+    def test_each_command_takes_the_options_it_reads(self):
+        taken = {
+            name: sorted(
+                action.option_strings[0] if action.option_strings else action.metavar
+                for action in parser._actions
+                if not isinstance(action, argparse._HelpAction)
+            )
+            for name, parser in subparsers().items()
+        }
+        assert taken == {name: sorted(options) for name, options in OPTIONS.items()}
+        assert sum(map(len, taken.values())) == 59
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["render", "PLAN", "--pool-size", "3"],
+            ["evaluate", "PLAN", "--time-limit", "1"],
+            ["build-matrices", "--pool-gap", "0.5"],
+            ["solve-l2", "--baseline", "PLAN", "--pool-size", "2"],
+            ["solve", "--mode", "level1"],
+        ],
+        ids=["render", "evaluate", "build-matrices", "solve-l2", "solve-mode"],
+    )
+    def test_unread_option_is_refused(self, argv, workspace, plan_path, tmp_path, capsys):
+        out = tmp_path / "refused"
+        argv = [plan_path if arg == "PLAN" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *common_args(workspace, out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+        assert not out.exists()
+
+    def test_no_two_commands_share_a_handler(self):
+        handlers = [parser.get_default("run") for parser in subparsers().values()]
+        assert len(set(handlers)) == len(handlers) == len(SUBCOMMANDS)
+        assert all(callable(getattr(cli, handler)) for handler in handlers)
 
 
 def test_diff_names_its_missing_plan(workspace, tmp_path, capsys):
@@ -855,7 +903,7 @@ class TestBundledSolveGolden:
                     "heatmap_optimal.svg": "389482d6c75a88dce2f4c41080371b8e3661421fb66a3e04b4758752c2318098",
                     "heatmap_baseline.svg": "fbefb2143dddfb77752186a3903d644eceda5a172e7a17856ccacd114e144407",
                     "plan.json": "7ca336b2119c2934c16cf9d5ce74a7b9169577bc388e0b50e3fe5119773822f1",
-                    "solve_report.txt": "378b59988cb9c3a6d15812915e2ccf4800170a9dc12a24a23fbba90c6f9334a8",
+                    "solve_report.txt": "9cdc48d83244af93bc22b4f2a68d8cbd453a090b9ea261885362ea6584d4eab2",
                 },
             ),
             (
@@ -864,7 +912,7 @@ class TestBundledSolveGolden:
                     "heatmap_optimal.svg": "346625e2b39e01eeffb0149cd08e36d55ac18de66d8b8b3777f7769771119322",
                     "heatmap_baseline.svg": "1ef228d00b838143bf0605a0a75a8ebac4bc62f08e3a11a608e7ccedc9bb47c1",
                     "plan.json": "b4aa452ee5f3936c94e2f5ff6dfe97ad05b3365f54662ce7680336a9ccb5cd21",
-                    "solve_report.txt": "910806d3521eec15b7de422a16057e67a2491a02734dc067d31adaf14ed1d240",
+                    "solve_report.txt": "16f29a0dc29132552604dd798ce875ae5c9f4dbb12e155b5ec87a73d8a2aff66",
                 },
             ),
         ],

@@ -1,8 +1,8 @@
-"""Static check over solvers.py: each parameter with a default, of each
-public module-level function, is passed by some call in the package or the
-benchmark. A default that no caller overrides is an option no run sets, and
-the code path behind it is reached by tests alone. The check reads the
-syntax trees; it runs none of the callers.
+"""Static check over every module of the package: each parameter with a
+default, of each public module-level function, is passed by some call in
+the package or the benchmark. A default that no caller overrides is an
+option no run sets, and the code path behind it is reached by tests alone.
+The check reads the syntax trees; it runs none of the callers.
 
 A call counts when it names the function, as a name (``tabu_search(...)``)
 or as an attribute (``solvers.tabu_search(...)``), and passes the parameter
@@ -15,10 +15,8 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOLVERS = ROOT / "src" / "storelayout" / "solvers.py"
-CALLERS = sorted((ROOT / "src" / "storelayout").glob("*.py")) + sorted(
-    (ROOT / "perfbench").glob("*.py")
-)
+MODULES = sorted((ROOT / "src" / "storelayout").glob("*.py"))
+CALLERS = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def defaulted_parameters(source: str) -> dict[str, list[tuple[str, int | None]]]:
@@ -68,16 +66,17 @@ def passed_parameters(
 
 
 def test_every_default_is_passed_by_a_caller():
-    functions = defaulted_parameters(SOLVERS.read_text(encoding="utf-8"))
-    passed = set().union(
-        *(passed_parameters(path.read_text(encoding="utf-8"), functions) for path in CALLERS)
-    )
-    unpassed = [
-        f"{name}({param})"
-        for name, params in functions.items()
-        for param, _ in params
-        if (name, param) not in passed
-    ]
+    sources = [path.read_text(encoding="utf-8") for path in CALLERS]
+    unpassed = []
+    for module in MODULES:
+        functions = defaulted_parameters(module.read_text(encoding="utf-8"))
+        passed = set().union(*(passed_parameters(source, functions) for source in sources))
+        unpassed += [
+            f"{module.stem}.{name}({param})"
+            for name, params in functions.items()
+            for param, _ in params
+            if (name, param) not in passed
+        ]
     assert not unpassed, f"defaults no caller overrides: {unpassed}"
 
 

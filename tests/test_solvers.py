@@ -43,6 +43,7 @@ from storelayout.qap import (
     swap_candidate_pairs,
     swap_delta_matrix,
 )
+from storelayout.report import solve_report_text
 from storelayout.solvers import (
     BRUTE_FORCE_CAP,
     SolverConfig,
@@ -817,14 +818,15 @@ class TestLaneWorkers:
 
     def count_splits(self, monkeypatch) -> list[int]:
         """Split every lane call over two processes, and record the number
-        of lane ranges of each split."""
+        of outputs, one per lane range, of each split."""
         force_workers(monkeypatch, 2)
         splits = []
         split = solvers._split_lanes
 
         def counted(*args):
-            splits.append(len(args[1]))
-            return split(*args)
+            outputs = split(*args)
+            splits.append(len(outputs))
+            return outputs
 
         monkeypatch.setattr(solvers, "_split_lanes", counted)
         return splits
@@ -919,7 +921,7 @@ class TestTimeLimit:
                 result = tabu_search(inst, cfg)
                 assert check_feasible(inst, result.assignment).ok
                 assert result.objective >= objective_of_permutation(inst, start)
-                assert len(chunks) == (2 if restarts > 1 else 0)  # one lane runs here
+                assert len(chunks) == min(restarts, 2)  # one lane runs in one process
                 for lanes, _, _ in chunks:
                     assert len({done for _, _, done in lanes}) == 1
 
@@ -1418,6 +1420,20 @@ class TestHierarchical:
         graph, catalog, matrices, exposures = small_fixture((2, 2))
         result = solve_hierarchical(exposures, matrices, None, catalog, graph, SolverConfig())
         assert result.notes == ("node limit 1 reached",)
+
+    @pytest.mark.parametrize(
+        "pool_capacity, iterations", [(10, 5000), (1, 500)], ids=["k10", "k1"]
+    )
+    def test_trace_counts_the_tactical_lanes(self, pool_capacity, iterations):
+        # the strategic tabu walks solvers.RESTARTS lanes of its own; the
+        # trace line counts the tactical stage only: one lane per candidate,
+        # each retired STALL iterations after its last new best
+        config = SolverConfig(seed=413, iteration_limit=3000, pool_capacity=pool_capacity)
+        result = solve_bundled(config)
+        assert len(result.candidates) == pool_capacity
+        assert (result.iterations, result.restarts) == (iterations, pool_capacity)
+        trace = f"trace: iterations={iterations} restarts={pool_capacity} nodes=0\n"
+        assert trace in solve_report_text(result, "config")
 
     def test_each_note_once(self, monkeypatch):
         # every candidate's lanes write the same note; the result keeps one
