@@ -57,18 +57,22 @@ BLOCK_EXHAUSTIVE_CAP = 7
 # Most free products solve_level1 hands to branch and bound instead of tabu.
 EXACT_FREE_LIMIT = 11
 # Permutations a tabu lane remembers the objective of. On the bundled store a
-# strategic lane rescores about 40 distinct ones over 50,000 iterations.
+# strategic lane rescores 10 to 76 distinct ones before it retires.
 RESCORE_MEMO = 256
-# Iterations a tactical tabu lane walks past its last new best before it
-# retires. On the bundled store, at six basket sets, no tactical lane found
-# a new best after iteration 22; on small random tactical instances 2 walks
-# in 150 went more than 200 iterations between new bests, and 1 more than 500.
+# Iterations a tabu lane, strategic or tactical, walks past its last new best
+# before it retires. On the bundled store at six basket sets, 27 of 30 unstopped
+# strategic lanes found no new best after iteration 236; three went 1,330,
+# 17,661 and 21,629 iterations between new bests, and the stop loses what the
+# second found: solve-l1 at basket seed 1 gives 20,533.468, not 20,535.292. No
+# tactical lane found a new best after iteration 3; on small random tactical
+# instances 2 walks in 150 went over 200 iterations between them, 1 over 500.
 STALL = 500
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The solver settings a run chooses: seed, budgets and pool shape."""
+    """The solver settings a run chooses: seed, budgets and pool shape;
+    ``iteration_limit`` caps each tabu lane, which retires sooner (STALL)."""
 
     seed: int = 0
     time_limit: float | None = None
@@ -436,7 +440,6 @@ def _tabu_lanes(
     iterations: int,
     pool: SolutionPool | None,
     deadline: float | None,
-    stall: int | None = None,
 ) -> tuple[list[tuple[float, np.ndarray, int]], bool]:
     """Tabu runs of ``restarts`` lanes per instance; returns (best
     objective, best permutation, iterations executed) per lane, and whether
@@ -457,9 +460,8 @@ def _tabu_lanes(
     restart-0 lane it holds, then walks them; the results come back in lane
     order. Every chunk builds its starts whatever the clock says, then stops
     its lanes at the one absolute ``deadline``: perf_counter is a monotonic
-    clock that a forked worker shares. With ``stall``, each lane retires
-    ``stall`` iterations after its last new best, and ``iterations`` is a
-    cap.
+    clock that a forked worker shares. Each lane retires STALL iterations
+    after its last new best (see _walk_lanes), so ``iterations`` is a cap.
 
     With a pool, each lane offers to a pool of its own (same capacity and
     gap), and at the end every lane pool's entries are offered to ``pool``.
@@ -477,7 +479,7 @@ def _tabu_lanes(
         ]
         eligibility = np.stack([instances[lane // restarts].eligibility for lane in range(lo, hi)])
         return _walk_lanes(
-            instances[0], eligibility, starts, rngs[lo:hi], iterations, shape, deadline, stall
+            instances[0], eligibility, starts, rngs[lo:hi], iterations, shape, deadline
         )
 
     chunks = _split_lanes(walk, lanes)
@@ -563,7 +565,6 @@ def _walk_lanes(
     iterations: int,
     pool_shape: tuple[int, float] | None,
     deadline: float | None,
-    stall: int | None = None,
 ) -> tuple[
     list[tuple[float, np.ndarray, int]], list[list[tuple[float, tuple[int, ...]]]], bool
 ]:
@@ -585,10 +586,9 @@ def _walk_lanes(
     any move that beats the lane's best by more than round-off, so a tabu
     move back to the incumbent is never let through by float noise. All
     lanes stop at the deadline; a lane with no allowed move stops alone,
-    and so, with ``stall``, does a lane whose best last changed ``stall``
-    iterations ago (a move to an equal objective at a lexicographically
-    smaller permutation changes it too). The call ends when no lane is
-    left.
+    and so does one whose best last changed STALL iterations ago (Battiti &
+    Tecchiolli 1994; a move to an equal objective at a lexicographically
+    smaller permutation changes it too). The call ends when no lane is left.
 
     A lane rescores its running objective only when it may reach its best
     or its pool's admission bar, less round-off. It remembers the canonical
@@ -701,8 +701,7 @@ def _walk_lanes(
                     improved[lane] = it
                 if better or pools:
                     track(lane)
-        if stall is not None:
-            ending += [lane for lane in live if it - improved[lane] >= stall]
+        ending += [lane for lane in live if it - improved[lane] >= STALL]
         if ending:
             for lane in ending:
                 done[lane] = it
@@ -722,12 +721,12 @@ def tabu_search(
     deadline: float | None = None,
 ) -> SolveResult:
     """Multi-restart tabu search, the restarts run as lanes of one lockstep
-    call. Restart r draws from Random(_mix_seed(seed, r)). Restart 0 starts
-    from the deterministic greedy construction, later restarts from random
-    feasible assignments drawn from their own rngs, each built by the
-    process that walks it. Never returns a worse objective than the greedy
-    construction. A run the deadline (see _deadline) stopped carries the
-    time-limit note."""
+    call, each retired STALL iterations past its last new best. Restart r
+    draws from Random(_mix_seed(seed, r)). Restart 0 starts from the
+    deterministic greedy construction, later restarts from random feasible
+    assignments drawn from their own rngs, each built by the process that
+    walks it. Never returns a worse objective than the greedy construction.
+    A run the deadline (see _deadline) stopped carries the time-limit note."""
     cfg = config or SolverConfig()
     t0 = perf_counter()
     rngs = [Random(_mix_seed(cfg.seed, r)) for r in range(RESTARTS)]
@@ -863,8 +862,8 @@ def solve_level2(
     restarts from it, the restarts of all instances run as the lanes of one
     lockstep call. The lanes are the only tabu search of a tactical instance:
     they also search the blocks too large for the descent. Each lane retires
-    STALL iterations after its last new best; the config's iteration limit
-    is a cap.
+    as a strategic restart does, STALL iterations after its last new best;
+    the config's iteration limit is a cap.
 
     Each instance's restarts are seeded by the instance's seed as
     tabu_search seeds its own, with restart 0 starting from the descent's
@@ -883,7 +882,7 @@ def solve_level2(
 
     rngs = [Random(_mix_seed(seed, r)) for seed in seeds for r in range(restarts)]
     lanes, cut = _tabu_lanes(
-        instances, restarts, descend, rngs, config.iteration_limit, None, deadline, STALL
+        instances, restarts, descend, rngs, config.iteration_limit, None, deadline
     )
     notes = (_time_limit_note(config),) if cut else ()
     return [
@@ -932,10 +931,10 @@ def solve_hierarchical(
     Each candidate gets an identical, pool-size-independent budget seeded by
     its pool index, so growing the pool can only improve the final objective
     of a run no deadline cuts. Every search of the run stops at one deadline
-    (see _deadline): a strategic stage that spends it leaves the tactical
-    lanes none, and their note reports the cut. The result keeps each
-    distinct note once, the strategic search's first, then the candidates'
-    in the order first seen.
+    (see _deadline); a strategic stage whose lanes have not retired by then
+    leaves the tactical lanes none, and their note reports the cut. The
+    result keeps each distinct note once, the strategic search's first, then
+    the candidates' in the order first seen.
     """
     cfg = config or SolverConfig()
     t0 = perf_counter()

@@ -262,10 +262,17 @@ def equivalence_cases(seed: int, count: int = 20):
         yield trial, inst, random_assignment(inst, Random(trial))
 
 
-def one_lane(inst, start, iterations, rng, pool, stall=None):
+def lanes_at_stall(stall, *args):
+    """_tabu_lanes(*args) with solvers.STALL set to ``stall``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "STALL", stall)
+        return _tabu_lanes(*args)
+
+
+def one_lane(inst, start, iterations, rng, pool, stall=solvers.STALL):
     """A single tabu walk through _tabu_lanes under the instance's own
-    eligibility."""
-    lanes, _ = _tabu_lanes([inst], 1, lambda _: start, [rng], iterations, pool, None, stall)
+    eligibility, retiring ``stall`` iterations after its last new best."""
+    lanes, _ = lanes_at_stall(stall, [inst], 1, lambda _: start, [rng], iterations, pool, None)
     return lanes[0]
 
 
@@ -451,13 +458,13 @@ class TestLanesMatchSerialRuns:
     """L walks in lockstep must each take the moves of the same walk run on
     its own: the same best-objective bits, best permutation and iteration
     count, and a shared pool ending with the entries the walks leave when
-    they offer one after another. Each case runs again with a stall, under
-    which both sides stop a walk that many iterations after its last new
-    best."""
+    they offer one after another. Both sides stop a walk ``stall``
+    iterations after its last new best: at the default STALL, above the
+    walks' budgets, and again at a small stall."""
 
     STALLS = (1, 3, 10, 30)
 
-    def assert_lanes(self, instances, seed, iterations=200, with_pool=True, stall=None):
+    def assert_lanes(self, instances, seed, iterations=200, with_pool=True, stall=solvers.STALL):
         seeds = [seed * 31 + lane for lane in range(len(instances))]
         starts = [random_assignment(inst, Random(s)) for inst, s in zip(instances, seeds)]
         pools = [
@@ -468,9 +475,9 @@ class TestLanesMatchSerialRuns:
             serial_tabu_run(inst, start, iterations, (0.1, 0.5), Random(s), pools[0], stall)
             for inst, start, s in zip(instances, starts, seeds)
         ]
-        got, cut = _tabu_lanes(
-            instances, 1, lambda j: starts[j], [Random(s) for s in seeds], iterations,
-            pools[1], None, stall,
+        got, cut = lanes_at_stall(
+            stall, instances, 1, lambda j: starts[j], [Random(s) for s in seeds], iterations,
+            pools[1], None,
         )
         assert not cut
         assert len(got) == len(want)
@@ -499,7 +506,7 @@ class TestLanesMatchSerialRuns:
             sizes = tuple(rng.choice((1, 2, 3)) for _ in range(rng.randint(3, 6)))
             base = random_level2_instance(rng, sizes)
             lanes = block_variants(rng, base, trial % 6 + 1)
-            for stall in (None, self.STALLS[trial % 4]):
+            for stall in (solvers.STALL, self.STALLS[trial % 4]):
                 self.assert_lanes(lanes, trial, with_pool=trial % 2 == 0, stall=stall)
 
     def test_lanes_with_different_pair_lists(self):
@@ -527,7 +534,7 @@ class TestLanesMatchSerialRuns:
         for trial in range(6):
             base = random_level1_instance(rng, rng.randint(4, 8), full_eligibility=True)
             inst = replace(base, flow=np.zeros_like(base.flow))
-            for stall in (None, self.STALLS[trial % 4]):
+            for stall in (solvers.STALL, self.STALLS[trial % 4]):
                 self.assert_lanes([inst] * (trial + 1), trial, stall=stall)
 
     def test_stall_counts_from_the_last_tie_move(self):
@@ -567,23 +574,24 @@ def force_workers(monkeypatch, workers: int) -> None:
 class TestLaneSplit:
     """A lane call split over 1, 2, 3 or L processes gives, per lane, the
     same best-objective bits, permutation and iteration count, and ends
-    with the same pool entries, with or without a stall."""
+    with the same pool entries, at the default STALL and at a small one."""
 
     def run(self, monkeypatch, workers, instances, seed, iterations, capacity, stall):
         force_workers(monkeypatch, workers)
+        monkeypatch.setattr(solvers, "STALL", stall)
         seeds = [seed * 37 + lane for lane in range(len(instances))]
         starts = [random_assignment(inst, Random(s)) for inst, s in zip(instances, seeds)]
         rngs = [Random(s) for s in seeds]
         pool = None if capacity is None else SolutionPool(instances[0], capacity=capacity, gap=0.02)
-        lanes, _ = _tabu_lanes(
-            instances, 1, lambda j: starts[j], rngs, iterations, pool, None, stall
-        )
+        lanes, _ = _tabu_lanes(instances, 1, lambda j: starts[j], rngs, iterations, pool, None)
         return (
             [(float(obj).hex(), perm.tolist(), done) for obj, perm, done in lanes],
             None if pool is None else pool.ranked,
         )
 
-    def assert_split_exact(self, monkeypatch, instances, seed, capacity, iterations=200, stall=None):
+    def assert_split_exact(
+        self, monkeypatch, instances, seed, capacity, iterations=200, stall=solvers.STALL
+    ):
         lanes = len(instances)
         want = self.run(monkeypatch, 1, instances, seed, iterations, capacity, stall)
         for workers in sorted({2, 3, lanes}):
@@ -597,7 +605,7 @@ class TestLaneSplit:
         stopped = 0
         for trial in range(6):
             inst = random_level1_instance(rng, rng.randint(6, 10))
-            for stall in (None, trial % 3 + 2):
+            for stall in (solvers.STALL, trial % 3 + 2):
                 lanes, _ = self.assert_split_exact(
                     monkeypatch, [inst] * (trial % 3 + 4), trial, capacity, stall=stall
                 )
@@ -610,7 +618,7 @@ class TestLaneSplit:
             sizes = tuple(rng.choice((1, 2, 3, 4)) for _ in range(rng.randint(3, 6)))
             base = random_level2_instance(rng, sizes)
             lanes = block_variants(rng, base, trial % 4 + 4)
-            for stall in (None, trial % 3 + 2):
+            for stall in (solvers.STALL, trial % 3 + 2):
                 self.assert_split_exact(monkeypatch, lanes, trial, None, stall=stall)
 
 
@@ -695,8 +703,11 @@ class TestRescoreMemo:
     def test_plateau_memo_stays_within_its_bound(self, memo, monkeypatch):
         # zero flow ties every state with the best, so each lane rescores
         # after every move; the objective rows scored must be exactly the
-        # misses of a memo that forgets everything when it is full
+        # misses of a memo that forgets everything when it is full. A stall
+        # as long as the 5,000-iteration walks keeps each lane walking until
+        # its memo has filled and been cleared
         force_workers(monkeypatch, 1)  # the spies count in this process
+        monkeypatch.setattr(solvers, "STALL", 5000)
         if memo is not None:
             monkeypatch.setattr(solvers, "RESCORE_MEMO", memo)
         cap = solvers.RESCORE_MEMO
@@ -978,8 +989,9 @@ class TestTimeLimit:
         assert solve_level1(inst, config).best_objective == result.objective
 
     def test_cut_strategic_stage_is_reported(self, monkeypatch):
-        # the strategic lanes spend the whole limit, so the tactical lanes
-        # start past the run's one deadline, walk no iteration and report it
+        # a limit shorter than the strategic lanes take to retire: they
+        # spend it, so the tactical lanes start past the run's one deadline,
+        # walk no iteration and report it
         lane_call, calls = solvers._tabu_lanes, []
 
         def recorded(*args):
@@ -987,8 +999,8 @@ class TestTimeLimit:
             return calls[-1]
 
         monkeypatch.setattr(solvers, "_tabu_lanes", recorded)
-        result = solve_bundled(SolverConfig(time_limit=0.1))
-        assert result.notes == ("time limit 0.1s reached",)
+        result = solve_bundled(SolverConfig(time_limit=0.02))
+        assert result.notes == ("time limit 0.02s reached",)
         [(_, strategic_cut), (tactical, tactical_cut)] = calls
         assert strategic_cut
         assert tactical_cut and [done for _, _, done in tactical] == [0] * len(tactical)
