@@ -101,21 +101,16 @@ def _check(args: argparse.Namespace) -> None:
 
 
 def _run_hash(args: argparse.Namespace) -> str:
-    # the solve commands hash as "solve" with their mode, and "threads" as 1
-    # (no run uses threads; forked lane workers cannot change an answer), so
-    # config hashes, and the artifacts carrying them, keep their values
     return config_hash(
         {
-            "command": "solve" if args.command.startswith("solve") else args.command,
+            "command": args.command,
             "store": file_digest(args.store),
             "transactions": file_digest(args.transactions),
-            "mode": args.mode,
             "transition_mode": args.transition_mode,
             "seed": args.seed,
             "pool_size": args.pool_size,
             "pool_gap": args.pool_gap,
             "time_limit": args.time_limit,
-            "threads": 1,
         }
     )
 
@@ -205,8 +200,7 @@ def _write_solve_artifacts(
         level2_objective=result.objective,
         run_hash=run_hash,
         seed=args.seed,
-        # names the retired solve --mode flag; kept so plans keep their bytes
-        generator=f"solve --mode {args.mode}",
+        generator=args.command,
     )
     write_plan(plan, sink.register(os.path.join(args.out, "plan.json")))
 
@@ -387,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # the value of each option that a subcommand lacks or a run does not
     # give, and so what _run_hash hashes for it, whichever command runs
     parser.set_defaults(
-        mode="hierarchical", baseline=None, plans=(), transition_mode="expected",
+        baseline=None, plans=(), transition_mode="expected",
         time_limit=None, pool_size=10, pool_gap=0.001,
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -401,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # each subcommand names its handler, looked up when main runs it, and
     # takes only the options of ``shared`` that its handler reads
-    def command(name: str, run: str, help: str, options, **fixed) -> argparse.ArgumentParser:
+    def command(name: str, run: str, help: str, options) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("--store", required=True, help="store document (JSON)")
         p.add_argument("--transactions", required=True, help="transactions CSV")
@@ -409,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         for option in options:
             p.add_argument(option, default=argparse.SUPPRESS, **shared[option])
-        p.set_defaults(run=run, **fixed)
+        p.set_defaults(run=run)
         return p
 
     pooled = ("--transition-mode", "--time-limit", "--pool-size", "--pool-gap")
@@ -417,10 +411,10 @@ def _build_parser() -> argparse.ArgumentParser:
             ["--transition-mode"])
     command("solve", "_run_solve", "optimize a layout", [*pooled, "--baseline"])
     command("solve-l1", "_run_solve_l1", "strategic solve only (pool of category layouts)",
-            pooled, mode="level1")
+            pooled)
 
     p = command("solve-l2", "_run_solve_l2", "tactical solve under a fixed category layout",
-                ["--transition-mode", "--time-limit"], mode="level2")
+                ["--transition-mode", "--time-limit"])
     p.add_argument("--baseline", required=True, help="plan providing the category layout")
 
     # the pool options shape the strategic solve of a level2 model without --baseline

@@ -297,12 +297,12 @@ def write_fixtures(outdir: str, seed: int = DEFAULT_SEED, count: int = DEFAULT_T
     return [store_path, tx_path, plan_path]
 
 
-def main(argv=None) -> int:
+def main() -> int:
     parser = argparse.ArgumentParser(description="regenerate the bundled synthetic fixtures")
     parser.add_argument("outdir", nargs="?", default="fixtures")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--transactions", type=int, default=DEFAULT_TRANSACTIONS)
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     for path in write_fixtures(args.outdir, seed=args.seed, count=args.transactions):
         print(path)
     return 0

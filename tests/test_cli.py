@@ -760,7 +760,7 @@ BUNDLED = [
     "--seed", "413",
 ]
 AS_IS_PLAN = str(FIXTURES / "current_layout.json")
-HEATMAP_SHA256 = "f23fb6eca65ca5899a42b8f63e934fd82fece6505f651f167e2a8da9d904f789"
+HEATMAP_SHA256 = "92c913a9d7a9c56f11b6e41ce6fd40b9c9555f9c5c0c6cf7ae9a34c542b2efeb"
 
 
 def sha256_of(path) -> str:
@@ -769,14 +769,15 @@ def sha256_of(path) -> str:
 
 class TestBundledGoldenBytes:
     """The input-layer commands on the bundled store and baskets write the
-    same bytes as the Fraction-summing, Dijkstra-per-leg code did."""
+    same bytes as the Fraction-summing, Dijkstra-per-leg code did, but for
+    the config hash that each artifact carries."""
 
     @pytest.mark.parametrize(
         "argv, pinned",
         [
             (
                 ["evaluate", AS_IS_PLAN],
-                {"evaluate_report.txt": "6d767e796136d48838531ad6ec7656c817544f3ffc138b3aba8d171fd38b4b7c"},
+                {"evaluate_report.txt": "4f915e3fce874cada317a5ca33153317555db2db81fa9f898c4e6091fd9143e8"},
             ),
             (["render", AS_IS_PLAN], {"heatmap.svg": HEATMAP_SHA256}),
             (
@@ -838,18 +839,18 @@ STORE_TSV_SHA256 = {
 class TestBenchmarkSizeGoldenBytes:
     """The basket-layer commands of the benchmark workload, on 6,000 baskets:
     at this size most baskets repeat, and the bytes are the ones the
-    per-transaction, Dijkstra-per-leg code wrote."""
+    per-transaction, Dijkstra-per-leg code wrote, but for the config hash."""
 
     @pytest.mark.parametrize(
         "argv, pinned",
         [
             (
                 ["evaluate", AS_IS_PLAN],
-                {"evaluate_report.txt": "4c5f3a1832f6299240b6e51f7bafbe019e30c2fea5e7a95930d40627b1ccf2b9"},
+                {"evaluate_report.txt": "f513373a12b51c220a3486fb10869e5d822cbe02fe288d527522ab82beb7a3ca"},
             ),
             (
                 ["render", AS_IS_PLAN],
-                {"heatmap.svg": "ca6378714eb34d7414e16571e712bc87ac14db252b5141faab86394610b705f8"},
+                {"heatmap.svg": "51a3c7c7695a4808d82f908f25b55d26a18dfb0ec43436c68c2c78328dbf058d"},
             ),
             (
                 ["build-matrices"],
@@ -857,7 +858,7 @@ class TestBenchmarkSizeGoldenBytes:
                     **STORE_TSV_SHA256,
                     "cat_transitions.tsv": "7c8749e9bae27bff2efdd27600e6217e1093b620b5f2f1ab7f702730487612d5",
                     "sub_transitions.tsv": "1066430908d8ae58511d658c7b56c868041e24ff34d189998dbd8acbf0d51238",
-                    "matrices_summary.txt": "5999fa31e9b4697c6002b6e20570b23e9b00a9b62b75637f91ef2932f1d6f4dd",
+                    "matrices_summary.txt": "7fcf3a591ddddf79579b9a8dbe8214930c64ac01227d464e0ffba08478581749",
                 },
             ),
             (
@@ -866,7 +867,7 @@ class TestBenchmarkSizeGoldenBytes:
                     **STORE_TSV_SHA256,
                     "cat_transitions.tsv": "f918bdeb073a9edd86de47f694c0b4b88e15803add84980b29fd92746032c3b5",
                     "sub_transitions.tsv": "17563c0b799c12e9f487fad03364a2d7ae4ebb735a664bfc3474852c43adf6f0",
-                    "matrices_summary.txt": "eff9a43221a0c0b6afba39063d305652f0bed8fb87e6070f20d33b5051916563",
+                    "matrices_summary.txt": "68ca2f15968ae5bbc17474d027795d9296c0be8e69ecc5c184b86a536cc8f1d2",
                 },
             ),
         ],
@@ -900,19 +901,19 @@ class TestBundledSolveGolden:
             (
                 "10",
                 {
-                    "heatmap_optimal.svg": "389482d6c75a88dce2f4c41080371b8e3661421fb66a3e04b4758752c2318098",
-                    "heatmap_baseline.svg": "fbefb2143dddfb77752186a3903d644eceda5a172e7a17856ccacd114e144407",
-                    "plan.json": "7ca336b2119c2934c16cf9d5ce74a7b9169577bc388e0b50e3fe5119773822f1",
-                    "solve_report.txt": "9cdc48d83244af93bc22b4f2a68d8cbd453a090b9ea261885362ea6584d4eab2",
+                    "heatmap_optimal.svg": "5faee113e980594528c3bb9790b8e139ca55d4eaf098b7a5987778ca0d4d6a4b",
+                    "heatmap_baseline.svg": "98640520dc51becb7636f40fe92e30fc2e7a31f9fb8a741d4db8c7c0523baae4",
+                    "plan.json": "fdc3045eb2d1f08bc862051144970a219a6e819c1a38a00d88417cb8da01d7a6",
+                    "solve_report.txt": "246663d9f6693e92e0ea49173c5d36ff8d33c158182ec23c59bf16cdaff3b5aa",
                 },
             ),
             (
                 "1",
                 {
-                    "heatmap_optimal.svg": "346625e2b39e01eeffb0149cd08e36d55ac18de66d8b8b3777f7769771119322",
-                    "heatmap_baseline.svg": "1ef228d00b838143bf0605a0a75a8ebac4bc62f08e3a11a608e7ccedc9bb47c1",
-                    "plan.json": "b4aa452ee5f3936c94e2f5ff6dfe97ad05b3365f54662ce7680336a9ccb5cd21",
-                    "solve_report.txt": "16f29a0dc29132552604dd798ce875ae5c9f4dbb12e155b5ec87a73d8a2aff66",
+                    "heatmap_optimal.svg": "2d46295aa1fc44f271c23b0c5161f305dffcbb9ae8e6300fcaea82086e431c50",
+                    "heatmap_baseline.svg": "70c9a719495e6530c743c2848ef8db33931a436bd0a37c2ce77e9c454d1a0b42",
+                    "plan.json": "3ceea546169a8c6e3e4d8fa08d15cb38b2b1ff2018eb08b6c0e9b1c707b41918",
+                    "solve_report.txt": "a597461d1debeab10d7d88a794a597a638ef23d4223d8661b6345bc7fd94d593",
                 },
             ),
         ],
@@ -938,10 +939,10 @@ class TestBundledSolveL2Golden:
     its last new best (the trace counts 2,563 iterations, not 15,000)."""
 
     PINNED = {
-        "plan.json": "eaf48bcc59488b7c799c05cd99af811ccf4caf9b2bbd46d0558268d81f3dfa92",
-        "solve_report.txt": "ba5412d6a2b050d97ea6fb83b6d5cfadadd12b40769d0a9f7d52fd205b53c4b5",
-        "heatmap_optimal.svg": "ab32c9174c59cc4fb45721f65cef7a7c01183c3a0310e206b947bcccaee52897",
-        "heatmap_baseline.svg": "06a74b8f16c42fe4814607f2d59d10b002c729d3afc08bb596ec4880995ba555",
+        "plan.json": "24976e1e1efecc20ef49c5cffab88da11e89fff6d232696ce17a17d05d4c9d30",
+        "solve_report.txt": "51e9b7f0c1acde18b8568047c3dd5263cb6ac13c1d9a45cc402e15f365a5e4d6",
+        "heatmap_optimal.svg": "1463398795f913c02fddc43adf66e53cc3a07a438a5b5940d995b32462689963",
+        "heatmap_baseline.svg": "dc29eca43e74855dc0a7b2a89b06f52babd7fdf8b51d8b61febefddaa9cd74f7",
     }
 
     def test_pinned(self, tmp_path, monkeypatch):
@@ -967,8 +968,8 @@ class TestBundledPoolAndDiffGolden:
         out = tmp_path / "solve-l1"
         assert main(["solve-l1", *BUNDLED, "--out", str(out)]) == 0
         pinned = {
-            "level1_pool.json": "746587b2287549a30befe02aa6f6c8ac6be80eee5133e95233d56b89c39cd9b4",
-            "solve_report.txt": "ec0f0119b7119580818a95efe91ef84ec8a0f6f820050bd23d6ad8b8228ca048",
+            "level1_pool.json": "ecbce817ac3db3911eb51ad33039f16c716893b0ed4261a3696462ad53594404",
+            "solve_report.txt": "efe6fff81852d7a63c9a28911ab79e3a8f915860a2caade708e7dd6ef4169b1b",
         }
         for name, digest in pinned.items():
             assert sha256_of(out / name) == digest, name
@@ -980,8 +981,35 @@ class TestBundledPoolAndDiffGolden:
         assert main(["solve", *BUNDLED, "--out", str(solved), "--pool-size", "10"]) == 0
         out = tmp_path / "diff"
         assert main(["diff", AS_IS_PLAN, str(solved / "plan.json"), *BUNDLED, "--out", str(out)]) == 0
-        digest = "b935538dfba064bc071192f27f35be9bcb8d194b3adfd9e1b755b0c84db4b025"
+        digest = "9c90e81a52ab025e2c43357838a1f877f4415b11676d0cbe696b7d864e4169f2"
         assert sha256_of(out / "diff_report.txt") == digest
+
+
+class TestArtifactsNameTheirCommand:
+    """A plan names the command that wrote it, and each command's runs hash
+    apart from the others' on the same inputs and seed."""
+
+    def test_generator_and_config_hash(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        monkeypatch.setattr(cli, "SolverConfig", functools.partial(SolverConfig, iteration_limit=3000))
+        runs = {
+            "solve": ("solve_report.txt", []),
+            "solve-l1": ("solve_report.txt", []),
+            "solve-l2": ("solve_report.txt", ["--baseline", AS_IS_PLAN]),
+            "evaluate": ("evaluate_report.txt", [AS_IS_PLAN]),
+        }
+        hashes = set()
+        for command, (report, extra) in runs.items():
+            out = tmp_path / command
+            assert main([command, *extra, *BUNDLED, "--out", str(out)]) == 0
+            line = (out / report).read_text(encoding="utf-8").splitlines()[1]
+            assert line.startswith("config hash: ")
+            hashes.add(line.removeprefix("config hash: "))
+            if command in ("solve", "solve-l2"):
+                metadata = json.loads((out / "plan.json").read_text(encoding="utf-8"))["metadata"]
+                assert metadata["generator"] == command
+                assert f"config hash: {metadata['config_hash']}" == line
+        assert len(hashes) == len(runs)
 
 
 class TestBenchmarkTracer:

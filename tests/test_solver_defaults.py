@@ -4,10 +4,14 @@ the package or the benchmark. A default that no caller overrides is an
 option no run sets, and the code path behind it is reached by tests alone.
 The check reads the syntax trees; it runs none of the callers.
 
-A call counts when it names the function, as a name (``tabu_search(...)``)
-or as an attribute (``solvers.tabu_search(...)``), and passes the parameter
-by keyword or by position. A ``*args`` passes every positional parameter,
-and a ``**kwargs`` every parameter."""
+A call counts when it names the function of that module and passes the
+parameter by keyword or by position. A bare call (``tabu_search(...)``)
+names it in its own module, or in a module that imports it from there
+(``from .solvers import tabu_search``, under any alias). An attribute call
+names it when the last name before the function is the module's
+(``solvers.tabu_search(...)``, ``self.solvers.tabu_search(...)``), so a
+same-named function of another module never counts. A ``*args`` passes
+every positional parameter, and a ``**kwargs`` every parameter."""
 
 from __future__ import annotations
 
@@ -43,17 +47,42 @@ def defaulted_parameters(source: str) -> dict[str, list[tuple[str, int | None]]]
     return out
 
 
+def _last_name(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    return getattr(node, "attr", None)
+
+
 def passed_parameters(
-    source: str, functions: dict[str, list[tuple[str, int | None]]]
+    source: str,
+    module: str,
+    functions: dict[str, list[tuple[str, int | None]]],
+    own: bool = False,
 ) -> set[tuple[str, str]]:
-    """(function, parameter) of each defaulted parameter that a call in
-    ``source`` passes."""
+    """(function, parameter) of each defaulted parameter of ``module``'s
+    functions that a call in ``source`` passes; ``own`` when ``source`` is
+    that module's text."""
+    tree = ast.parse(source)
+    # the local name under which a bare call reaches each function
+    local = {name: name for name in functions} if own else {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+            local.update(
+                (alias.asname or alias.name, alias.name)
+                for alias in node.names
+                if alias.name in functions
+            )
     passed = set()
-    for call in ast.walk(ast.parse(source)):
+    for call in ast.walk(tree):
         if not isinstance(call, ast.Call):
             continue
         func = call.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if isinstance(func, ast.Name):
+            name = local.get(func.id)
+        elif isinstance(func, ast.Attribute) and _last_name(func.value) == module:
+            name = func.attr
+        else:
+            continue
         if name not in functions:
             continue
         keywords = {kw.arg for kw in call.keywords}
@@ -66,11 +95,16 @@ def passed_parameters(
 
 
 def test_every_default_is_passed_by_a_caller():
-    sources = [path.read_text(encoding="utf-8") for path in CALLERS]
+    sources = {path: path.read_text(encoding="utf-8") for path in CALLERS}
     unpassed = []
     for module in MODULES:
-        functions = defaulted_parameters(module.read_text(encoding="utf-8"))
-        passed = set().union(*(passed_parameters(source, functions) for source in sources))
+        functions = defaulted_parameters(sources[module])
+        passed = set().union(
+            *(
+                passed_parameters(source, module.stem, functions, own=path == module)
+                for path, source in sources.items()
+            )
+        )
         unpassed += [
             f"{module.stem}.{name}({param})"
             for name, params in functions.items()
@@ -94,11 +128,34 @@ def test_catches_a_default_no_caller_passes():
         "solve": [("config", 1), ("initial", 2), ("deadline", None), ("trace", None)],
     }
     callers = (
+        "from storelayout.solvers import solve\n"
         "solve(instance, cfg)\n"
         "solvers.solve(instance, deadline=3)\n"
         "other(instance, cfg, start, trace=True)\n"
+        "qap.solve(instance, cfg, start, trace=True)\n"
     )
-    assert passed_parameters(callers, functions) == {("solve", "config"), ("solve", "deadline")}
+    assert passed_parameters(callers, "solvers", functions) == {
+        ("solve", "config"),
+        ("solve", "deadline"),
+    }
     everything = {("solve", param) for param, _ in functions["solve"]}
-    assert passed_parameters("solve(*args, **kwargs)\n", functions) == everything
-    assert passed_parameters("solve(instance, **options)\n", functions) == everything
+    assert passed_parameters("solve(*args, **kwargs)\n", "solvers", functions, True) == everything
+    assert passed_parameters("solvers.solve(x, **options)\n", "solvers", functions) == everything
+
+
+def test_a_same_named_function_of_another_module_does_not_count():
+    functions = defaulted_parameters("def solve(x, config=None, *, trace=False):\n    pass\n")
+
+    def passed(source: str, own: bool = False) -> set[tuple[str, str]]:
+        return passed_parameters(source, "solvers", functions, own)
+
+    config, trace = {("solve", "config")}, {("solve", "trace")}
+    # a bare call counts in the function's own module, or where it is imported from it
+    assert passed("solve(instance, cfg)\n") == set()
+    assert passed("solve(instance, cfg)\n", own=True) == config
+    assert passed("from storelayout.qap import solve\nsolve(instance, cfg)\n") == set()
+    assert passed("from .solvers import solve as run\nrun(instance, cfg)\n") == config
+    # an attribute call counts when the last name before the function is the module's
+    assert passed("qap.solve(instance, trace=True)\n") == set()
+    assert passed("self.qap.solve(instance, trace=True)\n") == set()
+    assert passed("self.solvers.solve(instance, trace=True)\n") == trace
