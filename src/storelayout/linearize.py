@@ -40,6 +40,9 @@ over its terms.
 from __future__ import annotations
 
 import operator
+import os
+import shutil
+import tempfile
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -48,6 +51,7 @@ import numpy as np
 
 from .demand import Catalog, TransitionMatrices
 from .errors import InputError, ParseError, ValidationError
+from .forking import split_ranges, usable_parts
 from .qap import (
     DOOR_PINS,
     LEVEL1,
@@ -565,35 +569,75 @@ def _block_text(block: ProductBlock, names: ProductNames) -> str:
     return "".join(parts)
 
 
+def _write_head(write: Callable[[str], object], model: LinearModel) -> None:
+    """The LP file's first section: its comment line, Maximize and the
+    objective."""
+    write(f"\\ {model.tag} exposure maximization model\nMaximize\n")
+    _write_objective(write, model)
+
+
+def _write_rows(write: Callable[[str], object], model: LinearModel) -> None:
+    """The LP file's second section: Subject To, Bounds, Binaries and End."""
+    rows = model.constraints
+    write("Subject To\n")
+    equals = (" = 0\n", " = 1\n")
+    write(
+        "".join(
+            f" {name}: {_terms_text(plus, minus)}{equals[rhs]}"
+            for name, plus, minus, rhs in rows.head
+            if plus or minus is not None
+        )
+    )
+    for block in _product_rows(rows.cells, rows.keys):
+        write(_block_text(block, model.continuous_names))
+    write("Bounds\n")
+    for name in model.fixed_zero:
+        write(f" {name} = 0\n")
+    write("Binaries\n")
+    names = model.binary_names
+    for start in range(0, len(names), 8):
+        write(" " + " ".join(names[start : start + 8]) + "\n")
+    write("End\n")
+
+
 def write_lp(model: LinearModel, path: str) -> None:
     """Emit the model as an LP-format file: Maximize / Subject To / Bounds /
     Binaries / End. Byte-identical output for identical models. Rows are
     written as soon as they are formatted, one string per block, so the text
-    is never held whole."""
-    rows = model.constraints
-    with open(path, "w", encoding="utf-8") as fh:
-        write = fh.write
-        write(f"\\ {model.tag} exposure maximization model\nMaximize\n")
-        _write_objective(write, model)
-        write("Subject To\n")
-        equals = (" = 0\n", " = 1\n")
-        write(
-            "".join(
-                f" {name}: {_terms_text(plus, minus)}{equals[rhs]}"
-                for name, plus, minus, rhs in rows.head
-                if plus or minus is not None
-            )
+    is never held whole.
+
+    The file's two sections, the objective (``_write_head``) and the rows
+    from Subject To to End (``_write_rows``), depend only on the model, so
+    they are written side by side over ``split_ranges``: this process writes
+    the objective into ``path`` while a forked worker writes the rows into a
+    part file beside it, which is then appended to ``path`` a buffer at a
+    time and removed. The part file is made before the fork, under a name
+    no other file holds, and is removed however the write ends. Where
+    ``usable_parts`` gives one process, both sections go straight into
+    ``path`` and no part file is made."""
+    sections = (_write_head, _write_rows)
+    parts = usable_parts(len(sections))
+    part = None
+    if parts > 1:
+        fd, part = tempfile.mkstemp(
+            prefix=os.path.basename(path) + ".", suffix=".part",
+            dir=os.path.dirname(os.path.abspath(path)),
         )
-        for block in _product_rows(rows.cells, rows.keys):
-            write(_block_text(block, model.continuous_names))
-        write("Bounds\n")
-        for name in model.fixed_zero:
-            write(f" {name} = 0\n")
-        write("Binaries\n")
-        names = model.binary_names
-        for start in range(0, len(names), 8):
-            write(" " + " ".join(names[start : start + 8]) + "\n")
-        write("End\n")
+        os.close(fd)
+
+    def write_sections(lo: int, hi: int) -> None:
+        with open(path if lo == 0 else part, "w", encoding="utf-8") as fh:
+            for section in sections[lo:hi]:
+                section(fh.write, model)
+
+    try:
+        split_ranges(write_sections, len(sections), parts)
+        if part is not None:
+            with open(part, "rb") as src, open(path, "ab") as dst:
+                shutil.copyfileobj(src, dst)
+    finally:
+        if part is not None:
+            os.remove(part)
 
 
 def parse_solution_file(path: str) -> ExternalSolution:

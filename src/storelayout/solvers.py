@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from random import Random
@@ -22,6 +20,7 @@ import numpy as np
 
 from .demand import Catalog, TransitionMatrices
 from .errors import InputError, ModelError, ValidationError
+from .forking import split_ranges, usable_parts
 from .qap import (
     Assignment,
     QapInstance,
@@ -456,13 +455,13 @@ def _tabu_lanes(
     one solve_level2 call share their matrices but not their blocks.
 
     A lane's walk depends on nothing outside the lane, so the lanes are
-    split into contiguous chunks, one per usable CPU: the first runs in
-    this process, each other one in a forked worker. A chunk builds the
-    starts of its own lanes, calling ``first`` once for each instance whose
-    restart-0 lane it holds, then walks them; the results come back in lane
-    order. Every chunk builds its starts whatever the clock says, then stops
-    its lanes at the one absolute ``deadline``: perf_counter is a monotonic
-    clock that a forked worker shares. Each lane retires STALL iterations
+    split into contiguous chunks, one per usable CPU (``split_ranges``): the
+    first runs in this process, each other one in a forked worker. A chunk
+    builds the starts of its own lanes, calling ``first`` once for each
+    instance whose restart-0 lane it holds, then walks them; the results
+    come back in lane order. Every chunk builds its starts whatever the
+    clock says, then stops its lanes at the one absolute ``deadline``:
+    perf_counter is a monotonic clock that a forked worker shares. Each lane retires STALL iterations
     after its last new best (see _walk_lanes), so ``iterations`` is a cap.
 
     With a pool, each lane offers to a pool of its own (same capacity and
@@ -484,7 +483,7 @@ def _tabu_lanes(
             instances[0], eligibility, starts, rngs[lo:hi], iterations, shape, deadline
         )
 
-    chunks = _split_lanes(walk, lanes)
+    chunks = split_ranges(walk, lanes, usable_parts(lanes))
     results = []
     for chunk_results, ranked, _ in chunks:
         results += chunk_results
@@ -492,71 +491,6 @@ def _tabu_lanes(
             for obj, key in lane_ranked:
                 pool.offer(np.array(key), obj)
     return results, any(cut for _, _, cut in chunks)
-
-
-def _split_lanes(walk, lanes: int) -> list:
-    """walk(lo, hi) over contiguous ranges of the lanes 0 .. lanes - 1, one
-    range per usable CPU and at most one per lane: the first in this
-    process, each other one in a forked worker that sends back its output.
-    Returns the outputs in range order; a worker's exception is raised
-    here, and no worker outlives the call.
-
-    Workers are forked because they need the caller's state and start in
-    microseconds; a spawned worker would first import the package. All
-    lanes run here, as one range, on one usable CPU, where fork does not
-    exist, and while another thread runs, since a fork copies whatever lock
-    that thread holds."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    parts = min(cpus, lanes)
-    if parts < 2 or threading.active_count() > 1:
-        return [walk(0, lanes)]
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return [walk(0, lanes)]
-    bounds = [(lanes * w // parts, lanes * (w + 1) // parts) for w in range(parts)]
-    ctx = multiprocessing.get_context("fork")
-    workers = []
-    finished = False
-    try:
-        for lo, hi in bounds[1:]:
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_lane_worker, args=(walk, lo, hi, send), daemon=True)
-            proc.start()
-            send.close()
-            workers.append((proc, recv))
-        outputs = [walk(*bounds[0])]
-        for proc, recv in workers:
-            try:
-                ok, value = recv.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(f"tabu lane worker exited with code {proc.exitcode}") from None
-            if not ok:
-                raise value
-            outputs.append(value)
-        finished = True
-    finally:
-        for proc, recv in workers:
-            recv.close()
-            if not finished:
-                proc.terminate()
-            proc.join()
-    return outputs
-
-
-def _lane_worker(walk, lo: int, hi: int, send) -> None:
-    """Body of a forked lane worker: sends (True, walk's output) or (False,
-    the exception walk raised). A worker that sends nothing (say, its
-    exception does not pickle) shows as an exit code in the caller."""
-    try:
-        message = (True, walk(lo, hi))
-    except BaseException as exc:
-        message = (False, exc)
-    send.send(message)
 
 
 def _walk_lanes(

@@ -8,6 +8,7 @@ exhaustive simple-path search, objectives by plain double loops.
 from __future__ import annotations
 
 import itertools
+import os
 import re
 from fractions import Fraction
 from random import Random
@@ -60,6 +61,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if note:
             line += f" - {note}"
         terminalreporter.write_line(line)
+
+# -- forked workers ------------------------------------------------------------------
+
+
+def force_workers(monkeypatch, workers: int) -> None:
+    """Make every split over forked workers (the lanes of a tabu call, the
+    sections of an LP file) use ``workers`` processes, at most one per item,
+    whatever the CPU count: ``usable_parts`` sees ``workers`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(workers)), raising=False)
+
 
 # -- tiny stores ---------------------------------------------------------------------
 

@@ -6,9 +6,12 @@ from __future__ import annotations
 import ast
 import builtins
 import dataclasses
+import errno
 import hashlib
 import itertools
 import math
+import multiprocessing
+import os
 import re
 import sys
 import tempfile
@@ -22,6 +25,7 @@ import pytest
 
 from conftest import (
     catalog_for,
+    force_workers,
     line_store,
     random_level1_instance,
     random_level2_instance,
@@ -1151,9 +1155,11 @@ class TestObjectiveRows:
             bundled_integrated_model, matrices.sub_transitions, exposures.sub_exposure
         )
 
-    def test_writer_reads_each_row_once(self, tmp_path):
+    def test_writer_reads_each_row_once(self, tmp_path, monkeypatch):
         # write_lp takes every term off one pass over the rows, with no
-        # whole-table test for a nonzero term before it writes
+        # whole-table test for a nonzero term before it writes; in one
+        # process, so the spy sees the whole writer
+        force_workers(monkeypatch, 1)
         rng = Random(307)
         model = linearize(random_level1_instance(rng, 4, full_eligibility=True))
         for rows in (model.objective, np.zeros((len(model.objective),) * 2)):
@@ -1349,18 +1355,24 @@ class TestWriterText:
             seen["repeats"] += len(set(coeffs)) < len(coeffs)
         assert len(seen) == 6 and min(seen.values()) > 0, seen
 
-    def test_export_holds_less_than_the_name_table(self, tmp_path):
-        # building and writing a model spells its names from the cells'
-        # keys: the name table the package used to build, and the tuple of
-        # continuous names beside it, would each take more than half its
-        # size (sys.getsizeof counts its lists and strings)
+    def name_table_case(self) -> tuple[tuple, int]:
+        """The integrated model's arguments, and the size of its name table."""
         graph, catalog, matrices, exposures = TestIntegratedModel.pieces((3, 3, 2, 2))
         args = (exposures, matrices, None, catalog, graph)
         names = name_table(linearize_integrated(*args, sparsify=True))
         table = sys.getsizeof(names) + sum(
             sys.getsizeof(row) + sum(map(sys.getsizeof, row)) for row in names
         )
-        del names
+        return args, table
+
+    def test_export_holds_less_than_the_name_table(self, tmp_path, monkeypatch):
+        # building and writing a model spells its names from the cells'
+        # keys: the name table the package used to build, and the tuple of
+        # continuous names beside it, would each take more than half its
+        # size (sys.getsizeof counts its lists and strings). In one process,
+        # so the trace sees the whole writer
+        force_workers(monkeypatch, 1)
+        args, table = self.name_table_case()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -1371,12 +1383,37 @@ class TestWriterText:
             tracemalloc.stop()
         assert peak < table / 2, (peak, table)
 
+    def test_split_write_streams_the_rows_back(self, tmp_path, monkeypatch):
+        # with the rows written by a forked worker, this process writes the
+        # objective and appends the worker's part file a buffer at a time:
+        # its own peak stays under the same bound as the whole writer's
+        force_workers(monkeypatch, 2)
+        made = part_files(monkeypatch)
+        args, table = self.name_table_case()
+        path = tmp_path / "model.lp"
+        # a first write imports multiprocessing, outside the trace
+        write_lp(linearize_integrated(*args, sparsify=True), str(path))
+        want = path.read_bytes()
+        assert len(want) > table  # a file read whole would break the bound
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write_lp(linearize_integrated(*args, sparsify=True), str(path))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(made) == 2
+        assert path.read_bytes() == want
+        assert peak < table / 2, (peak, table)
+
     @pytest.mark.parametrize("sparsify", [False, True], ids=["full", "sparsified"])
-    def test_export_holds_less_than_the_objective_table(self, sparsify, tmp_path):
+    def test_export_holds_less_than_the_objective_table(self, sparsify, tmp_path, monkeypatch):
         # building and writing a model computes the objective's rows as it
         # reads them: the (N, N) float64 coefficient table the package used
         # to build, with a second one as a temporary, came to four times
-        # this bound
+        # this bound. In one process, so the trace sees the whole writer
+        force_workers(monkeypatch, 1)
         graph, catalog, matrices, exposures = TestIntegratedModel.pieces((5, 5, 4, 4, 3, 3))
         args = (exposures, matrices, None, catalog, graph)
         cells = len(linearize_integrated(*args, sparsify=sparsify).constraints.cells)
@@ -1768,11 +1805,9 @@ BUNDLED_LP_SHA256 = {
 }
 
 
-def test_bundled_store_lp_files_are_pinned(tmp_path):
-    """export-lp --mode all on the bundled store writes the same three files,
-    byte for byte, as the dict-and-join construction did."""
-    out = tmp_path / "lp"
-    argv = [
+def export_all_argv(out: Path) -> list[str]:
+    """export-lp --mode all on the bundled store, as-is plan as baseline."""
+    return [
         "export-lp",
         "--store", str(FIXTURES / "synthetic_store.json"),
         "--transactions", str(FIXTURES / "synthetic_transactions.csv"),
@@ -1780,9 +1815,114 @@ def test_bundled_store_lp_files_are_pinned(tmp_path):
         "--mode", "all",
         "--baseline", str(FIXTURES / "current_layout.json"),
     ]
-    assert main(argv) == 0
+
+
+def part_files(monkeypatch) -> list[str]:
+    """Record the path of every part file write_lp makes from now on."""
+    made = []
+    mkstemp = tempfile.mkstemp
+
+    def recorded(*args, **kwargs):
+        fd, path = mkstemp(*args, **kwargs)
+        made.append(path)
+        return fd, path
+
+    monkeypatch.setattr(linearize_module.tempfile, "mkstemp", recorded)
+    return made
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_bundled_store_lp_files_are_pinned(workers, tmp_path, monkeypatch):
+    """export-lp --mode all on the bundled store writes the same three files,
+    byte for byte, as the dict-and-join construction did, in one process
+    and with each file's rows written by a forked worker; only those three
+    files are left."""
+    force_workers(monkeypatch, workers)
+    made = part_files(monkeypatch)
+    out = tmp_path / "lp"
+    assert main(export_all_argv(out)) == 0
     for name, digest in BUNDLED_LP_SHA256.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    assert sorted(p.name for p in out.iterdir()) == sorted(BUNDLED_LP_SHA256)
+    assert len(made) == (0 if workers == 1 else 3)
+
+
+def split_write_cases():
+    """Random strategic models, tactical models with blocks and integrated
+    models, each full and sparsified, and a zero-flow model."""
+    rng = Random(419)
+    for sparsify in (False, True):
+        for trial in range(4):
+            inst = random_level1_instance(rng, rng.randint(2, 5), full_eligibility=trial % 2 == 0)
+            yield linearize(inst, sparsify=sparsify)
+        for sizes in ((2, 1), (3, 1, 2), (1, 1, 1), (1,), (2, 2, 1)):
+            yield linearize(random_level2_instance(rng, sizes), sparsify=sparsify)
+        for sizes in ((2, 1), (1, 3, 2), (2, 2, 1)):
+            graph, catalog, matrices, exposures = random_integrated_pieces(rng, sizes)
+            yield linearize_integrated(exposures, matrices, None, catalog, graph, sparsify=sparsify)
+    zero = random_level1_instance(rng, 3)
+    yield linearize(dataclasses.replace(zero, flow=np.zeros_like(zero.flow)))
+
+
+class TestSplitWrite:
+    """write_lp writes the objective here and the rows in a forked worker,
+    or both here on one usable CPU: the same bytes either way, no part file
+    left behind, and no part file made where nothing forks."""
+
+    def test_split_write_equals_one_process_write(self, tmp_path, monkeypatch):
+        made = part_files(monkeypatch)
+        zero_objectives = 0
+        for case, model in enumerate(split_write_cases()):
+            files = []
+            for workers in (1, 2):
+                force_workers(monkeypatch, workers)
+                path = tmp_path / f"{case}-{workers}.lp"
+                write_lp(model, str(path))
+                files.append(path.read_bytes())
+            assert files[0] == files[1], model.tag
+            zero_objectives += f" obj: 0 {model.binary_names[0]}\n".encode() in files[0]
+        assert zero_objectives == 1
+        assert len(made) == case + 1  # one part file per two-process write
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"{c}-{w}.lp" for c in range(case + 1) for w in (1, 2)
+        )
+
+    def test_one_cpu_forks_nothing(self, tmp_path, monkeypatch):
+        force_workers(monkeypatch, 1)
+        made = part_files(monkeypatch)
+
+        def no_fork():
+            raise AssertionError("write_lp forked on one usable CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        path = tmp_path / "model.lp"
+        write_lp(linearize(random_level1_instance(Random(421), 4)), str(path))
+        assert path.read_bytes().endswith(b"End\n")
+        assert made == [] and list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_failed_section_leaves_no_file(self, where, tmp_path, monkeypatch, capsys):
+        # the integrated model's section fails, in the forked worker (its
+        # rows) or here (its objective), after the level1 and level2 files
+        # are complete: export-lp fails and leaves no file of any kind
+        force_workers(monkeypatch, 2)
+        made = part_files(monkeypatch)
+        caller = os.getpid()
+        section = "_write_rows" if where == "worker" else "_write_head"
+        write = getattr(linearize_module, section)
+
+        def failing(out, model):
+            if model.tag == "integrated" and (os.getpid() == caller) == (where == "caller"):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            write(out, model)
+
+        monkeypatch.setattr(linearize_module, section, failing)
+        out = tmp_path / "lp"
+        assert main(export_all_argv(out)) == 2
+        assert capsys.readouterr().err == f"error: {os.strerror(errno.ENOSPC)}\n"
+        assert len(made) == 3
+        assert list(out.iterdir()) == []
+        assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="module")

@@ -23,11 +23,12 @@ from conftest import (
     catalog_for,
     criterion_1_instances,
     enumerate_optimum,
+    force_workers,
     line_store,
     random_level1_instance,
     random_level2_instance,
 )
-from storelayout import qap, solvers
+from storelayout import forking, qap, solvers
 from storelayout.demand import expected_transitions, load_transactions, read_transactions_csv
 from storelayout.errors import InputError, ModelError, ValidationError
 from storelayout.qap import (
@@ -564,13 +565,6 @@ class TestLanesMatchSerialRuns:
         assert extended > 0
 
 
-def force_workers(monkeypatch, workers: int) -> None:
-    """Make every lane call split its lanes over ``workers`` processes (at
-    most one per lane), whatever the CPU count: the lane split sees
-    ``workers`` usable CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(workers)), raising=False)
-
-
 class TestLaneSplit:
     """A lane call split over 1, 2, 3 or L processes gives, per lane, the
     same best-objective bits, permutation and iteration count, and ends
@@ -832,14 +826,14 @@ class TestLaneWorkers:
         of outputs, one per lane range, of each split."""
         force_workers(monkeypatch, 2)
         splits = []
-        split = solvers._split_lanes
+        split = solvers.split_ranges
 
         def counted(*args):
             outputs = split(*args)
             splits.append(len(outputs))
             return outputs
 
-        monkeypatch.setattr(solvers, "_split_lanes", counted)
+        monkeypatch.setattr(solvers, "split_ranges", counted)
         return splits
 
     def test_no_worker_left_after_pool_solve(self, monkeypatch):
@@ -888,7 +882,7 @@ class TestLaneWorkers:
         force_workers(monkeypatch, 2)
         if why == "no-fork":
             monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        monkeypatch.setattr(solvers, "_lane_worker", None)  # a forked worker would fail
+        monkeypatch.setattr(forking, "_range_worker", None)  # a forked worker would fail
         stop = threading.Event()
         other = threading.Thread(target=stop.wait, args=(30,))
         if why == "thread":
@@ -912,14 +906,14 @@ class TestTimeLimit:
         # its process, which all stop together at the deadline
         force_workers(monkeypatch, 2)
         chunks = []
-        split = solvers._split_lanes
+        split = solvers.split_ranges
 
         def recorded(*args):
             out = split(*args)
             chunks.extend(out)
             return out
 
-        monkeypatch.setattr(solvers, "_split_lanes", recorded)
+        monkeypatch.setattr(solvers, "split_ranges", recorded)
         rng = Random(653)
         for restarts in (1, 3, 4):
             monkeypatch.setattr(solvers, "RESTARTS", restarts)
