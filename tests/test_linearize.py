@@ -1209,9 +1209,11 @@ class TestConstraintView:
         # product, so its own li and lk rows have no terms
         assert empties_seen > 0
 
-    def test_export_builds_no_product_constraint(self, tmp_path):
+    def test_export_builds_no_product_constraint(self, tmp_path, monkeypatch):
         # neither writing nor validating an integrated model runs a
-        # constructor per row: the rows are plain tuples of a stream
+        # constructor per row: the rows are plain tuples of a stream; in one
+        # process, so the profiler sees the rows section too
+        force_workers(monkeypatch, 1)
         graph, catalog, matrices, exposures = TestIntegratedModel.pieces((2, 2, 1))
         model = linearize_integrated(exposures, matrices, None, catalog, graph, sparsify=True)
         head = len(model.constraints.head)
