@@ -447,7 +447,7 @@ _built_parser: argparse.ArgumentParser | None = None
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built by the first call and kept: parsing
     leaves it unchanged, and a process that runs several commands builds
-    its nine subparsers once."""
+    its eight subparsers once."""
     global _built_parser
     if _built_parser is None:
         _built_parser = _build_parser()

@@ -99,7 +99,6 @@ class QapInstance:
     exposure: np.ndarray
     eligibility: np.ndarray
     blocks: tuple[Block, ...] | None = None
-    name: str = "instance"
 
     _product_index: dict[str, int] = field(init=False, repr=False)
     _position_index: dict[str, int] = field(init=False, repr=False)
@@ -308,15 +307,10 @@ def complete_matching(elig: np.ndarray) -> list[int] | None:
 # -- objective and delta evaluation -------------------------------------------
 
 
-def objective_of_permutation(instance: QapInstance, perm: np.ndarray) -> float | np.ndarray:
-    """Canonical objective evaluation. Every solver scores candidates through
-    this one routine so equal assignments produce bit-equal objectives.
-
-    A stack of L permutations, shape (L, n), gives an array of L objectives,
-    each bit-equal to the call on its row alone."""
-    if perm.ndim == 2:
-        sub = instance.exposure[perm[:, :, None], perm[:, None, :]]
-        return (instance.flow * sub).sum(axis=(1, 2))
+def objective_of_permutation(instance: QapInstance, perm: np.ndarray) -> float:
+    """Canonical objective of one permutation. Every solver scores candidates
+    through this one routine so equal assignments produce bit-equal
+    objectives."""
     sub = instance.exposure.take(perm, axis=0).take(perm, axis=1)
     return float((instance.flow * sub).sum())
 
@@ -555,7 +549,6 @@ def build_level1_instance(
         flow=transitions.cat_transitions,
         exposure=exposures.loc_exposure,
         eligibility=elig,
-        name="level1",
     )
 
 
@@ -638,7 +631,6 @@ def build_level2_instance(
         exposure=exposures.sub_exposure,
         eligibility=elig,
         blocks=tuple(blocks),
-        name="level2",
     )
 
 
@@ -655,9 +647,11 @@ class SolutionPool:
     """Top-K distinct assignments within a relative gap of the best.
 
     Ordering is objective-descending with lexicographic permutation
-    tie-break, so pool contents are deterministic for a deterministic
-    offer sequence. De-duplication is by exact assignment, not objective,
-    so alternative optima coexist. ``notes`` holds what the search that
+    tie-break. An offer of a permutation not yet held is inserted, then the
+    entries are sorted and cut to the first ``capacity`` within the gap of
+    the best, so the contents depend only on the set of offers.
+    De-duplication is by exact assignment, not objective, so
+    alternative optima coexist. ``notes`` holds what the search that
     filled the pool reported, such as a limit it hit.
     """
 
@@ -670,7 +664,6 @@ class SolutionPool:
         self.capacity = capacity
         self.gap = gap
         self._entries: list[tuple[float, tuple[int, ...]]] = []
-        self._keys: set[tuple[int, ...]] = set()
         self.notes: tuple[str, ...] = ()
 
     def _threshold(self, best: float) -> float:
@@ -678,28 +671,13 @@ class SolutionPool:
 
     def offer(self, perm: np.ndarray, objective_value: float) -> bool:
         """Consider one candidate; returns True if it entered the pool."""
-        if self._entries:
-            best = self._entries[0][0]
-            if objective_value < self._threshold(max(best, objective_value)):
-                return False
         key = tuple(np.asarray(perm).tolist())
-        if key in self._keys:
+        if any(k == key for _, k in self._entries):
             return False
-        if len(self._entries) == self.capacity:
-            # a full pool keeps its best, so a candidate ranked after its
-            # last entry would be cut again at once
-            worst_obj, worst_key = self._entries[-1]
-            if (-objective_value, key) > (-worst_obj, worst_key):
-                return False
-        self._entries.append((objective_value, key))
-        self._keys.add(key)
-        self._entries.sort(key=lambda e: (-e[0], e[1]))
-        best = self._entries[0][0]
-        cut = self._threshold(best)
-        kept = [e for e in self._entries if e[0] >= cut][: self.capacity]
-        self._keys = {e[1] for e in kept}
-        self._entries = kept
-        return key in self._keys
+        entries = sorted(self._entries + [(objective_value, key)], key=lambda e: (-e[0], e[1]))
+        cut = self._threshold(entries[0][0])
+        self._entries = [e for e in entries if e[0] >= cut][: self.capacity]
+        return any(k == key for _, k in self._entries)
 
     def admission_bar(self) -> float:
         """The objective below which no offer can enter: the gap threshold

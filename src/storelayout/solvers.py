@@ -141,9 +141,7 @@ def _mix_seed(seed: int, salt: int) -> int:
     return (seed * 1_000_003 + salt) % (2**63)
 
 
-def _gap_of(bound: float | None, best: float) -> float | None:
-    if bound is None:
-        return None
+def _gap_of(bound: float, best: float) -> float | None:
     if bound == 0:
         return 0.0 if best == 0 else None
     return max(0.0, (bound - best) / abs(bound))
@@ -288,7 +286,8 @@ def brute_force(instance: QapInstance) -> SolveResult:
 
 def _node_bound(instance: QapInstance, order: list[int], depth: int, perm: np.ndarray,
                 used: np.ndarray) -> float:
-    """Upper bound on the best completion of a partial assignment.
+    """Upper bound on the best completion of a partial assignment that
+    leaves at least one product free.
 
     Exact fixed-fixed interaction plus a maximization linear-assignment
     relaxation over free products and positions. The per-cell optimistic
@@ -301,8 +300,6 @@ def _node_bound(instance: QapInstance, order: list[int], depth: int, perm: np.nd
     fixed = order[:depth]
     free = order[depth:]
     pf = perm[fixed]
-    if not free:
-        return float((flow[np.ix_(fixed, fixed)] * expo[np.ix_(pf, pf)]).sum())
     slots = np.flatnonzero(~used)
     ff = float((flow[np.ix_(fixed, fixed)] * expo[np.ix_(pf, pf)]).sum())
     r = len(free)
@@ -511,7 +508,8 @@ def _walk_lanes(
 
     Each lane keeps its own permutation, tabu table, rng, current and best
     objective and pool, and takes exactly the moves it would take alone,
-    while each iteration makes one set of NumPy calls for all lanes.
+    while each iteration scores the moves of all lanes in one set of NumPy
+    calls.
 
     Each iteration scores the swap pairs eligibility can ever allow in any
     lane (one a lane's own eligibility rules out is never allowed there),
@@ -533,11 +531,12 @@ def _walk_lanes(
     back as the running objective and nothing else, since its offer, its
     ranking against the best and the bars it set have all been made and
     cannot change (a pool's contents depend only on the set of its offers,
-    and its best and bar only rise). The lanes' new permutations are scored
-    in one stacked call."""
+    and its best and bar only rise). A lane that misses the memo rescores
+    its own permutation at once, then offers it, ranks it against its best
+    and moves its thresholds."""
     lanes, n = len(starts), instance.n
     perms = np.array(starts, dtype=np.int64)
-    cur = objective_of_permutation(instance, perms).tolist()
+    cur = [objective_of_permutation(instance, perm) for perm in perms]
     cur_col = np.array(cur)[:, None]
     scored = [{perm.tobytes(): obj} for perm, obj in zip(perms, cur)]
     best_obj = list(cur)
@@ -593,7 +592,6 @@ def _walk_lanes(
         admissible = allowed & (~tabu_move | (cur_col + delta > aspire))
         picks = np.where(admissible, delta, -np.inf).argmax(axis=1).tolist()
         ending = []  # the lanes that stop at this iteration
-        fresh = []
         for lane in live:
             p = picks[lane]
             if not admissible[lane, p]:
@@ -613,30 +611,24 @@ def _walk_lanes(
             scan.swap(a, b, lane)
             cur[lane] += float(delta[lane, p])
             if cur[lane] >= rescore_at[lane]:
-                known = scored[lane].get(perm.tobytes())
+                key = perm.tobytes()
+                known = scored[lane].get(key)
                 if known is None:
-                    fresh.append(lane)
-                else:
-                    cur[lane] = known
+                    known = objective_of_permutation(instance, perm)
+                    if len(scored[lane]) == RESCORE_MEMO:
+                        scored[lane].clear()
+                    scored[lane][key] = known
+                    if pools:
+                        pools[lane].offer(perm, known)
+                    better = _better(known, perm, best_obj[lane], best_perm[lane])
+                    if better:
+                        best_obj[lane] = known
+                        best_perm[lane] = perm.copy()
+                        improved[lane] = it
+                    if better or pools:
+                        track(lane)
+                cur[lane] = known
             cur_col[lane, 0] = cur[lane]
-        if fresh:
-            canon = objective_of_permutation(instance, perms[fresh]).tolist()
-            for lane, obj in zip(fresh, canon):
-                cur[lane] = obj
-                cur_col[lane, 0] = obj
-                perm = perms[lane]
-                if len(scored[lane]) == RESCORE_MEMO:
-                    scored[lane].clear()
-                scored[lane][perm.tobytes()] = obj
-                if pools:
-                    pools[lane].offer(perm, obj)
-                better = _better(obj, perm, best_obj[lane], best_perm[lane])
-                if better:
-                    best_obj[lane] = obj
-                    best_perm[lane] = perm.copy()
-                    improved[lane] = it
-                if better or pools:
-                    track(lane)
         ending += [lane for lane in live if it - improved[lane] >= STALL]
         if ending:
             for lane in ending:

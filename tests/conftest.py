@@ -180,7 +180,6 @@ def random_level1_instance(rng: Random, n_real: int, full_eligibility: bool = Fa
                 flow=flow,
                 exposure=expo,
                 eligibility=elig,
-                name=f"rand-l1-{n_real}",
             )
         except Exception:
             continue
@@ -231,7 +230,6 @@ def random_level2_instance(rng: Random, sizes: tuple[int, ...]) -> QapInstance:
         exposure=expo,
         eligibility=elig,
         blocks=tuple(blocks),
-        name=f"rand-l2-{sizes}",
     )
 
 

@@ -249,7 +249,6 @@ def toy_2x2() -> QapInstance:
         flow=np.array([[0.0, 1.0], [0.0, 0.0]]),
         exposure=np.array([[1.0, 3.0], [3.0, 1.0]]),
         eligibility=np.eye(2, dtype=bool),
-        name="toy-2x2",
     )
 
 

@@ -261,31 +261,6 @@ class TestSwapScanLanes:
             )
 
 
-class TestStackedObjective:
-    """objective_of_permutation over an (L, n) stack: entry l has the bits
-    of the call on row l alone, so lanes rescore exactly as one walk does."""
-
-    def test_rows_bit_equal_to_single_calls(self):
-        rng = np.random.default_rng(53)
-        for n in range(2, 131):
-            density = (0.05, 0.3, 1.0)[n % 3]
-            flow = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
-            expo = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-2, 3, size=(n, n))
-            inst = QapInstance(
-                level="level1",
-                product_ids=tuple(f"p{i}" for i in range(n)),
-                position_ids=tuple(f"q{k}" for k in range(n)),
-                flow=flow,
-                exposure=expo,
-                eligibility=np.ones((n, n), dtype=bool),
-            )
-            perms = np.stack([rng.permutation(n) for _ in range(int(rng.integers(1, 7)))])
-            got = objective_of_permutation(inst, perms)
-            assert got.shape == (len(perms),)
-            want = [objective_of_permutation(inst, perm) for perm in perms]
-            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
-
-
 class TestSwapCandidatePairs:
     def test_cover_every_allowed_swap(self):
         rng = Random(41)
@@ -761,8 +736,9 @@ class TestSolutionPool:
         assert held(small)[0] == held(big)[0]
 
     def test_early_rejections_change_nothing(self):
-        # reference: every offer is inserted, sorted and cut; the pool's
-        # early exits must give the same answers and the same contents
+        # reference: an offer of a permutation not yet held is inserted,
+        # sorted and cut; offer must give the same answers and leave the
+        # same contents
         inst = simple_instance(4)
         perms = list(itertools.permutations(range(4)))
         for trial in range(20):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
@@ -362,6 +364,235 @@ class TestHeatmap:
         assert {"s1 & <front>", "s2"} <= {t.text for t in root.iter(f"{ns}text")}
 
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _put(*path_and_value):
+    """A mutation that sets the field at ``path`` of the store document."""
+    *path, key, value = path_and_value
+
+    def mutate(raw):
+        target = raw
+        for step in path:
+            target = target[step]
+        target[key] = value
+        return raw
+
+    return mutate
+
+
+def _drop(key):
+    def mutate(raw):
+        del raw[key]
+        return raw
+
+    return mutate
+
+
+def _append(field, index, **changes):
+    """A mutation that appends a copy of entry ``index`` of ``field``."""
+
+    def mutate(raw):
+        raw[field].append({**raw[field][index], **changes})
+        return raw
+
+    return mutate
+
+
+def _text(edit):
+    """A mutation of the document's JSON text, as bytes."""
+    return lambda raw: edit(json.dumps(raw).encode())
+
+
+_LOC0 = ("locations", 0)
+_SUB0 = ("locations", 0, "sublocations", 0)
+_CAT0 = ("catalog", "categories", 0)
+# (mutation of the bundled store document, error, what the message names)
+_SCHEMA_ERRORS = {
+    "invalid-json": (_text(lambda b: b[:-1]), ParseError, r"bad\.json:1: invalid JSON"),
+    "not-utf8": (_text(lambda b: b + b"\xff"), ParseError, r"bad\.json: not UTF-8 text"),
+    "top-level-list": (lambda raw: [raw], InputError, r"bad\.json: top level must be an object"),
+    "name-not-string": (_put("name", 7), InputError, r"bad\.json: field 'name' must be a string"),
+    "missing-entrance": (
+        _drop("entrance"), InputError, r"bad\.json: missing required field 'entrance'"
+    ),
+    "nodes-not-a-list": (
+        _put("nodes", {}), InputError, r"bad\.json: field 'nodes' must be list, got dict"
+    ),
+    "catalog-not-an-object": (
+        _put("catalog", []), InputError, r"bad\.json: field 'catalog' must be dict, got list"
+    ),
+    "node-not-an-object": (
+        _put("nodes", 0, "n-02-00"), InputError, r"\.nodes\[0\]: expected an object"
+    ),
+    "x-a-string": (
+        _put("nodes", 1, "x", "38"),
+        InputError,
+        r"\.nodes\[1\]: field 'x' must be int/float, got str",
+    ),
+    "y-a-bool": (
+        _put("nodes", 1, "y", True), InputError, r"\.nodes\[1\]: field 'y' must be a finite number"
+    ),
+    "edge-not-an-object": (_put("edges", 2, []), InputError, r"\.edges\[2\]: expected an object"),
+    "edge-length-unknown-endpoint": (
+        _put("edges", 2, {"a": "n-02-04", "b": "nowhere"}),
+        InputError,
+        r"\.edges\[2\]: cannot infer length, unknown endpoint",
+    ),
+    "location-not-an-object": (
+        _put("locations", 3, "loc-04"), InputError, r"\.locations\[3\]: expected an object"
+    ),
+    "unknown-fixture": (
+        _put(*_LOC0, "fixture", "shelf"),
+        InputError,
+        r"\.locations\[0\]: fixture 'shelf' is not one of peripheral, endcap, aisle",
+    ),
+    "no-sublocations": (
+        _put(*_LOC0, "sublocations", []),
+        InputError,
+        r"\.locations\[0\]: location 'loc-01' has no sublocations",
+    ),
+    "location-center-not-a-string": (
+        _put(*_LOC0, "center", 12),
+        InputError,
+        r"\.locations\[0\]: field 'center' must be a node id string",
+    ),
+    "sublocation-not-an-object": (
+        _put(*_LOC0, "sublocations", 1, "pos-02"),
+        InputError,
+        r"\.locations\[0\]\.sublocations\[1\]: expected an object",
+    ),
+    "facing-not-strings": (
+        _put(*_SUB0, "facing", ["n-02-08", 8]),
+        InputError,
+        r"\.locations\[0\]\.sublocations\[0\]: facing must be a list of node ids",
+    ),
+    "category-not-an-object": (
+        _put("catalog", "categories", 1, "cat-02"),
+        InputError,
+        r"\.catalog\.categories\[1\]: expected an object",
+    ),
+    "category-name-not-a-string": (
+        _put(*_CAT0, "name", None),
+        InputError,
+        r"\.catalog\.categories\[0\]: field 'name' must be a string",
+    ),
+    "subcategory-not-an-object": (
+        _put(*_CAT0, "subcategories", 2, "sub-03"),
+        InputError,
+        r"\.catalog\.categories\[0\]\.subcategories\[2\]: expected an object",
+    ),
+    "subcategory-name-not-a-string": (
+        _put(*_CAT0, "subcategories", 2, "name", ["Stone Fruit"]),
+        InputError,
+        r"\.catalog\.categories\[0\]\.subcategories\[2\]: field 'name' must be a string",
+    ),
+    "eligibility-not-an-object": (
+        _put("eligibility", ["cat-01"]),
+        InputError,
+        r"\.eligibility: expected an object mapping category to location list",
+    ),
+    "eligibility-unknown-category": (
+        _put("eligibility", "cat-99", ["loc-01"]),
+        InputError,
+        r"\.eligibility: unknown category 'cat-99'",
+    ),
+    "eligibility-not-a-list": (
+        _put("eligibility", "cat-01", "loc-01"),
+        InputError,
+        r"\.eligibility\.cat-01: expected a list of location ids",
+    ),
+    "eligibility-empty": (
+        _put("eligibility", "cat-02", []),
+        InputError,
+        r"\.eligibility\.cat-02: empty eligibility list leaves nowhere to place it",
+    ),
+    "eligibility-unknown-location": (
+        _put("eligibility", "cat-02", ["loc-01", "loc-99"]),
+        InputError,
+        r"\.eligibility\.cat-02: unknown location 'loc-99'",
+    ),
+    # the store graph's own checks, reached through the document
+    "duplicate-node": (
+        _append("nodes", 0, x=99.0), InputError, r"^duplicate node ids in store graph$"
+    ),
+    "edge-to-unknown-node": (
+        _put("edges", 2, "b", "nowhere"),
+        InputError,
+        r"^edge n-02-04-nowhere references unknown node$",
+    ),
+    "self-loop": (
+        _put("edges", 2, "b", "n-02-04"), InputError, r"^self-loop edge at node n-02-04$"
+    ),
+    "zero-length-edge": (
+        _put("edges", 2, "length", 0),
+        InputError,
+        r"^edge n-02-04-n-06-04 length must be finite and positive, got 0\.0$",
+    ),
+    "duplicate-edge": (
+        _append("edges", 0, a="n-02-04", b="n-02-00"),
+        InputError,
+        r"^duplicate edge n-02-04-n-02-00$",
+    ),
+    "unknown-exit": (
+        _put("exit", "nowhere"), InputError, r"^entrance/exit node 'nowhere' not in node list$"
+    ),
+    "entrance-is-exit": (
+        _put("exit", "n-02-00"), InputError, r"^entrance and exit must be distinct nodes$"
+    ),
+    "duplicate-sublocation": (
+        _put(*_LOC0, "sublocations", 1, "id", "pos-01"),
+        InputError,
+        r"^duplicate sublocation id pos-01$",
+    ),
+    "no-facing-nodes": (
+        _put(*_SUB0, "facing", []), InputError, r"^sublocation pos-01 has no facing nodes$"
+    ),
+    "center-not-facing": (
+        _put(*_SUB0, "center", "n-02-12"),
+        InputError,
+        r"^sublocation pos-01: center node must be a facing node$",
+    ),
+    "faces-unknown-node": (
+        _put(*_SUB0, "facing", ["n-02-08", "nowhere"]),
+        InputError,
+        r"^sublocation pos-01 faces unknown nodes \['nowhere'\]$",
+    ),
+    "location-center-unknown": (
+        _put(*_LOC0, "center", "nowhere"),
+        InputError,
+        r"^location loc-01 center node 'nowhere' unknown$",
+    ),
+    "duplicate-location": (
+        _append(
+            "locations",
+            0,
+            sublocations=[{"id": "pos-99", "center": "n-02-08", "facing": ["n-02-08"]}],
+        ),
+        InputError,
+        r"^duplicate location ids$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_SCHEMA_ERRORS))
+def test_store_schema_errors_name_the_field(case, tmp_path):
+    """Each schema check of the store document, and each check of the store
+    graph it builds, rejects a mutated copy of the bundled store with the
+    error that names the offending field or object."""
+    mutate, error, message = _SCHEMA_ERRORS[case]
+    raw = json.loads((FIXTURES / "synthetic_store.json").read_text(encoding="utf-8"))
+    bad = mutate(raw)
+    path = tmp_path / "bad.json"
+    if isinstance(bad, bytes):
+        path.write_bytes(bad)
+    else:
+        path.write_text(json.dumps(bad), encoding="utf-8")
+    with pytest.raises(InputError, match=message) as err:
+        load_store(str(path))
+    assert type(err.value) is error
+
+
 class TestStoreFile:
     def test_round_trip_preserves_structure(self, tmp_path):
         graph = line_store(3, (2, 1))
@@ -393,6 +624,11 @@ class TestStoreFile:
         with pytest.raises(InputError) as err:
             load_store(str(path))
         assert "nodes[0]" in str(err.value)
+
+    def test_missing_file_is_named(self, tmp_path):
+        missing = tmp_path / "absent.json"
+        with pytest.raises(InputError, match=f"^store file not found: {re.escape(str(missing))}$"):
+            load_store(str(missing))
 
     def test_unknown_eligibility_target_rejected(self, tmp_path):
         graph = line_store(2)

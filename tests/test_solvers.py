@@ -696,10 +696,10 @@ class TestRescoreMemo:
     @pytest.mark.parametrize("memo", [None, 16], ids=["default", "small"])
     def test_plateau_memo_stays_within_its_bound(self, memo, monkeypatch):
         # zero flow ties every state with the best, so each lane rescores
-        # after every move; the objective rows scored must be exactly the
-        # misses of a memo that forgets everything when it is full. A stall
-        # as long as the 5,000-iteration walks keeps each lane walking until
-        # its memo has filled and been cleared
+        # after every move; the objective calls must be exactly the starts
+        # plus the misses of a memo that forgets everything when it is
+        # full. A stall as long as the 5,000-iteration walks keeps each lane
+        # walking until its memo has filled and been cleared
         force_workers(monkeypatch, 1)  # the spies count in this process
         monkeypatch.setattr(solvers, "STALL", 5000)
         if memo is not None:
@@ -725,10 +725,10 @@ class TestRescoreMemo:
             want.append(serial_tabu_run(inst, start, 5000, (0.1, 0.5), Random(s), None))
         monkeypatch.setattr(sys.modules[__name__], "objective_of_permutation", canonical)
 
-        scored = [0]
+        calls = [0]
 
         def counted(instance, perm):
-            scored[0] += len(perm)
+            calls[0] += 1
             return canonical(instance, perm)
 
         monkeypatch.setattr(solvers, "objective_of_permutation", counted)
@@ -749,7 +749,7 @@ class TestRescoreMemo:
                         held.clear()
                     held.add(key)
             assert len(set(lane_visits)) > cap  # the memo filled and was cleared
-        assert scored[0] == len(seeds) + misses
+        assert calls[0] == len(seeds) + misses
 
     def test_each_lane_offers_each_permutation_once(self, monkeypatch):
         # the serial walk offers every rescored permutation, revisits
@@ -1308,7 +1308,7 @@ class TestConstructionMatchesMatchableOracle:
 
     def assert_same(self, instances, monkeypatch, seeds=range(3)) -> int:
         rejected: list = []
-        for inst in instances:
+        for index, inst in enumerate(instances):
             fast = [greedy_assignment(inst)]
             fast_rngs = [Random(seed) for seed in seeds]
             fast += [random_assignment(inst, rng) for rng in fast_rngs]
@@ -1322,7 +1322,7 @@ class TestConstructionMatchesMatchableOracle:
                 slow_rngs = [Random(seed) for seed in seeds]
                 slow += [random_assignment(inst, rng) for rng in slow_rngs]
             for got, want in zip(fast, slow):
-                assert got.tolist() == want.tolist(), inst.name
+                assert got.tolist() == want.tolist(), f"instance {index}"
             assert [r.getstate() for r in fast_rngs] == [r.getstate() for r in slow_rngs]
         return len(rejected)
 
