@@ -5,7 +5,8 @@ random order, picking every purchased subcategory of a category (again in
 uniformly random order) before moving on. Walks start at check-in and end at
 check-out. Transition matrices count, per ordered product pair, how many
 times a shopper walks from one to the other, either in exact expectation over
-all visit orders or as one seeded sample.
+all visit orders or as one seeded sample. Both modes count the subcategory
+legs and merge them by category pair into the category counts.
 """
 
 from __future__ import annotations
@@ -230,6 +231,43 @@ def _basket_blocks(items: tuple[str, ...], catalog: Catalog) -> list[tuple[str, 
     return [(cid, by_cat[cid]) for cid in cat_order]
 
 
+def _coded_baskets(
+    transactions: list[Transaction], catalog: Catalog, code: Mapping[str, object]
+) -> dict[tuple[str, ...], tuple[tuple, ...]]:
+    """Each distinct basket, in order of first appearance, grouped once into
+    its blocks (``_basket_blocks``) with every product replaced by its
+    ``code``. A transaction that holds products with no code is rejected."""
+    baskets: dict[tuple[str, ...], tuple[tuple, ...]] = {}
+    for txn in transactions:
+        items = txn.subcategory_ids
+        if items not in baskets:
+            blocks = _basket_blocks(items, catalog)
+            missing = [sid for sid in items if sid not in code]
+            if missing:
+                raise ValidationError(
+                    f"transaction {txn.transaction_id}: no assigned position for {missing}"
+                )
+            baskets[items] = tuple(tuple(code[sid] for sid in subs) for _, subs in blocks)
+    return baskets
+
+
+def _category_legs(
+    sub_legs: Mapping[tuple[int, int], int], catalog: Catalog
+) -> dict[tuple[int, int], int]:
+    """Category-level counts from subcategory-level ones, both keyed by axis
+    index pairs. The category walk is the subcategory walk with each block
+    merged into its category, so a leg that changes category counts for its
+    category pair. Pairs keep the order of their first leg."""
+    cat_index = {pid: i for i, pid in enumerate(catalog.category_axis)}
+    cat_of = [cat_index[catalog.category_of(sid)] for sid in catalog.subcategory_axis]
+    merged: dict[tuple[int, int], int] = {}
+    for (a, b), count in sub_legs.items():
+        pair = cat_of[a], cat_of[b]
+        if pair[0] != pair[1]:
+            merged[pair] = merged.get(pair, 0) + count
+    return merged
+
+
 def _dense(entries: Mapping[tuple[int, int], int | Fraction], size: int) -> np.ndarray:
     """(size, size) float matrix of entries keyed by index pairs, each
     correctly rounded, zero elsewhere."""
@@ -247,8 +285,7 @@ def _leg_template(shape: tuple[int, ...]) -> list[tuple[int, int, int]]:
     slot n + 1 check-out. Within a block, ordered pairs are adjacent with
     probability 1/g. A cross-block leg s1→s2 needs the second category to
     directly follow the first (1/m), s1 to be picked last in its block
-    (1/g1) and s2 first in its (1/g2). With every block a single product
-    named by its category (g = 1), these are the category-level legs.
+    (1/g1) and s2 first in its (1/g2).
     """
     m = len(shape)
     out = sum(shape) + 1
@@ -271,68 +308,61 @@ def _leg_template(shape: tuple[int, ...]) -> list[tuple[int, int, int]]:
     return legs
 
 
-def _exact_transitions(
-    baskets: Mapping[tuple[tuple[int, ...], tuple[int, ...]], int], size: int
-) -> tuple[np.ndarray, dict[tuple[int, int], Fraction]]:
-    """Expected transitions summed exactly over distinct baskets.
+def _expected_numerators(
+    baskets: Mapping[tuple[tuple[int, ...], ...], int], size: int
+) -> tuple[dict[tuple[int, int], int], int]:
+    """Expected legs summed exactly over distinct baskets, as integer
+    numerators over one common denominator, which is returned with them.
 
-    ``baskets`` maps each distinct basket, as its block shape and its product
-    indices in block order, to the number of transactions that hold it. Its
-    legs come from the template of its shape. Each pair sums integer
-    numerators over one common denominator of every template's ``d``, and
-    becomes one ``Fraction`` at the end. Pairs keep the order in which they
+    ``baskets`` maps each distinct basket, as its blocks of product indices,
+    to the number of transactions that hold it. Its legs come from the
+    template of its block shape, and the denominator is the least common
+    multiple of every template's ``d``. Pairs keep the order in which they
     were first contributed.
     """
-    templates = {shape: _leg_template(shape) for shape in {shape for shape, _ in baskets}}
+    templates = {shape: _leg_template(shape) for shape in {tuple(map(len, b)) for b in baskets}}
     common = math.lcm(*(d for legs in templates.values() for _, _, d in legs))
     scaled = {
         shape: [(a, b, common // d) for a, b, d in legs] for shape, legs in templates.items()
     }
     numerators: dict[int, int] = {}
     get = numerators.get
-    for (shape, codes), count in baskets.items():
-        ends = (0, *codes, size - 1)
+    for basket, count in baskets.items():
+        ends = (0, *(i for block in basket for i in block), size - 1)
         rows = [i * size for i in ends]
-        for a, b, k in scaled[shape]:
+        for a, b, k in scaled[tuple(map(len, basket))]:
             key = rows[a] + ends[b]
             numerators[key] = get(key, 0) + count * k
-    exact = {divmod(key, size): Fraction(num, common) for key, num in numerators.items()}
-    return _dense(exact, size), exact
+    return {divmod(key, size): num for key, num in numerators.items()}, common
 
 
 def expected_transitions(transactions: list[Transaction], catalog: Catalog) -> TransitionMatrices:
     """Both transition matrices in exact-expectation mode (seed-free). Each
-    distinct basket is grouped once, counted at both granularities, and
-    weighted by the number of transactions that hold it."""
-    cat_index = {pid: i for i, pid in enumerate(catalog.category_axis)}
-    sub_index = {pid: i for i, pid in enumerate(catalog.subcategory_axis)}
-    cat_baskets: Counter = Counter()
-    sub_baskets: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for items, count in Counter(t.subcategory_ids for t in transactions).items():
-        blocks = _basket_blocks(items, catalog)
-        cats = tuple(cat_index[cid] for cid, _ in blocks)
-        cat_baskets[(1,) * len(cats), cats] += count
-        shape = tuple(len(subs) for _, subs in blocks)
-        sub_baskets[shape, tuple(sub_index[sid] for _, subs in blocks for sid in subs)] = count
-    cat_dense, cat_exact = _exact_transitions(cat_baskets, len(cat_index))
-    sub_dense, sub_exact = _exact_transitions(sub_baskets, len(sub_index))
+    distinct basket is grouped once and its subcategory legs counted once,
+    weighted by the number of transactions that hold it. The category counts
+    are those legs merged by category pair, as in sampled mode."""
+    cat_axis = catalog.category_axis
+    sub_axis = catalog.subcategory_axis
+    counts = Counter(t.subcategory_ids for t in transactions)
+    baskets = _coded_baskets(transactions, catalog, {pid: i for i, pid in enumerate(sub_axis)})
+    sub_legs, common = _expected_numerators(
+        {basket: counts[items] for items, basket in baskets.items()}, len(sub_axis)
+    )
+    cat_exact = {
+        pair: Fraction(num, common) for pair, num in _category_legs(sub_legs, catalog).items()
+    }
+    sub_exact = {pair: Fraction(num, common) for pair, num in sub_legs.items()}
     return TransitionMatrices(
-        cat_axis=catalog.category_axis,
-        sub_axis=catalog.subcategory_axis,
-        cat_transitions=cat_dense,
-        sub_transitions=sub_dense,
+        cat_axis=cat_axis,
+        sub_axis=sub_axis,
+        cat_transitions=_dense(cat_exact, len(cat_axis)),
+        sub_transitions=_dense(sub_exact, len(sub_axis)),
         mode=MODE_EXPECTED,
         seed=None,
         transaction_count=len(transactions),
         cat_exact=cat_exact,
         sub_exact=sub_exact,
     )
-
-
-def _shared_blocks(blocks: Iterable[Iterable], pool: dict[tuple, tuple]) -> tuple[tuple, ...]:
-    """A basket's blocks as one tuple of tuples. The same blocks recur across
-    distinct baskets, and ``pool`` keeps one copy of each."""
-    return tuple(pool.setdefault(block, block) for block in map(tuple, blocks))
 
 
 def _visit_order(blocks: tuple[tuple, ...], rng: Random) -> list:
@@ -359,38 +389,23 @@ def sampled_transitions(
     """One seeded realization of every basket's visit order, counted at both
     granularities. Bit-reproducible for a fixed seed and transaction order.
 
-    Each distinct basket is grouped once per call. The category walk is the
-    subcategory walk with each block merged into its category, so the
-    category counts are the subcategory leg counts of the legs that change
-    category, summed by category pair.
+    Each distinct basket is grouped once per call. Only the subcategory legs
+    are counted; the category counts are those legs merged by category pair,
+    as in expected mode.
     """
     rng = Random(seed)
     cat_axis = catalog.category_axis
     sub_axis = catalog.subcategory_axis
-    cat_index = {pid: i for i, pid in enumerate(cat_axis)}
-    sub_index = {pid: i for i, pid in enumerate(sub_axis)}
+    baskets = _coded_baskets(transactions, catalog, {pid: i for i, pid in enumerate(sub_axis)})
     last = len(sub_axis) - 1
-    blocks_of: dict[tuple[str, ...], tuple[tuple[int, ...], ...]] = {}
-    pool: dict[tuple, tuple] = {}
     sub_legs: Counter = Counter()
     for txn in transactions:
-        blocks = blocks_of.get(txn.subcategory_ids)
-        if blocks is None:
-            grouped = _basket_blocks(txn.subcategory_ids, catalog)
-            blocks = blocks_of[txn.subcategory_ids] = _shared_blocks(
-                ([sub_index[sid] for sid in subs] for _, subs in grouped), pool
-            )
-        walk = [0, *_visit_order(blocks, rng), last]
+        walk = [0, *_visit_order(baskets[txn.subcategory_ids], rng), last]
         sub_legs.update(zip(walk, walk[1:]))
-    cat_of = [cat_index[catalog.category_of(sid)] for sid in sub_axis]
-    cat_legs: Counter = Counter()
-    for (a, b), count in sub_legs.items():
-        if cat_of[a] != cat_of[b]:
-            cat_legs[cat_of[a], cat_of[b]] += count
     return TransitionMatrices(
         cat_axis=cat_axis,
         sub_axis=sub_axis,
-        cat_transitions=_dense(cat_legs, len(cat_axis)),
+        cat_transitions=_dense(_category_legs(sub_legs, catalog), len(cat_axis)),
         sub_transitions=_dense(sub_legs, len(sub_axis)),
         mode=MODE_SAMPLED,
         seed=seed,
@@ -410,42 +425,25 @@ def replay_paths(
     ``assignment`` maps subcategory ids to sublocation ids. Each basket gets
     one sampled visit order; the walk concatenates shortest paths entrance →
     picked sublocation centers → exit, sharing junction nodes. Within one
-    call, each distinct basket is grouped once, each product's center node
-    is looked up once, and each distinct leg's path is asked of
+    call, each distinct basket is grouped once, with its products coded as
+    their center nodes, and each distinct leg's path is asked of
     ``shortest_path`` once.
     """
     rng = Random(seed)
-    blocks_of: dict[tuple[str, ...], tuple[tuple[str, ...], ...]] = {}
-    pool: dict[tuple, tuple] = {}
-    centers: dict[str, str] = {}
+    center_of = {
+        sid: graph.position_center(pos, MODE_SUBLOCATION) for sid, pos in assignment.items()
+    }
+    baskets = _coded_baskets(transactions, catalog, center_of)
     tails: dict[tuple[str, str], list[str]] = {}
-
-    def center(sid: str) -> str:
-        node = centers.get(sid)
-        if node is None:
-            node = centers[sid] = graph.position_center(assignment[sid], MODE_SUBLOCATION)
-        return node
-
     paths: list[list[str]] = []
     for txn in transactions:
-        blocks = blocks_of.get(txn.subcategory_ids)
-        if blocks is None:
-            missing = [sid for sid in txn.subcategory_ids if sid not in assignment]
-            if missing:
-                raise ValidationError(
-                    f"transaction {txn.transaction_id}: no assigned position for {missing}"
-                )
-            grouped = _basket_blocks(txn.subcategory_ids, catalog)
-            blocks = blocks_of[txn.subcategory_ids] = _shared_blocks(
-                (subs for _, subs in grouped), pool
-            )
-        stops = [graph.entrance_node, *map(center, _visit_order(blocks, rng)), graph.exit_node]
+        visits = _visit_order(baskets[txn.subcategory_ids], rng)
+        stops = [graph.entrance_node, *visits, graph.exit_node]
         walk: list[str] = [stops[0]]
         for leg in zip(stops, stops[1:]):
             tail = tails.get(leg)
             if tail is None:
                 tail = tails[leg] = shortest_path(graph, *leg)[1:]
             walk += tail
-        # a slice copy holds no spare capacity, which the extended walk does
-        paths.append(walk[:])
+        paths.append(walk)
     return paths

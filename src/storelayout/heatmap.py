@@ -46,7 +46,11 @@ def render_heatmap(
 
     Counts must cover every graph node. An all-zero density renders a
     uniform pale-yellow map; all-equal nonzero counts render mid-scale.
+    ``annotation`` goes into an XML comment, which has no escape for ``--``,
+    so an annotation that holds ``--`` is rejected.
     """
+    if annotation and "--" in annotation:
+        raise InputError(f"heatmap annotation {annotation!r}: an XML comment cannot hold '--'")
     missing = [n.node_id for n in graph.nodes if n.node_id not in density.counts]
     if missing:
         raise InputError(f"density missing counts for {len(missing)} nodes, first: {missing[0]}")

@@ -290,10 +290,7 @@ def shortest_path(graph: StoreGraph, from_node: str, to_node: str) -> list[str]:
             raise InputError(f"unknown node id {nid!r}")
     if from_node == to_node:
         return [from_node]
-    labels = _paths_from(graph, from_node)
-    if to_node not in labels:
-        raise ModelError(f"no path between {from_node!r} and {to_node!r}")
-    return list(labels[to_node][1])
+    return list(_paths_from(graph, from_node)[to_node][1])
 
 
 def shortest_path_length(graph: StoreGraph, from_node: str, to_node: str) -> float:
@@ -355,8 +352,6 @@ def build_exposure_matrices(graph: StoreGraph) -> ExposureMatrices:
         for i, src in enumerate(node_of):
             from_src = labels[src]
             for j, dst in enumerate(node_of):
-                if dst not in from_src:
-                    raise ModelError(f"no path between centers {src!r} and {dst!r}")
                 length, path = from_src[dst]
                 expo[i, j] = path_exposure(graph, path, mode)
                 dist[i, j] = length

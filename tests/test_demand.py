@@ -4,6 +4,7 @@ exhaustive enumeration of orderings."""
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -299,10 +300,11 @@ class TestReplayPaths:
         assert set(walks[0]) >= {"n01", "n02"}
 
     def test_missing_assignment_rejected(self):
-        graph = line_store(2)
-        catalog = catalog_for((2,))
-        txns = load_transactions([("t1", "u1"), ("t1", "u2")], catalog)
-        with pytest.raises(ValidationError):
+        graph = line_store(3)
+        catalog = catalog_for((2, 1))
+        txns = load_transactions([("t1", "u1"), ("t2", "u2"), ("t2", "u3")], catalog)
+        message = "transaction t2: no assigned position for ['u2', 'u3']"
+        with pytest.raises(ValidationError, match=re.escape(message)):
             replay_paths(txns, {"u1": "s1"}, graph, catalog, seed=0)
 
     def test_deterministic_per_seed(self):
@@ -490,6 +492,40 @@ def test_repeating_every_transaction_scales_exact_values(seed, k):
         got = expected_transitions(repeated, catalog)
         assert list(got.cat_exact.items()) == [(key, k * w) for key, w in once.cat_exact.items()]
         assert list(got.sub_exact.items()) == [(key, k * w) for key, w in once.sub_exact.items()]
+
+
+def merged_by_category(sub_entries, catalog):
+    """Subcategory entries keyed by index pairs, summed by category pair in
+    order of first entry, dropping the pairs within one category."""
+    cat_index = {cid: i for i, cid in enumerate(catalog.category_axis)}
+    cat_of = [cat_index[catalog.category_of(sid)] for sid in catalog.subcategory_axis]
+    merged = {}
+    for (a, b), w in sub_entries:
+        if cat_of[a] != cat_of[b]:
+            key = (cat_of[a], cat_of[b])
+            merged[key] = merged.get(key, 0) + w
+    return merged
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_category_counts_are_subcategory_counts_merged(seed):
+    # in both modes the category walk is the subcategory walk with each
+    # category's stretch merged into one stop
+    rng = Random(seed)
+    catalog = catalog_for(tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 7))))
+    txns = random_baskets(rng, catalog, rng.randint(0, 40))
+    exact = expected_transitions(txns, catalog)
+    merged = merged_by_category(exact.sub_exact.items(), catalog)
+    assert list(exact.cat_exact.items()) == list(merged.items())
+    sampled = sampled_transitions(txns, catalog, seed=seed)
+    dense = np.zeros_like(sampled.cat_transitions)
+    nonzero = zip(*np.nonzero(sampled.sub_transitions))
+    for key, count in merged_by_category(
+        (((a, b), sampled.sub_transitions[a, b]) for a, b in nonzero), catalog
+    ).items():
+        dense[key] = count
+    assert sampled.cat_transitions.tobytes() == dense.tobytes()
 
 
 def block_contributions(blocks):

@@ -319,6 +319,20 @@ class TestHeatmap:
         assert "cfg 123" in text
         assert "min = " in text and "max = " in text
 
+    def test_annotation_is_a_wellformed_comment_and_double_hyphen_refused(self, tmp_path):
+        graph = line_store(2)
+        density = TrafficDensity(counts={n.node_id: 1 for n in graph.nodes}, path_count=1)
+        path = tmp_path / "h.svg"
+        render_heatmap(graph, density, str(path), annotation="config 0a1b - <seed> & 2-")
+        parser = ElementTree.XMLParser(target=ElementTree.TreeBuilder(insert_comments=True))
+        root = ElementTree.parse(path, parser).getroot()
+        assert root[0].tag is ElementTree.Comment
+        assert root[0].text == " config 0a1b - <seed> & 2- "
+        for bad in ("a -- b", "--", "run--"):
+            with pytest.raises(InputError, match="cannot hold '--'"):
+                render_heatmap(graph, density, str(tmp_path / "bad.svg"), annotation=bad)
+        assert not (tmp_path / "bad.svg").exists()
+
     def test_density_must_cover_all_nodes(self, tmp_path):
         graph = line_store(2)
         density = TrafficDensity(counts={"n00": 1.0}, path_count=1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from random import Random
 
 import numpy as np
@@ -425,6 +426,53 @@ class TestGraphValidation:
                     Sublocation("s2", "L9", "n1", frozenset({"n1"})),
                 ),
                 locs=(Location("L1", "aisle", "n0", ("s1",)),),
+            )
+
+    @pytest.mark.parametrize(
+        "subs, locs, message",
+        [
+            pytest.param(
+                (Sublocation("s1", "L1", "n0", frozenset({"n0"})),),
+                (Location("L1", "", "n0", ("s1",)),),
+                "location L1 has empty fixture type",
+                id="empty-fixture-type",
+            ),
+            pytest.param(
+                (Sublocation("s1", "L1", "n0", frozenset({"n0"})),),
+                (Location("L1", "aisle", "n0", ()),),
+                "location L1 has no sublocations",
+                id="no-sublocations",
+            ),
+            pytest.param(
+                (Sublocation("s1", "L1", "n0", frozenset({"n0"})),),
+                (Location("L1", "aisle", "n0", ("s1", "s9")),),
+                "location L1 lists unknown sublocation s9",
+                id="unknown-sublocation",
+            ),
+            pytest.param(
+                (Sublocation("s1", "L1", "n0", frozenset({"n0"})),),
+                (Location("L1", "aisle", "n0", ("s1",)), Location("L2", "aisle", "n1", ("s1",))),
+                "sublocation s1 claimed by both L1 and L2",
+                id="claimed-twice",
+            ),
+            pytest.param(
+                (Sublocation("s1", "L2", "n0", frozenset({"n0"})),),
+                (Location("L1", "aisle", "n0", ("s1",)),),
+                "sublocation s1 declares parent 'L2' but is listed under 'L1'",
+                id="parent-mismatch",
+            ),
+        ],
+    )
+    def test_location_checks_the_store_reader_cannot_reach(self, subs, locs, message):
+        # storefile builds consistent locations, so only direct callers meet these
+        with pytest.raises(InputError, match=re.escape(message)):
+            tiny_graph(
+                self._nodes(),
+                [Edge("n0", "n1", 1.0), Edge("n1", "n2", 1.0)],
+                "n0",
+                "n2",
+                subs=subs,
+                locs=locs,
             )
 
     def test_self_loop_edge(self):
